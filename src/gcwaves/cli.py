@@ -256,6 +256,8 @@ def _cmd_scan4(cfg, out):
 def _cmd_collinear(cfg, out):
     params = DispersionParams(_parse_g(cfg["g"]), cfg["sigma"])
     xi = tuple(_ints(cfg["xi"]))
+    if len(xi) != 2:
+        raise ConfigError(f"xi needs exactly two integers, got {cfg['xi']!r}")
     rows = collinear_gap(params, xi)
     with open(f"{out}/gaps.csv", "w") as fh:
         fh.write(",".join(SCHEMAS["collinear"]["gaps.csv"]) + "\n")
@@ -271,6 +273,8 @@ def _cmd_lemma1(cfg, out):
 
 
 def _cmd_measure(cfg, out):
+    if cfg["j-min"] > cfg["j-max"]:
+        raise ConfigError(f"need j-min <= j-max, got {cfg['j-min']} > {cfg['j-max']}")
     wp = WeightParams(cfg["kappa"])
     rows = []
     prev = None

@@ -498,6 +498,8 @@ def profile_F(a, b, c, x):
 
 
 def _check_abc(a, b, c, B=None, delta=None):
+    if not all(math.isfinite(v) for v in (a, b, c, B, delta) if v is not None):
+        raise ConfigError(f"non-finite input in {(a, b, c, B, delta)}")
     if not (1.0 <= a <= b <= c <= a + b):
         raise ConfigError(f"need 1 <= a <= b <= c <= a+b, got {(a, b, c)}")
     if B is not None and B < 1.0:

@@ -32,13 +32,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dispersion import DispersionParams, lam_abs
 from .errors import CadenceError, ConfigError, SmallDivisorError
-from .fields import FourierField, bump, l2_norm, phi_le, sobolev_norm
+from .fields import FourierField, bump, dealias, l2_norm, phi_le, sobolev_norm
 from .model import ModelConfig, SolverState, _Stepper, initial_data
 from .paradiff import _centered, _centered_freqs
 
@@ -141,19 +141,68 @@ class ModulationFilter:
         if self.kind not in ("none", "le0", "gt0", "leB", "B_to_0"):
             raise ConfigError(f"unknown filter kind {self.kind!r}")
 
-    def value(self, phi_mod):
+    def _weight(self, phi_mod, le0):
+        """The filter on phi_mod, given le0 = bump(phi_mod)."""
         if self.kind == "none":
             return np.ones_like(phi_mod)
         if self.kind == "le0":
-            return bump(phi_mod)
+            return le0
         if self.kind == "gt0":
-            return 1.0 - bump(phi_mod)
+            return 1.0 - le0
         if self.kind == "leB":
             return bump(phi_mod / 2.0 ** self.B)
-        return bump(phi_mod) - bump(phi_mod / 2.0 ** self.B)
+        return le0 - bump(phi_mod / 2.0 ** self.B)
 
 
 _GUARD = 1e-12
+
+
+def _rows(coeffs, row_tol):
+    """Centered indices of the coefficients above row_tol * max|coeffs|."""
+    tol = row_tol * np.max(np.abs(coeffs)) if row_tol else 0.0
+    return [(int(i), int(j)) for i, j in np.argwhere(np.abs(coeffs) > tol)]
+
+
+def _row_sums(mu, fc, rows, gc, pairs, params, weighted=False):
+    """The one row loop behind every trilinear sum: per row rho = xi - eta
+    (centered indices ``rows`` into fc) it shifts Ghat, the inside mask and
+    Lam(eta), forms Phi, bump(Phi) and mu(xi, eta) once, then returns
+
+        sum_rho fc(rho) sum_xi mu filt(Phi) [1/(i Phi)] Ghat(eta) conjH(xi)
+
+    for each (filt, conjH) in ``pairs``.  Arrays are centered; the filters
+    share one sign pair, as Phi is formed once per row.
+    """
+    (i1, i2), = {f.signs for f, _ in pairs}
+    filts = list(dict.fromkeys(f for f, _ in pairs))
+    need_le0 = any(f.kind in ("le0", "gt0", "B_to_0") for f in filts)
+    m = gc.shape[0]
+    K1, K2 = _centered_freqs(m)
+    k1, k2 = K1.astype(float), K2.astype(float)
+    lam_xi = lam_abs(params, np.hypot(K1, K2))
+    ones = np.ones((m, m))
+    sums = [0.0 + 0.0j] * len(pairs)
+    for i, j in rows:
+        r1, r2 = i - m // 2, j - m // 2
+        lam_rho = float(lam_abs(params, math.hypot(r1, r2)))
+        g_shift = _shift2(gc, r1, r2)
+        inside = _shift2(ones, r1, r2) > 0.5
+        phi_mod = lam_xi - i1 * lam_rho - i2 * _shift2(lam_xi, r1, r2)
+        le0 = bump(phi_mod) if need_le0 else None
+        ws = {}
+        for f in filts:
+            w = np.where(inside, f._weight(phi_mod, le0), 0.0)
+            if weighted:
+                if np.any((w > 0.0) & (np.abs(phi_mod) < _GUARD)):
+                    raise SmallDivisorError(
+                        f"|Phi| < {_GUARD} inside a division-weighted filter "
+                        f"(row ({r1},{r2}))")
+                w = np.where(w > 0.0, w / (1j * np.where(w > 0.0, phi_mod, 1.0)), 0.0)
+            ws[f] = w
+        muv = mu(k1, k2, k1 - r1, k2 - r2)
+        for k, (f, hconj) in enumerate(pairs):
+            sums[k] += fc[i, j] * np.sum(muv * ws[f] * g_shift * hconj)
+    return [complex(s) for s in sums]
 
 
 def trilinear(mu, filt: ModulationFilter, F: FourierField, G: FourierField,
@@ -163,48 +212,20 @@ def trilinear(mu, filt: ModulationFilter, F: FourierField, G: FourierField,
     * filt(Phi(xi,eta)) * [1/(i Phi) if weighted].
 
     conj(Hhat)(-xi) is the coefficient of conj(H) at -xi, i.e.
-    conj(Hhat(xi)).  Division-weighted sums raise SmallDivisorError when the
-    filter leaves any |Phi| < 1e-12 in support.  ``row_tol`` drops F-rows
-    below row_tol * max|Fhat| (exactness requires 0).
+    conj(Hhat(xi)).  One row pass with the single pair (filt, H).
+    Division-weighted sums raise SmallDivisorError when the filter leaves
+    any |Phi| < 1e-12 in support.  ``row_tol`` drops F-rows below
+    row_tol * max|Fhat| (exactness requires 0).
     """
     if F.grid != G.grid or F.grid != H.grid:
         raise ConfigError("trilinear operands must share a grid")
-    m = F.grid.size
-    half = m // 2
     fc = _centered(F.coeffs)
-    gc = _centered(G.coeffs)
-    hc = _centered(H.coeffs)
-    K1, K2 = _centered_freqs(m)
-    lam_xi = lam_abs(params, np.hypot(K1, K2))
-    i1, i2 = filt.signs
-
-    tol = row_tol * np.max(np.abs(fc)) if row_tol else 0.0
-    rows = np.argwhere(np.abs(fc) > tol)
-    total = 0.0 + 0.0j
-    ones = np.ones((m, m))
-    for i, j in sorted(map(tuple, rows)):
-        r1, r2 = int(i) - half, int(j) - half
-        lam_rho = float(lam_abs(params, math.hypot(r1, r2)))
-        g_shift = _shift2(gc, r1, r2)
-        inside = _shift2(ones, r1, r2) > 0.5
-        lam_eta = _shift2(lam_xi, r1, r2)
-        phi_mod = lam_xi - i1 * lam_rho - i2 * lam_eta
-        w = filt.value(phi_mod)
-        w = np.where(inside, w, 0.0)
-        if weighted:
-            bad = (w > 0.0) & (np.abs(phi_mod) < _GUARD)
-            if bad.any():
-                raise SmallDivisorError(
-                    f"|Phi| < {_GUARD} inside a division-weighted filter "
-                    f"(row ({r1},{r2}))")
-            w = np.where(w > 0.0, w / (1j * np.where(w > 0.0, phi_mod, 1.0)), 0.0)
-        muv = mu(K1.astype(float), K2.astype(float),
-                 (K1 - r1).astype(float), (K2 - r2).astype(float))
-        total += fc[i, j] * np.sum(muv * w * g_shift * np.conj(hc))
-    return complex(total)
+    return _row_sums(mu, fc, _rows(fc, row_tol), _centered(G.coeffs),
+                     [(filt, np.conj(_centered(H.coeffs)))], params, weighted)[0]
 
 
 def _shift2(arr, r1, r2):
+    """out[i, j] = arr[i - r1, j - r2], zero outside; centered layout."""
     m = arr.shape[0]
     out = np.zeros_like(arr)
     i0, i1 = max(0, r1), m + min(0, r1)
@@ -224,36 +245,17 @@ def trivial_resonance_sum(mu, filt: ModulationFilter, U: FourierField,
             |Uhat(xi-eta)|^2 |What(xi)|^2 ,
 
     i.e. the rho = xi, paired-opposite-signs configuration.  For real mu
-    (and real filter weights) S is purely imaginary, so Re S vanishes: the
-    time-reversibility mechanism that kills trivial resonances.
+    and filter the unweighted S is purely imaginary, so Re S vanishes: the
+    time-reversibility mechanism that kills trivial resonances (with the
+    1/(i Phi) weight S is real instead).  One row pass with row coefficients
+    i |Uhat|^2, an all-ones G (its shift is the inside mask) and |What|^2 as
+    conj(H); rows with |Uhat| below row_tol * max|Uhat| are dropped.
     """
-    m = U.grid.size
-    half = m // 2
+    if U.grid != W.grid:
+        raise ConfigError("trivial_resonance_sum operands must share a grid")
     uc = _centered(U.coeffs)
-    wc2 = np.abs(_centered(W.coeffs)) ** 2
-    K1, K2 = _centered_freqs(m)
-    lam_xi = lam_abs(params, np.hypot(K1, K2))
-    i1, i2 = filt.signs
-    tol = row_tol * np.max(np.abs(uc)) if row_tol else 0.0
-    rows = np.argwhere(np.abs(uc) > tol)
-    total = 0.0 + 0.0j
-    ones = np.ones((m, m))
-    for i, j in sorted(map(tuple, rows)):
-        r1, r2 = int(i) - half, int(j) - half
-        lam_rho = float(lam_abs(params, math.hypot(r1, r2)))
-        inside = _shift2(ones, r1, r2) > 0.5
-        lam_eta = _shift2(lam_xi, r1, r2)
-        phi_mod = lam_xi - i1 * lam_rho - i2 * lam_eta
-        w = np.where(inside, filt.value(phi_mod), 0.0)
-        if weighted:
-            bad = (w > 0.0) & (np.abs(phi_mod) < _GUARD)
-            if bad.any():
-                raise SmallDivisorError("|Phi| below guard in trivial-resonance sum")
-            w = np.where(w > 0.0, w / (1j * np.where(w > 0.0, phi_mod, 1.0)), 0.0)
-        muv = mu(K1.astype(float), K2.astype(float),
-                 (K1 - r1).astype(float), (K2 - r2).astype(float))
-        total += 1j * abs(uc[i, j]) ** 2 * np.sum(muv * w * wc2)
-    return complex(total)
+    return _row_sums(mu, 1j * np.abs(uc) ** 2, _rows(uc, row_tol), np.ones(uc.shape),
+                     [(filt, np.abs(_centered(W.coeffs)) ** 2)], params, weighted)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -287,27 +289,26 @@ def _w_field(U: FourierField, N: float) -> FourierField:
     return FourierField(U.grid, w * U.coeffs, False)
 
 
+def _energy_sums(U: FourierField, N: float, params: DispersionParams, c,
+                 pairs, row_tol=1e-14):
+    """Re sum m(xi,eta) What(eta) conj(Hhat(xi)) i Uhat(xi-eta) for each
+    (filter, output weight) pair, all in one row pass; Hhat = weight * What
+    (weight None: H = W)."""
+    W = _w_field(U, N)
+    fc = _centered((1j * U).coeffs)
+    wc = _centered(W.coeffs)
+    hpairs = [(f, np.conj(wc if wts is None else _centered(wts * W.coeffs)))
+              for f, wts in pairs]
+    mu = lambda x1, x2, e1, e2: energy_symbol_arr(N, x1, x2, e1, e2, c)
+    sums = _row_sums(mu, fc, _rows(fc, row_tol), wc, hpairs, params)
+    return [float(np.real(v)) for v in sums]
+
+
 def energy_derivative_trilinear(U: FourierField, N: float,
                                 params: DispersionParams, c=C_ENERGY,
-                                filt=None, hi_freq_split=None,
                                 row_tol=1e-14) -> float:
-    """Re sum m(xi,eta) What(eta) conj(What(xi)) i Uhat(xi-eta), optionally
-    modulation-filtered and frequency-split on the output slot."""
-    if filt is None:
-        filt = ModulationFilter("none", (1, 1))
-    W = _w_field(U, N)
-    H = W
-    if hi_freq_split is not None:
-        d, keep_low = hi_freq_split
-        k1, k2 = U.grid.freqs()
-        wts = phi_le(np.hypot(k1, k2), d)
-        if not keep_low:
-            wts = 1.0 - wts
-        H = FourierField(U.grid, wts * W.coeffs, False)
-    mu = lambda x1, x2, e1, e2: energy_symbol_arr(N, x1, x2, e1, e2, c)
-    val = trilinear(mu, filt, 1j * U, W, H, params, weighted=False,
-                    row_tol=row_tol)
-    return float(np.real(val))
+    """Re sum m(xi,eta) What(eta) conj(What(xi)) i Uhat(xi-eta)."""
+    return _energy_sums(U, N, params, c, [(ModulationFilter(), None)], row_tol)[0]
 
 
 def increment_audit(cfg: ModelConfig, initial: FourierField | None,
@@ -319,8 +320,10 @@ def increment_audit(cfg: ModelConfig, initial: FourierField | None,
     spacing dt and dE_N/dt is formed by 4th-order central differences; the
     trilinear route evaluates the m-symbol sum at the center state.  The
     accumulated increment is also decomposed into {|Phi| > 1} and
-    {|Phi| <= 1} x {|xi| <= 2^D, |xi| > 2^D} parts at the parts cadence
-    (which must stay within 10 dt; coarser raises CadenceError).
+    {|Phi| <= 1} x {|xi| > 2^D, |xi| <= 2^D} parts at the parts cadence
+    (which must stay within 10 dt; coarser raises CadenceError).  The three
+    parts at one time come from one row pass, whose bump(Phi) gives both
+    modulation filters; the frequency split weights the output slot.
     """
     if N is None:
         N = cfg.sobolev_index
@@ -331,9 +334,6 @@ def increment_audit(cfg: ModelConfig, initial: FourierField | None,
             f"parts cadence {parts_cadence} exceeds 10 dt = {10 * cfg.dt}")
     if initial is None:
         initial = initial_data(cfg)
-
-    from .fields import dealias
-
     u0 = dealias(initial)
     stepper = _Stepper(cfg)
     state = SolverState(0.0, u0, l2_norm(u0))
@@ -343,18 +343,17 @@ def increment_audit(cfg: ModelConfig, initial: FourierField | None,
         raise ConfigError("audit times must sit >= 2 steps inside the run")
     parts_every = max(1, int(round(parts_cadence / cfg.dt)))
 
+    k1, k2 = cfg.grid.freqs()
+    low_freq = phi_le(np.hypot(k1, k2), D)
     lo = ModulationFilter("le0", (1, 1))
-    hi = ModulationFilter("gt0", (1, 1))
+    parts = [(ModulationFilter("gt0", (1, 1)), None), (lo, 1.0 - low_freq), (lo, low_freq)]
 
-    def tri(U, filt=None, split=None):
-        # the identity couples dE/dt to the nonlinearity actually integrated:
-        # with the nonlinear term off the symbol sum is identically zero
+    # the identity couples dE/dt to the nonlinearity actually integrated:
+    # with the nonlinear term off every symbol sum is identically zero
+    def sums(U, pairs):
         if cfg.linear_only:
-            return 0.0
-        return energy_derivative_trilinear(U, N, cfg.params, c, filt, split)
-
-    def parts_at(U):
-        return (tri(U, hi), tri(U, lo, (D, False)), tri(U, lo, (D, True)))
+            return [0.0] * len(pairs)
+        return _energy_sums(U, N, cfg.params, c, pairs)
 
     stencil_nbhd = {}
     for s in audit_steps:
@@ -364,19 +363,16 @@ def increment_audit(cfg: ModelConfig, initial: FourierField | None,
     energies = {}
     centers = {}
     parts_rows = []
-    if 0 % parts_every == 0:
-        h, lh, ll = parts_at(u0)
-        parts_rows.append({"t": 0.0, "hiMod": h, "loMod_hiFreq": lh,
-                           "loMod_loFreq": ll})
-    for n in range(1, n_steps + 1):
-        state = stepper.step(state)
+    for n in range(n_steps + 1):
+        if n:
+            state = stepper.step(state)
         if n in stencil_nbhd:
             for s in stencil_nbhd[n]:
                 energies.setdefault(s, {})[n - s] = energy_EN(state.U, N)
                 if n == s:
                     centers[s] = state.U
         if n % parts_every == 0:
-            h, lh, ll = parts_at(state.U)
+            h, lh, ll = sums(state.U, parts)
             parts_rows.append({"t": state.t, "hiMod": h, "loMod_hiFreq": lh,
                                "loMod_loFreq": ll})
 
@@ -385,7 +381,7 @@ def increment_audit(cfg: ModelConfig, initial: FourierField | None,
     for s in audit_steps:
         e = energies[s]
         fd = (-e[2] + 8.0 * e[1] - 8.0 * e[-1] + e[-2]) / (12.0 * cfg.dt)
-        tv = tri(centers[s])
+        tv = sums(centers[s], [(ModulationFilter(), None)])[0]
         rel = abs(fd - tv) / abs(tv) if tv != 0.0 else abs(fd)
         max_rel = max(max_rel, rel)
         rows.append({"t": s * cfg.dt, "E_N": e[0], "dE_dt_fd": fd,

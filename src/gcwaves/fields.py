@@ -122,10 +122,6 @@ class Grid:
         k = np.fft.fftfreq(self.size, 1.0 / self.size).astype(np.int64)
         return np.meshgrid(k, k, indexing="ij")
 
-    def abs_k(self):
-        k1, k2 = self.freqs()
-        return np.sqrt((k1 * k1 + k2 * k2).astype(float))
-
     def dealias_mask(self):
         k1, k2 = self.freqs()
         km = self.kmax_dealias

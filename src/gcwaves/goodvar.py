@@ -35,8 +35,7 @@ import numpy as np
 from .dispersion import DispersionParams
 from .errors import ConfigError, PositivityError
 from .fields import (FourierField, Grid, analyze, apply_multiplier, dx,
-                     l2_norm, mean, pointwise_product, random_field,
-                     sobolev_norm, synthesize)
+                     l2_norm, mean, random_field, sobolev_norm, synthesize)
 from .paradiff import (EXPERIMENT_CHI, ParadiffConfig, SeparableTerm, Symbol,
                        symbol_norm, weyl_apply)
 
@@ -96,6 +95,8 @@ class WWSymbols:
     v1: tuple             # the velocity proxy fields (V1_1, V1_2)
     v1_dot_zeta: Symbol   # V1 . zeta (order 1)
     imU: FourierField     # the Im U the proxies were built from
+    H: FourierField       # stage 1: T_{sqrt(g+ell)} h
+    psi_sigma: FourierField  # stage 1: T_Sigma T_{1/sqrt(g+ell)} omega
 
 
 def _lam_zeta_fns(params):
@@ -294,7 +295,7 @@ def build_symbols(state: SurfaceState, cfg: ParadiffConfig | None = None) -> WWS
 
     return WWSymbols(lambda1, lambda0, lam_sym, ell, sqrt_g_ell, inv_sqrt_g_ell,
                      Sigma, Sigma1, lambda1_0, mprime, mprime1, gamma,
-                     (v1_1, v1_2), v1_dot_zeta, imU)
+                     (v1_1, v1_2), v1_dot_zeta, imU, H, psi_sigma)
 
 
 def _positivity(arr, grid, what):
@@ -411,16 +412,16 @@ class GoodVariable:
 
 
 def build_good_variable(state: SurfaceState, cfg: ParadiffConfig | None = None) -> GoodVariable:
-    """U = T_{sqrt(g+ell)} h + i T_Sigma T_{1/sqrt(g+ell)} omega + i T_{m'} omega."""
+    """U = T_{sqrt(g+ell)} h + i T_Sigma T_{1/sqrt(g+ell)} omega + i T_{m'} omega.
+
+    The first two terms are build_symbols' stage 1, carried on WWSymbols."""
     if cfg is None:
         cfg = ParadiffConfig(chi_exponent=EXPERIMENT_CHI)
     syms = build_symbols(state, cfg)
-    H = weyl_apply(syms.sqrt_g_ell, state.h, cfg)
-    psi_sigma = weyl_apply(syms.Sigma, weyl_apply(syms.inv_sqrt_g_ell, state.omega, cfg), cfg)
     mp_term = weyl_apply(syms.mprime, state.omega, cfg)
-    psi = psi_sigma + mp_term
-    U = H + 1j * psi
-    return GoodVariable(U, H, psi, psi_sigma, mp_term, syms, cfg.chi_exponent)
+    psi = syms.psi_sigma + mp_term
+    U = syms.H + 1j * psi
+    return GoodVariable(U, syms.H, psi, syms.psi_sigma, mp_term, syms, cfg.chi_exponent)
 
 
 def linear_good_variable(state: SurfaceState) -> FourierField:

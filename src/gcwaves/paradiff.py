@@ -135,14 +135,6 @@ class Symbol:
                 np.broadcast(X1 * 0.0, Z1 * 0.0).shape, np.complex128)
         return np.asarray(self.fn(X1, X2, Z1, Z2), dtype=np.complex128)
 
-    def eval_grid(self, grid: Grid, Z1, Z2):
-        X1, X2 = grid.x()
-        z1 = np.asarray(Z1, dtype=float)
-        z2 = np.asarray(Z2, dtype=float)
-        if z1.ndim == 0:
-            return self.eval(X1, X2, z1, z2)
-        return self.eval(X1[None], X2[None], z1[..., None, None], z2[..., None, None])
-
     def dzeta(self, X1, X2, Z1, Z2, step=0.25):
         """(d a/d zeta1, d a/d zeta2); exact callbacks when available."""
         if self.is_separable:
@@ -287,18 +279,6 @@ def _uncentered(coeffs):
 def _centered_freqs(m):
     k = np.arange(m) - m // 2
     return np.meshgrid(k, k, indexing="ij")
-
-
-def _shift_no_wrap(arr, r1, r2):
-    """out[i, j] = arr[i - r1, j - r2], zero outside; centered layout."""
-    m = arr.shape[0]
-    out = np.zeros_like(arr)
-    i0, i1 = max(0, r1), m + min(0, r1)
-    j0, j1 = max(0, r2), m + min(0, r2)
-    if i0 >= i1 or j0 >= j1:
-        return out
-    out[i0:i1, j0:j1] = arr[i0 - r1:i1 - r1, j0 - r2:j1 - r2]
-    return out
 
 
 def _guard_zeta(z_abs_sq, mask):

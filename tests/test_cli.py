@@ -139,3 +139,16 @@ def test_manifest_roundtrips_through_parser(tmp_path):
     # config echo feeds back into the parser
     assert dispatch(["lemma1", "--config", str(tmp_path / "m" / "run_config.json"),
                      "--out", str(tmp_path / "m2")]) == EXIT_OK
+
+
+@pytest.mark.parametrize("argv", [
+    ["collinear", "--xi", "5"],
+    ["lemma1", "--bigB", "nan"],
+    ["measure", "--cutoff", "8", "--j-min", "9", "--j-max", "5"],
+], ids=["collinear-one-int", "lemma1-nan", "measure-empty-range"])
+def test_bad_input_rejected_at_entry(tmp_path, argv):
+    out = tmp_path / "bad"
+    assert dispatch(argv + ["--out", str(out)]) == EXIT_CONFIG
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "config-error"
+    assert manifest["abort_reason"]

@@ -1,10 +1,11 @@
+import itertools
 import math
 
 import mpmath
 import numpy as np
 import pytest
 
-from gcwaves.dispersion import DispersionParams
+from gcwaves.dispersion import DispersionParams, lam_abs
 from gcwaves.energy import (BulkSymbol, C_ENERGY,
                             ModulationFilter, depletion_checks,
                             depletion_factor, energy_EN, energy_ladder,
@@ -12,8 +13,8 @@ from gcwaves.energy import (BulkSymbol, C_ENERGY,
                             energy_symbol_arr, increment_audit, mu_one,
                             trilinear, trivial_resonance_sum)
 from gcwaves.errors import CadenceError, ConfigError, SmallDivisorError
-from gcwaves.fields import (FourierField, Grid, l2_norm, random_field,
-                            sobolev_norm)
+from gcwaves.fields import (FourierField, Grid, bump, l2_norm, phi_le,
+                            random_field, sobolev_norm)
 from gcwaves.model import ModelConfig, initial_data
 
 P = DispersionParams(1.0, 1.0)
@@ -184,6 +185,9 @@ def test_trilinear_grid_mismatch():
     with pytest.raises(ConfigError):
         trilinear(mu_one, ModulationFilter("none"), random_field(Grid(16), seed=1),
                   random_field(G, seed=2), random_field(G, seed=3), P)
+    with pytest.raises(ConfigError):
+        trivial_resonance_sum(mu_one, ModulationFilter("none"),
+                              random_field(Grid(16), seed=1), random_field(G, seed=2), P)
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +236,14 @@ def test_increment_audit_cadence_guard():
         increment_audit(cfg, None, audit_times=[0.0])  # not >= 2 steps inside
 
 
+def test_increment_audit_earliest_audit_time():
+    # an audit time exactly 2 steps in: its stencil reaches back to t = 0
+    cfg = ModelConfig(P, G, 0.01, 2e-3, 0.01, seed=0)
+    audit = increment_audit(cfg, None, audit_times=[0.004], N=4.0, D=2.0)
+    assert audit.rows[0]["t"] == pytest.approx(0.004)
+    assert audit.max_rel_err <= 1e-3
+
+
 def test_audit_json_schema(tmp_path):
     import json
 
@@ -247,16 +259,37 @@ def test_audit_json_schema(tmp_path):
 
 def test_highfreq_part_shrinks_with_D():
     # the small-modulation high-frequency part decays as the split frequency
-    # 2^D grows (qualitative halving)
+    # 2^D grows (qualitative halving); read at t = 0 from the audit's parts
     cfg = ModelConfig(P, G, 0.3, 1e-3, 0.02, seed=2)
-    u0 = initial_data(cfg)
     parts = []
     for D in (1.0, 2.0):
-        v = energy_derivative_trilinear(u0, 4.0, P,
-                                        filt=ModulationFilter("le0", (1, 1)),
-                                        hi_freq_split=(D, False))
-        parts.append(abs(v))
+        audit = increment_audit(cfg, None, audit_times=[0.01], N=4.0, D=D)
+        parts.append(abs(audit.parts_rows[0]["loMod_hiFreq"]))
     assert parts[1] < parts[0]
+
+
+def test_one_pass_parts_match_separate_sums():
+    # the audit's one-pass parts equal three single-filter trilinear sums,
+    # and add up to the unfiltered sum (le0 + gt0 = 1, phi_<=D + phi_>D = 1)
+    N, D = 4.0, 2.0
+    U = random_field(G, seed=19, decay=0.2)
+    cfg = ModelConfig(P, G, 0.05, 1e-3, 0.005, seed=0)
+    parts = increment_audit(cfg, U, audit_times=[0.002], N=N, D=D).parts_rows[0]
+    k1, k2 = G.freqs()
+    W = FourierField(G, (1.0 + (k1 ** 2 + k2 ** 2).astype(float)) ** (N / 2) * U.coeffs)
+    low = phi_le(np.hypot(k1, k2), D)
+    mu = lambda x1, x2, e1, e2: energy_symbol_arr(N, x1, x2, e1, e2)
+
+    def single(kind, wts):
+        H = FourierField(G, wts * W.coeffs)
+        return trilinear(mu, ModulationFilter(kind), 1j * U, W, H, P, row_tol=1e-14).real
+
+    separate = {"hiMod": single("gt0", 1.0), "loMod_hiFreq": single("le0", 1.0 - low),
+                "loMod_loFreq": single("le0", low)}
+    for key, val in separate.items():
+        assert parts[key] == pytest.approx(val, rel=1e-12)
+    total = parts["hiMod"] + parts["loMod_hiFreq"] + parts["loMod_loFreq"]
+    assert total == pytest.approx(energy_derivative_trilinear(U, N, P), rel=1e-12)
 
 
 def test_trivial_resonance_reality():
@@ -267,6 +300,35 @@ def test_trivial_resonance_reality():
         s = trivial_resonance_sum(mu, ModulationFilter("le0", (1, 1)), U, W, P,
                                   weighted=False)
         assert abs(s.real) <= 1e-12 * max(abs(s), 1e-30)
+
+
+@pytest.mark.parametrize("mu", [mu_one, BulkSymbol(-2)], ids=["mu_one", "bulk"])
+@pytest.mark.parametrize("kind,weighted", [("le0", False), ("gt0", True)])
+def test_trivial_resonance_brute_force(mu, kind, weighted):
+    # independent double loop over (xi, eta) in the centered box, rho = xi - eta
+    g8 = Grid(8)
+    U = random_field(g8, seed=20, decay=0.2)
+    W = random_field(g8, seed=21, decay=0.2)
+    m = g8.size
+    box = range(-m // 2, m // 2)
+    lam = lambda a, b: float(lam_abs(P, math.hypot(a, b)))
+    ref = 0.0j
+    for x1, x2, e1, e2 in itertools.product(box, repeat=4):
+        r1, r2 = x1 - e1, x2 - e2
+        if r1 not in box or r2 not in box:
+            continue
+        u2 = abs(U.coeffs[r1 % m, r2 % m]) ** 2
+        phi = lam(x1, x2) - lam(r1, r2) - lam(e1, e2)
+        filt = bump(phi) if kind == "le0" else 1.0 - bump(phi)
+        if u2 == 0.0 or filt == 0.0:
+            continue
+        term = 1j * float(mu(*(np.asarray(float(v)) for v in (x1, x2, e1, e2)))) * filt
+        if weighted:
+            term /= 1j * phi
+        ref += term * u2 * abs(W.coeffs[x1 % m, x2 % m]) ** 2
+    got = trivial_resonance_sum(mu, ModulationFilter(kind, (1, 1)), U, W, P,
+                                weighted=weighted)
+    assert abs(got - ref) <= 1e-12 * abs(ref)
 
 
 def test_bulk_symbol_range():
