@@ -8,7 +8,8 @@ all design knobs in effect (manifest.json), and the artifacts listed by
 ``gcwaves schema``.  Identical (config, seed) pairs reproduce byte-identical
 artifacts.
 
-Exit codes: 0 ok, 2 invalid config/usage, 3 resource budget exceeded,
+Exit codes: 0 ok, 2 invalid config/usage (a singular multiplier or too
+coarse a snapshot cadence included), 3 resource budget exceeded,
 4 numeric abort.
 """
 
@@ -26,8 +27,9 @@ from . import __version__
 from .dispersion import (DispersionParams, ScanWindow, WeightParams,
                          collinear_gap, exceptional_measure_bound,
                          lemma1_profile, scan_four_wave, scan_three_wave)
-from .errors import (ConfigError, NumericAbortError, PositivityError,
-                     ResourceBudgetError, SmallDivisorError)
+from .errors import (CadenceError, ConfigError, NumericAbortError,
+                     PositivityError, ResourceBudgetError,
+                     SingularMultiplierError, SmallDivisorError)
 from .fields import Grid, l2_norm, random_field, save_snapshot, sobolev_norm
 from .model import ModelConfig, lifespan_sweep, run
 from .energy import C_ENERGY, depletion_checks, increment_audit
@@ -427,7 +429,8 @@ def dispatch(argv) -> int:
         _write_json(f"{out}/run_config.json", dict(cfg))
         summary = _COMMANDS[args.subcommand](cfg, out)
         code = EXIT_OK
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError, ValueError) as err:
+    except (ConfigError, SingularMultiplierError, CadenceError, FileNotFoundError,
+            json.JSONDecodeError, ValueError) as err:
         status, abort_reason, code = "config-error", str(err), EXIT_CONFIG
     except ResourceBudgetError as err:
         status, abort_reason, code = "resource-error", str(err), EXIT_RESOURCE

@@ -238,18 +238,22 @@ def _shift2(arr, r1, r2):
 
 def trivial_resonance_sum(mu, filt: ModulationFilter, U: FourierField,
                           W: FourierField, params: DispersionParams,
-                          weighted=True, row_tol=1e-14) -> complex:
+                          weighted=False, row_tol=1e-14) -> complex:
     """The trivial-resonance four-wave diagonal
 
         S = sum_{xi,eta} i mu(xi,eta) filt(Phi) [1/(i Phi)]
             |Uhat(xi-eta)|^2 |What(xi)|^2 ,
 
     i.e. the rho = xi, paired-opposite-signs configuration.  For real mu
-    and filter the unweighted S is purely imaginary, so Re S vanishes: the
-    time-reversibility mechanism that kills trivial resonances (with the
-    1/(i Phi) weight S is real instead).  One row pass with row coefficients
-    i |Uhat|^2, an all-ones G (its shift is the inside mask) and |What|^2 as
-    conj(H); rows with |Uhat| below row_tol * max|Uhat| are dropped.
+    and filter the unweighted S (the default) is purely imaginary, so Re S
+    vanishes: the time-reversibility mechanism that kills trivial
+    resonances.  With weighted=True the 1/(i Phi) weight makes S real
+    instead; it needs a filter that excludes Phi = 0 ("gt0", "B_to_0"),
+    because eta = 0 (or xi = 0) gives Phi = 0 exactly in every row and the
+    small-divisor guard raises SmallDivisorError.  One row pass with row
+    coefficients i |Uhat|^2, an all-ones G (its shift is the inside mask)
+    and |What|^2 as conj(H); rows with |Uhat| below row_tol * max|Uhat| are
+    dropped.
     """
     if U.grid != W.grid:
         raise ConfigError("trivial_resonance_sum operands must share a grid")

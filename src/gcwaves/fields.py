@@ -19,6 +19,7 @@ on [-5/4, 5/4], supported in [-8/5, 8/5].
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -117,10 +118,10 @@ class Grid:
             k = min(k, (self.size - 1) // 3)
         return max(1, min(k, self.size // 2 - 1))
 
-    # cached integer frequency arrays
     def freqs(self):
-        k = np.fft.fftfreq(self.size, 1.0 / self.size).astype(np.int64)
-        return np.meshgrid(k, k, indexing="ij")
+        """Integer frequency arrays (k1, k2) in fft layout; cached per grid
+        size and read-only, so every caller shares one pair."""
+        return _int_freqs(self.size)
 
     def dealias_mask(self):
         k1, k2 = self.freqs()
@@ -131,6 +132,15 @@ class Grid:
         """Spatial sample points (X1, X2), X_i in [0, 2pi)."""
         x = TWO_PI * np.arange(self.size) / self.size
         return np.meshgrid(x, x, indexing="ij")
+
+
+@functools.cache
+def _int_freqs(m):
+    k = np.fft.fftfreq(m, 1.0 / m).astype(np.int64)
+    k1, k2 = np.meshgrid(k, k, indexing="ij")
+    k1.flags.writeable = False
+    k2.flags.writeable = False
+    return k1, k2
 
 
 def _hermitian(coeffs, tol=1e-12):

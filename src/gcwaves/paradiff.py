@@ -11,13 +11,22 @@ the symbol frequency below the pair frequency.  Conventions: if xi = 0 the
 whole row is 0 (so T_a output is always mean-free and T_a kills constants),
 and symbols only ever get evaluated at |zeta| > 1/2.
 
+Both kinds of symbol read one chi-support plan per (grid size, chi
+exponent), built on demand and kept for the process: the pairs (xi, eta)
+of the sum with chi > 0, 20 bytes each (int32 xi, rho and midpoint ids,
+float64 chi), ordered by row rho in increasing |rho|.  At chi_exponent = -2
+the full plan holds 0.16M entries (3.1 MB) at 32^2 and 2.7M (54 MB) at 64^2.
+
 Symbols come in two flavours:
-  * separable - a finite sum of terms  spatial(x) * g(zeta); rows are exact
-    and applications cost O(#rows * M^2).  Fourier multipliers and function
-    symbols are the 1-term cases.
-  * general   - an arbitrary vectorized evaluator fn(X1, X2, Z1, Z2);
-    applications group the sum by the midpoint value and cost O(M^2) FFTs,
-    intended for grids up to 64^2.
+  * separable - a finite sum of terms  spatial(x) * g(zeta); rows are exact.
+    The plan is extended only out to the largest |rho| with a nonzero
+    spatial coefficient, each g is evaluated once per midpoint, and an
+    application costs one gather and one scatter per entry of the occupied
+    rows.  Fourier multipliers and function symbols are the 1-term cases.
+  * general   - an arbitrary vectorized evaluator fn(X1, X2, Z1, Z2); it
+    reads the full plan grouped by midpoint (one more int32 per entry) and
+    costs one evaluation and one FFT of a(., zeta) per midpoint, in batches
+    of at most 2^15 samples; intended for grids up to 64^2.
 
 Symbol frequencies xi - eta outside the grid rectangle are treated as zero
 rows (a discretization truncation; chi suppresses that region anyway).
@@ -281,10 +290,131 @@ def _centered_freqs(m):
     return np.meshgrid(k, k, indexing="ij")
 
 
-def _guard_zeta(z_abs_sq, mask):
-    if np.any(mask & (z_abs_sq <= 0.25)):
+def _guard_zeta(z_abs_sq):
+    if np.any(z_abs_sq <= 0.25):
         raise ConfigError("symbol evaluation requested at |zeta| <= 1/2 "
                           "inside the chi support")
+
+
+# ---------------------------------------------------------------------------
+# the chi-support plan
+# ---------------------------------------------------------------------------
+
+_SAMPLES = 1 << 15  # symbol samples (midpoints x M^2) per general-path batch
+_CHUNK = 1 << 15    # candidate pairs per plan-build pass, plan entries per apply pass
+
+
+class _ChiPlan:
+    """The chi support on an M x M grid, shared by both application paths.
+
+    One entry per pair (xi, eta) with xi, eta off the Nyquist rows, rho =
+    xi - eta on the grid, xi + eta != 0 and chi(|rho| / |xi + eta|) > 0:
+    int32 centered flat indices of xi and rho, the int32 id of the midpoint
+    sum s = xi + eta on the (2M-1)^2 box of sums, and float64 chi.  Entries
+    run row by row, rows in increasing |rho|; ``extend`` builds rows only as
+    far as a call needs, and chi is evaluated nowhere else.  ``by_midpoint``
+    groups the full plan by midpoint with one int32 permutation.
+    """
+
+    def __init__(self, m, chi):
+        self.m = m
+        self.chi_fn = chi
+        half = m // 2
+        r = np.arange(m * m)
+        rsq = (r // m - half) ** 2 + (r % m - half) ** 2
+        self.rows = np.argsort(rsq, kind="stable")      # centered flat rho, plan order
+        self.row_sq = rsq[self.rows]
+        self.row_start = np.zeros(1, np.int64)           # entries of row k: [start[k], start[k+1])
+        self.xi = np.zeros(0, np.int32)
+        self.rho = np.zeros(0, np.int32)
+        self.mid = np.zeros(0, np.int32)
+        self.chi = np.zeros(0)
+        # first plan row that reaches each midpoint (m * m: none yet)
+        self.mid_row = np.full((2 * m - 1) ** 2, m * m, np.int32)
+        self._by_mid = None
+
+    def extend(self, rho_sq):
+        """Build every row with |rho|^2 <= rho_sq; return that row count."""
+        n = int(np.searchsorted(self.row_sq, rho_sq, side="right"))
+        built = len(self.row_start) - 1
+        if n <= built:
+            return n
+        m, half = self.m, self.m // 2
+        k = np.arange(1 - half, half)  # xi and eta off the Nyquist rows, which stay 0
+        step = max(1, _CHUNK // (m * m))
+        new = {"xi": [], "rho": [], "mid": [], "chi": []}
+        counts = []
+        for lo in range(built, n, step):
+            ks = np.arange(lo, min(lo + step, n))
+            r1 = (self.rows[ks] // m - half)[:, None, None]
+            r2 = (self.rows[ks] % m - half)[:, None, None]
+            den = np.hypot(2 * k[:, None] - r1, 2 * k[None, :] - r2)
+            cand = ((np.abs(k[:, None] - r1) < half) & (np.abs(k[None, :] - r2) < half)
+                    & (den > 0))
+            b, i1, i2 = np.nonzero(cand)
+            chi = self.chi_fn(np.hypot(r1, r2).astype(float).ravel()[b] / den[b, i1, i2])
+            keep = chi > 0.0
+            b, x1, x2 = b[keep], k[i1[keep]], k[i2[keep]]
+            s1 = 2 * x1 - r1.ravel()[b]
+            s2 = 2 * x2 - r2.ravel()[b]
+            _guard_zeta(0.25 * (s1 * s1 + s2 * s2))
+            mid = (s1 + m) * (2 * m - 1) + (s2 + m)
+            ids, first = np.unique(mid, return_index=True)
+            self.mid_row[ids] = np.minimum(self.mid_row[ids], ks[b[first]])
+            counts.append(np.bincount(b, minlength=len(ks)))
+            new["xi"].append(((x1 + half) * m + x2 + half).astype(np.int32))
+            new["rho"].append(self.rows[ks[b]].astype(np.int32))
+            new["mid"].append(mid.astype(np.int32))
+            new["chi"].append(chi[keep])
+        self.row_start = np.concatenate(
+            (self.row_start, len(self.xi) + np.cumsum(np.concatenate(counts))))
+        for name, parts in new.items():
+            setattr(self, name, np.concatenate([getattr(self, name)] + parts))
+            parts.clear()
+        return n
+
+    def row_entries(self, rows):
+        """The entries of plan rows ``rows`` in order, in chunks of _CHUNK."""
+        lo = self.row_start[rows]
+        cnt = self.row_start[rows + 1] - lo
+        end = np.cumsum(cnt)
+        for c0 in range(0, int(end[-1]), _CHUNK):
+            pos = np.arange(c0, min(c0 + _CHUNK, int(end[-1])))
+            r = np.searchsorted(end, pos, side="right")
+            yield lo[r] + (pos - (end[r] - cnt[r]))
+
+    def zeta(self, ids):
+        """The midpoints zeta = s / 2 of midpoint ids."""
+        w = 2 * self.m - 1
+        return 0.5 * (ids // w - self.m), 0.5 * (ids % w - self.m)
+
+    def by_midpoint(self):
+        """The full plan grouped by midpoint: (perm, start, ids), the entries
+        perm[start[j]:start[j+1]] sharing midpoint ids[j]; built once."""
+        if self._by_mid is None:
+            self.extend(np.inf)
+            counts = np.bincount(self.mid, minlength=len(self.mid_row))
+            ids = np.flatnonzero(counts)
+            self._by_mid = (np.argsort(self.mid, kind="stable").astype(np.int32),
+                            np.concatenate(([0], np.cumsum(counts[ids]))), ids)
+        return self._by_mid
+
+    def accumulate(self, out, e, w, fc, extra_weight, divisor=1.0):
+        """out[xi] += w chi [extra] fhat(eta) / divisor over the entries e."""
+        m, half = self.m, self.m // 2
+        xi, rho = self.xi[e], self.rho[e]
+        w = w * self.chi[e]
+        if extra_weight is not None:
+            x1, x2 = (xi // m - half).astype(float), (xi % m - half).astype(float)
+            r1, r2 = (rho // m - half).astype(float), (rho % m - half).astype(float)
+            w = w * extra_weight(x1, x2, r1, r2, x1 - 0.5 * r1, x2 - 0.5 * r2)
+        v = w * fc[xi - rho + (half * m + half)]
+        if divisor != 1.0:
+            v /= divisor
+        np.add.at(out, xi, v)   # in entry order: no reassociation across batches
+
+
+_PLANS = {}   # (grid size, chi exponent) -> _ChiPlan
 
 
 # ---------------------------------------------------------------------------
@@ -294,154 +424,72 @@ def _guard_zeta(z_abs_sq, mask):
 def weyl_apply(a: Symbol, f: FourierField, cfg: ParadiffConfig,
                extra_weight=None) -> FourierField:
     """Apply T_a to f.  ``extra_weight`` is an internal hook used by the
-    explicit error kernels; it receives centered arrays
-    (XI1, XI2, R1, R2, Z1, Z2) restricted to the chi support."""
-    if a.is_separable:
-        out_c = _apply_separable(a, f, cfg, extra_weight)
-    else:
-        out_c = _apply_general(a, f, cfg, extra_weight)
+    explicit error kernels; it receives flat arrays
+    (XI1, XI2, R1, R2, Z1, Z2) over the chi support."""
     m = f.grid.size
-    out_c[m // 2, m // 2] = 0.0  # xi = 0 convention
-    return FourierField(f.grid, _uncentered(out_c))
+    key = (m, cfg.chi_exponent)
+    if key not in _PLANS:
+        _PLANS[key] = _ChiPlan(m, cfg.chi)
+    plan = _PLANS[key]
+    fc = _centered(f.coeffs).ravel()
+    out = np.zeros(m * m, np.complex128)
+    if a.is_separable:
+        _apply_rows(a, f.grid, cfg, plan, out, fc, extra_weight)
+    else:
+        _apply_midpoints(a, f.grid, plan, out, fc, extra_weight)
+    out = out.reshape(m, m)
+    out[m // 2, m // 2] = 0.0  # xi = 0 convention
+    return FourierField(f.grid, _uncentered(out))
 
 
-def _apply_separable(a, f, cfg, extra_weight, chunk=96):
-    grid = f.grid
+def _apply_rows(a, grid, cfg, plan, out, fc, extra_weight):
+    """Separable symbols: the entries of the rows some term occupies, with
+    weight sum_t (shat_t(rho) / 4 pi^2) g_t(zeta)."""
     m = grid.size
-    half = m // 2
-    fc = _centered(f.coeffs)
-    K1, K2 = _centered_freqs(m)
-    idx_lin = np.arange(m)
-    out = np.zeros((m, m), np.complex128)
-    for term in a.terms:
+    coefs = np.zeros((len(a.terms), m * m), np.complex128)
+    for c, term in zip(coefs, a.terms):
         if term.spatial is None:
-            r_arr = np.zeros((1, 2), np.int64)
-            coefs = np.asarray([complex(_FOUR_PI2)])
-        else:
-            if term.spatial.grid != grid:
-                raise ConfigError("symbol spatial factor lives on a different grid")
-            sc = _centered(term.spatial.coeffs)
-            tol = cfg.row_tol * np.max(np.abs(sc)) if cfg.row_tol else 0.0
-            rows = sorted((int(i) - half, int(j) - half)
-                          for i, j in np.argwhere(np.abs(sc) > tol))
-            if not rows:
-                continue
-            r_arr = np.asarray(rows, np.int64)
-            coefs = sc[r_arr[:, 0] + half, r_arr[:, 1] + half]
-        for lo in range(0, len(r_arr), chunk):
-            r1 = r_arr[lo:lo + chunk, 0][:, None, None]
-            r2 = r_arr[lo:lo + chunk, 1][:, None, None]
-            cf = coefs[lo:lo + chunk][:, None, None]
-            arho = np.hypot(r1, r2).astype(float)
-            den = np.hypot(2 * K1 - r1, 2 * K2 - r2)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(den > 0, arho / np.where(den > 0, den, 1.0), np.inf)
-            chi = np.where(np.isfinite(ratio), cfg.chi(ratio), 0.0)
-            mask = chi > 0.0
-            if not mask.any():
-                continue
-            z1 = (K1 - 0.5 * r1)
-            z2 = (K2 - 0.5 * r2)
-            _guard_zeta(z1[mask] ** 2 + z2[mask] ** 2, np.ones(mask.sum(), bool))
-            w = np.zeros(mask.shape, np.complex128)
-            w[mask] = term.gz(z1[mask], z2[mask])
-            w *= chi
-            if extra_weight is not None:
-                ew = np.zeros(mask.shape, np.complex128)
-                xi1 = np.broadcast_to(K1, mask.shape)[mask]
-                xi2 = np.broadcast_to(K2, mask.shape)[mask]
-                rr1 = np.broadcast_to(r1.astype(float), mask.shape)[mask]
-                rr2 = np.broadcast_to(r2.astype(float), mask.shape)[mask]
-                ew[mask] = extra_weight(xi1, xi2, rr1, rr2, z1[mask], z2[mask])
-                w *= ew
-            # gather fhat(xi - rho) with out-of-grid frequencies as zero
-            src1 = idx_lin[None, :, None] - r1
-            src2 = idx_lin[None, None, :] - r2
-            valid = (src1 >= 0) & (src1 < m) & (src2 >= 0) & (src2 < m)
-            shifted = np.where(valid,
-                               fc[np.clip(src1, 0, m - 1), np.clip(src2, 0, m - 1)],
-                               0.0)
-            out += np.sum((cf / _FOUR_PI2) * w * shifted, axis=0)
-    return out
+            c[(m // 2) * m + m // 2] = 1.0
+            continue
+        if term.spatial.grid != grid:
+            raise ConfigError("symbol spatial factor lives on a different grid")
+        sc = _centered(term.spatial.coeffs).ravel()
+        tol = cfg.row_tol * np.max(np.abs(sc)) if cfg.row_tol else 0.0
+        kept = np.abs(sc) > tol
+        c[kept] = sc[kept] / _FOUR_PI2
+    active = np.flatnonzero(np.any(coefs != 0.0, axis=0)[plan.rows])
+    if not len(active):
+        return
+    n = plan.extend(plan.row_sq[active[-1]])
+    live = np.flatnonzero(plan.mid_row < n)
+    z1, z2 = plan.zeta(live)
+    gz = np.zeros((len(a.terms), len(plan.mid_row)), np.complex128)
+    for g, term in zip(gz, a.terms):
+        g[live] = term.gz(z1, z2)
+    for e in plan.row_entries(active):
+        rho, mid = plan.rho[e], plan.mid[e]
+        w = coefs[0, rho] * gz[0, mid]
+        for c, g in zip(coefs[1:], gz[1:]):
+            w += c[rho] * g[mid]
+        plan.accumulate(out, e, w, fc, extra_weight)
 
 
-_ACTIVE_MIDPOINTS = {}
-
-
-def _active_midpoints(m, chi_exponent):
-    """Midpoints s = xi + eta with nonempty chi support, with the xi-box
-    clipped to the support |2 xi - s| <= (8/5) 2^chi |s|.  Depends only on
-    (grid size, chi exponent); cached."""
-    key = (m, chi_exponent)
-    if key in _ACTIVE_MIDPOINTS:
-        return _ACTIVE_MIDPOINTS[key]
-    half = m // 2
-    rad = (8.0 / 5.0) * 2.0 ** chi_exponent
-    active = []
-    for s1 in range(-m, m - 1):
-        for s2 in range(-m, m - 1):
-            if s1 == 0 and s2 == 0:
-                continue
-            b = rad * math.hypot(s1, s2)
-            glo1, ghi1 = _xi_range(s1, half)
-            glo2, ghi2 = _xi_range(s2, half)
-            lo1 = max(glo1, math.ceil((s1 - b) / 2))
-            hi1 = min(ghi1, math.floor((s1 + b) / 2))
-            lo2 = max(glo2, math.ceil((s2 - b) / 2))
-            hi2 = min(ghi2, math.floor((s2 + b) / 2))
-            if lo1 > hi1 or lo2 > hi2:
-                continue
-            active.append((s1, s2, lo1, hi1, lo2, hi2))
-    _ACTIVE_MIDPOINTS[key] = active
-    return active
-
-
-def _apply_general(a, f, cfg, extra_weight, batch=512):
-    # group the double sum by the midpoint: s = xi + eta, zeta = s/2
-    grid = f.grid
+def _apply_midpoints(a, grid, plan, out, fc, extra_weight):
+    """General symbols: a(x, zeta) sampled on batches of midpoints, its
+    x-transform gathered at each entry's row."""
     m = grid.size
-    half = m // 2
-    fc = _centered(f.coeffs)
+    perm, start, ids = plan.by_midpoint()
     X1, X2 = grid.x()
-    out = np.zeros((m, m), np.complex128)
-    active = _active_midpoints(m, cfg.chi_exponent)
-
-    for start in range(0, len(active), batch):
-        chunk = active[start:start + batch]
-        z1 = np.asarray([c[0] for c in chunk], float) * 0.5
-        z2 = np.asarray([c[1] for c in chunk], float) * 0.5
-        _guard_zeta(z1 * z1 + z2 * z2, np.ones(len(chunk), bool))
+    step = max(1, _SAMPLES // (m * m))
+    for j in range(0, len(ids), step):
+        j2 = min(j + step, len(ids))
+        z1, z2 = plan.zeta(ids[j:j2])
         vals = a.eval(X1[None], X2[None], z1[:, None, None], z2[:, None, None])
         rows = np.fft.fft2(vals, axes=(-2, -1)) * (TWO_PI / m) ** 2
-        rows = np.fft.fftshift(rows, axes=(-2, -1))
-        for (s1, s2, lo1, hi1, lo2, hi2), row in zip(chunk, rows):
-            i = np.arange(lo1, hi1 + 1)
-            j = np.arange(lo2, hi2 + 1)
-            XI1, XI2 = np.meshgrid(i, j, indexing="ij")
-            R1 = 2 * XI1 - s1
-            R2 = 2 * XI2 - s2
-            smod = math.hypot(s1, s2)
-            chi = cfg.chi(np.hypot(R1, R2) / smod)
-            mask = chi > 0.0
-            if not mask.any():
-                continue
-            av = row[R1 + half, R2 + half]
-            fv = fc[(s1 - XI1) + half, (s2 - XI2) + half]
-            w = chi * av
-            if extra_weight is not None:
-                Z1g = np.full(XI1.shape, 0.5 * s1)
-                Z2g = np.full(XI1.shape, 0.5 * s2)
-                w = w * extra_weight(XI1, XI2, R1.astype(float), R2.astype(float),
-                                     Z1g, Z2g)
-            out[XI1 + half, XI2 + half] += (w * fv) / _FOUR_PI2
-    return out
-
-
-def _xi_range(s, half):
-    """xi with eta = s - xi in grid and row 2 xi - s in grid (one component)."""
-    lo = max(-half, s - half + 1, math.ceil((s - half) / 2))
-    hi = min(half - 1, s + half, math.floor((s + half - 1) / 2))
-    return lo, hi
+        rows = np.fft.fftshift(rows, axes=(-2, -1)).reshape(j2 - j, m * m)
+        e = perm[start[j]:start[j2]]
+        local = np.repeat(np.arange(j2 - j), np.diff(start[j:j2 + 1]))
+        plan.accumulate(out, e, rows[local, plan.rho[e]], fc, extra_weight, _FOUR_PI2)
 
 
 def assemble_matrix(a: Symbol, grid: Grid, cfg: ParadiffConfig):

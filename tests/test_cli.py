@@ -4,8 +4,10 @@ import pathlib
 
 import pytest
 
+from gcwaves import cli
 from gcwaves.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_RESOURCE,
                          SCHEMAS, dispatch)
+from gcwaves.errors import CadenceError, SingularMultiplierError
 
 
 def _sha(path):
@@ -152,3 +154,17 @@ def test_bad_input_rejected_at_entry(tmp_path, argv):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "config-error"
     assert manifest["abort_reason"]
+
+
+@pytest.mark.parametrize("error", [SingularMultiplierError, CadenceError],
+                         ids=["singular-multiplier", "cadence"])
+def test_named_caller_errors_map_to_config_exit(tmp_path, monkeypatch, error):
+    def raise_it(cfg, out):
+        raise error("from the caller's input")
+
+    monkeypatch.setitem(cli._COMMANDS, "lemma1", raise_it)
+    out = tmp_path / "named"
+    assert dispatch(["lemma1", "--out", str(out)]) == EXIT_CONFIG
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "config-error"
+    assert manifest["abort_reason"] == "from the caller's input"

@@ -302,6 +302,24 @@ def test_trivial_resonance_reality():
         assert abs(s.real) <= 1e-12 * max(abs(s), 1e-30)
 
 
+@pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, 1)], ids=["pp", "pm", "mp"])
+def test_trivial_resonance_default_keeps_phi_zero(signs):
+    # the default (unweighted) sum returns for every filter that keeps
+    # Phi = 0 in support, and its real part vanishes; the division-weighted
+    # sum still trips the small-divisor guard there
+    g16 = Grid(16)
+    U = random_field(g16, seed=19, decay=0.2)
+    W = random_field(g16, seed=20, decay=0.2)
+    mu = BulkSymbol(-2)
+    for filt in (ModulationFilter("none", signs), ModulationFilter("le0", signs),
+                 ModulationFilter("leB", signs, B=-1.0)):
+        s = trivial_resonance_sum(mu, filt, U, W, P)
+        assert abs(s.real) <= 1e-12 * abs(s)
+        assert s != 0.0 or filt.kind != "none"
+    with pytest.raises(SmallDivisorError):
+        trivial_resonance_sum(mu, ModulationFilter("le0", signs), U, W, P, weighted=True)
+
+
 @pytest.mark.parametrize("mu", [mu_one, BulkSymbol(-2)], ids=["mu_one", "bulk"])
 @pytest.mark.parametrize("kind,weighted", [("le0", False), ("gt0", True)])
 def test_trivial_resonance_brute_force(mu, kind, weighted):

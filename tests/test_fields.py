@@ -202,3 +202,17 @@ def test_inner_product_matches_quadrature():
     h = random_field(g, seed=13)
     quad = np.sum(synthesize(f) * np.conj(synthesize(h))) * (TWO_PI / 16) ** 2
     assert inner(f, h) == pytest.approx(complex(quad), rel=1e-12)
+
+
+def test_freqs_cached_and_read_only():
+    g = Grid(16)
+    k1, k2 = g.freqs()
+    again = Grid(16, dealias_fraction=0.5).freqs()
+    assert again[0] is k1 and again[1] is k2
+    k = np.fft.fftfreq(16, 1.0 / 16).astype(np.int64)
+    e1, e2 = np.meshgrid(k, k, indexing="ij")
+    assert np.array_equal(k1, e1) and np.array_equal(k2, e2)
+    for arr in (k1, k2):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1

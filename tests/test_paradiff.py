@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from gcwaves import paradiff
 from gcwaves.errors import ConfigError
 from gcwaves.fields import (FourierField, Grid, inner, l2_norm,
                             lp_project, mean, product_exact, random_field,
@@ -381,3 +383,125 @@ def test_composition_order_precondition():
     g = Grid(16)
     with pytest.raises(ConfigError):
         composition_residual(_mult(11.0), _mult(1.0), 11.0, 1.0, [1, 2], g, CFG)
+
+
+# ---------------------------------------------------------------------------
+# the chi-support plan: oracle and cache state
+# ---------------------------------------------------------------------------
+
+def _brute_force(a, f, cfg, kernel=None):
+    """T_a f straight from the module docstring's double sum over (xi, eta),
+    kept on the grid's retained square (Nyquist rows zero) like every field."""
+    m = f.grid.size
+    X1, X2 = f.grid.x()
+    box = range(-m // 2, m // 2)
+    atilde = {}
+    out = np.zeros((m, m), complex)
+    for x1, x2, e1, e2 in itertools.product(box, repeat=4):
+        r1, r2 = x1 - e1, x2 - e2
+        if (x1, x2) == (0, 0) or (x1 + e1, x2 + e2) == (0, 0) or r1 not in box or r2 not in box:
+            continue
+        chi = cfg.chi(math.hypot(r1, r2) / math.hypot(x1 + e1, x2 + e2))
+        if chi == 0.0:
+            continue
+        z = (0.5 * (x1 + e1), 0.5 * (x2 + e2))
+        if z not in atilde:
+            vals = a.eval(X1, X2, np.asarray(z[0]), np.asarray(z[1]))
+            atilde[z] = np.fft.fft2(vals) * (TWO_PI / m) ** 2
+        term = chi * atilde[z][r1 % m, r2 % m] * f.coeffs[e1 % m, e2 % m] / TWO_PI ** 2
+        if kernel is not None:
+            term *= kernel(x1, x2, r1, r2, *z)
+        out[x1 % m, x2 % m] += term
+    return FourierField(f.grid, out).coeffs
+
+
+def _kernel(a, side):
+    """error_kernel_apply's Taylor factor for a multiplier a, per pair."""
+    t = a.terms[0]
+    ga = lambda z1, z2: complex(t.gz(np.asarray(float(z1)), np.asarray(float(z2))))
+    da = lambda z1, z2: (complex(t.dgz[0](np.asarray(z1), np.asarray(z2))),
+                         complex(t.dgz[1](np.asarray(z1), np.asarray(z2))))
+
+    def k(x1, x2, r1, r2, z1, z2):
+        d1, d2 = da(z1, z2)
+        lin = 0.5 * (r1 * d1 + r2 * d2)
+        if side == "left":
+            return ga(x1, x2) - ga(z1, z2) - lin
+        return ga(x1 - r1, x2 - r2) - ga(z1, z2) + lin
+    return k
+
+
+def _oracle_case(case, g):
+    fld = random_field(g, seed=50, real=True, decay=0.3)
+    fs = synthesize(fld)
+    gen = Symbol.general(lambda X1, X2, Z1, Z2: fs * np.sqrt(1.0 + Z1 ** 2 + Z2 ** 2)
+                         + 1j * np.cos(X1 - 2 * X2) * Z1 / np.hypot(Z1, Z2), 1.0)
+    multi = Symbol.separable([
+        SeparableTerm(fld, lambda z1, z2: np.hypot(z1, z2) ** 0.5),
+        SeparableTerm(random_field(g, seed=51), lambda z1, z2: (z1 + 2j * z2) / np.hypot(z1, z2)),
+        SeparableTerm(None, lambda z1, z2: np.hypot(z1, z2))], 1.0)
+    if case == "general":
+        return gen, CFG, gen, None, None
+    if case == "separable":
+        return multi, CFG, multi, None, None
+    if case == "row_tol":
+        cfg = ParadiffConfig(chi_exponent=-2, row_tol=0.3)
+        c = fld.coeffs
+        kept = FourierField(g, np.where(np.abs(c) > 0.3 * np.max(np.abs(c)), c, 0.0), True)
+        assert 0 < np.count_nonzero(kept.coeffs) < np.count_nonzero(c)
+        return Symbol.from_function(fld), cfg, Symbol.from_function(kept), None, None
+    side, b = {"kernel-left": ("left", gen), "kernel-right": ("right", multi)}[case]
+    return b, CFG, b, _mult(0.5), side
+
+
+@pytest.mark.parametrize("m", [8, 12])
+@pytest.mark.parametrize("case", ["general", "separable", "row_tol",
+                                  "kernel-left", "kernel-right"])
+def test_weyl_apply_matches_brute_force_double_sum(case, m):
+    g = Grid(m)
+    sym, cfg, ref_sym, a, side = _oracle_case(case, g)
+    f = random_field(g, seed=52, mean_zero=False)
+    if a is None:
+        got = weyl_apply(sym, f, cfg).coeffs
+        ref = _brute_force(ref_sym, f, cfg)
+    else:
+        got = error_kernel_apply(a, sym, f, side, cfg).coeffs
+        ref = _brute_force(ref_sym, f, cfg, _kernel(a, side))
+    assert np.max(np.abs(ref)) > 0.0
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_plan_cache_state_is_invisible(monkeypatch):
+    # cold cache, warm cache, and a plan already extended by the general
+    # path all give bit-identical results on both paths
+    monkeypatch.setattr(paradiff, "_PLANS", {})
+    gen = _oracle_case("general", G16)[0]
+    fld = random_field(G16, seed=53, real=True)
+    sep = Symbol.separable([
+        SeparableTerm(fld, lambda z1, z2: np.hypot(z1, z2) ** 0.5),
+        SeparableTerm(None, lambda z1, z2: z1 - 0.5j * z2)], 0.5)
+    f = random_field(G16, seed=54)
+    cold = weyl_apply(sep, f, CFG).coeffs
+    plan = paradiff._PLANS[(16, -2)]
+    assert len(plan.row_start) - 1 < 16 * 16   # rows only out to |rho| <= 5 sqrt(2)
+    warm = weyl_apply(sep, f, CFG).coeffs
+    gen_after_sep = weyl_apply(gen, f, CFG).coeffs
+    after_full = weyl_apply(sep, f, CFG).coeffs
+    paradiff._PLANS.clear()
+    gen_cold = weyl_apply(gen, f, CFG).coeffs
+    after_gen_cold = weyl_apply(sep, f, CFG).coeffs
+    for other in (warm, after_full, after_gen_cold):
+        assert np.array_equal(cold, other)
+    assert np.array_equal(gen_cold, gen_after_sep)
+
+
+def test_plan_holds_only_the_rows_a_symbol_needs(monkeypatch):
+    # a single-mode function symbol on 128^2 extends the plan to |rho| <= 1
+    # (rho = 0 and the four unit rows), not to the full ~46M-entry support
+    monkeypatch.setattr(paradiff, "_PLANS", {})
+    g = Grid(128)
+    e1 = Symbol.from_function(FourierField.single_mode(g, (1, 0), 1.0))
+    weyl_apply(e1, random_field(g, seed=55), CFG)
+    plan = paradiff._PLANS[(128, -2)]
+    assert len(plan.row_start) - 1 == 5
+    assert len(plan.xi) <= 5 * 128 ** 2
