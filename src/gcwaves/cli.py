@@ -10,7 +10,8 @@ artifacts.
 
 Exit codes: 0 ok, 2 invalid config/usage (a singular multiplier or too
 coarse a snapshot cadence included), 3 resource budget exceeded,
-4 numeric abort.
+4 numeric abort, 5 internal error (an unexpected exception: a bug; the
+manifest's abort_reason holds a one-line traceback summary).
 """
 
 from __future__ import annotations
@@ -18,14 +19,16 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
+import traceback
 
 import numpy as np
 
 from . import __version__
 from .dispersion import (DispersionParams, ScanWindow, WeightParams,
-                         collinear_gap, exceptional_measure_bound,
+                         collinear_gap, exceptional_measure_bounds,
                          lemma1_profile, scan_four_wave, scan_three_wave)
 from .errors import (CadenceError, ConfigError, NumericAbortError,
                      PositivityError, ResourceBudgetError,
@@ -38,6 +41,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RESOURCE = 3
 EXIT_NUMERIC = 4
+EXIT_INTERNAL = 5
 
 _GUARD_THRESHOLD = 1e-12
 _BISECTION_TOL = 1e-10
@@ -108,7 +112,8 @@ def _parser():
         for flag, (typ, default) in flags.items():
             p.add_argument(f"--{flag}", type=typ, default=None,
                            help=f"default {default!r}")
-        p.set_defaults(_defaults={k: v[1] for k, v in flags.items()})
+        p.set_defaults(_defaults={k: v[1] for k, v in flags.items()},
+                       _types={k: v[0] for k, v in flags.items()})
         return p
 
     # --g accepts a float or one of the generic presets "sqrt2", "e", "pi/2"
@@ -145,18 +150,29 @@ def _parser():
 
 
 def _resolve(args):
-    """Merge file config <- defaults, then apply explicit CLI flags."""
+    """Merge file config <- defaults, then apply explicit CLI flags.  File
+    values get the type their flag declares."""
     cfg = dict(args._defaults)
     if args.config:
-        with open(args.config) as fh:
-            file_cfg = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                file_cfg = json.load(fh)
+        except (OSError, ValueError) as err:
+            raise ConfigError(f"cannot read config {args.config!r}: {err}") from err
+        if not isinstance(file_cfg, dict):
+            raise ConfigError(f"config {args.config!r} is not a JSON object")
         for k, v in file_cfg.items():
             key = k.replace("_", "-")
             if key not in cfg and key not in ("out",):
                 raise ConfigError(f"unknown config key {k!r}")
             if key == "out":
                 continue
-            cfg[key] = v
+            try:
+                cfg[key] = args._types[key](v)
+            except (TypeError, ValueError) as err:
+                raise ConfigError(f"config key {k!r}: {err}") from err
+            if args._types[key] is int and cfg[key] != v:
+                raise ConfigError(f"config key {k!r}: {v!r} is not an integer")
     for k, v in vars(args).items():
         key = k.replace("_", "-")
         if key in cfg and v is not None:
@@ -172,15 +188,29 @@ def _parse_g(value):
     """Gravity parameter: a float, or one of the generic presets."""
     if isinstance(value, str) and value in _G_PRESETS:
         return _G_PRESETS[value]
-    return float(value)
+    return _number(float, value, "g")
+
+
+def _number(typ, text, what):
+    try:
+        return typ(text)
+    except ValueError as err:
+        raise ConfigError(f"{what}: {err}") from err
 
 
 def _floats(text):
-    return [float(t) for t in str(text).split(",") if t.strip()]
+    return [_number(float, t, "list") for t in str(text).split(",") if t.strip()]
 
 
 def _ints(text):
-    return [int(t) for t in str(text).split(",") if t.strip()]
+    return [_number(int, t, "list") for t in str(text).split(",") if t.strip()]
+
+
+def _budget(cfg):
+    """The scan budget as an int; NaN and infinity are rejected."""
+    if not math.isfinite(cfg["budget"]):
+        raise ConfigError(f"budget must be finite, got {cfg['budget']!r}")
+    return int(cfg["budget"])
 
 
 def _sanitize(obj):
@@ -219,7 +249,7 @@ def _cmd_scan3(cfg, out):
     params = DispersionParams(_parse_g(cfg["g"]), cfg["sigma"])
     res = scan_three_wave(params, WeightParams(cfg["kappa"]),
                           ScanWindow(cfg["max-high"], cfg["max-low"]),
-                          n_records=cfg["n-records"], budget=int(cfg["budget"]))
+                          n_records=cfg["n-records"], budget=_budget(cfg))
     with open(f"{out}/records.csv", "w") as fh:
         fh.write(",".join(SCHEMAS["scan3"]["records.csv"]) + "\n")
         for r in res.records:
@@ -239,7 +269,7 @@ def _cmd_scan4(cfg, out):
     params = DispersionParams(_parse_g(cfg["g"]), cfg["sigma"])
     res = scan_four_wave(params, ScanWindow(cfg["max-high"], cfg["max-low"]),
                          n_records=cfg["n-records"], bprime=cfg["bprime"],
-                         budget=int(cfg["budget"]))
+                         budget=_budget(cfg))
     with open(f"{out}/records.csv", "w") as fh:
         fh.write(",".join(SCHEMAS["scan4"]["records.csv"]) + "\n")
         for r in res.records:
@@ -277,14 +307,13 @@ def _cmd_lemma1(cfg, out):
 def _cmd_measure(cfg, out):
     if cfg["j-min"] > cfg["j-max"]:
         raise ConfigError(f"need j-min <= j-max, got {cfg['j-min']} > {cfg['j-max']}")
-    wp = WeightParams(cfg["kappa"])
     rows = []
     prev = None
-    for j in range(cfg["j-min"], cfg["j-max"] + 1):
-        mb = exceptional_measure_bound(cfg["bigB"], j, wp, cfg["cutoff"],
-                                       budget=int(cfg["budget"]))
+    for mb in exceptional_measure_bounds(cfg["bigB"], range(cfg["j-min"], cfg["j-max"] + 1),
+                                         WeightParams(cfg["kappa"]), cfg["cutoff"],
+                                         budget=_budget(cfg)):
         ratio = mb.total / prev if prev not in (None, 0.0) else float("nan")
-        rows.append((j, mb.total, mb.n_intervals, ratio))
+        rows.append((mb.j, mb.total, mb.n_intervals, ratio))
         prev = mb.total
     with open(f"{out}/bounds.csv", "w") as fh:
         fh.write(",".join(SCHEMAS["measure"]["bounds.csv"]) + "\n")
@@ -414,56 +443,66 @@ def dispatch(argv) -> int:
         sys.stdout.write("\n")
         return EXIT_OK
 
-    import os
-
     t0 = time.time()
     status = "ok"
     abort_reason = None
     summary = {}
     cfg = None
     code = EXIT_OK
+    out = args.out or f"gcwaves_out/{args.subcommand}"
     try:
         cfg = _resolve(args)
-        out = args.out or f"gcwaves_out/{args.subcommand}"
-        os.makedirs(out, exist_ok=True)
+        try:
+            os.makedirs(out, exist_ok=True)
+        except OSError as err:
+            raise ConfigError(f"cannot create output directory {out!r}: {err}") from err
         _write_json(f"{out}/run_config.json", dict(cfg))
         summary = _COMMANDS[args.subcommand](cfg, out)
-        code = EXIT_OK
-    except (ConfigError, SingularMultiplierError, CadenceError, FileNotFoundError,
-            json.JSONDecodeError, ValueError) as err:
+    except (ConfigError, SingularMultiplierError, CadenceError) as err:
         status, abort_reason, code = "config-error", str(err), EXIT_CONFIG
     except ResourceBudgetError as err:
         status, abort_reason, code = "resource-error", str(err), EXIT_RESOURCE
     except (NumericAbortError, SmallDivisorError, PositivityError) as err:
         status, abort_reason, code = "numeric-abort", str(err), EXIT_NUMERIC
+    except Exception as err:  # not a named error: a bug, reported as one
+        traceback.print_exc()
+        status, abort_reason, code = "internal-error", _trace_summary(err), EXIT_INTERNAL
+    manifest = {
+        "subcommand": args.subcommand,
+        "config": cfg if status != "config-error" else None,
+        "status": status,
+        "abort_reason": abort_reason,
+        "package_version": __version__,
+        "numpy_version": np.__version__,
+        "knobs": {
+            "c_energy": C_ENERGY,
+            "chi_exponent": (cfg or {}).get("chi"),
+            "sobolev_index": (cfg or {}).get("sobolev-index", (cfg or {}).get("N")),
+            "dealias_rule": "2/3 (alias-free: 3 kmax < M)",
+            "small_divisor_guard": _GUARD_THRESHOLD,
+            "bisection_tol": _BISECTION_TOL,
+            "velocity_proxy": "V1 = |grad|^{-1/2} grad Im U",
+        },
+        "wall_time_s": time.time() - t0,
+    }
     try:
-        manifest = {
-            "subcommand": args.subcommand,
-            "config": cfg if status != "config-error" else None,
-            "status": status,
-            "abort_reason": abort_reason,
-            "package_version": __version__,
-            "numpy_version": np.__version__,
-            "knobs": {
-                "c_energy": C_ENERGY,
-                "chi_exponent": (cfg or {}).get("chi"),
-                "sobolev_index": (cfg or {}).get("sobolev-index", (cfg or {}).get("N")),
-                "dealias_rule": "2/3 (alias-free: 3 kmax < M)",
-                "small_divisor_guard": _GUARD_THRESHOLD,
-                "bisection_tol": _BISECTION_TOL,
-                "velocity_proxy": "V1 = |grad|^{-1/2} grad Im U",
-            },
-            "wall_time_s": time.time() - t0,
-        }
-        out = args.out or f"gcwaves_out/{args.subcommand}"
         os.makedirs(out, exist_ok=True)
         _write_json(f"{out}/manifest.json", manifest)
-        if summary:
-            print(json.dumps(_sanitize(json.loads(
-                json.dumps(summary, default=_jsonable))), sort_keys=True))
-    except Exception:
-        pass
+    except OSError as err:
+        print(f"gcwaves: manifest not written: {err}", file=sys.stderr)
+        return code if code != EXIT_OK else EXIT_INTERNAL
+    if summary:
+        print(json.dumps(_sanitize(json.loads(
+            json.dumps(summary, default=_jsonable))), sort_keys=True))
     return code
+
+
+def _trace_summary(err):
+    """One line: the exception and the innermost frame it was raised in."""
+    frame = traceback.extract_tb(err.__traceback__)[-1]
+    message = " ".join(str(err).split())
+    return (f"{type(err).__name__}: {message} "
+            f"(at {os.path.basename(frame.filename)}:{frame.lineno} in {frame.name})")
 
 
 def main():

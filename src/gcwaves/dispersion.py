@@ -6,8 +6,11 @@ lattice frequencies; the scans below enumerate lattice windows exhaustively
 and report empirical lower-bound constants for |phase| / weight, never
 certified ones.
 
-All scans are deterministic: enumeration is lexicographic over
-(shell of |xi|, xi, offset, signs) and results are reduced in that order.
+All scans are deterministic.  A scan keeping n records keeps the n smallest
+tuples by (normalized gap, dyadic shell of |xi|, xi, offset, signs), points
+and sign tuples compared lexicographically, ties included; the records are
+then listed by (gap, frequencies).  Shell statistics and tuple counts cover
+every tuple in the window.
 """
 
 from __future__ import annotations
@@ -204,7 +207,12 @@ def weight_K_arr(wp: WeightParams, a1, a2, a3):
     b3 = np.sqrt(1.0 + np.asarray(a3, float) ** 2)
     bmax = np.maximum(b1, np.maximum(b2, b3))
     bmin = np.minimum(b1, np.minimum(b2, b3))
-    return bmax ** -1.5 * np.log1p(bmax) ** -(1.0 + wp.kappa) * bmin ** -4.0
+    return _k_max_factor(wp, bmax) * bmin ** -4.0
+
+
+def _k_max_factor(wp, b):
+    """The factor b^{-3/2} log(1+b)^{-(1+kappa)} of K_kappa at the largest bracket."""
+    return b ** -1.5 * np.log1p(b) ** -(1.0 + wp.kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -212,15 +220,92 @@ def weight_K_arr(wp: WeightParams, a1, a2, a3):
 # ---------------------------------------------------------------------------
 
 def lattice_disk(radius, include_origin=False):
-    """All lattice points with |v| <= radius, lex-sorted; origin optional."""
+    """All lattice points with |v| <= radius as an (n, 2) int array,
+    lex-sorted; origin optional."""
     r = int(math.floor(radius))
-    pts = []
-    for a in range(-r, r + 1):
-        for b in range(-r, r + 1):
-            if a * a + b * b <= radius * radius and (include_origin or (a, b) != (0, 0)):
-                pts.append((a, b))
-    pts.sort()
-    return pts
+    a, b = np.meshgrid(np.arange(-r, r + 1), np.arange(-r, r + 1), indexing="ij")
+    keep = a * a + b * b <= radius * radius
+    if not include_origin:
+        keep &= (a != 0) | (b != 0)
+    return np.stack((a[keep], b[keep]), axis=1)
+
+
+def _disk_size(radius):
+    """len(lattice_disk(radius)), counted row by row without listing the
+    points, so budgets are checked before any enumeration."""
+    r2 = radius * radius
+    r = int(math.floor(radius))
+    return sum(2 * math.isqrt(math.floor(r2 - a * a)) + 1 for a in range(-r, r + 1)) - 1
+
+
+def _square_abs(side):
+    """|v| over the square [-side, side]^2, flattened row-major (see _flat)."""
+    return np.hypot(*np.meshgrid(np.arange(-side, side + 1),
+                                 np.arange(-side, side + 1), indexing="ij")).ravel()
+
+
+def _flat(pts, side):
+    """Row-major index of lattice points in the square [-side, side]^2; the
+    index of v - u is _flat(v) - _flat(u) + _flat(0)."""
+    pts = np.asarray(pts)
+    return (pts[..., 0] + side) * (2 * side + 1) + (pts[..., 1] + side)
+
+
+def _by_shell(pts):
+    """Points stably sorted by dyadic shell, so that position is rank in the
+    (shell, point) order; returns (pts, |pts|, shells, run starts)."""
+    a = np.hypot(pts[:, 0], pts[:, 1])
+    shells = _shell_index(a)
+    order = np.argsort(shells, kind="stable")
+    shells = shells[order]
+    starts = np.flatnonzero(np.r_[True, shells[1:] != shells[:-1]])
+    return pts[order], a[order], shells, starts
+
+
+class _TopN:
+    """Exact running selection of the n smallest rows by (gap, key).
+
+    Batches are offered as flat arrays (gap, int key, payload...).  Only rows
+    on the shortlist are ever copied, so once n rows are held an offer costs
+    one comparison over the batch.  Infinite and NaN gaps are never kept."""
+
+    def __init__(self, n):
+        self.n = int(n)
+        self.tau = np.finfo(float).max if self.n > 0 else -np.inf
+        self.rows = []
+
+    def shortlist(self, gap):
+        """Indices of the gaps that can still enter: at most tau (the n-th
+        smallest gap kept) and among the batch's n smallest, ties kept.  Given
+        each point's smallest gap over its rows, it lists the only points that
+        can place a row."""
+        sel = np.flatnonzero(gap <= self.tau)
+        if sel.size > self.n:
+            kth = np.partition(gap[sel], self.n - 1)[self.n - 1]
+            sel = sel[gap[sel] <= kth]
+        return sel
+
+    def offer(self, gap, key, *payload):
+        sel = self.shortlist(gap)
+        if not sel.size:
+            return
+        cols = [c[sel] for c in (gap, key) + payload]
+        if self.rows:
+            cols = [np.concatenate(pair) for pair in zip(self.rows, cols)]
+        keep = np.lexsort((cols[1], cols[0]))[:self.n]
+        self.rows = [c[keep] for c in cols]
+        if keep.size == self.n:
+            self.tau = self.rows[0][-1]
+
+
+# sign pairs (i1, i2) of _SIGN_PAIRS ranked by ascending tuple order
+_SIGN_RANK = np.array([3, 2, 1, 0])
+_RANK_SIGNS = _SIGN_PAIRS[::-1]
+
+
+def _check_n_records(n_records):
+    if n_records < 0:
+        raise ConfigError(f"n_records must be >= 0, got {n_records}")
 
 
 def _shell_index(r):
@@ -278,57 +363,74 @@ def scan_three_wave(params: DispersionParams, wp: WeightParams, window: ScanWind
     of both |phase|/weight and |phase| * <xi>^{3/2}.  Phases below 1e-9 are
     re-evaluated in 50-digit arithmetic before being recorded.
     """
+    _check_n_records(n_records)
+    _check_budget(_disk_size(window.max_high_freq) * _disk_size(window.max_low_freq) * 4,
+                  budget)
     rhos = lattice_disk(window.max_low_freq)
     xs = lattice_disk(window.max_high_freq)
-    if not xs:
-        return ScanResult([], math.inf, [], 0, {"empty_window": True})
-    _check_budget(len(xs) * len(rhos) * 4, budget)
 
-    xi_arr = np.asarray(xs, dtype=np.int64)
-    axi = np.hypot(xi_arr[:, 0], xi_arr[:, 1])
+    xs, axi, shells, starts = _by_shell(xs)
     lam_xi = lam_abs(params, axi)
-    shells = _shell_index(axi)
-    n_shell = int(shells.max()) + 1
-    bxi32 = (1.0 + axi ** 2) ** 0.75
+    n_rho = len(rhos)
 
-    if weight_fn is None:
-        weight_fn = lambda a1, a2, a3: weight_K_arr(wp, a1, a2, a3)
+    # every eta = xi - rho lies in the square [-side, side]^2, where |eta|,
+    # Lambda(eta) and the weight factors are tabulated once per point
+    side = int(math.floor(window.max_high_freq)) + int(math.floor(window.max_low_freq))
+    abs_sq = _square_abs(side)
+    lam_sq = lam_abs(params, abs_sq)
+    x_at = _flat(xs, side)
+    rho_off = _flat(rhos, side) - _flat((0, 0), side)
+    pos = np.empty(abs_sq.size, np.int64)
+    pos[x_at] = np.arange(len(xs))
+    xi_is_rho = pos[_flat(rhos, side)]  # position of the xi equal to each rho
+    arho = np.array([math.hypot(r1, r2) for r1, r2 in rhos.tolist()])
+    lam_rho = lam_abs(params, arho)
+    if weight_fn is None:  # K_kappa = F(largest bracket) * G(smallest bracket)
+        b_sq = np.sqrt(1.0 + abs_sq ** 2)
+        f_sq, g_sq = _k_max_factor(wp, b_sq), b_sq ** -4.0
+        b1, f1, g1 = b_sq[x_at], f_sq[x_at], g_sq[x_at]
+        b2 = np.sqrt(1.0 + arho ** 2)
+        f2, g2 = _k_max_factor(wp, b2), b2 ** -4.0
 
-    shell_min_gap = np.full(n_shell, np.inf)
-    shell_min_p32 = np.full(n_shell, np.inf)
-    shell_count = np.zeros(n_shell, dtype=np.int64)
-    pool = []  # candidate (gap, sort_key, payload) tuples
-    n_eval = 0
+    best_gap = np.full(len(xs), np.inf)    # per xi, over every offset and sign
+    best_phase = np.full(len(xs), np.inf)
+    top = _TopN(n_records)
+    for k in range(n_rho):
+        e = x_at - rho_off[k]               # eta = xi - rho
+        lam_eta = lam_sq[e]
+        if weight_fn is None:
+            b3 = b_sq[e]
+            f13 = np.where(b1 >= b3, f1, f_sq[e])
+            g13 = np.where(b1 <= b3, g1, g_sq[e])
+            w = (np.where(np.maximum(b1, b3) >= b2[k], f13, f2[k])
+                 * np.where(np.minimum(b1, b3) <= b2[k], g13, g2[k]))
+        else:
+            w = weight_fn(axi, np.full_like(axi, arho[k]), abs_sq[e])
+        # phase = c_i1 - i2 Lambda(eta) with c_+ = L(xi) - L(rho), c_- = L(xi) + L(rho);
+        # the smaller |phase| over i2 is | |c| - Lambda(eta) |, exactly
+        c_p, c_m = lam_xi - lam_rho[k], lam_xi + lam_rho[k]
+        aphase = np.minimum(np.abs(np.abs(c_p) - lam_eta), np.abs(c_m - lam_eta))
+        gap = aphase / w
+        gap[xi_is_rho[k]] = aphase[xi_is_rho[k]] = np.inf  # eta = 0 is not a tuple
+        np.minimum(best_gap, gap, out=best_gap)
+        np.minimum(best_phase, aphase, out=best_phase)
+        c = top.shortlist(gap)
+        if c.size:
+            le = lam_eta[c]
+            phase = np.stack((c_p[c] - le, c_p[c] + le, c_m[c] - le, c_m[c] + le))
+            top.offer(np.ravel(np.abs(phase) / w[c]),
+                      np.ravel((c * n_rho + k) * 4 + _SIGN_RANK[:, None]),
+                      phase.ravel(), np.tile(w[c], 4))
 
-    for rho in rhos:
-        eta = xi_arr - np.asarray(rho, dtype=np.int64)
-        aeta = np.hypot(eta[:, 0], eta[:, 1])
-        valid = aeta > 0.0  # eta must be a nonzero lattice point
-        arho = math.hypot(*rho)
-        lam_rho = float(lam_abs(params, arho))
-        lam_eta = lam_abs(params, aeta)
-        w = weight_fn(axi, np.full_like(axi, arho), aeta)
-        for i1, i2 in _SIGN_PAIRS:
-            phase = lam_xi - i1 * lam_rho - i2 * lam_eta
-            aphase = np.abs(phase)
-            gap = np.where(valid, aphase / w, np.inf)
-            p32 = np.where(valid, aphase * bxi32, np.inf)
-            np.minimum.at(shell_min_gap, shells, gap)
-            np.minimum.at(shell_min_p32, shells, p32)
-            np.add.at(shell_count, shells, valid.astype(np.int64))
-            n_eval += int(valid.sum())
-            take = min(n_records, gap.size)
-            cand = np.argpartition(gap, take - 1)[:take]
-            for ci in cand:
-                if not np.isfinite(gap[ci]):
-                    continue
-                xi = (int(xi_arr[ci, 0]), int(xi_arr[ci, 1]))
-                pool.append((float(gap[ci]), (int(shells[ci]), xi, rho, (i1, i2)),
-                             (xi, rho, (i1, i2), float(phase[ci]), float(w[ci]))))
+    count = np.full(len(xs), 4 * n_rho)
+    count[xi_is_rho] -= 4
+    stats = _shell_stats(shells, starts, count, best_gap,
+                         best_phase * (1.0 + axi ** 2) ** 0.75)
 
-    pool.sort(key=lambda t: (t[0], t[1]))
     records = []
-    for gap, _key, (xi, rho, (i1, i2), ph, w) in pool[:n_records]:
+    for gap, key, ph, w in zip(*(c.tolist() for c in top.rows)):
+        (i, k), (i1, i2) = divmod(key // 4, n_rho), _RANK_SIGNS[key % 4]
+        xi, rho = tuple(xs[i].tolist()), tuple(rhos[k].tolist())
         flags = ()
         if abs(ph) < _REEVAL_THRESHOLD:
             ph = _reeval_phase3(params, xi, rho, (i1, i2))
@@ -339,11 +441,8 @@ def scan_three_wave(params: DispersionParams, wp: WeightParams, window: ScanWind
             frequencies=(v1, v2, v3), signs=SignPattern((1, -i1, -i2)),
             phase_value=ph, weight=w, normalized_gap=gap, flags=flags))
     records.sort(key=lambda r: (r.normalized_gap, r.frequencies))
-
-    stats = [ShellStat(k, int(shell_count[k]), float(shell_min_gap[k]), float(shell_min_p32[k]))
-             for k in range(n_shell) if shell_count[k] > 0]
     min_gap = min((r.normalized_gap for r in records), default=math.inf)
-    return ScanResult(records, min_gap, stats, n_eval,
+    return ScanResult(records, min_gap, stats, int(count.sum()),
                       {"g": params.g, "sigma": params.sigma, "kappa": wp.kappa})
 
 
@@ -380,77 +479,77 @@ def scan_four_wave(params: DispersionParams, window: ScanWindow, n_records=100,
     """
     if weight not in ("paired", "moduli"):
         raise ConfigError(f"unknown four-wave weight {weight!r}")
+    if math.isnan(bprime):
+        raise ConfigError("bprime must not be NaN")
+    _check_n_records(n_records)
+    n_low = _disk_size(window.max_low_freq)
+    _check_budget(_disk_size(window.max_high_freq) * (n_low * (n_low + 1) // 2) * 4, budget)
     lows = lattice_disk(window.max_low_freq)
     vs = lattice_disk(window.max_high_freq)
-    pairs = []
-    for ai, a in enumerate(lows):
-        for b in lows[ai:]:
-            pairs.append((a, b))
-    _check_budget(len(vs) * len(pairs) * 4, budget)
+    pairs = [(a, b) for a in range(len(lows)) for b in range(a, len(lows))]
 
-    v_arr = np.asarray(vs, dtype=np.int64)
-    av = np.hypot(v_arr[:, 0], v_arr[:, 1])
+    vs, av, shells, starts = _by_shell(vs)
     lam_v = lam_abs(params, av)
-    bv = np.sqrt(1.0 + av ** 2)
-    shells = _shell_index(av)
-    n_shell = int(shells.max()) + 1
+    w_v = np.sqrt(1.0 + av ** 2) ** -0.5 if weight == "paired" else av ** -0.5
+    # |Lambda(v+mu) - Lambda(v) - i Lambda(mu)| for every low point mu, i = +, -
+    mods = np.empty((len(lows), 2, len(vs)))
+    for m, mu in enumerate(lows.tolist()):
+        shifted = vs + np.asarray(mu)
+        base = lam_abs(params, np.hypot(shifted[:, 0], shifted[:, 1])) - lam_v
+        lam_mu = lam(params, mu)
+        mods[m] = np.abs(base - lam_mu), np.abs(base + lam_mu)
+    mod_lo, mod_hi = mods.min(axis=1), mods.max(axis=1)
 
-    shell_min_gap = np.full(n_shell, np.inf)
-    shell_min_p32 = np.full(n_shell, np.inf)
-    shell_count = np.zeros(n_shell, dtype=np.int64)
-    pool = []
-    n_eval = 0
-
-    for xi, eta in pairs:
-        bxi = _jb(xi)
-        beta = _jb(eta)
-        axi = math.hypot(*xi)
-        aeta = math.hypot(*eta)
+    best_gap = np.full(len(vs), np.inf)  # per v, over every pair and sign
+    best_val = np.full(len(vs), np.inf)
+    top = _TopN(n_records)
+    for p, (a, b) in enumerate(pairs):
+        xi, eta = lows[a].tolist(), lows[b].tolist()
         if weight == "paired":
-            w_all = bv ** -0.5 * (bxi + beta) ** -2.0
+            w = w_v * (_jb(xi) + _jb(eta)) ** -2.0
         else:
-            w_all = av ** -0.5 * (axi + aeta) ** -2.0
-        g1_mods, g2_mods = {}, {}
-        for i1 in (1, -1):
-            g1_mods[i1] = _pair_modulation(params, v_arr, lam_v, xi, i1)
-            g2_mods[i1] = g1_mods[i1] if eta == xi else _pair_modulation(params, v_arr, lam_v, eta, i1)
-        for i1, i2 in _SIGN_PAIRS:
-            if xi == eta and i1 == i2:
-                continue  # trivial pair excluded by hypothesis
-            val = np.maximum(np.abs(g1_mods[i1]), np.abs(g2_mods[i2]))
-            gap = val / w_all
-            np.minimum.at(shell_min_gap, shells, gap)
-            np.minimum.at(shell_min_p32, shells, val * (1.0 + av ** 2) ** 0.25)
-            np.add.at(shell_count, shells, 1)
-            n_eval += gap.size
-            take = min(n_records, gap.size)
-            cand = np.argpartition(gap, take - 1)[:take]
-            for ci in cand:
-                v = (int(v_arr[ci, 0]), int(v_arr[ci, 1]))
-                admissible = (axi + aeta) ** 16 <= bprime * av[ci]
-                pool.append((float(gap[ci]), (int(shells[ci]), v, xi, eta, (i1, i2)),
-                             (v, xi, eta, (i1, i2), float(val[ci]), float(w_all[ci]),
-                              bool(admissible))))
+            w = w_v * (math.hypot(*xi) + math.hypot(*eta)) ** -2.0
+        # the smallest max(|G1|, |G2|) over the sign pairs; with xi == eta the
+        # trivial pairs i1 == i2 are excluded by hypothesis
+        val = mod_hi[a] if a == b else np.maximum(mod_lo[a], mod_lo[b])
+        gap = val / w
+        np.minimum(best_gap, gap, out=best_gap)
+        np.minimum(best_val, val, out=best_val)
+        c = top.shortlist(gap)
+        if c.size:
+            rows = [1, 2] if a == b else [0, 1, 2, 3]   # indices into _SIGN_PAIRS
+            val = np.maximum(mods[a][:, None, c], mods[b][None, :, c]).reshape(4, -1)[rows]
+            top.offer(np.ravel(val / w[c]),
+                      np.ravel((c * len(pairs) + p) * 4 + _SIGN_RANK[rows, None]),
+                      val.ravel(), np.tile(w[c], len(rows)))
 
-    pool.sort(key=lambda t: (t[0], t[1]))
+    n_batches = 4 * len(pairs) - 2 * len(lows)
+    count = np.full(len(vs), n_batches)
+    stats = _shell_stats(shells, starts, count, best_gap,
+                         best_val * (1.0 + av ** 2) ** 0.25)
+
     records = []
-    for gap, _key, (v, xi, eta, (i1, i2), val, w, adm) in pool[:n_records]:
-        flags = ("admissible-regime",) if adm else ("outside-regime",)
+    for gap, key, val, w in zip(*(c.tolist() for c in top.rows)):
+        (i, p), (i1, i2) = divmod(key // 4, len(pairs)), _RANK_SIGNS[key % 4]
+        v = tuple(vs[i].tolist())
+        xi, eta = (tuple(lows[m].tolist()) for m in pairs[p])
+        admissible = (math.hypot(*xi) + math.hypot(*eta)) ** 16 <= bprime * av[i]
+        flags = ("admissible-regime",) if admissible else ("outside-regime",)
         records.append(ResonanceRecord(
             frequencies=(v, xi, eta), signs=SignPattern((i1, i2)),
             phase_value=val, weight=w, normalized_gap=gap, flags=flags))
     records.sort(key=lambda r: (r.normalized_gap, r.frequencies))
-    stats = [ShellStat(k, int(shell_count[k]), float(shell_min_gap[k]), float(shell_min_p32[k]))
-             for k in range(n_shell) if shell_count[k] > 0]
     min_gap = min((r.normalized_gap for r in records), default=math.inf)
-    return ScanResult(records, min_gap, stats, n_eval,
+    return ScanResult(records, min_gap, stats, int(count.sum()),
                       {"g": params.g, "sigma": params.sigma, "bprime": bprime})
 
 
-def _pair_modulation(params, v_arr, lam_v, mu, sign):
-    shifted = v_arr + np.asarray(mu, dtype=np.int64)
-    a = np.hypot(shifted[:, 0], shifted[:, 1])
-    return lam_abs(params, a) - lam_v - sign * float(lam(params, mu))
+def _shell_stats(shells, starts, count, best_gap, best_p32):
+    """ShellStats from per-point tuple counts and minima, points sorted by shell."""
+    return [ShellStat(int(k), int(n), float(g), float(p32)) for k, n, g, p32 in zip(
+        shells[starts], np.add.reduceat(count, starts),
+        np.minimum.reduceat(best_gap, starts), np.minimum.reduceat(best_p32, starts))
+        if n > 0]
 
 
 # ---------------------------------------------------------------------------
@@ -600,62 +699,92 @@ def exceptional_measure_bound(B, j, wp: WeightParams, cutoff,
     the sublevel intervals of the profile F with (a,b,c) = (|eta|,|xi|,|xi+eta|).
     Expected to scale like 2^{-j}.
     """
-    if j < 5 or B < 5 or cutoff < 1:
-        raise ConfigError("need j >= 5, B >= 5, cutoff >= 1")
+    return exceptional_measure_bounds(B, [j], wp, cutoff, budget)[0]
+
+
+# pairs per block of eta rows in the exceptional-set sweep
+_MEASURE_BLOCK = 1 << 16
+
+
+def exceptional_measure_bounds(B, js, wp: WeightParams, cutoff,
+                               budget=_DEFAULT_BUDGET) -> list:
+    """``exceptional_measure_bound`` at every level j in ``js``, in order.
+
+    The pair sweep does not depend on j: it runs once, keeps the pairs that
+    pass the pre-filter at the loosest level, and each j filters those.
+    """
+    js = list(js)
+    if not (js and min(js) >= 5 and 5 <= B < math.inf and cutoff >= 1):
+        raise ConfigError("need j >= 5, finite B >= 5, cutoff >= 1")
+    _check_budget(_disk_size(cutoff) ** 2, budget)
     pts = lattice_disk(cutoff)
-    _check_budget(len(pts) ** 2, budget)
-    pts_arr = np.asarray(pts, dtype=np.int64)
-    axi = np.hypot(pts_arr[:, 0], pts_arr[:, 1])
 
-    scale = 2.0 ** (-j)
-    total = 0.0
-    n_int = 0
-    n_pairs = 0
-    survivors = []
+    # |v| and the profile terms over the square holding every xi + eta; the
+    # |eta| terms are scalar (libm) powers, which numpy's array power can miss
+    # by an ulp, so the totals equal a loop over eta bit for bit
+    side = 2 * int(math.floor(cutoff))
+    abs_sq = _square_abs(side)
+    p15_sq = abs_sq ** 1.5
+    rB_sq = np.sqrt(abs_sq * B + abs_sq ** 3)
+    at = _flat(pts, side)
+    a_pt = abs_sq[at]
+    p15_eta = np.array([a ** 1.5 for a in a_pt])
+    rB_eta = np.array([np.sqrt(a * B + a ** 3) for a in a_pt])
 
-    for (e1, e2), aeta in zip(pts, np.hypot(pts_arr[:, 0], pts_arr[:, 1])):
-        s1 = pts_arr[:, 0] + e1
-        s2 = pts_arr[:, 1] + e2
-        asum = np.hypot(s1, s2)
-        ok = (axi >= aeta) & (asum >= axi) & (asum > 0.0)
-        if not ok.any():
-            continue
-        a = np.full(axi.shape, aeta)
-        delta = scale * weight_K_arr(wp, axi, a, asum)
-        # cheap closed-form pre-filter: X nonempty needs F(0) < delta, F(B) > -delta
-        f0 = aeta ** 1.5 + axi ** 1.5 - asum ** 1.5
-        fB = (np.sqrt(aeta * B + aeta ** 3) + np.sqrt(axi * B + axi ** 3)
-              - np.sqrt(asum * B + asum ** 3))
-        keep = ok & (f0 < delta) & (fB > -delta)
-        n_pairs += int(ok.sum())
-        for i in np.nonzero(keep)[0]:
-            survivors.append((aeta, float(axi[i]), float(asum[i]), float(delta[i])))
+    loose = 2.0 ** (-min(js))
+    kept, n_pairs = [], 0
+    rows = max(1, _MEASURE_BLOCK // len(pts))
+    for r0 in range(0, len(pts), rows):
+        e = np.arange(r0, min(r0 + rows, len(pts)))
+        s_at = at[e, None] + at[None, :] - _flat((0, 0), side)   # xi + eta
+        asum = abs_sq[s_at]
+        ok = (a_pt[None, :] >= a_pt[e, None]) & (asum >= a_pt[None, :]) & (asum > 0.0)
+        ie, ix = np.nonzero(ok)                                  # (eta, xi) order
+        ie = e[ie]
+        n_pairs += ie.size
+        x_at, s_ok = at[ix], s_at[ok]
+        a, b, c = a_pt[ie], abs_sq[x_at], abs_sq[s_ok]
+        k = weight_K_arr(wp, b, a, c)
+        f0 = p15_eta[ie] + p15_sq[x_at] - p15_sq[s_ok]
+        fB = rB_eta[ie] + rB_sq[x_at] - rB_sq[s_ok]
+        # closed-form pre-filter: X nonempty needs F(0) < delta, F(B) > -delta
+        delta = loose * k
+        keep = (f0 < delta) & (fB > -delta)
+        kept.append((a[keep], b[keep], c[keep], k[keep], f0[keep], fB[keep]))
+    a, b, c, k, f0, fB = (np.concatenate(col) for col in zip(*kept))
 
-    if survivors:
-        arr = np.asarray(survivors, dtype=float)
-        lengths = _interval_lengths_vec(arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3], B)
-        total = float(lengths.sum())
-        n_int = int(np.count_nonzero(lengths))
-    return MeasureBound(total, n_int, n_pairs, j, cutoff, B, wp.kappa)
+    out = []
+    for j in js:
+        delta = 2.0 ** (-j) * k
+        sel = (f0 < delta) & (fB > -delta)
+        lengths = _interval_lengths_vec(a[sel], b[sel], c[sel], delta[sel], B)
+        out.append(MeasureBound(float(lengths.sum()), int(np.count_nonzero(lengths)),
+                                n_pairs, j, cutoff, B, wp.kappa))
+    return out
 
 
 def _interval_lengths_vec(a, b, c, delta, B, iters=48):
     """Vectorized |X_{B,delta}| for arrays of admissible (a, b, c, delta)."""
-    f = lambda x: np.sqrt(a * x + a ** 3) + np.sqrt(b * x + b ** 3) - np.sqrt(c * x + c ** 3)
-    f0 = f(np.zeros_like(a))
-    fB = f(np.full_like(a, B))
+    abc = (a, b, c, a ** 3, b ** 3, c ** 3)
 
-    def solve(level, active):
-        lo = np.zeros_like(a)
-        hi = np.full_like(a, B)
+    def f(x, a, b, c, a3, b3, c3):
+        return np.sqrt(a * x + a3) + np.sqrt(b * x + b3) - np.sqrt(c * x + c3)
+
+    f0, fB = f(0.0, *abc), f(B, *abc)
+
+    def solve(level, m):  # bisection on the pairs m only
+        abc_m = [v[m] for v in abc]
+        lo, hi = np.zeros(m.size), np.full(m.size, B)
         for _ in range(iters):
             mid = 0.5 * (lo + hi)
-            below = f(mid) < level
-            lo = np.where(active & below, mid, lo)
-            hi = np.where(active & ~below, mid, hi)
+            below = f(mid, *abc_m) < level
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
         return 0.5 * (lo + hi)
 
-    left = np.where(f0 <= -delta, solve(-delta, f0 <= -delta), 0.0)
-    right = np.where(fB >= delta, solve(delta, fB >= delta), B)
+    left, right = np.zeros_like(a), np.full_like(a, B)
+    m = np.flatnonzero(f0 <= -delta)
+    left[m] = solve(-delta[m], m)
+    m = np.flatnonzero(fB >= delta)
+    right[m] = solve(delta[m], m)
     nonempty = (f0 < delta) & (fB > -delta)
     return np.where(nonempty, np.maximum(right - left, 0.0), 0.0)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import DispersionParams, lam_abs
+from .dispersion import DispersionParams, lam_abs, lattice_disk
 from .errors import CadenceError, ConfigError, SmallDivisorError
 from .fields import FourierField, bump, dealias, l2_norm, phi_le, sobolev_norm
 from .model import ModelConfig, SolverState, _Stepper, initial_data
@@ -429,11 +429,7 @@ def depletion_checks(params: DispersionParams, N: float, radius: int,
                                           / ((1+|xi|+|eta|) <xi-eta>^2)
 
     over 0 < |xi-eta| < 2^{-4} |xi+eta| and both signs i."""
-    side = np.arange(-radius, radius + 1)
-    X1, X2 = np.meshgrid(side, side, indexing="ij")
-    in_disk = X1 * X1 + X2 * X2 <= radius * radius
-    x1 = X1[in_disk].astype(float)
-    x2 = X2[in_disk].astype(float)
+    x1, x2 = np.ascontiguousarray(lattice_disk(radius, include_origin=True).T, dtype=float)
     lam_xi = lam_abs(params, np.hypot(x1, x2))
 
     mp_min, mp_max = math.inf, 0.0

@@ -481,6 +481,8 @@ def expansion_check(state: SurfaceState, eps_list, cfg: ParadiffConfig | None = 
     """
     if cfg is None:
         cfg = ParadiffConfig(chi_exponent=EXPERIMENT_CHI)
+    if not eps_list or not all(0.0 < e < math.inf for e in eps_list):
+        raise ConfigError(f"eps values must be finite and > 0, got {list(eps_list)}")
     if max(eps_list) / min(eps_list) < 99:
         raise ConfigError("eps values should span at least two decades")
     grid = state.grid

@@ -52,8 +52,11 @@ class ModelConfig:
         if self.params.sigma != 1.0:
             raise ConfigError("the model equation fixes sigma = 1 "
                               "(rescale time for other values)")
-        if self.dt <= 0.0 or self.epsilon <= 0.0 or self.velocity_band < 0:
-            raise ConfigError("need dt > 0, epsilon > 0, velocity_band >= 0")
+        if not (0.0 < self.dt < math.inf and 0.0 < self.epsilon < math.inf
+                and math.isfinite(self.t_end) and math.isfinite(self.snapshot_dt)
+                and self.velocity_band >= 0):
+            raise ConfigError("need finite dt > 0, epsilon > 0, t_end and "
+                              "snapshot_dt, and velocity_band >= 0")
         if self.integrator not in ("rk4", "midpoint"):
             raise ConfigError(f"unknown integrator {self.integrator!r}")
 

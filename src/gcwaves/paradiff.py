@@ -414,7 +414,24 @@ class _ChiPlan:
         np.add.at(out, xi, v)   # in entry order: no reassociation across batches
 
 
-_PLANS = {}   # (grid size, chi exponent) -> _ChiPlan
+_PLANS = {}   # (grid size, chi exponent) -> _ChiPlan, least recently used first
+# plans kept: the two grid sizes the Weyl calculus alternates between in a
+# run (a symbol build and an operator audit) plus one
+_MAX_PLANS = 3
+
+
+def _plan(m, cfg):
+    """The cached chi-support plan for (m, cfg.chi_exponent); only the
+    _MAX_PLANS most recently used plans are kept."""
+    key = (m, cfg.chi_exponent)
+    plan = _PLANS.get(key)
+    if plan is None:
+        plan = _PLANS[key] = _ChiPlan(m, cfg.chi)
+        while len(_PLANS) > _MAX_PLANS:
+            del _PLANS[next(iter(_PLANS))]
+    elif key != next(reversed(_PLANS)):
+        _PLANS[key] = _PLANS.pop(key)   # to the most recently used end
+    return plan
 
 
 # ---------------------------------------------------------------------------
@@ -427,10 +444,7 @@ def weyl_apply(a: Symbol, f: FourierField, cfg: ParadiffConfig,
     explicit error kernels; it receives flat arrays
     (XI1, XI2, R1, R2, Z1, Z2) over the chi support."""
     m = f.grid.size
-    key = (m, cfg.chi_exponent)
-    if key not in _PLANS:
-        _PLANS[key] = _ChiPlan(m, cfg.chi)
-    plan = _PLANS[key]
+    plan = _plan(m, cfg)
     fc = _centered(f.coeffs).ravel()
     out = np.zeros(m * m, np.complex128)
     if a.is_separable:

@@ -5,8 +5,8 @@ import pathlib
 import pytest
 
 from gcwaves import cli
-from gcwaves.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_RESOURCE,
-                         SCHEMAS, dispatch)
+from gcwaves.cli import (EXIT_CONFIG, EXIT_INTERNAL, EXIT_NUMERIC, EXIT_OK,
+                         EXIT_RESOURCE, SCHEMAS, dispatch)
 from gcwaves.errors import CadenceError, SingularMultiplierError
 
 
@@ -168,3 +168,75 @@ def test_named_caller_errors_map_to_config_exit(tmp_path, monkeypatch, error):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "config-error"
     assert manifest["abort_reason"] == "from the caller's input"
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan3", "--g", "abc"],
+    ["scan3", "--max-high", "8", "--max-low", "1", "--budget", "inf"],
+    ["scan3", "--max-high", "8", "--max-low", "1", "--n-records", "-1"],
+    ["scan4", "--max-high", "8", "--max-low", "1", "--bprime", "nan"],
+    ["measure", "--cutoff", "4", "--bigB", "nan"],
+    ["sweep", "--grid", "8", "--eps-list", "0.1,x"],
+    ["symbols", "--grid", "8", "--eps-list", ","],
+    ["symbols", "--grid", "8", "--eps-list", "0,1e-3"],
+    ["simulate", "--grid", "8", "--dt", "nan"],
+    ["simulate", "--grid", "8", "--t-end", "0.05", "--snapshot-dt", "nan"],
+], ids=["g-text", "budget-inf", "n-records-negative", "bprime-nan", "bigB-nan",
+        "eps-list-text", "eps-list-empty", "eps-zero", "dt-nan", "snapshot-dt-nan"])
+def test_value_errors_become_config_errors_at_entry(tmp_path, argv):
+    out = tmp_path / "bad"
+    assert dispatch(argv + ["--out", str(out)]) == EXIT_CONFIG
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "config-error"
+    assert manifest["abort_reason"]
+
+
+@pytest.mark.parametrize("content", ["{not json", "[1, 2]", '{"max-high": "many"}',
+                                     '{"max-high": 6.5}', '{"budget": null}'],
+                         ids=["bad-json", "not-an-object", "bad-int", "fractional-int",
+                              "null"])
+def test_bad_config_file_is_a_config_error(tmp_path, content):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(content)
+    out = tmp_path / "run"
+    assert dispatch(["scan3", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert json.loads((out / "manifest.json").read_text())["status"] == "config-error"
+    assert dispatch(["scan3", "--config", str(tmp_path / "missing.json"),
+                     "--out", str(out)]) == EXIT_CONFIG
+
+
+def test_config_file_values_take_the_flag_type(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"max-high": 6.0, "max-low": 1, "kappa": 1, "g": 1.5}))
+    out = tmp_path / "run"
+    assert dispatch(["scan3", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    rc = json.loads((out / "run_config.json").read_text())
+    assert (rc["max-high"], rc["max-low"], rc["kappa"], rc["g"]) == (6, 1, 1.0, "1.5")
+    assert isinstance(rc["kappa"], float)
+
+
+@pytest.mark.parametrize("error", [ValueError("bad value"), KeyError("k"),
+                                   ZeroDivisionError("division by zero")],
+                         ids=["ValueError", "KeyError", "ZeroDivisionError"])
+def test_unexpected_exception_is_an_internal_error(tmp_path, monkeypatch, capsys, error):
+    def buggy_body(cfg, out):
+        raise error
+
+    monkeypatch.setitem(cli._COMMANDS, "lemma1", buggy_body)
+    out = tmp_path / "bug"
+    assert dispatch(["lemma1", "--out", str(out)]) == EXIT_INTERNAL
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "internal-error"
+    assert manifest["config"]["a"] == 1.0
+    reason = manifest["abort_reason"]
+    assert "\n" not in reason
+    assert reason.startswith(type(error).__name__ + ": ")
+    assert "in buggy_body" in reason
+    assert "Traceback" in capsys.readouterr().err
+
+
+def test_unwritable_output_directory(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert dispatch(["lemma1", "--out", str(blocker / "sub")]) == EXIT_CONFIG
+    assert "manifest not written" in capsys.readouterr().err

@@ -4,9 +4,11 @@ import mpmath
 import numpy as np
 import pytest
 
+from gcwaves import dispersion
 from gcwaves.dispersion import (DispersionParams, ScanWindow,
                                 SignPattern, WeightParams, collinear_gap,
-                                exceptional_measure_bound, lam, lemma1_profile,
+                                exceptional_measure_bound,
+                                exceptional_measure_bounds, lam, lemma1_profile,
                                 phase3, phase3_sym, phase4, phase5, profile_F,
                                 scan_four_wave, scan_three_wave, weight_K)
 from gcwaves.errors import ConfigError, ResourceBudgetError
@@ -464,3 +466,174 @@ def test_scan4_moduli_weight_variant():
     assert b.min_gap > 0.0
     with pytest.raises(ConfigError):
         scan_four_wave(p, ScanWindow(8, 1), weight="nope")
+
+
+# ---------------------------------------------------------------------------
+# brute-force census oracles: every tuple of a small window enumerated in pure
+# Python with phase3 / weight_K; a full scan must list exactly these tuples,
+# and a scan keeping n records must keep the n smallest of its own full list
+# by the stated rule (gap, shell, first frequency, offset, signs)
+# ---------------------------------------------------------------------------
+
+_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
+def _disk(radius):
+    return [(a, b) for a in range(-radius, radius + 1)
+            for b in range(-radius, radius + 1)
+            if 0 < a * a + b * b <= radius * radius]
+
+
+def _shell(v):
+    r = math.hypot(*v)
+    return 0 if r <= 1.0 else math.ceil(math.log2(r) - 1e-12)
+
+
+def _oracle_scan3(params, wp, hi, lo):
+    """{(xi, rho, (i1, i2)): (gap, phase, weight, |phase| <xi>^{3/2})}."""
+    rows = {}
+    for xi in _disk(hi):
+        for rho in _disk(lo):
+            eta = (xi[0] - rho[0], xi[1] - rho[1])
+            if eta == (0, 0):
+                continue
+            w = weight_K(wp, xi, rho, eta)
+            for signs in _SIGNS:
+                ph = phase3(params, signs, xi, eta)
+                rows[xi, rho, signs] = (abs(ph) / w, ph, w,
+                                        abs(ph) * (1.0 + xi[0] ** 2 + xi[1] ** 2) ** 0.75)
+    return rows
+
+
+def _oracle_scan4(params, hi, lo):
+    """{(v, xi, eta, (i1, i2)): (gap, max modulation, weight, max mod <v>^{1/2})}."""
+    lows = _disk(lo)
+    rows = {}
+    for v in _disk(hi):
+        for a, xi in enumerate(lows):
+            for eta in lows[a:]:
+                w = math.sqrt(1.0 + v[0] ** 2 + v[1] ** 2) ** -0.5 * (
+                    math.sqrt(1.0 + xi[0] ** 2 + xi[1] ** 2)
+                    + math.sqrt(1.0 + eta[0] ** 2 + eta[1] ** 2)) ** -2.0
+                for s1, s2 in _SIGNS:
+                    if xi == eta and s1 == s2:
+                        continue
+                    g1 = phase3(params, (s1, 1), (v[0] + xi[0], v[1] + xi[1]), v)
+                    g2 = phase3(params, (s2, 1), (v[0] + eta[0], v[1] + eta[1]), v)
+                    val = max(abs(g1), abs(g2))
+                    rows[v, xi, eta, (s1, s2)] = (
+                        val / w, val, w, val * (1.0 + v[0] ** 2 + v[1] ** 2) ** 0.25)
+    return rows
+
+
+def _scan3_id(r):
+    (xi, v2, _), (_, s2, s3) = r.frequencies, tuple(r.signs)
+    return xi, (-v2[0], -v2[1]), (-s2, -s3)
+
+
+def _scan4_id(r):
+    return (*r.frequencies, tuple(r.signs))
+
+
+def _check_census(scan, rows, ident):
+    """scan(n) -> ScanResult; rows the oracle; ident maps a record to its key."""
+    full = scan(len(rows) + 5)
+    got = {ident(r): r for r in full.records}
+    assert len(got) == len(full.records) and got.keys() == rows.keys()
+    for k, r in got.items():
+        gap, ph, w, _ = rows[k]
+        assert r.phase_value == pytest.approx(ph, rel=1e-12, abs=1e-14)
+        assert r.weight == pytest.approx(w, rel=1e-12)
+        assert r.normalized_gap == pytest.approx(gap, rel=1e-12, abs=1e-14)
+    assert full.n_evaluated == len(rows)
+    shells = sorted({_shell(k[0]) for k in rows})
+    assert [s.shell for s in full.shell_stats] == shells
+    for s in full.shell_stats:
+        mine = [v for k, v in rows.items() if _shell(k[0]) == s.shell]
+        assert s.count == len(mine)
+        assert s.min_gap == pytest.approx(min(v[0] for v in mine), rel=1e-12)
+        assert s.min_phase_x32 == pytest.approx(min(v[3] for v in mine), rel=1e-12)
+
+    # the selection rule, applied in pure Python to the scan's own values
+    ranked = sorted(full.records, key=lambda r: (r.normalized_gap, _shell(ident(r)[0]),
+                                                 ident(r)))
+    ties = [n for n in range(1, len(ranked))
+            if ranked[n - 1].normalized_gap == ranked[n].normalized_gap]
+    cuts = [1, next(n for n in ties if n > 10), next(n for n in ties if n > 60)]
+    for n in cuts:  # the last two cut through a group of equal gaps
+        res = scan(n)
+        assert res.records == sorted(ranked[:n], key=lambda r: (r.normalized_gap,
+                                                                r.frequencies))
+        assert res.shell_stats == full.shell_stats
+        assert res.n_evaluated == full.n_evaluated
+
+
+@pytest.mark.parametrize("g", [math.sqrt(2.0), math.e, math.pi / 2.0],
+                         ids=["sqrt2", "e", "pi/2"])
+def test_scan3_matches_brute_force_census(g):
+    params, wp = DispersionParams(g, 1.0), WeightParams(0.5)
+    _check_census(lambda n: scan_three_wave(params, wp, ScanWindow(6, 2), n_records=n),
+                  _oracle_scan3(params, wp, 6, 2), _scan3_id)
+
+
+@pytest.mark.parametrize("g", [math.sqrt(2.0), math.e, math.pi / 2.0],
+                         ids=["sqrt2", "e", "pi/2"])
+def test_scan4_matches_brute_force_census(g):
+    params = DispersionParams(g, 1.0)
+    _check_census(lambda n: scan_four_wave(params, ScanWindow(6, 2), n_records=n),
+                  _oracle_scan4(params, 6, 2), _scan4_id)
+
+
+def test_measure_sweep_over_j_equals_one_j_calls():
+    wp = WeightParams(0.5)
+    for cutoff in (1, 3, 8):
+        many = exceptional_measure_bounds(6.5, range(5, 10), wp, cutoff)
+        assert many == [exceptional_measure_bound(6.5, j, wp, cutoff) for j in range(5, 10)]
+    with pytest.raises(ConfigError):
+        exceptional_measure_bounds(5.0, [], wp, 4)
+    with pytest.raises(ConfigError):
+        exceptional_measure_bounds(math.nan, [5], wp, 4)
+
+
+def test_measure_bound_matches_pairwise_lemma1_sum():
+    # every admissible pair of the cutoff-3 disk through lemma1_profile
+    wp, B = WeightParams(1.0), 5.0
+    pts = _disk(3)
+    for j in (5, 7):
+        total, n_int, n_pairs = 0.0, 0, 0
+        for e in pts:
+            for x in pts:
+                s = (x[0] + e[0], x[1] + e[1])
+                a, b, c = math.hypot(*e), math.hypot(*x), math.hypot(*s)
+                if not (b >= a and c >= b and c > 0.0):
+                    continue
+                n_pairs += 1
+                delta = 2.0 ** -j * weight_K(wp, x, e, s)
+                length = lemma1_profile(a, b, c, B, delta).length
+                total += length
+                n_int += length > 0.0
+        mb = exceptional_measure_bound(B, j, wp, 3)
+        assert mb.n_pairs == n_pairs
+        assert mb.n_intervals == n_int
+        assert mb.total == pytest.approx(total, rel=1e-6)
+
+
+def test_disk_size_counts_lattice_disk():
+    for radius in (1, 1.5, 2, math.sqrt(2.0), 2.9, 4, 5.0, 6.3, 16, 33, 64.5, 128):
+        assert dispersion._disk_size(radius) == len(dispersion.lattice_disk(radius))
+    assert len(dispersion.lattice_disk(3, include_origin=True)) == 29
+
+
+def test_budget_checked_before_enumerating(monkeypatch):
+    # an over-budget window is refused without listing its lattice points
+    def never(*args, **kwargs):
+        raise AssertionError("enumerated before the budget check")
+
+    monkeypatch.setattr(dispersion, "lattice_disk", never)
+    wide = ScanWindow(10 ** 5, 4)
+    with pytest.raises(ResourceBudgetError):
+        scan_three_wave(P11, WeightParams(0.5), wide, budget=10 ** 9)
+    with pytest.raises(ResourceBudgetError):
+        scan_four_wave(P11, wide, budget=10 ** 9)
+    with pytest.raises(ResourceBudgetError):
+        exceptional_measure_bound(5.0, 5, WeightParams(1.0), 10 ** 5, budget=10 ** 9)

@@ -505,3 +505,30 @@ def test_plan_holds_only_the_rows_a_symbol_needs(monkeypatch):
     plan = paradiff._PLANS[(128, -2)]
     assert len(plan.row_start) - 1 == 5
     assert len(plan.xi) <= 5 * 128 ** 2
+
+
+def test_plan_cache_keeps_only_recent_plans_and_eviction_is_invisible(monkeypatch):
+    # the cache holds at most _MAX_PLANS plans, least recently used evicted
+    # first; a plan rebuilt after eviction gives bit-identical results on
+    # both paths, and the two sizes used last stay cached
+    monkeypatch.setattr(paradiff, "_PLANS", {})
+    sizes = [8, 12] + [12 + 2 * k for k in range(1, paradiff._MAX_PLANS + 1)]
+    gen8 = _oracle_case("general", Grid(8))[0]
+    sep8 = Symbol.from_function(random_field(Grid(8), seed=56, real=True))
+    f8 = random_field(Grid(8), seed=57)
+    first = [weyl_apply(s, f8, CFG).coeffs for s in (gen8, sep8)]
+    plan8 = paradiff._PLANS[(8, -2)]
+    for m in sizes[1:]:
+        weyl_apply(Symbol.constant(1.0), random_field(Grid(m), seed=m), CFG)
+        assert len(paradiff._PLANS) <= paradiff._MAX_PLANS
+    assert (8, -2) not in paradiff._PLANS
+    assert list(paradiff._PLANS)[-2:] == [(sizes[-2], -2), (sizes[-1], -2)]
+    again = [weyl_apply(s, f8, CFG).coeffs for s in (gen8, sep8)]
+    assert paradiff._PLANS[(8, -2)] is not plan8
+    for a, b in zip(first, again):
+        assert np.array_equal(a, b)
+    # a hit moves a plan to the most recent end instead of rebuilding it
+    kept = paradiff._PLANS[(sizes[-1], -2)]
+    weyl_apply(Symbol.constant(1.0), random_field(Grid(sizes[-1]), seed=1), CFG)
+    assert paradiff._PLANS[(sizes[-1], -2)] is kept
+    assert list(paradiff._PLANS)[-1] == (sizes[-1], -2)
