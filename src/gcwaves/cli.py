@@ -27,24 +27,22 @@ import traceback
 import numpy as np
 
 from . import __version__
-from .dispersion import (DispersionParams, ScanWindow, WeightParams,
-                         collinear_gap, exceptional_measure_bounds,
+from .dispersion import (BISECTION_TOL, DispersionParams, ScanWindow,
+                         WeightParams, collinear_gap, exceptional_measure_bounds,
                          lemma1_profile, scan_four_wave, scan_three_wave)
 from .errors import (CadenceError, ConfigError, NumericAbortError,
                      PositivityError, ResourceBudgetError,
                      SingularMultiplierError, SmallDivisorError)
 from .fields import Grid, l2_norm, random_field, save_snapshot, sobolev_norm
 from .model import ModelConfig, lifespan_sweep, run
-from .energy import C_ENERGY, depletion_checks, increment_audit
+from .energy import (C_ENERGY, SMALL_DIVISOR_GUARD, depletion_checks,
+                     increment_audit)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RESOURCE = 3
 EXIT_NUMERIC = 4
 EXIT_INTERNAL = 5
-
-_GUARD_THRESHOLD = 1e-12
-_BISECTION_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +477,8 @@ def dispatch(argv) -> int:
             "chi_exponent": (cfg or {}).get("chi"),
             "sobolev_index": (cfg or {}).get("sobolev-index", (cfg or {}).get("N")),
             "dealias_rule": "2/3 (alias-free: 3 kmax < M)",
-            "small_divisor_guard": _GUARD_THRESHOLD,
-            "bisection_tol": _BISECTION_TOL,
+            "small_divisor_guard": SMALL_DIVISOR_GUARD,
+            "bisection_tol": BISECTION_TOL,
             "velocity_proxy": "V1 = |grad|^{-1/2} grad Im U",
         },
         "wall_time_s": time.time() - t0,

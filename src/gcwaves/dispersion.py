@@ -607,7 +607,11 @@ def _check_abc(a, b, c, B=None, delta=None):
         raise ConfigError("delta must lie in (0, 1/20]")
 
 
-def _bisect_level(a, b, c, level, lo, hi, tol=1e-10):
+# bracket width at which the Lemma 1 bisections stop
+BISECTION_TOL = 1e-10
+
+
+def _bisect_level(a, b, c, level, lo, hi, tol):
     """Unique x in [lo, hi] with F(x) = level, given a sign change.
 
     Valid because F is strictly increasing wherever |F| <= 1/10, so every
@@ -633,7 +637,7 @@ def _bisect_level(a, b, c, level, lo, hi, tol=1e-10):
     return 0.5 * (lo + hi)
 
 
-def lemma1_profile(a, b, c, B, delta, tol=1e-10) -> Lemma1Result:
+def lemma1_profile(a, b, c, B, delta, tol=BISECTION_TOL) -> Lemma1Result:
     """Root of F and the sublevel interval X = {x in (0,B) : |F(x)| < delta}.
 
     X is a single interval (possibly empty) of length <= 20 delta sqrt(a+B).

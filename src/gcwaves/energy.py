@@ -154,7 +154,8 @@ class ModulationFilter:
         return le0 - bump(phi_mod / 2.0 ** self.B)
 
 
-_GUARD = 1e-12
+# |Phi| below this inside a division-weighted filter is a small-divisor error
+SMALL_DIVISOR_GUARD = 1e-12
 
 
 def _rows(coeffs, row_tol):
@@ -193,9 +194,9 @@ def _row_sums(mu, fc, rows, gc, pairs, params, weighted=False):
         for f in filts:
             w = np.where(inside, f._weight(phi_mod, le0), 0.0)
             if weighted:
-                if np.any((w > 0.0) & (np.abs(phi_mod) < _GUARD)):
+                if np.any((w > 0.0) & (np.abs(phi_mod) < SMALL_DIVISOR_GUARD)):
                     raise SmallDivisorError(
-                        f"|Phi| < {_GUARD} inside a division-weighted filter "
+                        f"|Phi| < {SMALL_DIVISOR_GUARD} inside a division-weighted filter "
                         f"(row ({r1},{r2}))")
                 w = np.where(w > 0.0, w / (1j * np.where(w > 0.0, phi_mod, 1.0)), 0.0)
             ws[f] = w
@@ -331,6 +332,8 @@ def increment_audit(cfg: ModelConfig, initial: FourierField | None,
     """
     if N is None:
         N = cfg.sobolev_index
+    if not math.isfinite(N):
+        raise ConfigError(f"N must be finite, got {N!r}")
     if parts_cadence is None:
         parts_cadence = 5.0 * cfg.dt
     if parts_cadence > 10.0 * cfg.dt + 1e-15:
@@ -429,6 +432,10 @@ def depletion_checks(params: DispersionParams, N: float, radius: int,
                                           / ((1+|xi|+|eta|) <xi-eta>^2)
 
     over 0 < |xi-eta| < 2^{-4} |xi+eta| and both signs i."""
+    if not math.isfinite(N):
+        raise ConfigError(f"N must be finite, got {N!r}")
+    if radius < 1:
+        raise ConfigError(f"radius must be >= 1, got {radius!r}")
     x1, x2 = np.ascontiguousarray(lattice_disk(radius, include_origin=True).T, dtype=float)
     lam_xi = lam_abs(params, np.hypot(x1, x2))
 

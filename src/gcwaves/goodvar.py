@@ -21,8 +21,8 @@ of numerical reach here; V1 is its leading-order stand-in and every object
 depending on m' or gamma records that substitution.  Since m' itself needs
 Im U, the construction is two-stage: U0 (without the m' term) defines V1
 and m', then U = U0 + i T_{m'} omega; the difference is cubic in the data
-size.  All x-dependence is spectral; zeta-callbacks carry exact gradients
-wherever the formulas are closed-form.
+size.  The x-derivatives in the symbols are spectral derivatives of h,
+taken once; every symbol is then a pointwise function of (x, zeta).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from .dispersion import DispersionParams
 from .errors import ConfigError, PositivityError
-from .fields import (FourierField, Grid, analyze, apply_multiplier, dx,
+from .fields import (TWO_PI, FourierField, Grid, analyze, apply_multiplier, dx,
                      l2_norm, mean, random_field, sobolev_norm, synthesize)
 from .paradiff import (EXPERIMENT_CHI, ParadiffConfig, SeparableTerm, Symbol,
                        symbol_norm, weyl_apply)
@@ -68,6 +68,8 @@ class SurfaceState:
 def random_state(grid: Grid, params: DispersionParams, amplitude=1.0, seed=0,
                  decay=0.35) -> SurfaceState:
     """Smooth random state with ||h||_{H^1} + || |grad|^{1/2} omega || ~ amplitude."""
+    if not 0.0 < amplitude < math.inf:
+        raise ConfigError(f"amplitude must be finite and > 0, got {amplitude!r}")
     h = random_field(grid, seed=seed, decay=decay, real=True)
     w = random_field(grid, seed=seed + 1, decay=decay, real=True)
     nh = sobolev_norm(h, 1.0)
@@ -99,40 +101,13 @@ class WWSymbols:
     psi_sigma: FourierField  # stage 1: T_Sigma T_{1/sqrt(g+ell)} omega
 
 
-def _lam_zeta_fns(params):
-    g, s = params.g, params.sigma
-
-    def val(z1, z2):
-        r = np.hypot(z1, z2)
-        return np.sqrt(g * r + s * r ** 3)
-
-    def d(z1, z2, comp):
-        r = np.hypot(z1, z2)
-        lamv = np.sqrt(g * r + s * r ** 3)
-        dr = (g + 3 * s * r ** 2) / (2 * lamv)
-        return dr * (z1 if comp == 0 else z2) / r
-
-    return val, (lambda z1, z2: d(z1, z2, 0), lambda z1, z2: d(z1, z2, 1))
-
-
-def power_of_g_ell_fn(state_fields, g, p):
-    """Closure family (g+ell)^p with exact zeta-gradients."""
-    L11, L12, L22, lam2h = state_fields
-
-    def base(Z1, Z2):
-        return g + L11 * Z1 ** 2 + 2 * L12 * Z1 * Z2 + L22 * Z2 ** 2 - lam2h
-
-    fn = lambda X1, X2, Z1, Z2: base(Z1, Z2) ** p
-    d1 = lambda X1, X2, Z1, Z2: p * base(Z1, Z2) ** (p - 1) * 2 * (L11 * Z1 + L12 * Z2)
-    d2 = lambda X1, X2, Z1, Z2: p * base(Z1, Z2) ** (p - 1) * 2 * (L12 * Z1 + L22 * Z2)
-    return fn, (d1, d2)
-
-
 def build_symbols(state: SurfaceState, cfg: ParadiffConfig | None = None) -> WWSymbols:
     """Construct the full symbol family from (h, omega).
 
-    Raises PositivityError (with the offending grid point) when
-    1 + |grad h|^2 or inf_{|zeta|>1/2} (g + ell) fails to stay positive.
+    Every symbol is pointwise in (x, zeta): its x-arrays may hold any
+    subset of the grid points, in any broadcastable shape.  Raises
+    PositivityError (with the offending grid point) when 1 + |grad h|^2 or
+    inf_{|zeta|>1/2} (g + ell) fails to stay positive.
     """
     if cfg is None:
         cfg = ParadiffConfig(chi_exponent=EXPERIMENT_CHI)
@@ -151,8 +126,10 @@ def build_symbols(state: SurfaceState, cfg: ParadiffConfig | None = None) -> WWS
     d12 = synthesize(dx(dx(h, 0), 1)).real
     d22 = synthesize(dx(dx(h, 1), 1)).real
     lap = d11 + d22
+    # grad A = 2 (h_1 grad h_1 + h_2 grad h_2), h_j = d_j h
+    dA = (2.0 * (dh1 * d11 + dh2 * d12), 2.0 * (dh1 * d12 + dh2 * d22))
 
-    # mean-curvature coefficients and the ell symbol (separable, exact grads)
+    # mean-curvature coefficients and the ell symbol
     sqA = np.sqrt(A)
     L11 = sig / sqA * (1.0 - dh1 * dh1 / A)
     L12 = sig / sqA * (-dh1 * dh2 / A)
@@ -162,87 +139,71 @@ def build_symbols(state: SurfaceState, cfg: ParadiffConfig | None = None) -> WWS
     # inf over |zeta| > 1/2 of L zeta.zeta is lambda_min(L)/4 = sigma A^{-3/2}/4
     _positivity(g + sig * A ** -1.5 * 0.25 - lam2h, grid, "g + ell")
 
+    one = lambda z1, z2: np.ones(np.broadcast(z1, z2).shape)
     ell = Symbol.separable([
-        SeparableTerm(analyze(L11, grid), lambda z1, z2: z1 * z1 + 0.0 * z2,
-                      (lambda z1, z2: 2 * z1, lambda z1, z2: 0.0 * z2)),
-        SeparableTerm(analyze(L12, grid), lambda z1, z2: 2 * z1 * z2,
-                      (lambda z1, z2: 2 * z2, lambda z1, z2: 2 * z1)),
-        SeparableTerm(analyze(L22, grid), lambda z1, z2: z2 * z2 + 0.0 * z1,
-                      (lambda z1, z2: 0.0 * z1, lambda z1, z2: 2 * z2)),
-        SeparableTerm(lam2h_f * (-1.0), lambda z1, z2: np.ones(np.broadcast(z1, z2).shape),
-                      (lambda z1, z2: 0.0 * z1, lambda z1, z2: 0.0 * z2)),
+        SeparableTerm(analyze(L11, grid), lambda z1, z2: z1 * z1 + 0.0 * z2),
+        SeparableTerm(analyze(L12, grid), lambda z1, z2: 2 * z1 * z2),
+        SeparableTerm(analyze(L22, grid), lambda z1, z2: z2 * z2 + 0.0 * z1),
+        SeparableTerm(lam2h_f * (-1.0), one),
     ], order=2.0, name="ell")
 
-    gl_fields = (L11, L12, L22, lam2h)
-    fn_sqrt, d_sqrt = power_of_g_ell_fn(gl_fields, g, 0.5)
-    sqrt_g_ell = Symbol.general(fn_sqrt, 1.0, dz=d_sqrt, name="sqrt(g+ell)")
-    fn_inv, d_inv = power_of_g_ell_fn(gl_fields, g, -0.5)
-    inv_sqrt_g_ell = Symbol.general(fn_inv, -1.0, dz=d_inv, name="1/sqrt(g+ell)")
+    # The general symbols read their fields at the grid points x, through
+    # the index i = at(X1, X2); no evaluator transforms in x.
+    def at(X1, X2):
+        return (np.rint(X1 * (m / TWO_PI)).astype(np.intp) % m,
+                np.rint(X2 * (m / TWO_PI)).astype(np.intp) % m)
+
+    def pointwise(fn, order, name):
+        return Symbol.general(lambda X1, X2, Z1, Z2: fn(at(X1, X2), Z1, Z2), order, name=name)
+
+    def g_ell(i, Z1, Z2):
+        return g + L11[i] * Z1 ** 2 + 2 * L12[i] * Z1 * Z2 + L22[i] * Z2 ** 2 - lam2h[i]
+
+    sqrt_g_ell = pointwise(lambda i, Z1, Z2: g_ell(i, Z1, Z2) ** 0.5, 1.0, "sqrt(g+ell)")
+    inv_sqrt_g_ell = pointwise(lambda i, Z1, Z2: g_ell(i, Z1, Z2) ** -0.5, -1.0,
+                               "1/sqrt(g+ell)")
 
     # principal Dirichlet-Neumann symbol and its subprincipal correction
-    def l1_fn(X1, X2, Z1, Z2):
-        return np.sqrt(A * (Z1 ** 2 + Z2 ** 2) - (Z1 * dh1 + Z2 * dh2) ** 2)
+    def lambda1_fn(i, Z1, Z2):
+        return np.sqrt(A[i] * (Z1 ** 2 + Z2 ** 2) - (Z1 * dh1[i] + Z2 * dh2[i]) ** 2)
 
-    def l1_d(comp):
-        def d(X1, X2, Z1, Z2):
-            v = l1_fn(X1, X2, Z1, Z2)
-            dot = Z1 * dh1 + Z2 * dh2
-            z = Z1 if comp == 0 else Z2
-            dh = dh1 if comp == 0 else dh2
-            return (A * z - dot * dh) / v
-        return d
+    def lambda0_fn(i, Z1, Z2):
+        # (A^2 / 2 lambda1) {P, Q} + lap h / 2 with P = lambda1/A and
+        # Q = (zeta.grad h)/A, both gradients by the chain rule
+        a, l1 = A[i], lambda1_fn(i, Z1, Z2)
+        dot = Z1 * dh1[i] + Z2 * dh2[i]
+        br = 0.0
+        for z, hj, dAj, hj1, hj2 in ((Z1, dh1[i], dA[0][i], d11[i], d12[i]),
+                                     (Z2, dh2[i], dA[1][i], d12[i], d22[i])):
+            ddot = Z1 * hj1 + Z2 * hj2                      # d_j (zeta.grad h)
+            dl1 = (dAj * (Z1 ** 2 + Z2 ** 2) - 2.0 * dot * ddot) / (2.0 * l1)
+            dxP = dl1 / a - l1 * dAj / a ** 2
+            dxQ = ddot / a - dot * dAj / a ** 2
+            dzP = (a * z - dot * hj) / l1 / a
+            br = br + dxP * hj / a - dzP * dxQ
+        return a ** 2 / (2.0 * l1) * br + 0.5 * lap[i]
 
-    lambda1 = Symbol.general(l1_fn, 1.0, dz=(l1_d(0), l1_d(1)), name="lambda1")
+    def lam_fn(i, Z1, Z2):
+        return lambda1_fn(i, Z1, Z2) + lambda0_fn(i, Z1, Z2)
 
-    kf = np.fft.fftfreq(m, 1.0 / m)
-    K1f, K2f = np.meshgrid(kf, kf, indexing="ij")
+    lambda1 = pointwise(lambda1_fn, 1.0, "lambda1")
+    lambda0 = pointwise(lambda0_fn, 0.0, "lambda0")
+    lam_sym = pointwise(lam_fn, 1.0, "lambda")
+    Sigma = pointwise(lambda i, Z1, Z2: np.sqrt(lam_fn(i, Z1, Z2) * g_ell(i, Z1, Z2)),
+                      1.5, "Sigma")
 
-    def lambda0_fn(X1, X2, Z1, Z2):
-        # (A^2 / 2 lambda1) {lambda1/A, (zeta.grad h)/A} + lap h / 2,
-        # x-derivatives spectral at fixed zeta, zeta-derivatives closed-form
-        l1 = l1_fn(X1, X2, Z1, Z2)
-        dot = Z1 * dh1 + Z2 * dh2
-        P = l1 / A
-        Q = dot / A
-        Ph = np.fft.fft2(P + 0j, axes=(-2, -1))
-        Qh = np.fft.fft2(Q + 0j, axes=(-2, -1))
-        dxP = (np.fft.ifft2(1j * K1f * Ph, axes=(-2, -1)),
-               np.fft.ifft2(1j * K2f * Ph, axes=(-2, -1)))
-        dxQ = (np.fft.ifft2(1j * K1f * Qh, axes=(-2, -1)),
-               np.fft.ifft2(1j * K2f * Qh, axes=(-2, -1)))
-        dzP = ((A * Z1 - dot * dh1) / l1 / A, (A * Z2 - dot * dh2) / l1 / A)
-        dzQ = (dh1 / A, dh2 / A)
-        br = (dxP[0] * dzQ[0] + dxP[1] * dzQ[1]
-              - dzP[0] * dxQ[0] - dzP[1] * dxQ[1])
-        return A ** 2 / (2.0 * l1) * br + 0.5 * lap
-
-    lambda0 = Symbol.general(lambda0_fn, 0.0, name="lambda0")
-    lam_sym = lambda1 + lambda0
-    lam_sym.order = 1.0
-    lam_sym.name = "lambda"
-
-    def sigma_fn(X1, X2, Z1, Z2):
-        gl = (g + L11 * Z1 ** 2 + 2 * L12 * Z1 * Z2 + L22 * Z2 ** 2 - lam2h)
-        return np.sqrt((l1_fn(X1, X2, Z1, Z2) + lambda0_fn(X1, X2, Z1, Z2)) * gl)
-
-    Sigma = Symbol.general(sigma_fn, 1.5, name="Sigma")
-
-    # first-order expansion symbols (separable, exact zeta-gradients)
-    lamv, dlam = _lam_zeta_fns(params)
-    one = lambda z1, z2: np.ones(np.broadcast(z1, z2).shape)
-    zero2 = (lambda z1, z2: np.zeros(np.broadcast(z1, z2).shape),) * 2
-
+    # first-order expansion symbols (separable)
     lambda1_0 = Symbol.separable(
-        [SeparableTerm(analyze(0.5 * lap, grid), one, zero2)]
-        + [SeparableTerm(analyze(-0.5 * fld, grid), _ratio_fn(i, j), _ratio_dfn(i, j))
+        [SeparableTerm(analyze(0.5 * lap, grid), one)]
+        + [SeparableTerm(analyze(-0.5 * fld, grid), _ratio_fn(i, j))
            for (i, j), fld in (((0, 0), d11), ((0, 1), 2 * d12), ((1, 1), d22))],
         order=0.0, name="lambda1_0")
 
     Sigma1 = Symbol.separable(
-        [SeparableTerm(analyze(0.25 * lap, grid), _lam_over_r(params), _lam_over_r_d(params))]
-        + [SeparableTerm(analyze(-0.25 * fld, grid), _lam_ratio_fn(params, i, j), None)
+        [SeparableTerm(analyze(0.25 * lap, grid), _lam_over_r(params))]
+        + [SeparableTerm(analyze(-0.25 * fld, grid), _lam_ratio_fn(params, i, j))
            for (i, j), fld in (((0, 0), d11), ((0, 1), 2 * d12), ((1, 1), d22))]
-        + [SeparableTerm(analyze(-0.5 * lam2h, grid), _r_over_lam(params), _r_over_lam_d(params))],
+        + [SeparableTerm(analyze(-0.5 * lam2h, grid), _r_over_lam(params))],
         order=0.5, name="Sigma1")
 
     # --- stage 1: U without the m' correction, to get Im U and V1 ----------
@@ -255,35 +216,23 @@ def build_symbols(state: SurfaceState, cfg: ParadiffConfig | None = None) -> WWS
     inv_half = lambda k1, k2: np.hypot(k1, k2) ** -0.5
     v1_1 = apply_multiplier(dx(imU, 0), inv_half, "|grad|^{-1/2}")
     v1_2 = apply_multiplier(dx(imU, 1), inv_half, "|grad|^{-1/2}")
-    div_v1 = synthesize(dx(v1_1, 0) + dx(v1_2, 1))
-    div_v1 = div_v1.real if np.isrealobj(div_v1) else div_v1.real
+    div_v1 = synthesize(dx(v1_1, 0) + dx(v1_2, 1)).real
 
-    def mprime_fn(X1, X2, Z1, Z2):
-        gl = (g + L11 * Z1 ** 2 + 2 * L12 * Z1 * Z2 + L22 * Z2 ** 2 - lam2h)
-        return 0.5j * div_v1 * gl ** -0.5
-
-    def mprime_d(comp):
-        def d(X1, X2, Z1, Z2):
-            gl = (g + L11 * Z1 ** 2 + 2 * L12 * Z1 * Z2 + L22 * Z2 ** 2 - lam2h)
-            dgl = 2 * (L11 * Z1 + L12 * Z2) if comp == 0 else 2 * (L12 * Z1 + L22 * Z2)
-            return 0.5j * div_v1 * (-0.5) * gl ** -1.5 * dgl
-        return d
-
-    mprime = Symbol.general(mprime_fn, -1.0, dz=(mprime_d(0), mprime_d(1)),
-                            name="mprime[V1 proxy]")
+    mprime = pointwise(lambda i, Z1, Z2: 0.5j * div_v1[i] * g_ell(i, Z1, Z2) ** -0.5,
+                       -1.0, "mprime[V1 proxy]")
 
     m32 = apply_multiplier(imU, lambda k1, k2: np.hypot(k1, k2) ** 1.5)
     mprime1 = Symbol.separable(
-        [SeparableTerm(m32 * 0.5j, _inv_sqrt_gsig(params), _inv_sqrt_gsig_d(params))],
-        order=-1.0, name="mprime1")
+        [SeparableTerm(m32 * 0.5j, _inv_sqrt_gsig(params))], order=-1.0, name="mprime1")
 
     gamma_terms = []
     for (i, j), w in (((0, 0), 1.0), ((0, 1), 2.0), ((1, 1), 1.0)):
         gij = apply_multiplier(dx(dx(imU, i), j),
                                lambda k1, k2: np.hypot(k1, k2) ** -0.5, "|grad|^{-1/2}")
-        gamma_terms.append(SeparableTerm(gij * w, _ratio_fn(i, j), _ratio_dfn(i, j)))
+        gamma_terms.append(SeparableTerm(gij * w, _ratio_fn(i, j)))
     gamma = Symbol.separable(gamma_terms, order=0.5, name="gamma[Im U]")
 
+    # the exact zeta-gradient here is read by the gamma bracket identity
     v1_dot_zeta = Symbol.separable([
         SeparableTerm(v1_1, lambda z1, z2: z1 + 0.0 * z2,
                       (lambda z1, z2: np.ones(np.broadcast(z1, z2).shape),
@@ -314,38 +263,11 @@ def _ratio_fn(i, j):
     return f
 
 
-def _ratio_dfn(i, j):
-    def d(comp):
-        def f(z1, z2):
-            r2 = z1 * z1 + z2 * z2
-            zz = (z1, z2)
-            num = zz[i] * zz[j]
-            dnum = (zz[j] if i == comp else 0.0) + (zz[i] if j == comp else 0.0)
-            return dnum / r2 - num * 2 * zz[comp] / r2 ** 2
-        return f
-    return (d(0), d(1))
-
-
 def _lam_over_r(params):
     def f(z1, z2):
         r = np.hypot(z1, z2)
         return np.sqrt(params.g * r + params.sigma * r ** 3) / r
     return f
-
-
-def _lam_over_r_d(params):
-    g, s = params.g, params.sigma
-
-    def d(comp):
-        def f(z1, z2):
-            r = np.hypot(z1, z2)
-            lamv = np.sqrt(g * r + s * r ** 3)
-            # d/dr (lam/r) = (dlam/dr * r - lam)/r^2
-            dlam = (g + 3 * s * r ** 2) / (2 * lamv)
-            z = z1 if comp == 0 else z2
-            return (dlam * r - lamv) / r ** 2 * z / r
-        return f
-    return (d(0), d(1))
 
 
 def _lam_ratio_fn(params, i, j):
@@ -361,34 +283,9 @@ def _r_over_lam(params):
     return f
 
 
-def _r_over_lam_d(params):
-    g, s = params.g, params.sigma
-
-    def d(comp):
-        def f(z1, z2):
-            r = np.hypot(z1, z2)
-            lamv = np.sqrt(g * r + s * r ** 3)
-            dlam = (g + 3 * s * r ** 2) / (2 * lamv)
-            z = z1 if comp == 0 else z2
-            return (lamv - r * dlam) / lamv ** 2 * z / r
-        return f
-    return (d(0), d(1))
-
-
 def _inv_sqrt_gsig(params):
     g, s = params.g, params.sigma
     return lambda z1, z2: (g + s * (z1 * z1 + z2 * z2)) ** -0.5
-
-
-def _inv_sqrt_gsig_d(params):
-    g, s = params.g, params.sigma
-
-    def d(comp):
-        def f(z1, z2):
-            z = z1 if comp == 0 else z2
-            return -s * z * (g + s * (z1 * z1 + z2 * z2)) ** -1.5
-        return f
-    return (d(0), d(1))
 
 
 def _lam2(params, k1, k2):
@@ -490,8 +387,7 @@ def expansion_check(state: SurfaceState, eps_list, cfg: ParadiffConfig | None = 
     if zeta_samples is None:
         zeta_samples = [(1.0, 0.0), (0.5, 1.0), (-1.5, 2.0), (3.0, -0.5),
                         (4.5, 4.0), (-6.0, 1.5), (2.5, -2.5), (8.0, 0.5)]
-    lamv, dlam = _lam_zeta_fns(p0)
-    lam_mult = Symbol.multiplier(lamv, 1.5, dgz=dlam, name="Lam")
+    lam_mult = Symbol.multiplier(lambda z1, z2: np.sqrt(_lam2(p0, z1, z2)), 1.5, name="Lam")
     values = {f"g_ell_pow_{p}": [] for p in powers}
     values.update({f"lambda_pow_{p}": [] for p in powers})
     values["Sigma_minus_Lam_minus_Sigma1"] = []

@@ -53,10 +53,10 @@ class ModelConfig:
             raise ConfigError("the model equation fixes sigma = 1 "
                               "(rescale time for other values)")
         if not (0.0 < self.dt < math.inf and 0.0 < self.epsilon < math.inf
-                and math.isfinite(self.t_end) and math.isfinite(self.snapshot_dt)
-                and self.velocity_band >= 0):
-            raise ConfigError("need finite dt > 0, epsilon > 0, t_end and "
-                              "snapshot_dt, and velocity_band >= 0")
+                and 0.0 < self.t_end < math.inf and math.isfinite(self.snapshot_dt)
+                and math.isfinite(self.sobolev_index) and self.velocity_band >= 0):
+            raise ConfigError("need finite dt > 0, epsilon > 0 and t_end > 0, finite "
+                              "snapshot_dt and sobolev_index, and velocity_band >= 0")
         if self.integrator not in ("rk4", "midpoint"):
             raise ConfigError(f"unknown integrator {self.integrator!r}")
 
@@ -102,17 +102,22 @@ class _NlKernel:
         self.fwd_scale = (TWO_PI / m) ** 2
         self.inv_scale = m ** 2 / TWO_PI ** 2
 
+    def velocity(self, uhat):
+        """V^ = P_{<= B_V} (Im U)^ and grad V on the grid, from U^."""
+        imhat = (uhat - np.conj(uhat[self.neg][:, self.neg])) / 2j
+        vhat = self.band * imhat
+        dv1 = np.fft.ifft2(self.ik1 * vhat).real * self.inv_scale
+        dv2 = np.fft.ifft2(self.ik2 * vhat).real * self.inv_scale
+        return vhat, dv1, dv2
+
     def __call__(self, uhat):
         """N(U)^ from U^ (both dealiased raw arrays)."""
         if self.cfg.linear_only:
             return np.zeros_like(uhat)
         # overflow here is the blow-up detection path, not an error state
         with np.errstate(over="ignore", invalid="ignore"):
-            imhat = (uhat - np.conj(uhat[self.neg][:, self.neg])) / 2j
-            vhat = self.band * imhat
+            vhat, dv1, dv2 = self.velocity(uhat)
             ifft = np.fft.ifft2
-            dv1 = ifft(self.ik1 * vhat).real * self.inv_scale
-            dv2 = ifft(self.ik2 * vhat).real * self.inv_scale
             lap = ifft((self.ik1 ** 2 + self.ik2 ** 2) * vhat).real * self.inv_scale
             du1 = ifft(self.ik1 * uhat) * self.inv_scale
             du2 = ifft(self.ik2 * uhat) * self.inv_scale
@@ -131,12 +136,7 @@ def nonlinearity(U: FourierField, cfg: ModelConfig) -> FourierField:
 
 def suggest_dt(U0: FourierField, cfg: ModelConfig, courant=0.1) -> float:
     """dt with nonlinear Courant number ||grad V||_inf * dt * kmax <= courant."""
-    kern = _NlKernel(cfg)
-    uhat = np.asarray(dealias(U0).coeffs)
-    imhat = (uhat - np.conj(uhat[kern.neg][:, kern.neg])) / 2j
-    vhat = kern.band * imhat
-    dv1 = np.fft.ifft2(kern.ik1 * vhat).real * kern.inv_scale
-    dv2 = np.fft.ifft2(kern.ik2 * vhat).real * kern.inv_scale
+    _, dv1, dv2 = _NlKernel(cfg).velocity(np.asarray(dealias(U0).coeffs))
     vmax = float(np.max(np.hypot(dv1, dv2)))
     kmax = cfg.grid.kmax_dealias * math.sqrt(2.0)
     if vmax == 0.0:
@@ -323,6 +323,8 @@ def lifespan_sweep(cfg: ModelConfig, eps_list, courant=0.08) -> SweepResult:
     is reported with its standard error; it is an empirical observation for
     this model, not an asserted law.
     """
+    if not 0.0 < courant < math.inf:
+        raise ConfigError(f"courant must be finite and > 0, got {courant!r}")
     if len(eps_list) < 3 or max(eps_list) / min(eps_list) < 5.0:
         raise ConfigError("the sweep needs >= 3 epsilon values spanning "
                           "at least a factor of 5")

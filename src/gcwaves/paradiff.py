@@ -88,13 +88,12 @@ class SeparableTerm:
 class Symbol:
     """A symbol a(x, zeta), |zeta| > 1/2, with declared order."""
 
-    def __init__(self, order, terms=None, fn=None, dz=None, name=""):
+    def __init__(self, order, terms=None, fn=None, name=""):
         if (terms is None) == (fn is None):
             raise ConfigError("exactly one of terms / fn must be given")
         self.order = float(order)
         self.terms = terms
         self.fn = fn
-        self.dz = dz
         self.name = name
 
     # -- constructors --------------------------------------------------------
@@ -121,8 +120,8 @@ class Symbol:
         return cls(order, terms=list(terms), name=name)
 
     @classmethod
-    def general(cls, fn, order, dz=None, name=""):
-        return cls(order, fn=fn, dz=dz, name=name)
+    def general(cls, fn, order, name=""):
+        return cls(order, fn=fn, name=name)
 
     @property
     def is_separable(self):
@@ -145,20 +144,16 @@ class Symbol:
         return np.asarray(self.fn(X1, X2, Z1, Z2), dtype=np.complex128)
 
     def dzeta(self, X1, X2, Z1, Z2, step=0.25):
-        """(d a/d zeta1, d a/d zeta2); exact callbacks when available."""
-        if self.is_separable:
-            have = all(t.dgz is not None for t in self.terms)
-            if have:
-                d1 = 0.0
-                d2 = 0.0
-                for t in self.terms:
-                    s = 1.0 if t.spatial is None else synthesize(t.spatial)
-                    d1 = d1 + s * np.asarray(t.dgz[0](Z1, Z2), np.complex128)
-                    d2 = d2 + s * np.asarray(t.dgz[1](Z1, Z2), np.complex128)
-                return d1, d2
-        elif self.dz is not None:
-            return (np.asarray(self.dz[0](X1, X2, Z1, Z2), np.complex128),
-                    np.asarray(self.dz[1](X1, X2, Z1, Z2), np.complex128))
+        """(d a/d zeta1, d a/d zeta2): exact for a separable symbol whose
+        terms all carry gradient callbacks, central differences otherwise."""
+        if self.is_separable and all(t.dgz is not None for t in self.terms):
+            d1 = 0.0
+            d2 = 0.0
+            for t in self.terms:
+                s = 1.0 if t.spatial is None else synthesize(t.spatial)
+                d1 = d1 + s * np.asarray(t.dgz[0](Z1, Z2), np.complex128)
+                d2 = d2 + s * np.asarray(t.dgz[1](Z1, Z2), np.complex128)
+            return d1, d2
         # central differences on the half-lattice
         h = step
         d1 = (self.eval(X1, X2, Z1 + h, Z2) - self.eval(X1, X2, Z1 - h, Z2)) / (2 * h)
@@ -173,11 +168,7 @@ class Symbol:
                                    _scale_pair(t.dgz, s)) for t in self.terms]
             return Symbol(self.order, terms=terms, name=self.name)
         fn = lambda X1, X2, Z1, Z2: s * self.fn(X1, X2, Z1, Z2)
-        dz = None
-        if self.dz is not None:
-            dz = (lambda X1, X2, Z1, Z2: s * self.dz[0](X1, X2, Z1, Z2),
-                  lambda X1, X2, Z1, Z2: s * self.dz[1](X1, X2, Z1, Z2))
-        return Symbol.general(fn, self.order, dz=dz, name=self.name)
+        return Symbol.general(fn, self.order, name=self.name)
 
     __rmul__ = __mul__
 
@@ -528,10 +519,10 @@ def assemble_matrix(a: Symbol, grid: Grid, cfg: ParadiffConfig):
 def poisson_bracket(a: Symbol, b: Symbol, zeta_step=0.25) -> Symbol:
     """{a, b} = grad_x a . grad_zeta b - grad_zeta a . grad_x b.
 
-    x-derivatives are exact in Fourier; zeta-derivatives use the exact
-    callbacks when both symbols carry them (the separable-exact path keeps
-    the result separable), otherwise central differences of step
-    ``zeta_step`` on the general evaluator.
+    x-derivatives are exact in Fourier.  Only separable terms carry exact
+    zeta-gradients: when every term of both symbols has them the result
+    stays separable; otherwise zeta-derivatives are central differences of
+    step ``zeta_step`` (exact where a separable factor has callbacks).
     """
     if a.is_separable and b.is_separable and \
             all(t.dgz is not None for t in a.terms) and \
@@ -621,7 +612,7 @@ def symbol_norm(a: Symbol, l, r, zeta_samples, grid: Grid, zeta_step=0.25) -> Sy
         <zeta>^{-l} || <zeta>^{|beta|} d^beta_zeta d^alpha_x a ||_{L^2_x}.
 
     x-derivatives are exact in Fourier, zeta-derivatives by central
-    differences (or exact callbacks).
+    differences.
     """
     if r < 0:
         raise ConfigError("differentiability r must be >= 0")

@@ -181,8 +181,17 @@ def test_named_caller_errors_map_to_config_exit(tmp_path, monkeypatch, error):
     ["symbols", "--grid", "8", "--eps-list", "0,1e-3"],
     ["simulate", "--grid", "8", "--dt", "nan"],
     ["simulate", "--grid", "8", "--t-end", "0.05", "--snapshot-dt", "nan"],
+    ["simulate", "--grid", "8", "--t-end", "0.05", "--sobolev-index", "nan"],
+    ["simulate", "--grid", "8", "--t-end", "-1"],
+    ["sweep", "--grid", "8", "--courant", "nan"],
+    ["energy-audit", "--grid", "8", "--N", "nan"],
+    ["energy-audit", "--grid", "8", "--t-end", "0.02", "--audit-times", "0.01",
+     "--depletion-radius", "-3"],
+    ["symbols", "--grid", "8", "--amplitude", "nan"],
 ], ids=["g-text", "budget-inf", "n-records-negative", "bprime-nan", "bigB-nan",
-        "eps-list-text", "eps-list-empty", "eps-zero", "dt-nan", "snapshot-dt-nan"])
+        "eps-list-text", "eps-list-empty", "eps-zero", "dt-nan", "snapshot-dt-nan",
+        "sobolev-index-nan", "t-end-negative", "courant-nan", "N-nan",
+        "depletion-radius-negative", "amplitude-nan"])
 def test_value_errors_become_config_errors_at_entry(tmp_path, argv):
     out = tmp_path / "bad"
     assert dispatch(argv + ["--out", str(out)]) == EXIT_CONFIG

@@ -5,7 +5,7 @@ import pytest
 
 from gcwaves.dispersion import DispersionParams, lam
 from gcwaves.errors import ConfigError, PositivityError
-from gcwaves.fields import (FourierField, Grid, apply_multiplier, l2_norm,
+from gcwaves.fields import (FourierField, Grid, apply_multiplier, dx, l2_norm,
                             random_field, sobolev_norm, synthesize)
 from gcwaves.goodvar import (SurfaceState, build_good_variable, build_symbols,
                              expansion_check, fit_loglog, ladder,
@@ -55,6 +55,47 @@ def test_flat_interface_symbol_collapse():
         assert np.max(np.abs(syms.Sigma.eval(X1, X2, *za) - lam(P11, z))) <= 1e-12 * lam(P11, z)
         assert np.max(np.abs(syms.Sigma1.eval(X1, X2, *za))) <= 1e-13
         assert np.max(np.abs(syms.lambda1_0.eval(X1, X2, *za))) <= 1e-13
+
+
+def test_general_symbols_are_pointwise_in_x():
+    st = random_state(G32, P11, amplitude=0.5, seed=12)
+    syms = build_symbols(st, CFG)
+    X1, X2 = G32.x()
+    for name in ("lambda0", "lam", "Sigma", "sqrt_g_ell", "inv_sqrt_g_ell", "mprime"):
+        sym = getattr(syms, name)
+        assert not sym.is_separable
+        for z in ((2.0, 1.0), (-3.5, 0.5)):
+            za = (np.asarray(z[0]), np.asarray(z[1]))
+            full = sym.eval(X1, X2, *za)
+            assert np.array_equal(sym.eval(X1[::2, ::3], X2[::2, ::3], *za), full[::2, ::3])
+            assert sym.eval(X1[5, 7], X2[5, 7], *za) == full[5, 7]
+
+
+def test_lambda0_matches_spectral_bracket():
+    # reference: x-derivatives of P = lambda1/A and Q = (zeta.grad h)/A taken
+    # spectrally on the grid, as against the chain rule in build_symbols
+    st = random_state(G32, P11, amplitude=0.1, seed=5)
+    syms = build_symbols(st, CFG)
+    X1, X2 = G32.x()
+    dh1 = synthesize(dx(st.h, 0)).real
+    dh2 = synthesize(dx(st.h, 1)).real
+    A = 1.0 + dh1 ** 2 + dh2 ** 2
+    lap = synthesize(dx(dx(st.h, 0), 0) + dx(dx(st.h, 1), 1)).real
+    k1, k2 = G32.freqs()
+
+    def grad(F):
+        Fh = np.fft.fft2(F)
+        return np.fft.ifft2(1j * k1 * Fh).real, np.fft.ifft2(1j * k2 * Fh).real
+
+    for z1, z2 in ((1.0, 0.0), (0.5, 1.0), (-1.5, 2.0), (8.0, 0.5), (-6.0, 1.5)):
+        dot = z1 * dh1 + z2 * dh2
+        l1 = np.sqrt(A * (z1 ** 2 + z2 ** 2) - dot ** 2)
+        dxP, dxQ = grad(l1 / A), grad(dot / A)
+        dzP = ((A * z1 - dot * dh1) / l1 / A, (A * z2 - dot * dh2) / l1 / A)
+        br = (dxP[0] * dh1 / A + dxP[1] * dh2 / A - dzP[0] * dxQ[0] - dzP[1] * dxQ[1])
+        ref = A ** 2 / (2.0 * l1) * br + 0.5 * lap
+        got = syms.lambda0.eval(X1, X2, np.asarray(z1), np.asarray(z2))
+        assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
 def test_fully_flat_state_mprime_and_gamma_vanish():
