@@ -10,8 +10,9 @@ with W = <grad>^N U and the real symbol
 
     m(xi,eta) = c [(xi-eta).(xi+eta)]
                 ((1+|eta|^2)^N - (1+|xi|^2)^N)
-                / ((1+|eta|^2)^{N/2} (1+|xi|^2)^{N/2}) phi_{<=10}(xi-eta).
+                / ((1+|eta|^2)^{N/2} (1+|xi|^2)^{N/2}) phi_{<=B}(xi-eta),
 
+where B is the model's velocity band (V = P_{<=B} Im U; 10 by default).
 The constant c is determined by the normalization conventions; expanding
 d/dt ||<grad>^N U||^2 under the model equation in Fourier variables and
 symmetrizing in (xi, eta) gives
@@ -26,26 +27,48 @@ m factors through the depletion weight d(xi,eta) = [(xi-eta).(xi+eta)]^2
 / (1+|xi+eta|^2) as m = d * m' with |m'| bounded above and below; the
 angular bulk symbol mu0 = |xi-eta|^{3/2} chi(.) cos^2(angle) is the
 corresponding object for the differentiated-variable bulk term.
+
+How the sums are computed.  With a = (1+|.|^2)^{N/2} the symbol separates,
+
+    m(xi,eta) = c (|xi|^2 - |eta|^2) (a(eta)/a(xi) - a(xi)/a(eta)) phi_{<=B}(|xi-eta|),
+
+four products f(xi) g(eta) times a function of xi - eta, so the unfiltered
+sum is four FFT convolutions with phi folded into i Uhat.  The model keeps
+U on the dealiased square (3 kmax < M), where the circular convolutions are
+exact.  The modulation filter le0 = bump(Phi) vanishes for |Phi| >= 8/5, so
+the {|Phi| <= 1} parts are one gather-and-sum over a cached plan of the
+near-resonant pairs, a small share of all pairs as the paper's counting
+bounds predict, and the {|Phi| > 1} part is the total minus them.  The
+general-mu trilinear sums go through one pair-sum kernel: near-resonant
+filters read the same plan, the others walk every pair of the box in
+blocks.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import DispersionParams, lam_abs, lattice_disk
+from .dispersion import DispersionParams, _flat, _square_abs, lam_abs, lattice_disk
 from .errors import CadenceError, ConfigError, SmallDivisorError
-from .fields import FourierField, bump, dealias, l2_norm, phi_le, sobolev_norm
+from .fields import (_R_IN, _R_OUT, FourierField, bump, dealias, l2_norm, phi_le,
+                     sobolev_norm)
 from .model import ModelConfig, SolverState, _Stepper, initial_data
-from .paradiff import _centered, _centered_freqs
+from .paradiff import _centered
 
 #: the derived normalization constant of the energy symbol
 C_ENERGY = -0.5 * (2.0 * np.pi) ** -4
 
-#: the phi_{<=10} cutoff riding on the symbol (from V = P_{<=10} Im U)
+# pairs per vectorized block: small enough that no block's temporaries
+# raise a run's peak memory
+_BLOCK = 1 << 13
+
+#: the default phi_{<=B} cutoff riding on the symbol: the model's default
+#: velocity band (V = P_{<=10} Im U)
 SYMBOL_BAND = 10
 
 
@@ -67,22 +90,27 @@ def energy_ladder(w_fields) -> float:
 # symbols on Z^2 x Z^2
 # ---------------------------------------------------------------------------
 
-def energy_symbol(N, xi, eta, c=C_ENERGY) -> float:
+def energy_symbol(N, xi, eta, c=C_ENERGY, band=SYMBOL_BAND) -> float:
     """m(xi, eta) evaluated at a single lattice pair."""
     return float(energy_symbol_arr(N, np.asarray([xi[0]], float), np.asarray([xi[1]], float),
                                    np.asarray([eta[0]], float), np.asarray([eta[1]], float),
-                                   c)[0])
+                                   c, band)[0])
 
 
-def energy_symbol_arr(N, xi1, xi2, eta1, eta2, c=C_ENERGY):
-    """Vectorized m(xi, eta)."""
+def energy_symbol_arr(N, xi1, xi2, eta1, eta2, c=C_ENERGY, band=SYMBOL_BAND):
+    """Vectorized m(xi, eta) with the cutoff phi_{<=band}(xi - eta)."""
     r1 = xi1 - eta1
     r2 = xi2 - eta2
-    dot = r1 * (xi1 + eta1) + r2 * (xi2 + eta2)
     wxi = 1.0 + xi1 * xi1 + xi2 * xi2
     wet = 1.0 + eta1 * eta1 + eta2 * eta2
-    return (c * dot * (wet ** N - wxi ** N) / (wet ** (N / 2.0) * wxi ** (N / 2.0))
-            * phi_le(np.hypot(r1, r2), SYMBOL_BAND))
+    return _symbol(r1 * (xi1 + eta1) + r2 * (xi2 + eta2), wxi ** N, wet ** N,
+                   wxi ** (N / 2.0), wet ** (N / 2.0), phi_le(np.hypot(r1, r2), band), c)
+
+
+def _symbol(dot, big_xi, big_eta, half_xi, half_eta, phi, c):
+    """m from its factors: dot = (xi-eta).(xi+eta), big = (1+|.|^2)^N,
+    half = (1+|.|^2)^{N/2} at xi and eta, phi = phi_{<=B}(|xi-eta|)."""
+    return c * dot * (big_eta - big_xi) / (half_eta * half_xi) * phi
 
 
 def depletion_factor(xi1, xi2, eta1, eta2):
@@ -153,56 +181,148 @@ class ModulationFilter:
             return bump(phi_mod / 2.0 ** self.B)
         return le0 - bump(phi_mod / 2.0 ** self.B)
 
+    @property
+    def _near_resonant(self):
+        """True when the filter vanishes wherever bump(Phi) does."""
+        return self.kind == "le0" or (self.kind in ("leB", "B_to_0") and self.B <= 0.0)
+
 
 # |Phi| below this inside a division-weighted filter is a small-divisor error
 SMALL_DIVISOR_GUARD = 1e-12
 
 
-def _rows(coeffs, row_tol):
-    """Centered indices of the coefficients above row_tol * max|coeffs|."""
-    tol = row_tol * np.max(np.abs(coeffs)) if row_tol else 0.0
-    return [(int(i), int(j)) for i, j in np.argwhere(np.abs(coeffs) > tol)]
+def _row_mask(coeffs, row_tol):
+    """The coefficients above row_tol * max|coeffs| (row_tol 0: the nonzero ones)."""
+    a = np.abs(coeffs)
+    return a > (row_tol * np.max(a) if row_tol else 0.0)
 
 
-def _row_sums(mu, fc, rows, gc, pairs, params, weighted=False):
-    """The one row loop behind every trilinear sum: per row rho = xi - eta
-    (centered indices ``rows`` into fc) it shifts Ghat, the inside mask and
-    Lam(eta), forms Phi, bump(Phi) and mu(xi, eta) once, then returns
+# Pairs live in a centered n x n box: flat index i is the point
+# (i // n - n // 2, i % n - n // 2), so the origin is (n // 2) (n + 1) and
+# eta = xi - rho has flat index xi - rho + origin.
 
-        sum_rho fc(rho) sum_xi mu filt(Phi) [1/(i Phi)] Ghat(eta) conjH(xi)
+def _box_coords(n):
+    """Signed coordinates (k1, k2) of every flat point of the box."""
+    k = np.arange(n * n)
+    return k // n - n // 2, k % n - n // 2
 
-    for each (filt, conjH) in ``pairs``.  Arrays are centered; the filters
-    share one sign pair, as Phi is formed once per row.
+
+def _lam_table(n, params):
+    """Lambda at every flat point of the box."""
+    return lam_abs(params, np.hypot(*_box_coords(n)))
+
+
+def _phase(lam, signs, xi, eta, rho):
+    """Phi_{i1 i2} = Lam(xi) - i1 Lam(rho) - i2 Lam(eta) from the Lambda table."""
+    i1, i2 = signs
+    return lam[xi] - i1 * lam[rho] - i2 * lam[eta]
+
+
+def _box_pairs(n, rows):
+    """Every pair of the box with rho = xi - eta one of the flat points
+    ``rows`` and eta in the box: flat (xi, eta, rho) arrays, about _BLOCK
+    pairs per block, blocks of rows in the order given, xi in flat order."""
+    k = np.arange(n)
+    origin = (n // 2) * (n + 1)
+    step = max(1, _BLOCK // (n * n))
+    for lo in range(0, len(rows), step):
+        r = rows[lo:lo + step]
+        e1 = k[:, None] - (r // n - n // 2)[:, None, None]   # eta's box coordinates
+        e2 = k[None, :] - (r % n - n // 2)[:, None, None]
+        b, x1, x2 = np.nonzero((e1 >= 0) & (e1 < n) & (e2 >= 0) & (e2 < n))
+        xi = x1 * n + x2
+        yield xi, xi - r[b] + origin, r[b]
+
+
+class _ResonantPlan:
+    """The near-resonant pairs of the centered n x n box for one sign pair.
+
+    One entry per pair (xi, eta) with xi, eta and rho = xi - eta in the box
+    and le0 = bump(Phi) > 0: int32 flat indices of xi and eta and float64
+    le0, rows in flat order.  Built by one vectorized walk over every pair
+    with the box's Lambda table, which the plan keeps; read-only after.
     """
-    (i1, i2), = {f.signs for f, _ in pairs}
-    filts = list(dict.fromkeys(f for f, _ in pairs))
-    need_le0 = any(f.kind in ("le0", "gt0", "B_to_0") for f in filts)
-    m = gc.shape[0]
-    K1, K2 = _centered_freqs(m)
-    k1, k2 = K1.astype(float), K2.astype(float)
-    lam_xi = lam_abs(params, np.hypot(K1, K2))
-    ones = np.ones((m, m))
-    sums = [0.0 + 0.0j] * len(pairs)
-    for i, j in rows:
-        r1, r2 = i - m // 2, j - m // 2
-        lam_rho = float(lam_abs(params, math.hypot(r1, r2)))
-        g_shift = _shift2(gc, r1, r2)
-        inside = _shift2(ones, r1, r2) > 0.5
-        phi_mod = lam_xi - i1 * lam_rho - i2 * _shift2(lam_xi, r1, r2)
-        le0 = bump(phi_mod) if need_le0 else None
-        ws = {}
-        for f in filts:
-            w = np.where(inside, f._weight(phi_mod, le0), 0.0)
-            if weighted:
-                if np.any((w > 0.0) & (np.abs(phi_mod) < SMALL_DIVISOR_GUARD)):
-                    raise SmallDivisorError(
-                        f"|Phi| < {SMALL_DIVISOR_GUARD} inside a division-weighted filter "
-                        f"(row ({r1},{r2}))")
-                w = np.where(w > 0.0, w / (1j * np.where(w > 0.0, phi_mod, 1.0)), 0.0)
-            ws[f] = w
-        muv = mu(k1, k2, k1 - r1, k2 - r2)
-        for k, (f, hconj) in enumerate(pairs):
-            sums[k] += fc[i, j] * np.sum(muv * ws[f] * g_shift * hconj)
+
+    def __init__(self, n, params, signs):
+        self.n = n
+        self.lam = _lam_table(n, params)
+        xis, etas, le0s = [], [], []
+        for xi, eta, rho in _box_pairs(n, np.arange(n * n)):
+            phi = _phase(self.lam, signs, xi, eta, rho)
+            near = np.flatnonzero(np.abs(phi) < _R_OUT)   # bump is 0 beyond
+            le0 = bump(phi[near])
+            pos = le0 > 0.0
+            xis.append(xi[near[pos]])
+            etas.append(eta[near[pos]])
+            le0s.append(le0[pos])
+        self.xi = np.concatenate(xis).astype(np.int32)
+        self.eta = np.concatenate(etas).astype(np.int32)
+        self.le0 = np.concatenate(le0s)
+        for a in (self.lam, self.xi, self.eta, self.le0):
+            a.flags.writeable = False
+
+    def entries(self, rows):
+        """The entries whose rho is in the boolean row mask ``rows``, as
+        (xi, eta, rho, le0) blocks of at most _BLOCK entries."""
+        origin = (self.n // 2) * (self.n + 1)
+        for lo in range(0, len(self.xi), _BLOCK):
+            xi, eta = self.xi[lo:lo + _BLOCK], self.eta[lo:lo + _BLOCK]
+            rho = xi - eta + origin
+            sel = rows[rho]
+            yield xi[sel], eta[sel], rho[sel], self.le0[lo:lo + _BLOCK][sel]
+
+
+# plans kept: the audit needs one (the dealiased box, signs (+, +)); the
+# general trilinear sums cycle through a few sign pairs
+@functools.lru_cache(maxsize=3)
+def _resonant_plan(n, params, signs):
+    """The cached near-resonant plan for (box size, g, sigma, signs); the
+    Phi-support radius is the bump's, 8/5, for every plan."""
+    return _ResonantPlan(n, params, signs)
+
+
+def _pair_sums(mu, filt, fc, gc, hconjs, params, rows, weighted=False):
+    """The one pair-sum kernel behind every filtered trilinear sum:
+
+        sum_{xi,eta} fc(rho) mu(xi,eta) filt(Phi) [1/(i Phi)] gc(eta) hconj(xi)
+
+    for each hconj in ``hconjs``, over the pairs (xi, eta) of the centered
+    n x n box of the arrays with rho = xi - eta in the box and in the
+    boolean mask ``rows``.  Near-resonant filters (le0, and leB and B_to_0
+    with B <= 0) read the cached plan; the others walk every pair in
+    blocks.  Division-weighted sums raise SmallDivisorError when the filter
+    leaves any |Phi| < 1e-12 in support.
+    """
+    n = fc.shape[0]
+    fc, gc, rows = fc.ravel(), gc.ravel(), rows.ravel()
+    hconjs = [h.ravel() for h in hconjs]
+    if filt._near_resonant:
+        plan = _resonant_plan(n, params, tuple(filt.signs))
+        lam, blocks = plan.lam, plan.entries(rows)
+    else:
+        lam = _lam_table(n, params)
+        blocks = ((xi, eta, rho, None)
+                  for xi, eta, rho in _box_pairs(n, np.flatnonzero(rows)))
+    k1, k2 = _box_coords(n)
+    sums = [0.0 + 0.0j] * len(hconjs)
+    for xi, eta, rho, le0 in blocks:
+        phi = _phase(lam, filt.signs, xi, eta, rho)
+        if le0 is None and filt.kind in ("gt0", "B_to_0"):
+            le0 = bump(phi)
+        w = filt._weight(phi, le0)
+        if weighted:
+            small = (w > 0.0) & (np.abs(phi) < SMALL_DIVISOR_GUARD)
+            if small.any():
+                r = rho[np.argmax(small)]
+                raise SmallDivisorError(
+                    f"|Phi| < {SMALL_DIVISOR_GUARD} inside a division-weighted filter "
+                    f"(row ({k1[r]},{k2[r]}))")
+            w = np.where(w > 0.0, w / (1j * np.where(w > 0.0, phi, 1.0)), 0.0)
+        muv = mu(k1[xi].astype(float), k2[xi].astype(float),
+                 k1[eta].astype(float), k2[eta].astype(float))
+        base = fc[rho] * muv * w * gc[eta]
+        for j, h in enumerate(hconjs):
+            sums[j] += np.sum(base * h[xi])
     return [complex(s) for s in sums]
 
 
@@ -213,28 +333,17 @@ def trilinear(mu, filt: ModulationFilter, F: FourierField, G: FourierField,
     * filt(Phi(xi,eta)) * [1/(i Phi) if weighted].
 
     conj(Hhat)(-xi) is the coefficient of conj(H) at -xi, i.e.
-    conj(Hhat(xi)).  One row pass with the single pair (filt, H).
-    Division-weighted sums raise SmallDivisorError when the filter leaves
-    any |Phi| < 1e-12 in support.  ``row_tol`` drops F-rows below
+    conj(Hhat(xi)).  xi, eta and xi - eta run over the grid's frequencies;
+    the sum goes through the pair-sum kernel.  Division-weighted sums raise
+    SmallDivisorError when the filter leaves any |Phi| < 1e-12 in support.
+    ``row_tol`` drops the rows rho = xi - eta with |Fhat(rho)| below
     row_tol * max|Fhat| (exactness requires 0).
     """
     if F.grid != G.grid or F.grid != H.grid:
         raise ConfigError("trilinear operands must share a grid")
     fc = _centered(F.coeffs)
-    return _row_sums(mu, fc, _rows(fc, row_tol), _centered(G.coeffs),
-                     [(filt, np.conj(_centered(H.coeffs)))], params, weighted)[0]
-
-
-def _shift2(arr, r1, r2):
-    """out[i, j] = arr[i - r1, j - r2], zero outside; centered layout."""
-    m = arr.shape[0]
-    out = np.zeros_like(arr)
-    i0, i1 = max(0, r1), m + min(0, r1)
-    j0, j1 = max(0, r2), m + min(0, r2)
-    if i0 >= i1 or j0 >= j1:
-        return out
-    out[i0:i1, j0:j1] = arr[i0 - r1:i1 - r1, j0 - r2:j1 - r2]
-    return out
+    return _pair_sums(mu, filt, fc, _centered(G.coeffs), [np.conj(_centered(H.coeffs))],
+                      params, _row_mask(fc, row_tol), weighted)[0]
 
 
 def trivial_resonance_sum(mu, filt: ModulationFilter, U: FourierField,
@@ -251,16 +360,16 @@ def trivial_resonance_sum(mu, filt: ModulationFilter, U: FourierField,
     resonances.  With weighted=True the 1/(i Phi) weight makes S real
     instead; it needs a filter that excludes Phi = 0 ("gt0", "B_to_0"),
     because eta = 0 (or xi = 0) gives Phi = 0 exactly in every row and the
-    small-divisor guard raises SmallDivisorError.  One row pass with row
-    coefficients i |Uhat|^2, an all-ones G (its shift is the inside mask)
-    and |What|^2 as conj(H); rows with |Uhat| below row_tol * max|Uhat| are
-    dropped.
+    small-divisor guard raises SmallDivisorError.  The pair-sum kernel runs
+    with row coefficients i |Uhat|^2, an all-ones G and |What|^2 as conj(H);
+    rows with |Uhat| below row_tol * max|Uhat| are dropped.
     """
     if U.grid != W.grid:
         raise ConfigError("trivial_resonance_sum operands must share a grid")
     uc = _centered(U.coeffs)
-    return _row_sums(mu, 1j * np.abs(uc) ** 2, _rows(uc, row_tol), np.ones(uc.shape),
-                     [(filt, np.abs(_centered(W.coeffs)) ** 2)], params, weighted)[0]
+    return _pair_sums(mu, filt, 1j * np.abs(uc) ** 2, np.ones(uc.shape),
+                      [np.abs(_centered(W.coeffs)) ** 2], params,
+                      _row_mask(uc, row_tol), weighted)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -294,26 +403,69 @@ def _w_field(U: FourierField, N: float) -> FourierField:
     return FourierField(U.grid, w * U.coeffs, False)
 
 
-def _energy_sums(U: FourierField, N: float, params: DispersionParams, c,
-                 pairs, row_tol=1e-14):
-    """Re sum m(xi,eta) What(eta) conj(Hhat(xi)) i Uhat(xi-eta) for each
-    (filter, output weight) pair, all in one row pass; Hhat = weight * What
-    (weight None: H = W)."""
-    W = _w_field(U, N)
-    fc = _centered((1j * U).coeffs)
-    wc = _centered(W.coeffs)
-    hpairs = [(f, np.conj(wc if wts is None else _centered(wts * W.coeffs)))
-              for f, wts in pairs]
-    mu = lambda x1, x2, e1, e2: energy_symbol_arr(N, x1, x2, e1, e2, c)
-    sums = _row_sums(mu, fc, _rows(fc, row_tol), wc, hpairs, params)
+def _energy_total(U: FourierField, N: float, c, band, row_tol=1e-14) -> float:
+    """Re sum m(xi,eta) What(eta) conj(What(xi)) i Uhat(xi-eta) by FFT.
+
+    With q = |.|^2 and A = (1+q)^N the summand is c (q(xi) - q(eta))
+    (A(eta) - A(xi)) Fhat(rho) Uhat(eta) conj(Uhat(xi)), Fhat = i Uhat
+    phi_{<=band}, so the sum is
+
+        c sum_xi conj(Uhat) [q (F*AU) - qA (F*U) - F*(qAU) + A (F*(qU))],
+
+    F*G = M^2 fft2(ifft2(Fhat) ifft2(Ghat)) the circular convolution, exact
+    for U on the dealiased square.  Modes with |Uhat| below row_tol *
+    max|Uhat| are dropped from F, as the pair sums drop their rows; phi is
+    skipped where its plateau covers the grid.
+    """
+    m = U.grid.size
+    if 3 * U.grid.kmax_dealias >= m:
+        raise ConfigError("the FFT energy sum needs the 2/3 rule, 3 kmax < M")
+    k1, k2 = U.grid.freqs()
+    q = (k1 * k1 + k2 * k2).astype(float)
+    big = (1.0 + q) ** N
+    u = np.asarray(U.coeffs)
+    f = np.where(_row_mask(u, row_tol), 1j * u, 0.0)
+    if math.hypot(m // 2, m // 2) >= _R_IN * 2.0 ** band:
+        f = f * phi_le(np.hypot(k1, k2), band)
+    fx = np.fft.ifft2(f)
+
+    def conv(g):
+        return np.fft.fft2(fx * np.fft.ifft2(g))
+
+    inner = q * conv(big * u) - q * big * conv(u) - conv(q * big * u) + big * conv(q * u)
+    return float(c * m * m * np.real(np.sum(np.conj(u) * inner)))
+
+
+def _energy_le0_parts(U: FourierField, N: float, params: DispersionParams, c, band,
+                      out_weights, row_tol=1e-14):
+    """Re sum m(xi,eta) le0(Phi_{++}) What(eta) conj(w What)(xi) i Uhat(xi-eta)
+    for each output weight w, over the near-resonant plan of the dealiased
+    square (U must lie on it)."""
+    h, k = U.grid.size // 2, U.grid.kmax_dealias
+    box = slice(h - k, h + k + 1)
+
+    def cen(a):
+        return _centered(a)[box, box]
+
+    W = _w_field(U, N).coeffs
+    fc = cen(1j * U.coeffs)
+    mu = lambda x1, x2, e1, e2: energy_symbol_arr(N, x1, x2, e1, e2, c, band)
+    sums = _pair_sums(mu, ModulationFilter("le0", (1, 1)), fc, cen(W),
+                      [np.conj(cen(w * W)) for w in out_weights], params,
+                      _row_mask(fc, row_tol))
     return [float(np.real(v)) for v in sums]
 
 
 def energy_derivative_trilinear(U: FourierField, N: float,
                                 params: DispersionParams, c=C_ENERGY,
                                 row_tol=1e-14) -> float:
-    """Re sum m(xi,eta) What(eta) conj(What(xi)) i Uhat(xi-eta)."""
-    return _energy_sums(U, N, params, c, [(ModulationFilter(), None)], row_tol)[0]
+    """Re sum m(xi,eta) What(eta) conj(What(xi)) i Uhat(xi-eta) at the
+    default velocity band, by FFT.  U must lie on the dealiased square, as
+    the model's states do (ConfigError otherwise).  ``params`` is not read:
+    the unfiltered sum involves no Phi."""
+    if np.any(np.asarray(U.coeffs)[~U.grid.dealias_mask()]):
+        raise ConfigError("energy_derivative_trilinear needs U on the dealiased square")
+    return _energy_total(U, N, c, SYMBOL_BAND, row_tol)
 
 
 def increment_audit(cfg: ModelConfig, initial: FourierField | None,
@@ -323,12 +475,14 @@ def increment_audit(cfg: ModelConfig, initial: FourierField | None,
 
     At each audit time the trajectory is sampled on a 5-point stencil of
     spacing dt and dE_N/dt is formed by 4th-order central differences; the
-    trilinear route evaluates the m-symbol sum at the center state.  The
-    accumulated increment is also decomposed into {|Phi| > 1} and
+    trilinear route evaluates the m-symbol sum at the center state by FFT.
+    The accumulated increment is also decomposed into {|Phi| > 1} and
     {|Phi| <= 1} x {|xi| > 2^D, |xi| <= 2^D} parts at the parts cadence
-    (which must stay within 10 dt; coarser raises CadenceError).  The three
-    parts at one time come from one row pass, whose bump(Phi) gives both
-    modulation filters; the frequency split weights the output slot.
+    (which must stay within 10 dt; coarser raises CadenceError).  The two
+    {|Phi| <= 1} parts are one gather-and-sum each over the cached
+    near-resonant plan, the frequency split weighting the output slot, and
+    hiMod = total - (loMod_hiFreq + loMod_loFreq).  Every route reads the
+    symbol's cutoff phi_{<=B} from cfg.velocity_band.
     """
     if N is None:
         N = cfg.sobolev_index
@@ -352,15 +506,18 @@ def increment_audit(cfg: ModelConfig, initial: FourierField | None,
 
     k1, k2 = cfg.grid.freqs()
     low_freq = phi_le(np.hypot(k1, k2), D)
-    lo = ModulationFilter("le0", (1, 1))
-    parts = [(ModulationFilter("gt0", (1, 1)), None), (lo, 1.0 - low_freq), (lo, low_freq)]
+    band = cfg.velocity_band
 
     # the identity couples dE/dt to the nonlinearity actually integrated:
     # with the nonlinear term off every symbol sum is identically zero
-    def sums(U, pairs):
+    def total(U):
+        return 0.0 if cfg.linear_only else _energy_total(U, N, c, band)
+
+    def parts(U):
         if cfg.linear_only:
-            return [0.0] * len(pairs)
-        return _energy_sums(U, N, cfg.params, c, pairs)
+            return 0.0, 0.0, 0.0
+        lh, ll = _energy_le0_parts(U, N, cfg.params, c, band, [1.0 - low_freq, low_freq])
+        return total(U) - (lh + ll), lh, ll
 
     stencil_nbhd = {}
     for s in audit_steps:
@@ -379,7 +536,7 @@ def increment_audit(cfg: ModelConfig, initial: FourierField | None,
                 if n == s:
                     centers[s] = state.U
         if n % parts_every == 0:
-            h, lh, ll = sums(state.U, parts)
+            h, lh, ll = parts(state.U)
             parts_rows.append({"t": state.t, "hiMod": h, "loMod_hiFreq": lh,
                                "loMod_loFreq": ll})
 
@@ -388,7 +545,7 @@ def increment_audit(cfg: ModelConfig, initial: FourierField | None,
     for s in audit_steps:
         e = energies[s]
         fd = (-e[2] + 8.0 * e[1] - 8.0 * e[-1] + e[-2]) / (12.0 * cfg.dt)
-        tv = sums(centers[s], [(ModulationFilter(), None)])[0]
+        tv = total(centers[s])
         rel = abs(fd - tv) / abs(tv) if tv != 0.0 else abs(fd)
         max_rel = max(max_rel, rel)
         rows.append({"t": s * cfg.dt, "E_N": e[0], "dE_dt_fd": fd,
@@ -431,54 +588,84 @@ def depletion_checks(params: DispersionParams, N: float, radius: int,
         cos^2(angle(xi-eta, xi+eta)) <= C (Phi_{i+}^2 + <xi-eta>^3)
                                           / ((1+|xi|+|eta|) <xi-eta>^2)
 
-    over 0 < |xi-eta| < 2^{-4} |xi+eta| and both signs i."""
+    over 0 < |xi-eta| < 2^{-4} |xi+eta| and both signs i.
+
+    Offsets rho = xi - eta run over |rho_i| <= max(max_offset, radius // 8
+    + 1).  |v|, Lambda(|v|) and (1+|v|^2)^N, ^{N/2} are tabulated once on a
+    square holding every xi, eta and xi + eta, and gathered for blocks of
+    offsets of about _BLOCK pairs each."""
     if not math.isfinite(N):
         raise ConfigError(f"N must be finite, got {N!r}")
     if radius < 1:
         raise ConfigError(f"radius must be >= 1, got {radius!r}")
-    x1, x2 = np.ascontiguousarray(lattice_disk(radius, include_origin=True).T, dtype=float)
-    lam_xi = lam_abs(params, np.hypot(x1, x2))
+    off_max = max(max_offset, radius // 8 + 1)
+    side = 2 * radius + off_max
+    abs_sq = _square_abs(side)
+    lam_sq = lam_abs(params, abs_sq)
+    sq = np.arange(-side, side + 1) ** 2
+    w_sq = (1.0 + sq[:, None] + sq[None, :]).ravel()   # 1 + |v|^2, exact
+    big_sq, half_sq = w_sq ** N, w_sq ** (N / 2.0)
+
+    pts = lattice_disk(radius, include_origin=True)
+    x_at = _flat(pts, side)
+    abs_x, lam_x, w_x = abs_sq[x_at], lam_sq[x_at], w_sq[x_at]
+    big_x, half_x = big_sq[x_at], half_sq[x_at]
+    offs = [(r1, r2) for r1 in range(-off_max, off_max + 1)
+            for r2 in range(-off_max, off_max + 1) if r1 or r2]
+    rn = np.array([math.hypot(r1, r2) for r1, r2 in offs])
+    order = np.argsort(rn, kind="stable")    # the |m'| offsets first
+    offs, rn = np.array(offs)[order], rn[order]
+    n_near = int(np.searchsorted(rn, max_offset, side="right"))
+    origin = _flat((0, 0), side)
+    shift = _flat(offs, side) - origin       # flat(eta) = flat(xi) - shift
+    br = np.sqrt(1.0 + rn * rn)
+    br2 = np.array([b ** 2 for b in br.tolist()])
+    br3 = np.array([b ** 3 for b in br.tolist()])
+    lam_rho = lam_abs(params, rn)
+    phi_rho = phi_le(np.hypot(offs[:, 0], offs[:, 1]), SYMBOL_BAND)
 
     mp_min, mp_max = math.inf, 0.0
     n_mp = 0
     c_best = 0.0
     n_fac = 0
-    off_max = max(max_offset, radius // 8 + 1)
-    for r1 in range(-off_max, off_max + 1):
-        for r2 in range(-off_max, off_max + 1):
-            rn = math.hypot(r1, r2)
-            if rn == 0.0:
-                continue
-            e1 = x1 - r1
-            e2 = x2 - r2
-            if rn <= max_offset:
-                dvals = depletion_factor(x1, x2, e1, e2)
-                mask = dvals > 0.0
-                if mask.any():
-                    mvals = energy_symbol_arr(N, x1[mask], x2[mask],
-                                              e1[mask], e2[mask], c)
-                    ratio = np.abs(mvals) / dvals[mask]
-                    mp_min = min(mp_min, float(ratio.min()))
-                    mp_max = max(mp_max, float(ratio.max()))
-                    n_mp += int(mask.sum())
-            # correlation bound on 0 < |xi-eta| < 2^{-4}|xi+eta|
-            s1 = x1 + e1
-            s2 = x2 + e2
-            sn = np.hypot(s1, s2)
-            sel = rn * 16.0 < sn
-            if not sel.any():
-                continue
-            cos2 = ((r1 * s1[sel] + r2 * s2[sel]) / (rn * sn[sel])) ** 2
-            lam_eta = lam_abs(params, np.hypot(e1[sel], e2[sel]))
-            lam_rho = float(lam_abs(params, rn))
-            br = math.sqrt(1.0 + rn * rn)
-            denom_core = (1.0 + np.hypot(x1[sel], x2[sel])
-                          + np.hypot(e1[sel], e2[sel])) * br ** 2
-            cmax = 0.0
-            for i1 in (1, -1):
-                phi_mod = lam_xi[sel] - i1 * lam_rho - lam_eta
-                rhs = (phi_mod ** 2 + br ** 3) / denom_core
-                cmax = max(cmax, float(np.max(cos2 / rhs)))
-            c_best = max(c_best, cmax)
-            n_fac += int(sel.sum())
+    step = max(1, _BLOCK // len(pts))
+    for lo in range(0, len(offs), step):
+        hi = min(lo + step, len(offs))
+        e_at = x_at - shift[lo:hi, None]         # eta, per (offset, point)
+        s_at = x_at + e_at - origin              # xi + eta
+        dot = w_x - w_sq[e_at]                   # (xi-eta).(xi+eta) = |xi|^2 - |eta|^2
+
+        # |m'| over 0 < |rho| <= max_offset and d > 0
+        nb = min(hi, n_near) - lo
+        if nb > 0:
+            d = dot[:nb] ** 2 / w_sq[s_at[:nb]]
+            e = e_at[:nb]
+            mvals = _symbol(dot[:nb], big_x, big_sq[e], half_x, half_sq[e],
+                            phi_rho[lo:lo + nb, None], c)
+            pos = d > 0.0
+            ratio = np.abs(mvals[pos]) / d[pos]
+            if ratio.size:
+                mp_min = min(mp_min, float(ratio.min()))
+                mp_max = max(mp_max, float(ratio.max()))
+                n_mp += ratio.size
+
+        # correlation bound on 0 < |xi-eta| < 2^{-4}|xi+eta|
+        sn = abs_sq[s_at]
+        sel = rn[lo:hi, None] * 16.0 < sn
+        n_sel = int(np.count_nonzero(sel))
+        if not n_sel:
+            continue
+
+        def pick(a):   # a per offset (column) or per point (row), at the selected pairs
+            return np.broadcast_to(a, sel.shape)[sel]
+
+        e = e_at[sel]
+        cos2 = (dot[sel] / (pick(rn[lo:hi, None]) * sn[sel])) ** 2
+        denom_core = (1.0 + pick(abs_x) + abs_sq[e]) * pick(br2[lo:hi, None])
+        lx, lr, le, b3 = pick(lam_x), pick(lam_rho[lo:hi, None]), lam_sq[e], pick(br3[lo:hi, None])
+        for i1 in (1, -1):
+            phi_mod = lx - i1 * lr - le
+            rhs = (phi_mod ** 2 + b3) / denom_core
+            c_best = max(c_best, float(np.max(cos2 / rhs)))
+        n_fac += n_sel
     return DepletionReport(radius, mp_min, mp_max, c_best, n_mp, n_fac, N)

@@ -95,6 +95,8 @@ class _NlKernel:
         k1, k2 = g.freqs()
         self.ik1 = 1j * k1
         self.ik2 = 1j * k2
+        self.grad = 1j * k1 - k2                      # d1 + i d2
+        self.lap = -(k1 * k1 + k2 * k2).astype(float)
         self.band = phi_le(np.hypot(k1, k2), cfg.velocity_band)
         self.mask = g.dealias_mask()
         m = g.size
@@ -103,12 +105,12 @@ class _NlKernel:
         self.inv_scale = m ** 2 / TWO_PI ** 2
 
     def velocity(self, uhat):
-        """V^ = P_{<= B_V} (Im U)^ and grad V on the grid, from U^."""
+        """V^ = P_{<= B_V} (Im U)^ and grad V on the grid, from U^; V is
+        real, so d1 V + i d2 V comes from one inverse transform."""
         imhat = (uhat - np.conj(uhat[self.neg][:, self.neg])) / 2j
         vhat = self.band * imhat
-        dv1 = np.fft.ifft2(self.ik1 * vhat).real * self.inv_scale
-        dv2 = np.fft.ifft2(self.ik2 * vhat).real * self.inv_scale
-        return vhat, dv1, dv2
+        dv = np.fft.ifft2(self.grad * vhat) * self.inv_scale
+        return vhat, dv.real, dv.imag
 
     def __call__(self, uhat):
         """N(U)^ from U^ (both dealiased raw arrays)."""
@@ -118,7 +120,7 @@ class _NlKernel:
         with np.errstate(over="ignore", invalid="ignore"):
             vhat, dv1, dv2 = self.velocity(uhat)
             ifft = np.fft.ifft2
-            lap = ifft((self.ik1 ** 2 + self.ik2 ** 2) * vhat).real * self.inv_scale
+            lap = ifft(self.lap * vhat).real * self.inv_scale
             du1 = ifft(self.ik1 * uhat) * self.inv_scale
             du2 = ifft(self.ik2 * uhat) * self.inv_scale
             us = ifft(uhat) * self.inv_scale

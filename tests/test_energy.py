@@ -228,6 +228,25 @@ def test_increment_audit_consistency():
     assert audit.c == C_ENERGY
 
 
+@pytest.mark.parametrize("band", [2, 1])
+def test_increment_audit_reads_velocity_band(band):
+    # the symbol's cutoff must be the band the model integrates with; a
+    # fixed phi_{<=10} misses the identity by 2.5e-3 at band 2
+    cfg = ModelConfig(P, G, 0.01, 2e-3, 0.02, velocity_band=band, seed=0)
+    audit = increment_audit(cfg, None, audit_times=[0.01], N=5.0, D=3.0)
+    assert audit.max_rel_err <= 1e-6
+
+
+def test_energy_derivative_needs_dealiased_field():
+    # the FFT route is exact only where circular convolution does not alias
+    U = FourierField(G, np.ones((G.size, G.size), complex))
+    with pytest.raises(ConfigError):
+        energy_derivative_trilinear(U, 4.0, P)
+    wide = Grid(32, dealias_fraction=1.0)
+    with pytest.raises(ConfigError):
+        energy_derivative_trilinear(random_field(wide, seed=1), 4.0, P)
+
+
 def test_increment_audit_cadence_guard():
     cfg = ModelConfig(P, G, 0.01, 2e-3, 0.06, seed=0)
     with pytest.raises(CadenceError):
