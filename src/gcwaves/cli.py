@@ -17,6 +17,7 @@ manifest's abort_reason holds a one-line traceback summary).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -99,7 +100,10 @@ SCHEMAS = {
 }
 
 
+@functools.cache
 def _parser():
+    """The argparse tree, built once per process; _resolve copies the
+    defaults it carries, so no state passes from one dispatch to the next."""
     top = argparse.ArgumentParser(prog="gcwaves", description=__doc__)
     sub = top.add_subparsers(dest="subcommand")
 
@@ -331,8 +335,9 @@ def _cmd_paradiff_audit(cfg, out):
     a = Symbol.from_function(random_field(grid, seed=seed, real=True))
     u = random_field(grid, seed=seed + 1)
     v = random_field(grid, seed=seed + 2)
-    sa = abs(inner(weyl_apply(a, u, pcfg), v) - inner(u, weyl_apply(a, v, pcfg)))
-    lhs = weyl_apply(a, u, pcfg).conj()
+    au = weyl_apply(a, u, pcfg)
+    sa = abs(inner(au, v) - inner(u, weyl_apply(a, v, pcfg)))
+    lhs = au.conj()
     rhs = weyl_apply(a.conj_flip(), u.conj(), pcfg)
     conj_err = float(np.max(np.abs(lhs.coeffs - rhs.coeffs)))
     from .fields import FourierField

@@ -513,11 +513,11 @@ def increment_audit(cfg: ModelConfig, initial: FourierField | None,
     def total(U):
         return 0.0 if cfg.linear_only else _energy_total(U, N, c, band)
 
-    def parts(U):
+    def parts(U, tot):
         if cfg.linear_only:
             return 0.0, 0.0, 0.0
         lh, ll = _energy_le0_parts(U, N, cfg.params, c, band, [1.0 - low_freq, low_freq])
-        return total(U) - (lh + ll), lh, ll
+        return tot - (lh + ll), lh, ll
 
     stencil_nbhd = {}
     for s in audit_steps:
@@ -525,7 +525,7 @@ def increment_audit(cfg: ModelConfig, initial: FourierField | None,
             stencil_nbhd.setdefault(s + off, []).append(s)
 
     energies = {}
-    centers = {}
+    center_total = {}    # audit step -> the FFT total at its center state
     parts_rows = []
     for n in range(n_steps + 1):
         if n:
@@ -534,9 +534,9 @@ def increment_audit(cfg: ModelConfig, initial: FourierField | None,
             for s in stencil_nbhd[n]:
                 energies.setdefault(s, {})[n - s] = energy_EN(state.U, N)
                 if n == s:
-                    centers[s] = state.U
+                    center_total[s] = total(state.U)
         if n % parts_every == 0:
-            h, lh, ll = parts(state.U)
+            h, lh, ll = parts(state.U, center_total[n] if n in center_total else total(state.U))
             parts_rows.append({"t": state.t, "hiMod": h, "loMod_hiFreq": lh,
                                "loMod_loFreq": ll})
 
@@ -545,7 +545,7 @@ def increment_audit(cfg: ModelConfig, initial: FourierField | None,
     for s in audit_steps:
         e = energies[s]
         fd = (-e[2] + 8.0 * e[1] - 8.0 * e[-1] + e[-2]) / (12.0 * cfg.dt)
-        tv = total(centers[s])
+        tv = center_total[s]
         rel = abs(fd - tv) / abs(tv) if tv != 0.0 else abs(fd)
         max_rel = max(max_rel, rel)
         rows.append({"t": s * cfg.dt, "E_N": e[0], "dE_dt_fd": fd,

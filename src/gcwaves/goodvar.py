@@ -23,6 +23,11 @@ Im U, the construction is two-stage: U0 (without the m' term) defines V1
 and m', then U = U0 + i T_{m'} omega; the difference is cubic in the data
 size.  The x-derivatives in the symbols are spectral derivatives of h,
 taken once; every symbol is then a pointwise function of (x, zeta).
+
+Only the symbols from m' on need Im U, and so the three stage-1
+applications.  The principal family (lambda, ell, Sigma, Sigma1, lambda1_0
+and sqrt(g+ell)^{+-1}) is built without any, and expansion_check reads
+only that family: it applies no operator.
 """
 
 from __future__ import annotations
@@ -34,10 +39,10 @@ import numpy as np
 
 from .dispersion import DispersionParams
 from .errors import ConfigError, PositivityError
-from .fields import (TWO_PI, FourierField, Grid, analyze, apply_multiplier, dx,
-                     l2_norm, mean, random_field, sobolev_norm, synthesize)
+from .fields import (FourierField, Grid, analyze, apply_multiplier, dx, l2_norm,
+                     mean, random_field, sobolev_norm, synthesize)
 from .paradiff import (EXPERIMENT_CHI, ParadiffConfig, SeparableTerm, Symbol,
-                       symbol_norm, weyl_apply)
+                       grid_index, symbol_norm, weyl_apply)
 
 
 @dataclass(frozen=True)
@@ -101,16 +106,10 @@ class WWSymbols:
     psi_sigma: FourierField  # stage 1: T_Sigma T_{1/sqrt(g+ell)} omega
 
 
-def build_symbols(state: SurfaceState, cfg: ParadiffConfig | None = None) -> WWSymbols:
-    """Construct the full symbol family from (h, omega).
-
-    Every symbol is pointwise in (x, zeta): its x-arrays may hold any
-    subset of the grid points, in any broadcastable shape.  Raises
-    PositivityError (with the offending grid point) when 1 + |grad h|^2 or
-    inf_{|zeta|>1/2} (g + ell) fails to stay positive.
-    """
-    if cfg is None:
-        cfg = ParadiffConfig(chi_exponent=EXPERIMENT_CHI)
+def _principal_family(state: SurfaceState):
+    """The symbols of build_symbols that do not read Im U, as a dict keyed
+    by WWSymbols field name, and the pointwise g_ell(i, Z1, Z2) = g + ell at
+    grid index i that m' reuses.  Makes no operator application."""
     grid = state.grid
     params = state.params
     g, sig = params.g, params.sigma
@@ -148,20 +147,14 @@ def build_symbols(state: SurfaceState, cfg: ParadiffConfig | None = None) -> WWS
     ], order=2.0, name="ell")
 
     # The general symbols read their fields at the grid points x, through
-    # the index i = at(X1, X2); no evaluator transforms in x.
-    def at(X1, X2):
-        return (np.rint(X1 * (m / TWO_PI)).astype(np.intp) % m,
-                np.rint(X2 * (m / TWO_PI)).astype(np.intp) % m)
-
-    def pointwise(fn, order, name):
-        return Symbol.general(lambda X1, X2, Z1, Z2: fn(at(X1, X2), Z1, Z2), order, name=name)
-
+    # the index i = grid_index(X1, X2, m); no evaluator transforms in x.
     def g_ell(i, Z1, Z2):
         return g + L11[i] * Z1 ** 2 + 2 * L12[i] * Z1 * Z2 + L22[i] * Z2 ** 2 - lam2h[i]
 
-    sqrt_g_ell = pointwise(lambda i, Z1, Z2: g_ell(i, Z1, Z2) ** 0.5, 1.0, "sqrt(g+ell)")
-    inv_sqrt_g_ell = pointwise(lambda i, Z1, Z2: g_ell(i, Z1, Z2) ** -0.5, -1.0,
-                               "1/sqrt(g+ell)")
+    sqrt_g_ell = _pointwise(lambda i, Z1, Z2: g_ell(i, Z1, Z2) ** 0.5, m, 1.0,
+                            "sqrt(g+ell)")
+    inv_sqrt_g_ell = _pointwise(lambda i, Z1, Z2: g_ell(i, Z1, Z2) ** -0.5, m, -1.0,
+                                "1/sqrt(g+ell)")
 
     # principal Dirichlet-Neumann symbol and its subprincipal correction
     def lambda1_fn(i, Z1, Z2):
@@ -186,11 +179,11 @@ def build_symbols(state: SurfaceState, cfg: ParadiffConfig | None = None) -> WWS
     def lam_fn(i, Z1, Z2):
         return lambda1_fn(i, Z1, Z2) + lambda0_fn(i, Z1, Z2)
 
-    lambda1 = pointwise(lambda1_fn, 1.0, "lambda1")
-    lambda0 = pointwise(lambda0_fn, 0.0, "lambda0")
-    lam_sym = pointwise(lam_fn, 1.0, "lambda")
-    Sigma = pointwise(lambda i, Z1, Z2: np.sqrt(lam_fn(i, Z1, Z2) * g_ell(i, Z1, Z2)),
-                      1.5, "Sigma")
+    lambda1 = _pointwise(lambda1_fn, m, 1.0, "lambda1")
+    lambda0 = _pointwise(lambda0_fn, m, 0.0, "lambda0")
+    lam_sym = _pointwise(lam_fn, m, 1.0, "lambda")
+    Sigma = _pointwise(lambda i, Z1, Z2: np.sqrt(lam_fn(i, Z1, Z2) * g_ell(i, Z1, Z2)),
+                       m, 1.5, "Sigma")
 
     # first-order expansion symbols (separable)
     lambda1_0 = Symbol.separable(
@@ -206,10 +199,40 @@ def build_symbols(state: SurfaceState, cfg: ParadiffConfig | None = None) -> WWS
         + [SeparableTerm(analyze(-0.5 * lam2h, grid), _r_over_lam(params))],
         order=0.5, name="Sigma1")
 
+    fam = dict(lambda1=lambda1, lambda0=lambda0, lam=lam_sym, ell=ell,
+               sqrt_g_ell=sqrt_g_ell, inv_sqrt_g_ell=inv_sqrt_g_ell, Sigma=Sigma,
+               Sigma1=Sigma1, lambda1_0=lambda1_0)
+    return fam, g_ell
+
+
+def _pointwise(fn, m, order, name):
+    """A general symbol fn(i, Z1, Z2) of the grid index i of x on an m x m grid."""
+    return Symbol.general(lambda X1, X2, Z1, Z2: fn(grid_index(X1, X2, m), Z1, Z2),
+                          order, name=name)
+
+
+def build_symbols(state: SurfaceState, cfg: ParadiffConfig | None = None) -> WWSymbols:
+    """Construct the full symbol family from (h, omega).
+
+    The principal family (lambda, ell, Sigma, Sigma1, lambda1_0 and
+    sqrt(g+ell)^{+-1}) comes from _principal_family; stage 1 then makes the
+    three general-path applies that give Im U, and from it m', m'_1, gamma
+    and V1.  Every symbol is pointwise in (x, zeta): its x-arrays may hold
+    any subset of the grid points, in any broadcastable shape.  Raises
+    PositivityError (with the offending grid point) when 1 + |grad h|^2 or
+    inf_{|zeta|>1/2} (g + ell) fails to stay positive.
+    """
+    if cfg is None:
+        cfg = ParadiffConfig(chi_exponent=EXPERIMENT_CHI)
+    fam, g_ell = _principal_family(state)
+    params = state.params
+    m = state.grid.size
+    h = state.h
+
     # --- stage 1: U without the m' correction, to get Im U and V1 ----------
     omega = state.omega
-    H = weyl_apply(sqrt_g_ell, h, cfg)
-    psi_sigma = weyl_apply(Sigma, weyl_apply(inv_sqrt_g_ell, omega, cfg), cfg)
+    H = weyl_apply(fam["sqrt_g_ell"], h, cfg)
+    psi_sigma = weyl_apply(fam["Sigma"], weyl_apply(fam["inv_sqrt_g_ell"], omega, cfg), cfg)
     U0 = H + 1j * psi_sigma
     imU = U0.imag_part()
 
@@ -218,8 +241,8 @@ def build_symbols(state: SurfaceState, cfg: ParadiffConfig | None = None) -> WWS
     v1_2 = apply_multiplier(dx(imU, 1), inv_half, "|grad|^{-1/2}")
     div_v1 = synthesize(dx(v1_1, 0) + dx(v1_2, 1)).real
 
-    mprime = pointwise(lambda i, Z1, Z2: 0.5j * div_v1[i] * g_ell(i, Z1, Z2) ** -0.5,
-                       -1.0, "mprime[V1 proxy]")
+    mprime = _pointwise(lambda i, Z1, Z2: 0.5j * div_v1[i] * g_ell(i, Z1, Z2) ** -0.5,
+                        m, -1.0, "mprime[V1 proxy]")
 
     m32 = apply_multiplier(imU, lambda k1, k2: np.hypot(k1, k2) ** 1.5)
     mprime1 = Symbol.separable(
@@ -242,9 +265,9 @@ def build_symbols(state: SurfaceState, cfg: ParadiffConfig | None = None) -> WWS
                        lambda z1, z2: np.ones(np.broadcast(z1, z2).shape))),
     ], order=1.0, name="V1.zeta")
 
-    return WWSymbols(lambda1, lambda0, lam_sym, ell, sqrt_g_ell, inv_sqrt_g_ell,
-                     Sigma, Sigma1, lambda1_0, mprime, mprime1, gamma,
-                     (v1_1, v1_2), v1_dot_zeta, imU, H, psi_sigma)
+    return WWSymbols(**fam, mprime=mprime, mprime1=mprime1, gamma=gamma,
+                     v1=(v1_1, v1_2), v1_dot_zeta=v1_dot_zeta, imU=imU, H=H,
+                     psi_sigma=psi_sigma)
 
 
 def _positivity(arr, grid, what):
@@ -375,9 +398,10 @@ def expansion_check(state: SurfaceState, eps_list, cfg: ParadiffConfig | None = 
         Sigma - Lam(zeta) - Sigma1                  (order-3/2 weighted)
 
     are measured; the expected log-log slope is 2 (p = 0 is identically 0).
+    Only the principal family enters (_principal_family, no stage 1), so no
+    operator is applied and ``cfg`` does not change the result.  Each symbol
+    is evaluated once per (eps, zeta sample) and shared across the powers p.
     """
-    if cfg is None:
-        cfg = ParadiffConfig(chi_exponent=EXPERIMENT_CHI)
     if not eps_list or not all(0.0 < e < math.inf for e in eps_list):
         raise ConfigError(f"eps values must be finite and > 0, got {list(eps_list)}")
     if max(eps_list) / min(eps_list) < 99:
@@ -394,28 +418,37 @@ def expansion_check(state: SurfaceState, eps_list, cfg: ParadiffConfig | None = 
 
     for eps in eps_list:
         st = state.scaled(eps)
-        syms = build_symbols(st, cfg)
+        fam, _ = _principal_family(st)
         lam2h = synthesize(apply_multiplier(st.h, lambda k1, k2: _lam2(p0, k1, k2))).real
-        X1, X2 = grid.x()
+        # symbol_norm samples every remainder on the full grid at each zeta
+        # sample, so the symbol values are kept per zeta and shared by all p
+        memo = {}
+
+        def sampled(Xa, Xb, Z1, Z2):
+            key = (float(Z1), float(Z2))
+            if key not in memo:
+                memo[key] = (fam["ell"].eval(Xa, Xb, Z1, Z2) + p0.g,
+                             p0.g + p0.sigma * (Z1 ** 2 + Z2 ** 2),
+                             fam["lam"].eval(Xa, Xb, Z1, Z2), np.hypot(Z1, Z2),
+                             fam["lambda1_0"].eval(Xa, Xb, Z1, Z2))
+            return memo[key]
+
         for p in powers:
             def rem_gl(Xa, Xb, Z1, Z2, p=p):
-                gl = syms.ell.eval(Xa, Xb, Z1, Z2) + p0.g
-                lead = p0.g + p0.sigma * (Z1 ** 2 + Z2 ** 2)
+                gl, lead = sampled(Xa, Xb, Z1, Z2)[:2]
                 return (gl ** p) * lead ** (-p) - 1.0 + p * lam2h / lead
 
             rep = symbol_norm(Symbol.general(rem_gl, 0.0), 0.0, 0, zeta_samples, grid)
             values[f"g_ell_pow_{p}"].append(rep.value)
 
             def rem_lam(Xa, Xb, Z1, Z2, p=p):
-                lam_full = syms.lam.eval(Xa, Xb, Z1, Z2)
-                r = np.hypot(Z1, Z2)
-                l10 = syms.lambda1_0.eval(Xa, Xb, Z1, Z2)
+                lam_full, r, l10 = sampled(Xa, Xb, Z1, Z2)[2:]
                 return (lam_full ** p) * r ** (-p) - 1.0 - p * l10 / r
 
             rep = symbol_norm(Symbol.general(rem_lam, 0.0), 0.0, 0, zeta_samples, grid)
             values[f"lambda_pow_{p}"].append(rep.value)
 
-        rem_sigma = syms.Sigma - lam_mult - syms.Sigma1
+        rem_sigma = fam["Sigma"] - lam_mult - fam["Sigma1"]
         rep = symbol_norm(rem_sigma, 1.5, 0, zeta_samples, grid)
         values["Sigma_minus_Lam_minus_Sigma1"].append(rep.value)
 

@@ -95,6 +95,7 @@ class Symbol:
         self.terms = terms
         self.fn = fn
         self.name = name
+        self._samples = None   # separable: the synthesized spatial factors
 
     # -- constructors --------------------------------------------------------
     @classmethod
@@ -128,16 +129,22 @@ class Symbol:
         return self.terms is not None
 
     # -- evaluation ----------------------------------------------------------
+    def _spatial_at(self, X1, X2):
+        """Each term's spatial factor at the grid points x (1.0 for none),
+        read through grid_index; the factors are synthesized once per symbol."""
+        if self._samples is None:
+            self._samples = [None if t.spatial is None else synthesize(t.spatial)
+                             for t in self.terms]
+        for s in self._samples:
+            yield 1.0 if s is None else s[grid_index(X1, X2, s.shape[0])]
+
     def eval(self, X1, X2, Z1, Z2):
-        """a(x, zeta), broadcasting x-arrays against zeta-arrays."""
+        """a(x, zeta) at grid points x, broadcasting x-arrays against
+        zeta-arrays; the x-arrays may hold any subset of the grid."""
         if self.is_separable:
             out = 0.0
-            for t in self.terms:
+            for t, s in zip(self.terms, self._spatial_at(X1, X2)):
                 g = np.asarray(t.gz(Z1, Z2), dtype=np.complex128)
-                if t.spatial is None:
-                    s = 1.0
-                else:
-                    s = synthesize(t.spatial)
                 out = out + s * g
             return np.asarray(out, dtype=np.complex128) + np.zeros(
                 np.broadcast(X1 * 0.0, Z1 * 0.0).shape, np.complex128)
@@ -149,8 +156,7 @@ class Symbol:
         if self.is_separable and all(t.dgz is not None for t in self.terms):
             d1 = 0.0
             d2 = 0.0
-            for t in self.terms:
-                s = 1.0 if t.spatial is None else synthesize(t.spatial)
+            for t, s in zip(self.terms, self._spatial_at(X1, X2)):
                 d1 = d1 + s * np.asarray(t.dgz[0](Z1, Z2), np.complex128)
                 d2 = d2 + s * np.asarray(t.dgz[1](Z1, Z2), np.complex128)
             return d1, d2
@@ -216,6 +222,13 @@ class Symbol:
         fn = lambda X1, X2, Z1, Z2: np.conj(self.fn(X1, X2, -np.asarray(Z1),
                                                     -np.asarray(Z2)))
         return Symbol.general(fn, self.order, name=f"conj({self.name})")
+
+
+def grid_index(X1, X2, m):
+    """The index pair of the M x M grid points x = (X1, X2): the one rule by
+    which both kinds of symbol read their x-dependent data."""
+    return (np.rint(X1 * (m / TWO_PI)).astype(np.intp) % m,
+            np.rint(X2 * (m / TWO_PI)).astype(np.intp) % m)
 
 
 def _zero_fn(z1, z2):
@@ -369,10 +382,15 @@ class _ChiPlan:
         lo = self.row_start[rows]
         cnt = self.row_start[rows + 1] - lo
         end = np.cumsum(cnt)
-        for c0 in range(0, int(end[-1]), _CHUNK):
-            pos = np.arange(c0, min(c0 + _CHUNK, int(end[-1])))
-            r = np.searchsorted(end, pos, side="right")
-            yield lo[r] + (pos - (end[r] - cnt[r]))
+        begin = end - cnt
+        shift = lo - begin      # plan entry id minus position, constant per row
+        total = int(end[-1])
+        for c0 in range(0, total, _CHUNK):
+            c1 = min(c0 + _CHUNK, total)
+            # the rows the chunk [c0, c1) meets: only its ends are searched
+            r0, r1 = np.searchsorted(end, (c0, c1 - 1), side="right")
+            n = np.minimum(end[r0:r1 + 1], c1) - np.maximum(begin[r0:r1 + 1], c0)
+            yield np.arange(c0, c1) + np.repeat(shift[r0:r1 + 1], n)
 
     def zeta(self, ids):
         """The midpoints zeta = s / 2 of midpoint ids."""

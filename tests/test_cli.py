@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -141,6 +144,22 @@ def test_manifest_roundtrips_through_parser(tmp_path):
     # config echo feeds back into the parser
     assert dispatch(["lemma1", "--config", str(tmp_path / "m" / "run_config.json"),
                      "--out", str(tmp_path / "m2")]) == EXIT_OK
+
+
+def test_dispatch_carries_no_state_between_runs(tmp_path):
+    # one process: lemma1, collinear, lemma1 with other flags; each
+    # run_config.json must equal the one a fresh process writes
+    runs = [["lemma1", "--c", "1.5"], ["collinear", "--xi", "4,1"],
+            ["lemma1", "--bigB", "7.0"]]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(pathlib.Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    for k, argv in enumerate(runs):
+        assert dispatch(argv + ["--out", str(tmp_path / f"in{k}")]) == EXIT_OK
+        alone = tmp_path / f"alone{k}"
+        subprocess.run([sys.executable, "-m", "gcwaves.cli", *argv, "--out", str(alone)],
+                       check=True, env=env, capture_output=True)
+        assert ((tmp_path / f"in{k}" / "run_config.json").read_bytes()
+                == (alone / "run_config.json").read_bytes())
 
 
 @pytest.mark.parametrize("argv", [

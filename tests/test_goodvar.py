@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gcwaves import cli, goodvar, paradiff
 from gcwaves.dispersion import DispersionParams, lam
 from gcwaves.errors import ConfigError, PositivityError
 from gcwaves.fields import (FourierField, Grid, apply_multiplier, dx, l2_norm,
@@ -69,6 +70,55 @@ def test_general_symbols_are_pointwise_in_x():
             full = sym.eval(X1, X2, *za)
             assert np.array_equal(sym.eval(X1[::2, ::3], X2[::2, ::3], *za), full[::2, ::3])
             assert sym.eval(X1[5, 7], X2[5, 7], *za) == full[5, 7]
+
+
+def test_separable_symbols_are_pointwise_in_x():
+    st = random_state(G32, P11, amplitude=0.5, seed=12)
+    syms = build_symbols(st, CFG)
+    X1, X2 = G32.x()
+    for name in ("ell", "Sigma1", "lambda1_0", "gamma", "v1_dot_zeta"):
+        sym = getattr(syms, name)
+        assert sym.is_separable
+        for z in ((2.0, 1.0), (-3.5, 0.5)):
+            za = (np.asarray(z[0]), np.asarray(z[1]))
+            full = sym.eval(X1, X2, *za)
+            assert np.array_equal(sym.eval(X1[::2, ::3], X2[::2, ::3], *za), full[::2, ::3])
+            assert sym.eval(X1[5, 7], X2[5, 7], *za) == full[5, 7]
+    # the exact zeta-gradient reads x through the same rule
+    za = (np.asarray(1.5), np.asarray(-2.0))
+    full = syms.v1_dot_zeta.dzeta(X1, X2, *za)
+    sub = syms.v1_dot_zeta.dzeta(X1[::2, ::3], X2[::2, ::3], *za)
+    for d, d_sub in zip(full, sub):
+        assert np.array_equal(d_sub, d[::2, ::3])
+
+
+def _count_applies(monkeypatch):
+    """Record is_separable of every weyl_apply call made through either module."""
+    calls = []
+    real = paradiff.weyl_apply
+
+    def counting(a, f, cfg, *args, **kwargs):
+        calls.append(a.is_separable)
+        return real(a, f, cfg, *args, **kwargs)
+
+    monkeypatch.setattr(paradiff, "weyl_apply", counting)
+    monkeypatch.setattr(goodvar, "weyl_apply", counting)
+    return calls
+
+
+def test_expansion_check_makes_no_apply(monkeypatch):
+    calls = _count_applies(monkeypatch)
+    base = random_state(Grid(8), P11, amplitude=1.0, seed=3)
+    expansion_check(base, [1e-1, 1e-3], CFG, powers=(-1.0, 1.0))
+    assert calls == []
+
+
+def test_symbols_command_makes_four_general_applies_per_eps(monkeypatch, tmp_path):
+    # build_good_variable per eps: stage 1 (3) plus T_{m'} (1); none elsewhere
+    calls = _count_applies(monkeypatch)
+    assert cli.dispatch(["symbols", "--grid", "8", "--eps-list", "1e-1,1e-3",
+                         "--out", str(tmp_path)]) == cli.EXIT_OK
+    assert calls.count(False) == 8
 
 
 def test_lambda0_matches_spectral_bracket():

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gcwaves import paradiff
 from gcwaves.errors import ConfigError
@@ -532,3 +533,42 @@ def test_plan_cache_keeps_only_recent_plans_and_eviction_is_invisible(monkeypatc
     weyl_apply(Symbol.constant(1.0), random_field(Grid(sizes[-1]), seed=1), CFG)
     assert paradiff._PLANS[(sizes[-1], -2)] is kept
     assert list(paradiff._PLANS)[-1] == (sizes[-1], -2)
+
+
+def _row_entries_by_position(plan, rows):
+    """Oracle: the per-position searchsorted walk, chunked as row_entries."""
+    lo = plan.row_start[rows]
+    cnt = plan.row_start[rows + 1] - lo
+    end = np.cumsum(cnt)
+    for c0 in range(0, int(end[-1]), paradiff._CHUNK):
+        pos = np.arange(c0, min(c0 + paradiff._CHUNK, int(end[-1])))
+        r = np.searchsorted(end, pos, side="right")
+        yield lo[r] + (pos - (end[r] - cnt[r]))
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(m=st.sampled_from([16, 32, 64]),
+       kind=st.sampled_from(["all", "one", "run", "gaps"]),
+       seed=st.integers(0, 2 ** 16), density=st.floats(0.01, 0.9))
+@example(m=64, kind="all", seed=0, density=1.0)
+@example(m=32, kind="run", seed=5, density=0.5)
+def test_row_entries_match_per_position_search(m, kind, seed, density):
+    plan = paradiff._plan(m, CFG)
+    n = plan.extend(np.inf)
+    rng = np.random.default_rng(seed)
+    if kind == "all":
+        rows = np.arange(n)
+    elif kind == "one":
+        rows = rng.integers(n, size=1)
+    elif kind == "run":    # consecutive rows, often across a chunk boundary
+        a = int(rng.integers(n))
+        rows = np.arange(a, min(n, a + 1 + int(density * n)))
+    else:
+        rows = np.flatnonzero(rng.random(n) < density)
+        if not len(rows):
+            rows = np.array([n - 1])
+    got = list(plan.row_entries(rows))
+    want = list(_row_entries_by_position(plan, rows))
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
