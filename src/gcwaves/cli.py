@@ -394,7 +394,12 @@ def _cmd_simulate(cfg, out):
                      integrator=cfg["integrator"], snapshot_dt=cfg["snapshot-dt"],
                      sobolev_index=cfg["sobolev-index"],
                      linear_only=bool(cfg["linear-only"]), seed=cfg["seed"])
-    traj = run(mc, keep_snapshots=True)
+    try:
+        traj = run(mc, keep_snapshots=True)
+    except NumericAbortError as err:
+        # the healthy prefix up to the last recorded snapshot stays on disk
+        err.trajectory.to_jsonl(f"{out}/trajectory.jsonl")
+        raise
     traj.to_jsonl(f"{out}/trajectory.jsonl")
     _write_json(f"{out}/conservation.json", traj.report.__dict__)
     t_final, u_final = traj.snapshots[-1]
@@ -450,6 +455,7 @@ def dispatch(argv) -> int:
     status = "ok"
     abort_reason = None
     summary = {}
+    last_good = None
     cfg = None
     code = EXIT_OK
     out = args.out or f"gcwaves_out/{args.subcommand}"
@@ -467,6 +473,9 @@ def dispatch(argv) -> int:
         status, abort_reason, code = "resource-error", str(err), EXIT_RESOURCE
     except (NumericAbortError, SmallDivisorError, PositivityError) as err:
         status, abort_reason, code = "numeric-abort", str(err), EXIT_NUMERIC
+        last = getattr(err, "last_state", None)
+        if last is not None:
+            last_good = {"t": last.t, "step": last.steps}
     except Exception as err:  # not a named error: a bug, reported as one
         traceback.print_exc()
         status, abort_reason, code = "internal-error", _trace_summary(err), EXIT_INTERNAL
@@ -475,6 +484,7 @@ def dispatch(argv) -> int:
         "config": cfg if status != "config-error" else None,
         "status": status,
         "abort_reason": abort_reason,
+        "last_good": last_good,
         "package_version": __version__,
         "numpy_version": np.__version__,
         "knobs": {

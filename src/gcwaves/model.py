@@ -87,7 +87,18 @@ def initial_data(cfg: ModelConfig) -> FourierField:
 
 
 class _NlKernel:
-    """Raw-array nonlinearity kernel with precomputed multipliers."""
+    """Raw-array nonlinearity kernel with precomputed multipliers.
+
+    One call makes six transforms through a work stack ``w`` of shape
+    (5, M, M), allocated once per kernel.  Its slices are filled with
+    (d1 + i d2) V^, Lap V^, i k1 U^, i k2 U^ and U^; all five go to the grid
+    in two in-place 1-D inverse passes (last axis first, the order ifft2
+    uses), the products are formed in place, and slice 2 comes back in two
+    in-place forward passes.  Every step is the same operation on the same
+    operands as the plain six-``ifft2`` form, so the result is
+    bit-identical to it.  The stack holds no state from one call to the
+    next; the returned array is always fresh.
+    """
 
     def __init__(self, cfg: ModelConfig):
         self.cfg = cfg
@@ -100,15 +111,25 @@ class _NlKernel:
         self.band = phi_le(np.hypot(k1, k2), cfg.velocity_band)
         self.mask = g.dealias_mask()
         m = g.size
-        self.neg = (-np.arange(m)) % m
+        neg = (-np.arange(m)) % m
+        self.flip = neg[:, None] * m + neg[None, :]   # flat index of -k
         self.fwd_scale = (TWO_PI / m) ** 2
         self.inv_scale = m ** 2 / TWO_PI ** 2
+        self.work = np.empty((5, m, m), complex)
+
+    def _vhat(self, uhat, out):
+        """V^ = P_{<= B_V} (Im U)^ = P_{<= B_V} (U^ - conj U^(-k)) / 2i,
+        written to out."""
+        np.take(uhat, self.flip, out=out, mode="clip")
+        np.conj(out, out=out)
+        np.subtract(uhat, out, out=out)
+        np.divide(out, 2j, out=out)
+        return np.multiply(self.band, out, out=out)
 
     def velocity(self, uhat):
-        """V^ = P_{<= B_V} (Im U)^ and grad V on the grid, from U^; V is
-        real, so d1 V + i d2 V comes from one inverse transform."""
-        imhat = (uhat - np.conj(uhat[self.neg][:, self.neg])) / 2j
-        vhat = self.band * imhat
+        """V^ and grad V on the grid, from U^; V is real, so
+        d1 V + i d2 V comes from one inverse transform."""
+        vhat = self._vhat(uhat, np.empty_like(uhat))
         dv = np.fft.ifft2(self.grad * vhat) * self.inv_scale
         return vhat, dv.real, dv.imag
 
@@ -116,16 +137,34 @@ class _NlKernel:
         """N(U)^ from U^ (both dealiased raw arrays)."""
         if self.cfg.linear_only:
             return np.zeros_like(uhat)
+        w = self.work
+        s = self.inv_scale
         # overflow here is the blow-up detection path, not an error state
         with np.errstate(over="ignore", invalid="ignore"):
-            vhat, dv1, dv2 = self.velocity(uhat)
-            ifft = np.fft.ifft2
-            lap = ifft(self.lap * vhat).real * self.inv_scale
-            du1 = ifft(self.ik1 * uhat) * self.inv_scale
-            du2 = ifft(self.ik2 * uhat) * self.inv_scale
-            us = ifft(uhat) * self.inv_scale
-            n_phys = dv1 * du1 + dv2 * du2 + 0.5 * lap * us
-            return np.where(self.mask, np.fft.fft2(n_phys) * self.fwd_scale, 0.0)
+            vhat = self._vhat(uhat, w[4])
+            np.multiply(self.grad, vhat, out=w[0])
+            np.multiply(self.lap, vhat, out=w[1])
+            np.multiply(self.ik1, uhat, out=w[2])
+            np.multiply(self.ik2, uhat, out=w[3])
+            np.copyto(w[4], uhat)
+            np.fft.ifft(w, axis=2, out=w)
+            np.fft.ifft(w, axis=1, out=w)
+            lap = w[1].real                           # Lap V is real: scale it as such
+            np.multiply(lap, s, out=lap)
+            w[0] *= s
+            w[2:] *= s
+            # N = d1V d1U + d2V d2U + (1/2) Lap V U, summed in that order
+            np.multiply(w[0].real, w[2], out=w[2])
+            np.multiply(w[0].imag, w[3], out=w[3])
+            np.multiply(0.5, lap, out=lap)
+            np.multiply(lap, w[4], out=w[4])
+            n_phys = w[2]
+            n_phys += w[3]
+            n_phys += w[4]
+            np.fft.fft(n_phys, axis=1, out=n_phys)
+            np.fft.fft(n_phys, axis=0, out=n_phys)
+            n_phys *= self.fwd_scale
+            return np.where(self.mask, n_phys, 0.0)
 
 
 def nonlinearity(U: FourierField, cfg: ModelConfig) -> FourierField:
@@ -155,6 +194,9 @@ class _Stepper:
         lam = lam_grid(cfg.params, k1, k2)
         self.e_full = np.exp(-1j * cfg.dt * lam)
         self.e_half = np.exp(-1j * 0.5 * cfg.dt * lam)
+        # the products the stages form every step, formed once
+        self.dt_e_half = cfg.dt * self.e_half
+        self.two_e_half = 2.0 * self.e_half
         self.nl = _NlKernel(cfg)
 
     def _wrap(self, coeffs):
@@ -166,18 +208,16 @@ class _Stepper:
         u = np.asarray(state.U.coeffs)
         nl = self.nl
         with np.errstate(over="ignore", invalid="ignore"):
+            full_u = self.e_full * u
+            k1 = nl(u)
+            k2 = nl(self.e_half * (u + 0.5 * dt * k1))
             if cfg.integrator == "midpoint":
-                k1 = nl(u)
-                k2 = nl(self.e_half * (u + 0.5 * dt * k1))
-                out = self.e_full * u + dt * self.e_half * k2
+                out = full_u + self.dt_e_half * k2
             else:
-                k1 = nl(u)
-                k2 = nl(self.e_half * (u + 0.5 * dt * k1))
                 k3 = nl(self.e_half * u + 0.5 * dt * k2)
-                k4 = nl(self.e_full * u + dt * self.e_half * k3)
-                out = (self.e_full * u
-                       + dt / 6.0 * (self.e_full * k1 + 2.0 * self.e_half * (k2 + k3)
-                                     + k4))
+                k4 = nl(full_u + self.dt_e_half * k3)
+                out = full_u + dt / 6.0 * (self.e_full * k1 + self.two_e_half * (k2 + k3)
+                                           + k4)
         if not np.all(np.isfinite(out)):
             raise NumericAbortError(
                 f"non-finite coefficients after step at t={state.t:.6g}",

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -90,6 +91,22 @@ def test_numeric_abort_exit_code(tmp_path):
     assert code == EXIT_NUMERIC
     manifest = json.loads((tmp_path / "blow" / "manifest.json").read_text())
     assert manifest["status"] == "numeric-abort"
+
+
+def test_failed_simulate_keeps_its_healthy_prefix(tmp_path):
+    out = tmp_path / "blow"
+    code = dispatch(["simulate", "--grid", "16", "--epsilon", "20", "--dt", "0.05",
+                     "--t-end", "5", "--out", str(out)])
+    assert code == EXIT_NUMERIC
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "numeric-abort"
+    last = manifest["last_good"]
+    assert last["step"] >= 1 and last["t"] == pytest.approx(0.05 * last["step"])
+    rows = [json.loads(line) for line in (out / "trajectory.jsonl").read_text().splitlines()]
+    assert rows[0]["t"] == 0.0
+    assert all(math.isfinite(r["l2"]) and math.isfinite(r["hN"]) for r in rows)
+    assert rows[-1]["t"] <= last["t"] + 1e-12
+    assert not (out / "conservation.json").exists()
 
 
 def test_collinear_artifacts(tmp_path):

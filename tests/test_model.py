@@ -7,8 +7,9 @@ from gcwaves.dispersion import DispersionParams, lam, lam_grid
 from gcwaves.errors import ConfigError, NumericAbortError
 from gcwaves.fields import (FourierField, Grid, analyze, dealias, dx, inner,
                             l2_norm, random_field, synthesize)
-from gcwaves.model import (ModelConfig, SolverState, _Stepper, initial_data,
-                           lifespan_sweep, nonlinearity, run, step, suggest_dt)
+from gcwaves.model import (ModelConfig, SolverState, _NlKernel, _Stepper,
+                           initial_data, lifespan_sweep, nonlinearity, run, step,
+                           suggest_dt)
 
 P = DispersionParams(1.0, 1.0)
 G = Grid(32)
@@ -73,6 +74,71 @@ def test_skew_symmetry_on_dealiased_grid():
         nl = nonlinearity(U, cfg)
         scale = l2_norm(nl) * l2_norm(U)
         assert abs(np.real(inner(nl, U))) <= 1e-13 * max(scale, 1e-30)
+
+
+def _oracle_kernel(kern, uhat):
+    """The six-ifft2 kernel body the fused work-stack kernel replaced."""
+    if kern.cfg.linear_only:
+        return np.zeros_like(uhat)
+    neg = (-np.arange(uhat.shape[0])) % uhat.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        imhat = (uhat - np.conj(uhat[neg][:, neg])) / 2j
+        vhat = kern.band * imhat
+        dv = np.fft.ifft2(kern.grad * vhat) * kern.inv_scale
+        dv1, dv2 = dv.real, dv.imag
+        ifft = np.fft.ifft2
+        lap = ifft(kern.lap * vhat).real * kern.inv_scale
+        du1 = ifft(kern.ik1 * uhat) * kern.inv_scale
+        du2 = ifft(kern.ik2 * uhat) * kern.inv_scale
+        us = ifft(uhat) * kern.inv_scale
+        n_phys = dv1 * du1 + dv2 * du2 + 0.5 * lap * us
+        return np.where(kern.mask, np.fft.fft2(n_phys) * kern.fwd_scale, 0.0)
+
+
+def _same_bits(a, b):
+    # bitwise: stricter than ==, it also tells -0.0 from 0.0 and matches NaNs
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _random_u(m, seed, scale=1.0):
+    return scale * np.asarray(random_field(Grid(m), seed=seed, decay=0.02).coeffs)
+
+
+@pytest.mark.parametrize("m", [8, 10, 16, 22, 32, 48, 64, 96, 128])
+@pytest.mark.parametrize("band", [0, 1, 10])
+def test_fused_kernel_matches_six_transform_oracle(m, band):
+    kern = _NlKernel(_cfg(grid=Grid(m), velocity_band=band))
+    # two calls in a row with different inputs: the work stack keeps nothing
+    for seed in (m, m + 1):
+        u = _random_u(m, seed)
+        assert _same_bits(kern(u), _oracle_kernel(kern, u))
+        vhat, dv1, dv2 = kern.velocity(u)
+        ref = np.fft.ifft2(kern.grad * vhat) * kern.inv_scale
+        assert _same_bits(dv1 + 1j * dv2, ref)
+
+
+def test_fused_kernel_linear_only_and_blow_up_path():
+    kern = _NlKernel(_cfg(linear_only=True))
+    u = _random_u(32, 3)
+    assert _same_bits(kern(u), np.zeros_like(u))
+    # overflowing data: inf and NaN land where the oracle puts them
+    kern = _NlKernel(_cfg())
+    u = _random_u(32, 4, scale=1e200)
+    got = kern(u)
+    assert not np.all(np.isfinite(got))
+    assert _same_bits(got, _oracle_kernel(kern, u))
+
+
+def test_fused_kernels_on_two_grids_called_in_turn():
+    kerns = [_NlKernel(_cfg(grid=Grid(m))) for m in (16, 24)]
+    for seed in range(3):
+        for kern in kerns:
+            u = _random_u(kern.cfg.grid.size, seed)
+            before = u.copy()
+            out = kern(u)
+            assert _same_bits(out, _oracle_kernel(kern, u))
+            assert _same_bits(u, before)
+            assert not np.shares_memory(out, kern.work)
 
 
 def test_velocity_band_projection_matters():

@@ -1,7 +1,9 @@
-"""Property tests: the Weyl calculus invariants over random grids and seeds.
+"""Property tests over random grids and seeds.
 
-Both application paths are covered: a real function symbol (separable)
-and the Sigma that build_symbols makes from a small random state (general).
+The Weyl calculus invariants are checked on both application paths: a
+real function symbol (separable) and the Sigma that build_symbols makes
+from a small random state (general).  The model nonlinearity is checked
+for the skew identity behind L^2 conservation, with no time stepping.
 Examples are derandomized, so every run draws the same cases.
 """
 
@@ -9,8 +11,9 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from gcwaves.dispersion import DispersionParams
-from gcwaves.fields import Grid, inner, random_field
+from gcwaves.fields import Grid, inner, l2_norm, random_field
 from gcwaves.goodvar import build_symbols, random_state
+from gcwaves.model import ModelConfig, nonlinearity
 from gcwaves.paradiff import ParadiffConfig, Symbol, weyl_apply
 
 CASES = dict(m=st.integers(4, 8).map(lambda k: 2 * k),
@@ -49,3 +52,18 @@ def test_weyl_invariants_good_variable_sigma(m, seed, chi):
     sigma = build_symbols(state, cfg).Sigma
     assert not sigma.is_separable
     _check_self_adjoint_and_conjugation(sigma, grid, cfg, seed)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(m=st.integers(4, 32).map(lambda k: 2 * k), seed=st.integers(0, 2 ** 16),
+       decay=st.sampled_from([0.0, 0.02, 0.25]), band=st.integers(0, 10),
+       amplitude=st.floats(1e-3, 1e3))
+def test_nonlinearity_is_skew_on_dealiased_fields(m, seed, decay, band, amplitude):
+    # Re<N(U), U> = 0 to rounding: the retained products are alias-free, and
+    # transport plus half-divergence pair to a skew operator
+    grid = Grid(m)
+    cfg = ModelConfig(DispersionParams(1.0, 1.0), grid, 0.1, 1e-2, 1.0,
+                      velocity_band=band)
+    u = random_field(grid, seed=seed, decay=decay) * amplitude
+    nl = nonlinearity(u, cfg)
+    assert abs(np.real(inner(nl, u))) <= 1e-13 * max(l2_norm(nl) * l2_norm(u), 1e-300)
