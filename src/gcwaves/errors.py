@@ -18,7 +18,8 @@ class ResourceBudgetError(GcwavesError):
 
 
 class NumericAbortError(GcwavesError):
-    """NaN/overflow detected during time integration.
+    """NaN/overflow, or an L2 norm far from its conserved initial value,
+    detected during time integration.
 
     Carries the last healthy solver state in ``last_state`` when available.
     """

@@ -21,8 +21,9 @@ Symbols come in two flavours:
   * separable - a finite sum of terms  spatial(x) * g(zeta); rows are exact.
     The plan is extended only out to the largest |rho| with a nonzero
     spatial coefficient, each g is evaluated once per midpoint, and an
-    application costs one gather and one scatter per entry of the occupied
-    rows.  Fourier multipliers and function symbols are the 1-term cases.
+    application costs one gather and one scatter per entry of every row up
+    to the last occupied one.  Fourier multipliers and function symbols are
+    the 1-term cases.
   * general   - an arbitrary vectorized evaluator fn(X1, X2, Z1, Z2); it
     reads the full plan grouped by midpoint (one more int32 per entry) and
     costs one evaluation and one FFT of a(., zeta) per midpoint, in batches
@@ -53,8 +54,10 @@ class ParadiffConfig:
     on desk-scale grids (|xi - eta| >= 1 forces |xi + eta| >~ 2^20), so
     experiments default to passing chi_exponent=-2 explicitly and every
     report records the exponent in effect.  ``row_tol`` optionally drops
-    symbol rows with relative weight below it (performance only; 0 keeps
-    exactness).
+    symbol rows with relative weight below it (0 keeps exactness).  A
+    separable apply walks every plan row up to the last one it keeps, so
+    dropping rows shortens the walk only when they are the trailing ones;
+    dropped rows inside the walk add exact zeros.
     """
 
     chi_exponent: int = -20
@@ -315,9 +318,12 @@ class _ChiPlan:
     xi - eta on the grid, xi + eta != 0 and chi(|rho| / |xi + eta|) > 0:
     int32 centered flat indices of xi and rho, the int32 id of the midpoint
     sum s = xi + eta on the (2M-1)^2 box of sums, and float64 chi.  Entries
-    run row by row, rows in increasing |rho|; ``extend`` builds rows only as
-    far as a call needs, and chi is evaluated nowhere else.  ``by_midpoint``
-    groups the full plan by midpoint with one int32 permutation.
+    run row by row, rows in increasing |rho|, with row k at entries
+    [row_start[k], row_start[k+1]); ``extend`` builds rows only as far as a
+    call needs, and chi is evaluated nowhere else.  The separable path walks
+    the rows as one contiguous prefix of the entry arrays, in slices of
+    _CHUNK entries; ``by_midpoint`` groups the full plan by midpoint with
+    one int32 permutation for the general path.
     """
 
     def __init__(self, m, chi):
@@ -376,21 +382,6 @@ class _ChiPlan:
             setattr(self, name, np.concatenate([getattr(self, name)] + parts))
             parts.clear()
         return n
-
-    def row_entries(self, rows):
-        """The entries of plan rows ``rows`` in order, in chunks of _CHUNK."""
-        lo = self.row_start[rows]
-        cnt = self.row_start[rows + 1] - lo
-        end = np.cumsum(cnt)
-        begin = end - cnt
-        shift = lo - begin      # plan entry id minus position, constant per row
-        total = int(end[-1])
-        for c0 in range(0, total, _CHUNK):
-            c1 = min(c0 + _CHUNK, total)
-            # the rows the chunk [c0, c1) meets: only its ends are searched
-            r0, r1 = np.searchsorted(end, (c0, c1 - 1), side="right")
-            n = np.minimum(end[r0:r1 + 1], c1) - np.maximum(begin[r0:r1 + 1], c0)
-            yield np.arange(c0, c1) + np.repeat(shift[r0:r1 + 1], n)
 
     def zeta(self, ids):
         """The midpoints zeta = s / 2 of midpoint ids."""
@@ -466,8 +457,8 @@ def weyl_apply(a: Symbol, f: FourierField, cfg: ParadiffConfig,
 
 
 def _apply_rows(a, grid, cfg, plan, out, fc, extra_weight):
-    """Separable symbols: the entries of the rows some term occupies, with
-    weight sum_t (shat_t(rho) / 4 pi^2) g_t(zeta)."""
+    """Separable symbols: the entries of every row up to the last one some
+    term occupies, with weight sum_t (shat_t(rho) / 4 pi^2) g_t(zeta)."""
     m = grid.size
     coefs = np.zeros((len(a.terms), m * m), np.complex128)
     for c, term in zip(coefs, a.terms):
@@ -489,7 +480,10 @@ def _apply_rows(a, grid, cfg, plan, out, fc, extra_weight):
     gz = np.zeros((len(a.terms), len(plan.mid_row)), np.complex128)
     for g, term in zip(gz, a.terms):
         g[live] = term.gz(z1, z2)
-    for e in plan.row_entries(active):
+    # slices, not gathers: the inactive rows inside the prefix add exact zeros
+    end = int(plan.row_start[active[-1] + 1])
+    for c0 in range(0, end, _CHUNK):
+        e = slice(c0, min(c0 + _CHUNK, end))
         rho, mid = plan.rho[e], plan.mid[e]
         w = coefs[0, rho] * gz[0, mid]
         for c, g in zip(coefs[1:], gz[1:]):
@@ -513,21 +507,6 @@ def _apply_midpoints(a, grid, plan, out, fc, extra_weight):
         e = perm[start[j]:start[j2]]
         local = np.repeat(np.arange(j2 - j), np.diff(start[j:j2 + 1]))
         plan.accumulate(out, e, rows[local, plan.rho[e]], fc, extra_weight, _FOUR_PI2)
-
-
-def assemble_matrix(a: Symbol, grid: Grid, cfg: ParadiffConfig):
-    """Dense matrix of T_a in centered frequency ordering (grids <= 64^2)."""
-    m = grid.size
-    if m > 64:
-        raise ConfigError("matrix materialization is limited to grids <= 64^2")
-    mat = np.zeros((m * m, m * m), np.complex128)
-    for idx in range(m * m):
-        i, j = divmod(idx, m)
-        basis = np.zeros((m, m), np.complex128)
-        basis[i, j] = 1.0
-        fld = FourierField(grid, _uncentered(basis))
-        mat[:, idx] = _centered(weyl_apply(a, fld, cfg).coeffs).ravel()
-    return mat
 
 
 # ---------------------------------------------------------------------------
@@ -601,28 +580,6 @@ class SymbolNormReport:
     description: str
 
 
-def default_zeta_samples(radius, n_rays=8, n_random=16, seed=7):
-    """Half-lattice sample points with 1/2 < |zeta| <= radius."""
-    pts = set()
-    radii = [1.0]
-    r = 1.0
-    while r < radius:
-        r *= 2.0
-        radii.append(min(r, float(radius)))
-    for rr in radii:
-        for q in range(n_rays):
-            th = 2 * math.pi * q / n_rays
-            z = (round(2 * rr * math.cos(th)) / 2.0, round(2 * rr * math.sin(th)) / 2.0)
-            if z[0] ** 2 + z[1] ** 2 > 0.25:
-                pts.add(z)
-    rng = np.random.default_rng(seed)
-    while len(pts) < n_rays + n_random:
-        z = tuple(np.round(rng.uniform(-2 * radius, 2 * radius, 2)) / 2.0)
-        if 0.25 < z[0] ** 2 + z[1] ** 2 <= radius ** 2:
-            pts.add(z)
-    return sorted(pts)
-
-
 def symbol_norm(a: Symbol, l, r, zeta_samples, grid: Grid, zeta_step=0.25) -> SymbolNormReport:
     """Sampled symbol-class norm: a lower bound for
 
@@ -630,7 +587,7 @@ def symbol_norm(a: Symbol, l, r, zeta_samples, grid: Grid, zeta_step=0.25) -> Sy
         <zeta>^{-l} || <zeta>^{|beta|} d^beta_zeta d^alpha_x a ||_{L^2_x}.
 
     x-derivatives are exact in Fourier, zeta-derivatives by central
-    differences.
+    differences; the alpha = 0 terms are norms of the samples themselves.
     """
     if r < 0:
         raise ConfigError("differentiability r must be >= 0")
@@ -639,6 +596,12 @@ def symbol_norm(a: Symbol, l, r, zeta_samples, grid: Grid, zeta_step=0.25) -> Sy
     k = np.fft.fftfreq(m, 1.0 / m)
     K1f, K2f = np.meshgrid(k, k, indexing="ij")
     dx_quad = (TWO_PI / m) ** 2
+    # (|alpha|, (i K1)^alpha1 (i K2)^alpha2) for 1 <= |alpha| <= r, formed once
+    mults = [(atot, (1j * K1f) ** a1 * (1j * K2f) ** (atot - a1))
+             for atot in range(1, r + 1) for a1 in range(atot + 1)]
+
+    def l2(v):
+        return math.sqrt(float(np.sum(np.abs(v) ** 2)) * dx_quad)
 
     def zderiv(fn_eval, beta, z1, z2):
         if beta == (0, 0):
@@ -658,16 +621,15 @@ def symbol_norm(a: Symbol, l, r, zeta_samples, grid: Grid, zeta_step=0.25) -> Sy
         fn_eval = lambda w1, w2: a.eval(X1, X2, np.asarray(w1), np.asarray(w2))
         for btot in range(r + 1):
             for b1 in range(btot + 1):
-                beta = (b1, btot - b1)
-                base = zderiv(fn_eval, beta, z1, z2)
+                base = zderiv(fn_eval, (b1, btot - b1), z1, z2)
                 base = np.asarray(base, np.complex128) + np.zeros((m, m), np.complex128)
-                bh = np.fft.fft2(base)
-                for atot in range(r + 1 - btot):
-                    for a1 in range(atot + 1):
-                        alpha = (a1, atot - a1)
-                        der = np.fft.ifft2((1j * K1f) ** alpha[0] * (1j * K2f) ** alpha[1] * bh)
-                        nrm = math.sqrt(float(np.sum(np.abs(der) ** 2)) * dx_quad)
-                        best = max(best, bz ** (-l + btot) * nrm)
+                scale = bz ** (-l + btot)
+                best = max(best, scale * l2(base))
+                if btot < r:     # x-derivatives left: one transform
+                    bh = np.fft.fft2(base)
+                    for atot, mult in mults:
+                        if atot <= r - btot:
+                            best = max(best, scale * l2(np.fft.ifft2(mult * bh)))
     return SymbolNormReport(l, r, best, len(zeta_samples),
                             f"sampled lower bound, grid {m}^2, {len(zeta_samples)} zeta pts")
 

@@ -100,8 +100,10 @@ def test_failed_simulate_keeps_its_healthy_prefix(tmp_path):
     assert code == EXIT_NUMERIC
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "numeric-abort"
+    # the first step leaves the L2 norm 2e6 times its initial value: the
+    # drift guard stops the run there, and t = 0 is the last healthy state
     last = manifest["last_good"]
-    assert last["step"] >= 1 and last["t"] == pytest.approx(0.05 * last["step"])
+    assert last == {"t": 0.0, "step": 0}
     rows = [json.loads(line) for line in (out / "trajectory.jsonl").read_text().splitlines()]
     assert rows[0]["t"] == 0.0
     assert all(math.isfinite(r["l2"]) and math.isfinite(r["hN"]) for r in rows)

@@ -11,8 +11,7 @@ from gcwaves.fields import (FourierField, Grid, inner, l2_norm,
                             lp_project, mean, product_exact, random_field,
                             synthesize)
 from gcwaves.paradiff import (ParadiffConfig, SeparableTerm, Symbol,
-                              assemble_matrix, compose_residual_field,
-                              composition_residual, default_zeta_samples,
+                              compose_residual_field, composition_residual,
                               error_kernel_apply, paracomp_remainder,
                               paralin_remainder, poisson_bracket, symbol_norm,
                               weyl_apply)
@@ -26,6 +25,40 @@ def _mult(p):
     return Symbol.multiplier(lambda z1, z2: np.hypot(z1, z2) ** p, p,
                              dgz=(lambda z1, z2: p * np.hypot(z1, z2) ** (p - 2) * z1,
                                   lambda z1, z2: p * np.hypot(z1, z2) ** (p - 2) * z2))
+
+
+def assemble_matrix(a, grid, cfg):
+    """Dense matrix of T_a in centered frequency ordering."""
+    m = grid.size
+    mat = np.zeros((m * m, m * m), np.complex128)
+    for idx in range(m * m):
+        basis = np.zeros((m, m), np.complex128)
+        basis[divmod(idx, m)] = 1.0
+        fld = FourierField(grid, np.fft.ifftshift(basis))
+        mat[:, idx] = np.fft.fftshift(weyl_apply(a, fld, cfg).coeffs).ravel()
+    return mat
+
+
+def default_zeta_samples(radius, n_rays=8, n_random=16, seed=7):
+    """Half-lattice sample points with 1/2 < |zeta| <= radius."""
+    pts = set()
+    radii = [1.0]
+    r = 1.0
+    while r < radius:
+        r *= 2.0
+        radii.append(min(r, float(radius)))
+    for rr in radii:
+        for q in range(n_rays):
+            th = 2 * math.pi * q / n_rays
+            z = (round(2 * rr * math.cos(th)) / 2.0, round(2 * rr * math.sin(th)) / 2.0)
+            if z[0] ** 2 + z[1] ** 2 > 0.25:
+                pts.add(z)
+    rng = np.random.default_rng(seed)
+    while len(pts) < n_rays + n_random:
+        z = tuple(np.round(rng.uniform(-2 * radius, 2 * radius, 2)) / 2.0)
+        if 0.25 < z[0] ** 2 + z[1] ** 2 <= radius ** 2:
+            pts.add(z)
+    return sorted(pts)
 
 
 def test_config_validation():
@@ -536,7 +569,8 @@ def test_plan_cache_keeps_only_recent_plans_and_eviction_is_invisible(monkeypatc
 
 
 def _row_entries_by_position(plan, rows):
-    """Oracle: the per-position searchsorted walk, chunked as row_entries."""
+    """The entries of plan rows ``rows`` in order, in chunks of _CHUNK, by a
+    per-position search."""
     lo = plan.row_start[rows]
     cnt = plan.row_start[rows + 1] - lo
     end = np.cumsum(cnt)
@@ -546,29 +580,84 @@ def _row_entries_by_position(plan, rows):
         yield lo[r] + (pos - (end[r] - cnt[r]))
 
 
-@settings(max_examples=20, derandomize=True, deadline=None, database=None)
-@given(m=st.sampled_from([16, 32, 64]),
-       kind=st.sampled_from(["all", "one", "run", "gaps"]),
-       seed=st.integers(0, 2 ** 16), density=st.floats(0.01, 0.9))
-@example(m=64, kind="all", seed=0, density=1.0)
-@example(m=32, kind="run", seed=5, density=0.5)
-def test_row_entries_match_per_position_search(m, kind, seed, density):
-    plan = paradiff._plan(m, CFG)
-    n = plan.extend(np.inf)
+def _apply_active_rows(a, grid, cfg, plan, out, fc, extra_weight):
+    """Oracle for paradiff._apply_rows: only the entries of the rows some
+    term occupies, gathered row by row."""
+    m = grid.size
+    coefs = np.zeros((len(a.terms), m * m), np.complex128)
+    for c, term in zip(coefs, a.terms):
+        if term.spatial is None:
+            c[(m // 2) * m + m // 2] = 1.0
+            continue
+        sc = np.fft.fftshift(term.spatial.coeffs).ravel()
+        tol = cfg.row_tol * np.max(np.abs(sc)) if cfg.row_tol else 0.0
+        kept = np.abs(sc) > tol
+        c[kept] = sc[kept] / paradiff._FOUR_PI2
+    active = np.flatnonzero(np.any(coefs != 0.0, axis=0)[plan.rows])
+    if not len(active):
+        return
+    n = plan.extend(plan.row_sq[active[-1]])
+    live = np.flatnonzero(plan.mid_row < n)
+    z1, z2 = plan.zeta(live)
+    gz = np.zeros((len(a.terms), len(plan.mid_row)), np.complex128)
+    for g, term in zip(gz, a.terms):
+        g[live] = term.gz(z1, z2)
+    for e in _row_entries_by_position(plan, active):
+        rho, mid = plan.rho[e], plan.mid[e]
+        w = coefs[0, rho] * gz[0, mid]
+        for c, g in zip(coefs[1:], gz[1:]):
+            w += c[rho] * g[mid]
+        plan.accumulate(out, e, w, fc, extra_weight)
+
+
+def _sparse_field(g, rng, n_modes, kmax):
+    c = np.zeros((g.size, g.size), complex)
+    for _ in range(n_modes):
+        k = rng.integers(-kmax, kmax + 1, 2)
+        c[k[0] % g.size, k[1] % g.size] = complex(*rng.standard_normal(2)) * TWO_PI ** 2
+    return FourierField.from_coeffs(g, c, check_real=False)
+
+
+@settings(max_examples=15, derandomize=True, deadline=None, database=None)
+@given(m=st.just(32),
+       kind=st.sampled_from(["dense", "row_tol", "high_row", "multi", "kernel"]),
+       seed=st.integers(0, 2 ** 16))
+@example(m=64, kind="high_row", seed=3)
+def test_separable_apply_matches_active_row_walk(m, kind, seed):
+    # the prefix walk against a walk over only the occupied rows, at sizes
+    # whose plans span several _CHUNK-entry slices
+    g = Grid(m)
     rng = np.random.default_rng(seed)
-    if kind == "all":
-        rows = np.arange(n)
-    elif kind == "one":
-        rows = rng.integers(n, size=1)
-    elif kind == "run":    # consecutive rows, often across a chunk boundary
-        a = int(rng.integers(n))
-        rows = np.arange(a, min(n, a + 1 + int(density * n)))
+    full = lambda: FourierField.from_coeffs(
+        g, rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)), check_real=False)
+    f = full()
+    cfg, kernel = CFG, None
+    if kind == "dense":          # every row of the grid occupied
+        sym = Symbol.from_function(full())
+    elif kind == "row_tol":      # dropped rows inside the walk and at its end
+        cfg = ParadiffConfig(chi_exponent=-2, row_tol=float(rng.uniform(0.05, 0.6)))
+        sym = Symbol.from_function(random_field(g, seed=seed, decay=0.02))
+    elif kind == "high_row":     # one occupied row (and its mirror) far out
+        k = rng.integers(m // 8, m // 4 + 1, 2) * rng.choice([-1, 1], 2)
+        fld = FourierField.single_mode(g, k, 1.0) + FourierField.single_mode(g, -k, 0.5)
+        sym = Symbol.separable([SeparableTerm(fld, lambda z1, z2: np.hypot(z1, z2) ** 0.5)], 0.5)
     else:
-        rows = np.flatnonzero(rng.random(n) < density)
-        if not len(rows):
-            rows = np.array([n - 1])
-    got = list(plan.row_entries(rows))
-    want = list(_row_entries_by_position(plan, rows))
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype and np.array_equal(g, w)
+        sym = Symbol.separable([
+            SeparableTerm(random_field(g, seed=seed, decay=0.05),
+                          lambda z1, z2: (z1 + 2j * z2) / np.hypot(z1, z2)),
+            SeparableTerm(_sparse_field(g, rng, 6, m // 2 - 1), lambda z1, z2: np.hypot(z1, z2)),
+            SeparableTerm(None, lambda z1, z2: z1 - 0.5j * z2)], 1.0)
+        if kind == "kernel":     # error_kernel_apply's extra_weight hook
+            kernel = (_mult(float(rng.uniform(-1.0, 1.5))), str(rng.choice(["left", "right"])))
+
+    def apply():
+        if kernel is None:
+            return weyl_apply(sym, f, cfg).coeffs
+        return error_kernel_apply(kernel[0], sym, f, kernel[1], cfg).coeffs
+
+    got = apply()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(paradiff, "_apply_rows", _apply_active_rows)
+        want = apply()
+    assert np.max(np.abs(want)) > 0.0
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
