@@ -13,10 +13,20 @@ e^{-i dt Lam} is applied exactly as a multiplier and the rotated
 nonlinearity is advanced with classical RK stages, so the only step-size
 restriction is the nonlinear transport CFL.
 
+The nonlinearity is evaluated in the complex-derivative form
+
+    N = (1/2) dbar(W U) + (1/2) conj(W) d U,   W = d V,
+    d = d1 + i d2,   dbar = d1 - i d2,
+
+which equals the form above for real V (dbar W = Lap V, and
+grad V . grad U = (W dbar U + conj(W) d U) / 2) and costs five transforms
+per call: W, U and d U to the grid, the two products back.
+
 Discrete conservation: U is kept on the dealiased square |k_i| <= kmax with
 3 kmax < M, products are evaluated pointwise and re-truncated, so retained
-modes of N(U) are alias-free exact convolutions and Re<N(U), U> vanishes
-identically (to rounding).  The L^2 drift of a run therefore measures pure
+modes of N(U) are alias-free exact convolutions.  Grid Parseval then holds
+for them, the adjoint of dbar is -d, and Re<N(U), U> vanishes identically
+(to rounding).  The L^2 drift of a run therefore measures pure
 time-integration error.
 """
 
@@ -93,43 +103,53 @@ def initial_data(cfg: ModelConfig) -> FourierField:
 
 
 class _NlKernel:
-    """Raw-array nonlinearity kernel with precomputed multipliers.
+    """Raw-array nonlinearity kernel with precomputed multipliers, for
+    N = (1/2) dbar(W U) + (1/2) conj(W) d U with W = d V (module docstring).
 
-    One call makes six transforms through a work stack ``w`` of shape
-    (5, M, M), allocated once per kernel.  Its slices are filled with
-    (d1 + i d2) V^, Lap V^, i k1 U^, i k2 U^ and U^; all five go to the grid
-    in two in-place 1-D inverse passes (last axis first, the order ifft2
-    uses), the products are formed in place, and slice 2 comes back in two
-    in-place forward passes.  Every step is the same operation on the same
-    operands as the plain six-``ifft2`` form, so the result is
-    bit-identical to it.  The stack holds no state from one call to the
-    next; the returned array is always fresh.
+    One call makes five transforms through a work stack ``w`` of shape
+    (3, M, M), allocated once per kernel.  Its slices are filled with W^,
+    U^ and (d U)^, each with the inverse scale folded into its multiplier;
+    all three go to the grid in two in-place 1-D inverse passes (last axis
+    first, the order ifft2 uses).  W U and conj(W) d U are formed in place
+    and come back in two in-place forward passes, and dbar, the forward
+    scale and the dealias mask are one multiplier per product.  The stack
+    holds no state from one call to the next; the returned array is always
+    fresh.
+
+    Skew symmetry holds to rounding: the retained products are exact
+    convolutions, so grid Parseval applies to them, and the adjoint of dbar
+    is -d.  So <(1/2) dbar(W U), U> = -(1/2) <W U, d U>, which is minus the
+    complex conjugate of <(1/2) conj(W) d U, U>, and Re<N, U> = 0.
     """
 
     def __init__(self, cfg: ModelConfig):
         self.cfg = cfg
         g = cfg.grid
         k1, k2 = g.freqs()
-        self.ik1 = 1j * k1
-        self.ik2 = 1j * k2
         self.grad = 1j * k1 - k2                      # d1 + i d2
-        self.lap = -(k1 * k1 + k2 * k2).astype(float)
         self.band = phi_le(np.hypot(k1, k2), cfg.velocity_band)
-        self.mask = g.dealias_mask()
         m = g.size
         neg = (-np.arange(m)) % m
         self.flip = neg[:, None] * m + neg[None, :]   # flat index of -k
-        self.fwd_scale = (TWO_PI / m) ** 2
         self.inv_scale = m ** 2 / TWO_PI ** 2
-        self.work = np.empty((5, m, m), complex)
+        # W^ = d V^ = grad band (U^ - conj U^(-k)) / 2i, on the grid scale
+        self.wv = self.grad * self.band / 2j * self.inv_scale
+        self.gs = self.grad * self.inv_scale
+        # dbar (i k1 + k2), the forward scale and the mask, per product
+        c2 = 0.5 * (TWO_PI / m) ** 2 * g.dealias_mask()
+        self.c1 = (1j * k1 + k2) * c2
+        self.c2 = c2
+        self.work = np.empty((3, m, m), complex)
 
-    def _vhat(self, uhat, out):
-        """V^ = P_{<= B_V} (Im U)^ = P_{<= B_V} (U^ - conj U^(-k)) / 2i,
-        written to out."""
+    def _im2i(self, uhat, out):
+        """2i (Im U)^ = U^ - conj U^(-k), written to out."""
         np.take(uhat, self.flip, out=out, mode="clip")
         np.conj(out, out=out)
-        np.subtract(uhat, out, out=out)
-        np.divide(out, 2j, out=out)
+        return np.subtract(uhat, out, out=out)
+
+    def _vhat(self, uhat, out):
+        """V^ = P_{<= B_V} (Im U)^, written to out."""
+        np.divide(self._im2i(uhat, out), 2j, out=out)
         return np.multiply(self.band, out, out=out)
 
     def velocity(self, uhat):
@@ -144,33 +164,24 @@ class _NlKernel:
         if self.cfg.linear_only:
             return np.zeros_like(uhat)
         w = self.work
-        s = self.inv_scale
+        wg, ug, dug = w                               # W, U and d U
         # overflow here is the blow-up detection path, not an error state
         with np.errstate(over="ignore", invalid="ignore"):
-            vhat = self._vhat(uhat, w[4])
-            np.multiply(self.grad, vhat, out=w[0])
-            np.multiply(self.lap, vhat, out=w[1])
-            np.multiply(self.ik1, uhat, out=w[2])
-            np.multiply(self.ik2, uhat, out=w[3])
-            np.copyto(w[4], uhat)
+            np.multiply(self.wv, self._im2i(uhat, wg), out=wg)
+            np.multiply(uhat, self.inv_scale, out=ug)
+            np.multiply(self.gs, uhat, out=dug)
             np.fft.ifft(w, axis=2, out=w)
             np.fft.ifft(w, axis=1, out=w)
-            lap = w[1].real                           # Lap V is real: scale it as such
-            np.multiply(lap, s, out=lap)
-            w[0] *= s
-            w[2:] *= s
-            # N = d1V d1U + d2V d2U + (1/2) Lap V U, summed in that order
-            np.multiply(w[0].real, w[2], out=w[2])
-            np.multiply(w[0].imag, w[3], out=w[3])
-            np.multiply(0.5, lap, out=lap)
-            np.multiply(lap, w[4], out=w[4])
-            n_phys = w[2]
-            n_phys += w[3]
-            n_phys += w[4]
-            np.fft.fft(n_phys, axis=1, out=n_phys)
-            np.fft.fft(n_phys, axis=0, out=n_phys)
-            n_phys *= self.fwd_scale
-            return np.where(self.mask, n_phys, 0.0)
+            np.multiply(wg, ug, out=ug)               # W U
+            np.conj(wg, out=wg)
+            np.multiply(wg, dug, out=dug)             # conj(W) d U
+            prods = w[1:]
+            np.fft.fft(prods, axis=2, out=prods)
+            np.fft.fft(prods, axis=1, out=prods)
+            out = self.c1 * ug
+            np.multiply(self.c2, dug, out=dug)
+            out += dug
+            return out
 
 
 def nonlinearity(U: FourierField, cfg: ModelConfig) -> FourierField:

@@ -6,7 +6,7 @@ import pytest
 from gcwaves.dispersion import DispersionParams, lam, lam_grid
 from gcwaves.errors import ConfigError, NumericAbortError
 from gcwaves.fields import (FourierField, Grid, analyze, dealias, dx, inner,
-                            l2_norm, random_field, synthesize)
+                            l2_norm, phi_le, random_field, synthesize)
 from gcwaves.model import (ModelConfig, SolverState, _NlKernel, _Stepper,
                            initial_data, lifespan_sweep, nonlinearity, run, step,
                            suggest_dt)
@@ -76,23 +76,54 @@ def test_skew_symmetry_on_dealiased_grid():
         assert abs(np.real(inner(nl, U))) <= 1e-13 * max(scale, 1e-30)
 
 
-def _oracle_kernel(kern, uhat):
-    """The six-ifft2 kernel body the fused work-stack kernel replaced."""
-    if kern.cfg.linear_only:
-        return np.zeros_like(uhat)
-    neg = (-np.arange(uhat.shape[0])) % uhat.shape[0]
+def _oracle_kernel(cfg, uhat, dtype=complex):
+    """N(U)^ = grad V . grad U + (1/2) Lap V U by six ifft2/fft2 transforms,
+    with every multiplier built here from the grid and phi_le, in ``dtype``
+    arithmetic (np.clongdouble for the extended-precision reference)."""
+    g = cfg.grid
+    m = g.size
+    real = np.finfo(dtype).dtype.type
+    two_pi = 2 * np.arccos(real(-1))
+    k1, k2 = (k.astype(real) for k in g.freqs())
+    band = phi_le(np.hypot(*g.freqs()), cfg.velocity_band).astype(real)
+    inv_scale = real(m) ** 2 / two_pi ** 2
+    fwd_scale = (two_pi / m) ** 2
+    u = uhat.astype(dtype)
+    neg = (-np.arange(m)) % m
+    ifft = np.fft.ifft2
     with np.errstate(over="ignore", invalid="ignore"):
-        imhat = (uhat - np.conj(uhat[neg][:, neg])) / 2j
-        vhat = kern.band * imhat
-        dv = np.fft.ifft2(kern.grad * vhat) * kern.inv_scale
+        vhat = band * (u - np.conj(u[neg][:, neg])) / dtype(2j)
+        dv = ifft((1j * k1 - k2) * vhat) * inv_scale             # d1 V + i d2 V
         dv1, dv2 = dv.real, dv.imag
-        ifft = np.fft.ifft2
-        lap = ifft(kern.lap * vhat).real * kern.inv_scale
-        du1 = ifft(kern.ik1 * uhat) * kern.inv_scale
-        du2 = ifft(kern.ik2 * uhat) * kern.inv_scale
-        us = ifft(uhat) * kern.inv_scale
+        lap = ifft(-(k1 * k1 + k2 * k2) * vhat).real * inv_scale
+        du1 = ifft(1j * k1 * u) * inv_scale
+        du2 = ifft(1j * k2 * u) * inv_scale
+        us = ifft(u) * inv_scale
         n_phys = dv1 * du1 + dv2 * du2 + 0.5 * lap * us
-        return np.where(kern.mask, np.fft.fft2(n_phys) * kern.fwd_scale, 0.0)
+        return np.where(g.dealias_mask(), np.fft.fft2(n_phys) * fwd_scale, 0.0)
+
+
+def _direct_symbol_sum(cfg, uhat):
+    """N^(xi) = -(1/2)(2 pi)^-2 sum_eta (xi - eta).(xi + eta) V^(xi - eta) U^(eta)
+    summed pair by pair over the dealiased square, with
+    V^ = phi_{<=B}(|k|) (U^(k) - conj U^(-k)) / 2i: no transform at all."""
+    g = cfg.grid
+    m, km = g.size, g.kmax_dealias
+    ks = np.arange(-km, km + 1)
+    c1, c2 = (c.ravel() for c in np.meshgrid(ks, ks, indexing="ij"))
+    u = uhat[c1 % m, c2 % m]
+    vhat = (phi_le(np.hypot(c1, c2), cfg.velocity_band)
+            * (u - np.conj(uhat[-c1 % m, -c2 % m])) / 2j)
+    d1, d2 = c1[:, None] - c1[None, :], c2[:, None] - c2[None, :]       # xi - eta
+    inside = (np.abs(d1) <= km) & (np.abs(d2) <= km)
+    side = 2 * km + 1
+    # differences off the square read some valid entry, then masked to zero
+    v_d = np.where(inside, vhat[((d1 + km) % side) * side + (d2 + km) % side], 0.0)
+    sym = -0.5 / (2 * np.pi) ** 2 * (c1[:, None] ** 2 + c2[:, None] ** 2
+                                     - c1[None, :] ** 2 - c2[None, :] ** 2)
+    out = np.zeros_like(uhat)
+    out[c1 % m, c2 % m] = (sym * v_d) @ u
+    return out
 
 
 def _same_bits(a, b):
@@ -104,29 +135,52 @@ def _random_u(m, seed, scale=1.0):
     return scale * np.asarray(random_field(Grid(m), seed=seed, decay=0.02).coeffs)
 
 
+# the reference is the six-transform formula in extended precision where the
+# platform has it, else in float64; the kernel must sit at rounding level
+_REF_DTYPE = (np.clongdouble if np.finfo(np.longdouble).eps < np.finfo(float).eps
+              else complex)
+
+
 @pytest.mark.parametrize("m", [8, 10, 16, 22, 32, 48, 64, 96, 128])
 @pytest.mark.parametrize("band", [0, 1, 10])
 def test_fused_kernel_matches_six_transform_oracle(m, band):
-    kern = _NlKernel(_cfg(grid=Grid(m), velocity_band=band))
+    cfg = _cfg(grid=Grid(m), velocity_band=band)
+    kern = _NlKernel(cfg)
     # two calls in a row with different inputs: the work stack keeps nothing
     for seed in (m, m + 1):
         u = _random_u(m, seed)
-        assert _same_bits(kern(u), _oracle_kernel(kern, u))
+        ref = _oracle_kernel(cfg, u, _REF_DTYPE)
+        assert np.max(np.abs(kern(u) - ref)) <= 2e-15 * np.max(np.abs(ref))
         vhat, dv1, dv2 = kern.velocity(u)
         ref = np.fft.ifft2(kern.grad * vhat) * kern.inv_scale
         assert _same_bits(dv1 + 1j * dv2, ref)
+
+
+@pytest.mark.parametrize("m", [8, 12, 16])
+@pytest.mark.parametrize("band", [0, 1, 10])
+def test_kernel_matches_direct_symbol_sum(m, band):
+    # ties the kernel to the README's symmetrized symbol with no FFT in the
+    # reference, the symbol the energy module's constant rests on
+    cfg = _cfg(grid=Grid(m), velocity_band=band)
+    U = random_field(Grid(m), seed=m + band, decay=0.02)
+    ref = _direct_symbol_sum(cfg, np.asarray(U.coeffs))
+    got = nonlinearity(U, cfg).coeffs
+    assert np.max(np.abs(ref)) > 0.0
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_fused_kernel_linear_only_and_blow_up_path():
     kern = _NlKernel(_cfg(linear_only=True))
     u = _random_u(32, 3)
     assert _same_bits(kern(u), np.zeros_like(u))
-    # overflowing data: inf and NaN land where the oracle puts them
-    kern = _NlKernel(_cfg())
+    # overflowing data: the kernel returns non-finite values, and the
+    # stepper turns them into a named abort instead of a state
+    cfg = _cfg()
     u = _random_u(32, 4, scale=1e200)
-    got = kern(u)
-    assert not np.all(np.isfinite(got))
-    assert _same_bits(got, _oracle_kernel(kern, u))
+    assert not np.all(np.isfinite(_NlKernel(cfg)(u)))
+    l2 = 1e200 * l2_norm(FourierField(G, _random_u(32, 4), False))
+    with pytest.raises(NumericAbortError):
+        _Stepper(cfg).step(SolverState(0.0, FourierField(G, u, False), l2))
 
 
 def test_fused_kernels_on_two_grids_called_in_turn():
@@ -136,7 +190,7 @@ def test_fused_kernels_on_two_grids_called_in_turn():
             u = _random_u(kern.cfg.grid.size, seed)
             before = u.copy()
             out = kern(u)
-            assert _same_bits(out, _oracle_kernel(kern, u))
+            assert _same_bits(out, _NlKernel(kern.cfg)(u))
             assert _same_bits(u, before)
             assert not np.shares_memory(out, kern.work)
 
