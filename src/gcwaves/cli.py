@@ -34,7 +34,8 @@ from .dispersion import (BISECTION_TOL, DispersionParams, ScanWindow,
 from .errors import (CadenceError, ConfigError, NumericAbortError,
                      PositivityError, ResourceBudgetError,
                      SingularMultiplierError, SmallDivisorError)
-from .fields import Grid, l2_norm, random_field, save_snapshot, sobolev_norm
+from .fields import (Grid, finite_json, l2_norm, random_field, save_snapshot,
+                     sobolev_norm)
 from .model import ModelConfig, lifespan_sweep, run
 from .energy import (C_ENERGY, SMALL_DIVISOR_GUARD, depletion_checks,
                      increment_audit)
@@ -215,20 +216,9 @@ def _budget(cfg):
     return int(cfg["budget"])
 
 
-def _sanitize(obj):
-    """Strict-JSON pass: non-finite floats become null."""
-    if isinstance(obj, float):
-        return obj if np.isfinite(obj) else None
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    return obj
-
-
 def _write_json(path, obj):
     with open(path, "w") as fh:
-        json.dump(_sanitize(json.loads(json.dumps(obj, default=_jsonable))),
+        json.dump(finite_json(json.loads(json.dumps(obj, default=_jsonable))),
                   fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -388,6 +378,8 @@ def _cmd_symbols(cfg, out):
 
 
 def _cmd_simulate(cfg, out):
+    if cfg["linear-only"] not in (0, 1):
+        raise ConfigError(f"linear-only must be 0 or 1, got {cfg['linear-only']!r}")
     params = DispersionParams(cfg["g"], 1.0)
     mc = ModelConfig(params, Grid(cfg["grid"]), cfg["epsilon"], cfg["dt"],
                      cfg["t-end"], velocity_band=cfg["velocity-band"],
@@ -505,7 +497,7 @@ def dispatch(argv) -> int:
         print(f"gcwaves: manifest not written: {err}", file=sys.stderr)
         return code if code != EXIT_OK else EXIT_INTERNAL
     if summary:
-        print(json.dumps(_sanitize(json.loads(
+        print(json.dumps(finite_json(json.loads(
             json.dumps(summary, default=_jsonable))), sort_keys=True))
     return code
 

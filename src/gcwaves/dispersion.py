@@ -11,6 +11,13 @@ tuples by (normalized gap, dyadic shell of |xi|, xi, offset, signs), points
 and sign tuples compared lexicographically, ties included; the records are
 then listed by (gap, frequencies).  Shell statistics and tuple counts cover
 every tuple in the window.
+
+Lambda depends on |v| only, so every phase and weight is unchanged, bit for
+bit, when the lattice symmetry group D4 acts on all frequencies of a tuple
+at once.  The census sweeps therefore evaluate only the tuples whose first
+frequency is an orbit representative 0 <= v2 <= v1, and map the shortlisted
+ones to their 8 images; the records, shell statistics and tuple counts are
+those of the whole window.
 """
 
 from __future__ import annotations
@@ -40,14 +47,15 @@ GENERIC_G = (math.sqrt(2.0), math.e, math.pi / 2.0)
 
 @dataclass(frozen=True)
 class DispersionParams:
-    """Gravity g and surface tension sigma (both dimensionless, > 0)."""
+    """Gravity g and surface tension sigma (both dimensionless, finite, > 0)."""
 
     g: float
     sigma: float = 1.0
 
     def __post_init__(self):
-        if not (self.g > 0.0 and self.sigma > 0.0):
-            raise ConfigError("g and sigma must be positive")
+        if not (0.0 < self.g < math.inf and 0.0 < self.sigma < math.inf):
+            raise ConfigError(f"g and sigma must be finite and positive, "
+                              f"got {self.g!r}, {self.sigma!r}")
 
     @property
     def y(self) -> float:
@@ -253,21 +261,50 @@ def _flat(pts, side):
 
 def _by_shell(pts):
     """Points stably sorted by dyadic shell, so that position is rank in the
-    (shell, point) order; returns (pts, |pts|, shells, run starts)."""
+    (shell, point) order; returns (pts, |pts|, shells)."""
     a = np.hypot(pts[:, 0], pts[:, 1])
     shells = _shell_index(a)
     order = np.argsort(shells, kind="stable")
-    shells = shells[order]
-    starts = np.flatnonzero(np.r_[True, shells[1:] != shells[:-1]])
-    return pts[order], a[order], shells, starts
+    return pts[order], a[order], shells[order]
+
+
+# the lattice symmetry group D4 of Z^2 as 8 integer matrices: the sign
+# changes of (v1, v2) and of (v2, v1)
+_D4 = np.array([[[s1, 0], [0, s2]] for s1 in (1, -1) for s2 in (1, -1)]
+               + [[[0, s1], [s2, 0]] for s1 in (1, -1) for s2 in (1, -1)])
+
+
+def _d4_reps(pts):
+    """Representatives 0 <= v2 <= v1 of a D4-invariant point set: their
+    indices into pts and their orbit sizes (1 at the origin, 4 on the axes
+    and diagonals, 8 elsewhere).  Each orbit holds exactly one of them."""
+    v1, v2 = np.asarray(pts).T
+    rep = np.flatnonzero((0 <= v2) & (v2 <= v1))
+    v1, v2 = v1[rep], v2[rep]
+    return rep, np.where(v1 == 0, 1, np.where((v2 == 0) | (v2 == v1), 4, 8))
+
+
+def _d4_images(pts, side, at):
+    """(8, n) table of at[_flat(g v)] over the symmetries g and the points v;
+    ``at`` maps a flat index of the square to a position in a point list."""
+    return at[_flat(np.asarray(pts) @ _D4.transpose(0, 2, 1), side)]
+
+
+def _index_of(pts, side):
+    """Flat index of the square [-side, side]^2 -> position in pts."""
+    at = np.full((2 * side + 1) ** 2, -1, np.int64)
+    at[_flat(pts, side)] = np.arange(len(pts))
+    return at
 
 
 class _TopN:
     """Exact running selection of the n smallest rows by (gap, key).
 
-    Batches are offered as flat arrays (gap, int key, payload...).  Only rows
-    on the shortlist are ever copied, so once n rows are held an offer costs
-    one comparison over the batch.  Infinite and NaN gaps are never kept."""
+    Batches are offered as flat arrays (gap, int key, payload...), rows of
+    shortlisted points only.  Infinite and NaN gaps are never kept.  A key
+    names one row: offered again, with the same gap, it is held once, and
+    repeats are dropped before the n smallest are cut, so a repeat never takes
+    the place of a distinct row."""
 
     def __init__(self, n):
         self.n = int(n)
@@ -286,13 +323,15 @@ class _TopN:
         return sel
 
     def offer(self, gap, key, *payload):
-        sel = self.shortlist(gap)
+        sel = np.flatnonzero(gap <= self.tau)
         if not sel.size:
             return
         cols = [c[sel] for c in (gap, key) + payload]
         if self.rows:
             cols = [np.concatenate(pair) for pair in zip(self.rows, cols)]
-        keep = np.lexsort((cols[1], cols[0]))[:self.n]
+        keep = np.lexsort((cols[1], cols[0]))
+        key = cols[1][keep]
+        keep = keep[np.r_[True, key[1:] != key[:-1]]][:self.n]
         self.rows = [c[keep] for c in cols]
         if keep.size == self.n:
             self.tau = self.rows[0][-1]
@@ -301,6 +340,8 @@ class _TopN:
 # sign pairs (i1, i2) of _SIGN_PAIRS ranked by ascending tuple order
 _SIGN_RANK = np.array([3, 2, 1, 0])
 _RANK_SIGNS = _SIGN_PAIRS[::-1]
+# index of (i2, i1) in _SIGN_PAIRS for each (i1, i2)
+_SWAP_SIGNS = np.array([0, 2, 1, 3])
 
 
 def _check_n_records(n_records):
@@ -369,7 +410,7 @@ def scan_three_wave(params: DispersionParams, wp: WeightParams, window: ScanWind
     rhos = lattice_disk(window.max_low_freq)
     xs = lattice_disk(window.max_high_freq)
 
-    xs, axi, shells, starts = _by_shell(xs)
+    xs, axi, shells = _by_shell(xs)
     lam_xi = lam_abs(params, axi)
     n_rho = len(rhos)
 
@@ -380,20 +421,27 @@ def scan_three_wave(params: DispersionParams, wp: WeightParams, window: ScanWind
     lam_sq = lam_abs(params, abs_sq)
     x_at = _flat(xs, side)
     rho_off = _flat(rhos, side) - _flat((0, 0), side)
-    pos = np.empty(abs_sq.size, np.int64)
-    pos[x_at] = np.arange(len(xs))
-    xi_is_rho = pos[_flat(rhos, side)]  # position of the xi equal to each rho
     arho = np.array([math.hypot(r1, r2) for r1, r2 in rhos.tolist()])
     lam_rho = lam_abs(params, arho)
     if weight_fn is None:  # K_kappa = F(largest bracket) * G(smallest bracket)
         b_sq = np.sqrt(1.0 + abs_sq ** 2)
         f_sq, g_sq = _k_max_factor(wp, b_sq), b_sq ** -4.0
-        b1, f1, g1 = b_sq[x_at], f_sq[x_at], g_sq[x_at]
         b2 = np.sqrt(1.0 + arho ** 2)
         f2, g2 = _k_max_factor(wp, b2), b2 ** -4.0
 
-    best_gap = np.full(len(xs), np.inf)    # per xi, over every offset and sign
-    best_phase = np.full(len(xs), np.inf)
+    # D4 acting on (xi, rho) jointly keeps every |.|, so every gap bit for
+    # bit: the sweep runs over the representative xi, and a shortlisted row
+    # enters as its 8 images (g xi, g rho), repeats dropped by key
+    rep, size = _d4_reps(xs)
+    img_x = _d4_images(xs[rep], side, _index_of(xs, side))
+    img_rho = _d4_images(rhos, side, _index_of(rhos, side))
+    xs_r, axi, lam_xi, x_at = xs[rep], axi[rep], lam_xi[rep], x_at[rep]
+    if weight_fn is None:
+        b1, f1, g1 = b_sq[x_at], f_sq[x_at], g_sq[x_at]
+    xi_is_rho = _index_of(xs_r, side)[_flat(rhos, side)]  # -1 unless rho is a rep
+
+    best_gap = np.full(len(xs_r), np.inf)    # per xi, over every offset and sign
+    best_phase = np.full(len(xs_r), np.inf)
     top = _TopN(n_records)
     for k in range(n_rho):
         e = x_at - rho_off[k]               # eta = xi - rho
@@ -411,20 +459,24 @@ def scan_three_wave(params: DispersionParams, wp: WeightParams, window: ScanWind
         c_p, c_m = lam_xi - lam_rho[k], lam_xi + lam_rho[k]
         aphase = np.minimum(np.abs(np.abs(c_p) - lam_eta), np.abs(c_m - lam_eta))
         gap = aphase / w
-        gap[xi_is_rho[k]] = aphase[xi_is_rho[k]] = np.inf  # eta = 0 is not a tuple
+        if xi_is_rho[k] >= 0:
+            gap[xi_is_rho[k]] = aphase[xi_is_rho[k]] = np.inf  # eta = 0 is not a tuple
         np.minimum(best_gap, gap, out=best_gap)
         np.minimum(best_phase, aphase, out=best_phase)
         c = top.shortlist(gap)
         if c.size:
             le = lam_eta[c]
             phase = np.stack((c_p[c] - le, c_p[c] + le, c_m[c] - le, c_m[c] + le))
-            top.offer(np.ravel(np.abs(phase) / w[c]),
-                      np.ravel((c * n_rho + k) * 4 + _SIGN_RANK[:, None]),
-                      phase.ravel(), np.tile(w[c], 4))
+            # rows over (symmetry, sign, xi)
+            key = (img_x[:, None, c] * n_rho + img_rho[:, k, None, None]) * 4
+            key = key + _SIGN_RANK[:, None]
+            top.offer(*(np.broadcast_to(col, key.shape).ravel() for col in (
+                np.abs(phase) / w[c], key, phase, w[c])))
 
-    count = np.full(len(xs), 4 * n_rho)
-    count[xi_is_rho] -= 4
-    stats = _shell_stats(shells, starts, count, best_gap,
+    count = np.full(len(xs_r), 4 * n_rho)
+    count[xi_is_rho[xi_is_rho >= 0]] -= 4
+    count *= size                            # tuples of the whole orbit
+    stats = _shell_stats(shells[rep], count, best_gap,
                          best_phase * (1.0 + axi ** 2) ** 0.75)
 
     records = []
@@ -488,20 +540,37 @@ def scan_four_wave(params: DispersionParams, window: ScanWindow, n_records=100,
     vs = lattice_disk(window.max_high_freq)
     pairs = [(a, b) for a in range(len(lows)) for b in range(a, len(lows))]
 
-    vs, av, shells, starts = _by_shell(vs)
-    lam_v = lam_abs(params, av)
+    vs, av, shells = _by_shell(vs)
     w_v = np.sqrt(1.0 + av ** 2) ** -0.5 if weight == "paired" else av ** -0.5
+
+    # D4 acting on (v, xi, eta) jointly keeps every modulation and weight, so
+    # the sweep runs over the representative v.  A shortlisted row enters as
+    # its 8 images; an image whose low points have indices a' > b' is the row
+    # of pair (b', a') with the signs swapped, which has the same
+    # max(|G1|, |G2|) and weight
+    rep, size = _d4_reps(vs)
+    side = int(math.floor(window.max_high_freq))
+    img_v = _d4_images(vs[rep], side, _index_of(vs, side))
+    img_low = _d4_images(lows, side, _index_of(lows, side))
+    a_img, b_img = img_low[:, :, None], img_low[:, None, :]
+    pair_at = np.zeros((len(lows), len(lows)), np.int64)
+    pair_at[tuple(np.array(pairs).T)] = np.arange(len(pairs))
+    img_pair = pair_at[np.minimum(a_img, b_img), np.maximum(a_img, b_img)]  # (8, a, b)
+    swapped = a_img > b_img
+    vs_r, av_r, w_v = vs[rep], av[rep], w_v[rep]
+    lam_v = lam_abs(params, av_r)
+
     # |Lambda(v+mu) - Lambda(v) - i Lambda(mu)| for every low point mu, i = +, -
-    mods = np.empty((len(lows), 2, len(vs)))
+    mods = np.empty((len(lows), 2, len(vs_r)))
     for m, mu in enumerate(lows.tolist()):
-        shifted = vs + np.asarray(mu)
+        shifted = vs_r + np.asarray(mu)
         base = lam_abs(params, np.hypot(shifted[:, 0], shifted[:, 1])) - lam_v
         lam_mu = lam(params, mu)
         mods[m] = np.abs(base - lam_mu), np.abs(base + lam_mu)
     mod_lo, mod_hi = mods.min(axis=1), mods.max(axis=1)
 
-    best_gap = np.full(len(vs), np.inf)  # per v, over every pair and sign
-    best_val = np.full(len(vs), np.inf)
+    best_gap = np.full(len(vs_r), np.inf)  # per v, over every pair and sign
+    best_val = np.full(len(vs_r), np.inf)
     top = _TopN(n_records)
     for p, (a, b) in enumerate(pairs):
         xi, eta = lows[a].tolist(), lows[b].tolist()
@@ -517,16 +586,19 @@ def scan_four_wave(params: DispersionParams, window: ScanWindow, n_records=100,
         np.minimum(best_val, val, out=best_val)
         c = top.shortlist(gap)
         if c.size:
-            rows = [1, 2] if a == b else [0, 1, 2, 3]   # indices into _SIGN_PAIRS
+            rows = np.array([1, 2] if a == b else [0, 1, 2, 3])  # into _SIGN_PAIRS
             val = np.maximum(mods[a][:, None, c], mods[b][None, :, c]).reshape(4, -1)[rows]
-            top.offer(np.ravel(val / w[c]),
-                      np.ravel((c * len(pairs) + p) * 4 + _SIGN_RANK[rows, None]),
-                      val.ravel(), np.tile(w[c], len(rows)))
+            # rows over (symmetry, sign, v)
+            signs = np.where(swapped[:, a, b, None], _SWAP_SIGNS[rows], rows)
+            key = (img_v[:, None, c] * len(pairs) + img_pair[:, a, b, None, None]) * 4
+            key = key + _SIGN_RANK[signs][:, :, None]
+            top.offer(*(np.broadcast_to(col, key.shape).ravel() for col in (
+                val / w[c], key, val, w[c])))
 
     n_batches = 4 * len(pairs) - 2 * len(lows)
-    count = np.full(len(vs), n_batches)
-    stats = _shell_stats(shells, starts, count, best_gap,
-                         best_val * (1.0 + av ** 2) ** 0.25)
+    count = n_batches * size                 # tuples of the whole orbit
+    stats = _shell_stats(shells[rep], count, best_gap,
+                         best_val * (1.0 + av_r ** 2) ** 0.25)
 
     records = []
     for gap, key, val, w in zip(*(c.tolist() for c in top.rows)):
@@ -544,8 +616,9 @@ def scan_four_wave(params: DispersionParams, window: ScanWindow, n_records=100,
                       {"g": params.g, "sigma": params.sigma, "bprime": bprime})
 
 
-def _shell_stats(shells, starts, count, best_gap, best_p32):
+def _shell_stats(shells, count, best_gap, best_p32):
     """ShellStats from per-point tuple counts and minima, points sorted by shell."""
+    starts = np.flatnonzero(np.r_[True, shells[1:] != shells[:-1]])
     return [ShellStat(int(k), int(n), float(g), float(p32)) for k, n, g, p32 in zip(
         shells[starts], np.add.reduceat(count, starts),
         np.minimum.reduceat(best_gap, starts), np.minimum.reduceat(best_p32, starts))
@@ -757,11 +830,26 @@ def exceptional_measure_bounds(B, js, wp: WeightParams, cutoff,
         kept.append((a[keep], b[keep], c[keep], k[keep], f0[keep], fB[keep]))
     a, b, c, k, f0, fB = (np.concatenate(col) for col in zip(*kept))
 
+    # many rows share (a, b, c), so K and each level's interval: bisect every
+    # distinct row at every level in one call, then gather and sum each
+    # level's selected rows in row order.  Rows are told apart by their float
+    # values, not by integer |v|^2: hypot(1, 7) and hypot(5, 5) need not round
+    # alike
+    order = np.lexsort((c, b, a))
+    abc = np.stack((a, b, c))[:, order]
+    new = np.ones(a.size, bool)                 # first of its (a, b, c) in order
+    new[1:] = np.any(abc[:, 1:] != abc[:, :-1], axis=0)
+    first, row = order[new], np.empty(a.size, np.int64)
+    row[order] = np.cumsum(new) - 1
+    levels = np.array([2.0 ** (-j) for j in js])[:, None]
+    solved = _interval_lengths_vec(
+        *(np.broadcast_to(v[first], (len(js), first.size)).ravel() for v in (a, b, c)),
+        (levels * k[first]).ravel(), B).reshape(len(js), -1)
+
     out = []
-    for j in js:
-        delta = 2.0 ** (-j) * k
-        sel = (f0 < delta) & (fB > -delta)
-        lengths = _interval_lengths_vec(a[sel], b[sel], c[sel], delta[sel], B)
+    for j, level, length in zip(js, levels, solved):
+        delta = level * k
+        lengths = length[row][(f0 < delta) & (fB > -delta)]
         out.append(MeasureBound(float(lengths.sum()), int(np.count_nonzero(lengths)),
                                 n_pairs, j, cutoff, B, wp.kappa))
     return out

@@ -53,10 +53,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import DispersionParams, _flat, _square_abs, lam_abs, lattice_disk
+from .dispersion import (DispersionParams, _d4_reps, _flat, _square_abs, lam_abs,
+                         lattice_disk)
 from .errors import CadenceError, ConfigError, SmallDivisorError
-from .fields import (_R_IN, _R_OUT, FourierField, bump, dealias, l2_norm, phi_le,
-                     sobolev_norm)
+from .fields import (_R_IN, _R_OUT, FourierField, bump, dealias, finite_json, l2_norm,
+                     phi_le, sobolev_norm)
 from .model import ModelConfig, SolverState, _Stepper, initial_data
 from .paradiff import _centered
 
@@ -392,8 +393,9 @@ class EnergyAudit:
                 "totals": self.totals, "max_rel_err": self.max_rel_err}
 
     def save(self, path):
+        """Strict JSON (RFC 8259): a non-finite number is written as null."""
         with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
+            json.dump(finite_json(self.to_json()), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 
@@ -488,6 +490,8 @@ def increment_audit(cfg: ModelConfig, initial: FourierField | None,
         N = cfg.sobolev_index
     if not math.isfinite(N):
         raise ConfigError(f"N must be finite, got {N!r}")
+    if not math.isfinite(D):
+        raise ConfigError(f"D must be finite, got {D!r}")
     if parts_cadence is None:
         parts_cadence = 5.0 * cfg.dt
     if parts_cadence > 10.0 * cfg.dt + 1e-15:
@@ -593,7 +597,10 @@ def depletion_checks(params: DispersionParams, N: float, radius: int,
     Offsets rho = xi - eta run over |rho_i| <= max(max_offset, radius // 8
     + 1).  |v|, Lambda(|v|) and (1+|v|^2)^N, ^{N/2} are tabulated once on a
     square holding every xi, eta and xi + eta, and gathered for blocks of
-    offsets of about _BLOCK pairs each."""
+    offsets of about _BLOCK pairs each.  Every quantity reads norms only, so
+    it is the same bit for bit on each image of (xi, rho) under the lattice
+    symmetries D4: xi runs over the representatives 0 <= xi_2 <= xi_1 against
+    every offset, and a pair counts as many pairs as its xi's orbit holds."""
     if not math.isfinite(N):
         raise ConfigError(f"N must be finite, got {N!r}")
     if radius < 1:
@@ -607,6 +614,8 @@ def depletion_checks(params: DispersionParams, N: float, radius: int,
     big_sq, half_sq = w_sq ** N, w_sq ** (N / 2.0)
 
     pts = lattice_disk(radius, include_origin=True)
+    rep, size = _d4_reps(pts)
+    pts = pts[rep]
     x_at = _flat(pts, side)
     abs_x, lam_x, w_x = abs_sq[x_at], lam_sq[x_at], w_sq[x_at]
     big_x, half_x = big_sq[x_at], half_sq[x_at]
@@ -647,13 +656,13 @@ def depletion_checks(params: DispersionParams, N: float, radius: int,
             if ratio.size:
                 mp_min = min(mp_min, float(ratio.min()))
                 mp_max = max(mp_max, float(ratio.max()))
-                n_mp += ratio.size
+                n_mp += int(np.count_nonzero(pos, axis=0) @ size)
 
         # correlation bound on 0 < |xi-eta| < 2^{-4}|xi+eta|
         sn = abs_sq[s_at]
         sel = rn[lo:hi, None] * 16.0 < sn
-        n_sel = int(np.count_nonzero(sel))
-        if not n_sel:
+        n_sel = np.count_nonzero(sel, axis=0)
+        if not n_sel.any():
             continue
 
         def pick(a):   # a per offset (column) or per point (row), at the selected pairs
@@ -667,5 +676,5 @@ def depletion_checks(params: DispersionParams, N: float, radius: int,
             phi_mod = lx - i1 * lr - le
             rhs = (phi_mod ** 2 + b3) / denom_core
             c_best = max(c_best, float(np.max(cos2 / rhs)))
-        n_fac += n_sel
+        n_fac += int(n_sel @ size)
     return DepletionReport(radius, mp_min, mp_max, c_best, n_mp, n_fac, N)

@@ -381,6 +381,18 @@ def random_field(grid: Grid, seed=0, decay=0.25, real=False, mean_zero=True) -> 
 # snapshot I/O: JSON header + CSV coefficient table (xi1, xi2, re, im)
 # ---------------------------------------------------------------------------
 
+def finite_json(obj):
+    """Strict-JSON (RFC 8259) pass over dicts, lists and tuples: non-finite
+    floats become null."""
+    if isinstance(obj, float):
+        return obj if np.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: finite_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [finite_json(v) for v in obj]
+    return obj
+
+
 def save_snapshot(f: FourierField, path_prefix: str, time=0.0, name="field"):
     """Write <prefix>.json (header) and <prefix>.csv (coefficient table).
 

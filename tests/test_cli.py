@@ -226,10 +226,16 @@ def test_named_caller_errors_map_to_config_exit(tmp_path, monkeypatch, error):
     ["energy-audit", "--grid", "8", "--t-end", "0.02", "--audit-times", "0.01",
      "--depletion-radius", "-3"],
     ["symbols", "--grid", "8", "--amplitude", "nan"],
+    ["scan3", "--max-high", "8", "--max-low", "1", "--sigma", "inf"],
+    ["scan4", "--max-high", "8", "--max-low", "1", "--sigma", "inf"],
+    ["energy-audit", "--grid", "8", "--g", "inf"],
+    ["energy-audit", "--grid", "8", "--D", "nan"],
+    ["simulate", "--grid", "8", "--t-end", "0.05", "--linear-only", "7"],
 ], ids=["g-text", "budget-inf", "n-records-negative", "bprime-nan", "bigB-nan",
         "eps-list-text", "eps-list-empty", "eps-zero", "dt-nan", "snapshot-dt-nan",
         "sobolev-index-nan", "t-end-negative", "courant-nan", "N-nan",
-        "depletion-radius-negative", "amplitude-nan"])
+        "depletion-radius-negative", "amplitude-nan", "scan3-sigma-inf",
+        "scan4-sigma-inf", "energy-g-inf", "D-nan", "linear-only-7"])
 def test_value_errors_become_config_errors_at_entry(tmp_path, argv):
     out = tmp_path / "bad"
     assert dispatch(argv + ["--out", str(out)]) == EXIT_CONFIG

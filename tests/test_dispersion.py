@@ -13,6 +13,9 @@ from gcwaves.dispersion import (DispersionParams, ScanWindow,
                                 scan_four_wave, scan_three_wave, weight_K)
 from gcwaves.errors import ConfigError, ResourceBudgetError
 
+from census_oracles import (check_census, disk, oracle_scan3, oracle_scan4,
+                            scan3_id, scan4_id)
+
 P11 = DispersionParams(1.0, 1.0)
 
 
@@ -44,6 +47,11 @@ def test_params_validation():
         DispersionParams(0.0, 1.0)
     with pytest.raises(ConfigError):
         DispersionParams(1.0, -1.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ConfigError):
+            DispersionParams(bad, 1.0)
+        with pytest.raises(ConfigError):
+            DispersionParams(1.0, bad)
     assert DispersionParams(3.0, 2.0).y == pytest.approx(1.5)
 
 
@@ -469,119 +477,49 @@ def test_scan4_moduli_weight_variant():
 
 
 # ---------------------------------------------------------------------------
-# brute-force census oracles: every tuple of a small window enumerated in pure
-# Python with phase3 / weight_K; a full scan must list exactly these tuples,
-# and a scan keeping n records must keep the n smallest of its own full list
-# by the stated rule (gap, shell, first frequency, offset, signs)
+# brute-force census oracles (census_oracles.py)
 # ---------------------------------------------------------------------------
-
-_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-
-
-def _disk(radius):
-    return [(a, b) for a in range(-radius, radius + 1)
-            for b in range(-radius, radius + 1)
-            if 0 < a * a + b * b <= radius * radius]
-
-
-def _shell(v):
-    r = math.hypot(*v)
-    return 0 if r <= 1.0 else math.ceil(math.log2(r) - 1e-12)
-
-
-def _oracle_scan3(params, wp, hi, lo):
-    """{(xi, rho, (i1, i2)): (gap, phase, weight, |phase| <xi>^{3/2})}."""
-    rows = {}
-    for xi in _disk(hi):
-        for rho in _disk(lo):
-            eta = (xi[0] - rho[0], xi[1] - rho[1])
-            if eta == (0, 0):
-                continue
-            w = weight_K(wp, xi, rho, eta)
-            for signs in _SIGNS:
-                ph = phase3(params, signs, xi, eta)
-                rows[xi, rho, signs] = (abs(ph) / w, ph, w,
-                                        abs(ph) * (1.0 + xi[0] ** 2 + xi[1] ** 2) ** 0.75)
-    return rows
-
-
-def _oracle_scan4(params, hi, lo):
-    """{(v, xi, eta, (i1, i2)): (gap, max modulation, weight, max mod <v>^{1/2})}."""
-    lows = _disk(lo)
-    rows = {}
-    for v in _disk(hi):
-        for a, xi in enumerate(lows):
-            for eta in lows[a:]:
-                w = math.sqrt(1.0 + v[0] ** 2 + v[1] ** 2) ** -0.5 * (
-                    math.sqrt(1.0 + xi[0] ** 2 + xi[1] ** 2)
-                    + math.sqrt(1.0 + eta[0] ** 2 + eta[1] ** 2)) ** -2.0
-                for s1, s2 in _SIGNS:
-                    if xi == eta and s1 == s2:
-                        continue
-                    g1 = phase3(params, (s1, 1), (v[0] + xi[0], v[1] + xi[1]), v)
-                    g2 = phase3(params, (s2, 1), (v[0] + eta[0], v[1] + eta[1]), v)
-                    val = max(abs(g1), abs(g2))
-                    rows[v, xi, eta, (s1, s2)] = (
-                        val / w, val, w, val * (1.0 + v[0] ** 2 + v[1] ** 2) ** 0.25)
-    return rows
-
-
-def _scan3_id(r):
-    (xi, v2, _), (_, s2, s3) = r.frequencies, tuple(r.signs)
-    return xi, (-v2[0], -v2[1]), (-s2, -s3)
-
-
-def _scan4_id(r):
-    return (*r.frequencies, tuple(r.signs))
-
-
-def _check_census(scan, rows, ident):
-    """scan(n) -> ScanResult; rows the oracle; ident maps a record to its key."""
-    full = scan(len(rows) + 5)
-    got = {ident(r): r for r in full.records}
-    assert len(got) == len(full.records) and got.keys() == rows.keys()
-    for k, r in got.items():
-        gap, ph, w, _ = rows[k]
-        assert r.phase_value == pytest.approx(ph, rel=1e-12, abs=1e-14)
-        assert r.weight == pytest.approx(w, rel=1e-12)
-        assert r.normalized_gap == pytest.approx(gap, rel=1e-12, abs=1e-14)
-    assert full.n_evaluated == len(rows)
-    shells = sorted({_shell(k[0]) for k in rows})
-    assert [s.shell for s in full.shell_stats] == shells
-    for s in full.shell_stats:
-        mine = [v for k, v in rows.items() if _shell(k[0]) == s.shell]
-        assert s.count == len(mine)
-        assert s.min_gap == pytest.approx(min(v[0] for v in mine), rel=1e-12)
-        assert s.min_phase_x32 == pytest.approx(min(v[3] for v in mine), rel=1e-12)
-
-    # the selection rule, applied in pure Python to the scan's own values
-    ranked = sorted(full.records, key=lambda r: (r.normalized_gap, _shell(ident(r)[0]),
-                                                 ident(r)))
-    ties = [n for n in range(1, len(ranked))
-            if ranked[n - 1].normalized_gap == ranked[n].normalized_gap]
-    cuts = [1, next(n for n in ties if n > 10), next(n for n in ties if n > 60)]
-    for n in cuts:  # the last two cut through a group of equal gaps
-        res = scan(n)
-        assert res.records == sorted(ranked[:n], key=lambda r: (r.normalized_gap,
-                                                                r.frequencies))
-        assert res.shell_stats == full.shell_stats
-        assert res.n_evaluated == full.n_evaluated
-
 
 @pytest.mark.parametrize("g", [math.sqrt(2.0), math.e, math.pi / 2.0],
                          ids=["sqrt2", "e", "pi/2"])
 def test_scan3_matches_brute_force_census(g):
     params, wp = DispersionParams(g, 1.0), WeightParams(0.5)
-    _check_census(lambda n: scan_three_wave(params, wp, ScanWindow(6, 2), n_records=n),
-                  _oracle_scan3(params, wp, 6, 2), _scan3_id)
+    check_census(lambda n: scan_three_wave(params, wp, ScanWindow(6, 2), n_records=n),
+                  oracle_scan3(params, wp, 6, 2), scan3_id)
 
 
 @pytest.mark.parametrize("g", [math.sqrt(2.0), math.e, math.pi / 2.0],
                          ids=["sqrt2", "e", "pi/2"])
 def test_scan4_matches_brute_force_census(g):
     params = DispersionParams(g, 1.0)
-    _check_census(lambda n: scan_four_wave(params, ScanWindow(6, 2), n_records=n),
-                  _oracle_scan4(params, 6, 2), _scan4_id)
+    check_census(lambda n: scan_four_wave(params, ScanWindow(6, 2), n_records=n),
+                  oracle_scan4(params, 6, 2), scan4_id)
+
+
+def _every_cut(ties):
+    return range(1, 61)
+
+
+def test_scan3_record_counts_at_every_cut():
+    """Every n_records from 1 to 60 keeps the oracle's n smallest rows.  Rows
+    enter as D4 images, and in this window the smallest gaps belong to tuples
+    on an axis, whose images repeat: a repeat must never take the place of a
+    distinct row at a cut."""
+    params, wp = DispersionParams(10.0, 1.5), WeightParams(0.05)
+    check_census(lambda n: scan_three_wave(params, wp, ScanWindow(3, 1), n_records=n),
+                 oracle_scan3(params, wp, 3, 1), scan3_id, _every_cut)
+    params, wp = DispersionParams(math.sqrt(2.0), 1.0), WeightParams(0.5)
+    check_census(lambda n: scan_three_wave(params, wp, ScanWindow(5, 2), n_records=n),
+                 oracle_scan3(params, wp, 5, 2), scan3_id, _every_cut)
+
+
+@pytest.mark.parametrize("g,hi,lo", [(9.81, 4, 1), (9.81, 6, 1), (math.sqrt(2.0), 4, 2)])
+def test_scan4_record_counts_at_every_cut(g, hi, lo):
+    """As above for the four-wave census, whose first records at g = 9.81
+    are tuples fixed by a reflection."""
+    params = DispersionParams(g, 1.0)
+    check_census(lambda n: scan_four_wave(params, ScanWindow(hi, lo), n_records=n),
+                 oracle_scan4(params, hi, lo), scan4_id, _every_cut)
 
 
 def test_measure_sweep_over_j_equals_one_j_calls():
@@ -598,7 +536,7 @@ def test_measure_sweep_over_j_equals_one_j_calls():
 def test_measure_bound_matches_pairwise_lemma1_sum():
     # every admissible pair of the cutoff-3 disk through lemma1_profile
     wp, B = WeightParams(1.0), 5.0
-    pts = _disk(3)
+    pts = disk(3)
     for j in (5, 7):
         total, n_int, n_pairs = 0.0, 0, 0
         for e in pts:

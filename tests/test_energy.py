@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import mpmath
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from gcwaves.dispersion import DispersionParams, lam_abs
-from gcwaves.energy import (BulkSymbol, C_ENERGY,
+from gcwaves.energy import (BulkSymbol, C_ENERGY, EnergyAudit,
                             ModulationFilter, depletion_checks,
                             depletion_factor, energy_EN, energy_ladder,
                             energy_derivative_trilinear, energy_symbol,
@@ -235,6 +236,31 @@ def test_increment_audit_reads_velocity_band(band):
     cfg = ModelConfig(P, G, 0.01, 2e-3, 0.02, velocity_band=band, seed=0)
     audit = increment_audit(cfg, None, audit_times=[0.01], N=5.0, D=3.0)
     assert audit.max_rel_err <= 1e-6
+
+
+def test_increment_audit_rejects_non_finite_D():
+    cfg = ModelConfig(P, G, 0.01, 2e-3, 0.02, seed=0)
+    for D in (math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            increment_audit(cfg, None, audit_times=[0.01], N=5.0, D=D)
+
+
+def test_energy_audit_save_writes_strict_json(tmp_path):
+    # RFC 8259 has no NaN or Infinity token: non-finite numbers become null
+    audit = EnergyAudit(N=5.0, D=math.nan, c=C_ENERGY,
+                        rows=[{"t": 0.01, "rel_err": math.inf}],
+                        parts_rows=[{"hiMod": np.float64(-math.inf)}],
+                        totals={"hiMod": math.nan, "loMod_hiFreq": 1.5},
+                        max_rel_err=math.nan)
+    audit.save(tmp_path / "audit.json")
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    data = json.loads((tmp_path / "audit.json").read_text(), parse_constant=reject)
+    assert data == {"N": 5.0, "D": None, "c": C_ENERGY,
+                    "rows": [{"t": 0.01, "rel_err": None}], "parts": [{"hiMod": None}],
+                    "totals": {"hiMod": None, "loMod_hiFreq": 1.5}, "max_rel_err": None}
 
 
 def test_energy_derivative_needs_dealiased_field():

@@ -1,16 +1,27 @@
-"""Property tests over random grids and seeds.
+"""Property tests over random grids, seeds and lattice windows.
 
 The Weyl calculus invariants are checked on both application paths: a
 real function symbol (separable) and the Sigma that build_symbols makes
 from a small random state (general).  The model nonlinearity is checked
 for the skew identity behind L^2 conservation, with no time stepping.
+The lattice sweeps, which run over D4 orbit representatives, are checked
+against brute-force loops over every tuple of small windows.
 Examples are derandomized, so every run draws the same cases.
 """
 
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from gcwaves.dispersion import DispersionParams
+from census_oracles import (check_census, oracle_scan3, oracle_scan4, scan3_id,
+                            scan4_id)
+from gcwaves.dispersion import (DispersionParams, ScanWindow, WeightParams,
+                                _interval_lengths_vec, exceptional_measure_bounds,
+                                lam, lattice_disk, scan_four_wave, scan_three_wave,
+                                weight_K_arr)
+from gcwaves.energy import depletion_checks, energy_symbol
 from gcwaves.fields import Grid, inner, l2_norm, random_field
 from gcwaves.goodvar import build_symbols, random_state
 from gcwaves.model import ModelConfig, nonlinearity
@@ -67,3 +78,128 @@ def test_nonlinearity_is_skew_on_dealiased_fields(m, seed, decay, band, amplitud
     u = random_field(grid, seed=seed, decay=decay) * amplitude
     nl = nonlinearity(u, cfg)
     assert abs(np.real(inner(nl, u))) <= 1e-13 * max(l2_norm(nl) * l2_norm(u), 1e-300)
+
+
+# ---------------------------------------------------------------------------
+# lattice sweeps over D4 orbit representatives
+# ---------------------------------------------------------------------------
+
+# the 8 lattice symmetries of Z^2
+D4 = [lambda v, s1=s1, s2=s2, t=t: (s1 * v[t], s2 * v[1 - t])
+      for s1 in (1, -1) for s2 in (1, -1) for t in (0, 1)]
+CENSUS = settings(max_examples=6, derandomize=True, deadline=None, database=None)
+WINDOWS = dict(g=st.floats(0.05, 20.0), hi=st.integers(1, 8), lo=st.integers(1, 3))
+
+
+def _cuts(data):
+    """Record counts: one at random, and one that cuts a group of equal gaps."""
+    def cuts(ties):
+        n = [data.draw(st.integers(0, 400), label="n_records")]
+        return n + ([data.draw(st.sampled_from(ties), label="tie")] if ties else [])
+    return cuts
+
+
+def _closed_under_d4(full, ident, images):
+    """Every record's images are records, with the same gap bit for bit;
+    images(g, key) lists the keys the image may be recorded under."""
+    gaps = {ident(r): r.normalized_gap for r in full.records}
+    for g in D4:
+        for k, gap in gaps.items():
+            assert gap in [gaps.get(i) for i in images(g, k)]
+
+
+@CENSUS
+@given(kappa=st.floats(0.05, 1.0), data=st.data(), **WINDOWS)
+def test_scan3_reduced_sweep_matches_oracle(g, kappa, hi, lo, data):
+    lo = min(lo, hi)
+    params, wp = DispersionParams(g, 1.0), WeightParams(kappa)
+    full = check_census(lambda n: scan_three_wave(params, wp, ScanWindow(hi, lo), n_records=n),
+                        oracle_scan3(params, wp, hi, lo), scan3_id, _cuts(data))
+    _closed_under_d4(full, scan3_id, lambda g, k: [(g(k[0]), g(k[1]), k[2])])
+
+
+@CENSUS
+@given(data=st.data(), **WINDOWS)
+def test_scan4_reduced_sweep_matches_oracle(g, hi, lo, data):
+    hi, lo = min(hi, 4), min(lo, hi, 2)   # the full scan lists ~14k records at (4, 2)
+    params = DispersionParams(g, 1.0)
+    full = check_census(lambda n: scan_four_wave(params, ScanWindow(hi, lo), n_records=n),
+                        oracle_scan4(params, hi, lo), scan4_id, _cuts(data))
+
+    def images(g, k):   # the image pair is listed in either order
+        v, xi, eta, (i1, i2) = k
+        return [(g(v), g(xi), g(eta), (i1, i2)), (g(v), g(eta), g(xi), (i2, i1))]
+
+    _closed_under_d4(full, scan4_id, images)
+
+
+def _depletion_oracle(params, N, radius, max_offset):
+    """(mprime_min, mprime_max, factor_C, n_pairs_mprime, n_pairs_factor) by
+    a double loop over every xi and offset."""
+    off = max(max_offset, radius // 8 + 1)
+    square = [(a, b) for a in range(-off, off + 1) for b in range(-off, off + 1)]
+    ratios, c_best, n_fac = [], 0.0, 0
+    for xi in lattice_disk(radius, include_origin=True).tolist():
+        for rho in square:
+            if rho == [0, 0] or rho == (0, 0):
+                continue
+            eta = (xi[0] - rho[0], xi[1] - rho[1])
+            s = (xi[0] + eta[0], xi[1] + eta[1])
+            dot = xi[0] ** 2 + xi[1] ** 2 - eta[0] ** 2 - eta[1] ** 2
+            rn, sn = math.hypot(*rho), math.hypot(*s)
+            d = dot ** 2 / (1.0 + s[0] ** 2 + s[1] ** 2)
+            if rn <= max_offset and d > 0.0:
+                ratios.append(abs(energy_symbol(N, xi, eta)) / d)
+            if 16.0 * rn < sn:
+                n_fac += 1
+                cos2 = (dot / (rn * sn)) ** 2
+                br = math.sqrt(1.0 + rn * rn)
+                core = (1.0 + math.hypot(*xi) + math.hypot(*eta)) * br ** 2
+                for i1 in (1, -1):
+                    phi = lam(params, xi) - i1 * lam(params, rho) - lam(params, eta)
+                    c_best = max(c_best, cos2 * core / (phi ** 2 + br ** 3))
+    return min(ratios, default=math.inf), max(ratios, default=0.0), c_best, len(ratios), n_fac
+
+
+@settings(max_examples=6, derandomize=True, deadline=None, database=None)
+@given(g=st.floats(0.05, 20.0), N=st.floats(0.5, 6.0), radius=st.integers(1, 6),
+       max_offset=st.integers(1, 3))
+def test_depletion_checks_match_double_loop(g, N, radius, max_offset):
+    params = DispersionParams(g, 1.0)
+    rep = depletion_checks(params, N, radius, max_offset=max_offset)
+    mp_min, mp_max, c_best, n_mp, n_fac = _depletion_oracle(params, N, radius, max_offset)
+    assert (rep.n_pairs_mprime, rep.n_pairs_factor) == (n_mp, n_fac)
+    assert rep.mprime_min == pytest.approx(mp_min, rel=1e-12)
+    assert rep.mprime_max == pytest.approx(mp_max, rel=1e-12)
+    assert rep.factor_C == pytest.approx(c_best, rel=1e-12)
+
+
+def _measure_reference(B, js, wp, cutoff):
+    """The per-level path: every (eta, xi) pair in order, and each level's
+    selected rows through _interval_lengths_vec."""
+    pts = lattice_disk(cutoff)
+    ie, ix = np.divmod(np.arange(len(pts) ** 2), len(pts))
+    a, b, c = (np.hypot(v[:, 0], v[:, 1]) for v in (pts[ie], pts[ix], pts[ie] + pts[ix]))
+    ok = (b >= a) & (c >= b) & (c > 0.0)
+    a, b, c = a[ok], b[ok], c[ok]
+    k = weight_K_arr(wp, b, a, c)
+    f0 = np.array([v ** 1.5 for v in a]) + b ** 1.5 - c ** 1.5
+    fB = (np.array([np.sqrt(v * B + v ** 3) for v in a]) + np.sqrt(b * B + b ** 3)
+          - np.sqrt(c * B + c ** 3))
+    out = []
+    for j in js:
+        delta = 2.0 ** (-j) * k
+        sel = (f0 < delta) & (fB > -delta)
+        lengths = _interval_lengths_vec(a[sel], b[sel], c[sel], delta[sel], B)
+        out.append((float(lengths.sum()), int(np.count_nonzero(lengths)), a.size))
+    return out
+
+
+@settings(max_examples=12, derandomize=True, deadline=None, database=None)
+@given(B=st.floats(5.0, 60.0), kappa=st.floats(0.05, 1.0), cutoff=st.integers(1, 8),
+       js=st.lists(st.integers(5, 12), min_size=1, max_size=4))
+def test_measure_distinct_rows_equal_per_level_bisection(B, kappa, cutoff, js):
+    wp = WeightParams(kappa)
+    got = exceptional_measure_bounds(B, js, wp, cutoff)
+    assert [(m.total, m.n_intervals, m.n_pairs) for m in got] == _measure_reference(
+        B, js, wp, cutoff)
