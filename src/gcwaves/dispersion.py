@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import mpmath
 import numpy as np
 
 from .errors import ConfigError, ResourceBudgetError
@@ -144,6 +143,8 @@ def lam_grid(params: DispersionParams, k1, k2):
 
 
 def _lam_mp(params, v):
+    import mpmath   # only the near-resonant re-evaluations need it
+
     r2 = mpmath.mpf(int(v[0]) ** 2 + int(v[1]) ** 2)
     r = mpmath.sqrt(r2)
     return mpmath.sqrt(mpmath.mpf(params.g) * r + mpmath.mpf(params.sigma) * r ** 3)
@@ -499,6 +500,8 @@ def scan_three_wave(params: DispersionParams, wp: WeightParams, window: ScanWind
 
 
 def _reeval_phase3(params, xi, rho, signs):
+    import mpmath
+
     i1, i2 = signs
     eta = (xi[0] - rho[0], xi[1] - rho[1])
     with mpmath.workdps(_MP_DPS):

@@ -49,6 +49,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -611,7 +612,14 @@ def depletion_checks(params: DispersionParams, N: float, radius: int,
     lam_sq = lam_abs(params, abs_sq)
     sq = np.arange(-side, side + 1) ** 2
     w_sq = (1.0 + sq[:, None] + sq[None, :]).ravel()   # 1 + |v|^2, exact
-    big_sq, half_sq = w_sq ** N, w_sq ** (N / 2.0)
+    with np.errstate(over="ignore"):
+        big_sq, half_sq = w_sq ** N, w_sq ** (N / 2.0)
+    if not np.isfinite(big_sq).all():
+        # (1 + 2 side^2)^N is the largest entry of the table
+        n_max = math.log(sys.float_info.max) / math.log(1.0 + 2.0 * side * side)
+        raise ConfigError(
+            f"N = {N!r} overflows (1+|v|^2)^N on the depletion square at radius "
+            f"{radius}; the largest admissible N there is {math.floor(n_max * 100) / 100}")
 
     pts = lattice_disk(radius, include_origin=True)
     rep, size = _d4_reps(pts)

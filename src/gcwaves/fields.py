@@ -412,18 +412,14 @@ def save_snapshot(f: FourierField, path_prefix: str, time=0.0, name="field"):
         json.dump(header, fh, indent=2, sort_keys=True)
         fh.write("\n")
     k1, k2 = f.grid.freqs()
-    rows = []
-    for i in range(f.grid.size):
-        for j in range(f.grid.size):
-            c = f.coeffs[i, j]
-            if c != 0.0:
-                rows.append((int(k1[i, j]), int(k2[i, j]),
-                             float(c.real), float(c.imag)))
-    rows.sort()
+    nz = np.nonzero(f.coeffs)
+    x1, x2 = k1[nz], k2[nz]
+    order = np.lexsort((x2, x1))
+    c = f.coeffs[nz][order]
+    rows = zip(x1[order].tolist(), x2[order].tolist(), c.real.tolist(), c.imag.tolist())
     with open(path_prefix + ".csv", "w") as fh:
         fh.write("xi1,xi2,re,im\n")
-        for r in rows:
-            fh.write(f"{r[0]},{r[1]},{r[2]!r},{r[3]!r}\n")
+        fh.writelines(f"{a},{b},{re!r},{im!r}\n" for a, b, re, im in rows)
 
 
 def load_snapshot(path_prefix: str):

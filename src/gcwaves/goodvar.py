@@ -9,6 +9,16 @@ family
     ell     = L_ij zeta_i zeta_j - (g|grad| + sigma|grad|^3) h
     Sigma   = sqrt((lambda1+lambda0)(g + ell))
 
+In zeta the Dirichlet-Neumann symbols are quadratic forms with coefficients
+that depend on x only, so they are evaluated as
+
+    lambda1 = sqrt(Q),   lambda0 = N/Q + c0,
+    Q = q11 zeta1^2 + q12 zeta1 zeta2 + q22 zeta2^2,  q = (A - h_1^2, -2 h_1 h_2, A - h_2^2),
+
+with A = 1+|grad h|^2, N = n11 zeta1^2 + n12 zeta1 zeta2 + n22 zeta2^2 and
+c0 = Lap h/2 - sum_j h_j d_j A/(2A) the bracket expanded once per state
+(_principal_family); no (x, zeta) sample repeats the chain rule.
+
 plus the first-order expansion symbols Sigma1 and lambda1_0, the velocity
 proxy V1 = |grad|^{-1/2} grad Im U, the auxiliary symbol
 m' = (i/2) div V1 / sqrt(g+ell), and the angular symbol gamma, and then the
@@ -156,28 +166,37 @@ def _principal_family(state: SurfaceState):
     inv_sqrt_g_ell = _pointwise(lambda i, Z1, Z2: g_ell(i, Z1, Z2) ** -0.5, m, -1.0,
                                 "1/sqrt(g+ell)")
 
-    # principal Dirichlet-Neumann symbol and its subprincipal correction
+    # The Dirichlet-Neumann symbols as quadratic forms in zeta with field
+    # coefficients: lambda1 = sqrt(Q) with Q = A|zeta|^2 - (zeta.grad h)^2,
+    # and lambda0 = (A^2 / 2 lambda1) {lambda1/A, (zeta.grad h)/A} + Lap h/2
+    # = N/Q + c0, the bracket expanded with D = zeta.grad h:
+    #   N  = sum_j h_j d_jQ / 4 - (A zeta_j - D h_j)(d_j D - D d_jA / A) / 2,
+    #   c0 = Lap h / 2 - sum_j h_j d_jA / (2A),   d_jQ = d_jA |zeta|^2 - 2 D d_j D.
+    grad = (dh1, dh2)
+    hess = ((d11, d12), (d12, d22))
+    q11, q12, q22 = A - dh1 ** 2, -2.0 * dh1 * dh2, A - dh2 ** 2
+    n11 = n12 = n22 = 0.0
+    for j in (0, 1):
+        hj, Hj, aj = grad[j], hess[j], dA[j]
+        u = (A * (j == 0) - hj * dh1, A * (j == 1) - hj * dh2)   # A zeta_j - D h_j
+        v = (Hj[0] - aj / A * dh1, Hj[1] - aj / A * dh2)          # d_j D - D d_jA / A
+        n11 = n11 + 0.25 * hj * aj - 0.5 * hj * dh1 * Hj[0] - 0.5 * u[0] * v[0]
+        n22 = n22 + 0.25 * hj * aj - 0.5 * hj * dh2 * Hj[1] - 0.5 * u[1] * v[1]
+        n12 = n12 - 0.5 * hj * (dh1 * Hj[1] + dh2 * Hj[0]) - 0.5 * (u[0] * v[1] + u[1] * v[0])
+    c0 = 0.5 * lap - (dh1 * dA[0] + dh2 * dA[1]) / (2.0 * A)
+
+    def quad(c11, c12, c22, i, Z1, Z2):
+        return c11[i] * Z1 ** 2 + c12[i] * (Z1 * Z2) + c22[i] * Z2 ** 2
+
     def lambda1_fn(i, Z1, Z2):
-        return np.sqrt(A[i] * (Z1 ** 2 + Z2 ** 2) - (Z1 * dh1[i] + Z2 * dh2[i]) ** 2)
+        return np.sqrt(quad(q11, q12, q22, i, Z1, Z2))
 
     def lambda0_fn(i, Z1, Z2):
-        # (A^2 / 2 lambda1) {P, Q} + lap h / 2 with P = lambda1/A and
-        # Q = (zeta.grad h)/A, both gradients by the chain rule
-        a, l1 = A[i], lambda1_fn(i, Z1, Z2)
-        dot = Z1 * dh1[i] + Z2 * dh2[i]
-        br = 0.0
-        for z, hj, dAj, hj1, hj2 in ((Z1, dh1[i], dA[0][i], d11[i], d12[i]),
-                                     (Z2, dh2[i], dA[1][i], d12[i], d22[i])):
-            ddot = Z1 * hj1 + Z2 * hj2                      # d_j (zeta.grad h)
-            dl1 = (dAj * (Z1 ** 2 + Z2 ** 2) - 2.0 * dot * ddot) / (2.0 * l1)
-            dxP = dl1 / a - l1 * dAj / a ** 2
-            dxQ = ddot / a - dot * dAj / a ** 2
-            dzP = (a * z - dot * hj) / l1 / a
-            br = br + dxP * hj / a - dzP * dxQ
-        return a ** 2 / (2.0 * l1) * br + 0.5 * lap[i]
+        return quad(n11, n12, n22, i, Z1, Z2) / quad(q11, q12, q22, i, Z1, Z2) + c0[i]
 
     def lam_fn(i, Z1, Z2):
-        return lambda1_fn(i, Z1, Z2) + lambda0_fn(i, Z1, Z2)
+        Q = quad(q11, q12, q22, i, Z1, Z2)
+        return np.sqrt(Q) + quad(n11, n12, n22, i, Z1, Z2) / Q + c0[i]
 
     lambda1 = _pointwise(lambda1_fn, m, 1.0, "lambda1")
     lambda0 = _pointwise(lambda0_fn, m, 0.0, "lambda0")

@@ -23,11 +23,17 @@ Symbols come in two flavours:
     spatial coefficient, each g is evaluated once per midpoint, and an
     application costs one gather and one scatter per entry of every row up
     to the last occupied one.  Fourier multipliers and function symbols are
-    the 1-term cases.
+    the 1-term cases.  A zeta-free term (g = 1, as Symbol.from_function
+    builds it, marked through conj_flip) adds its row coefficient with no
+    midpoint gather and no multiply.
   * general   - an arbitrary vectorized evaluator fn(X1, X2, Z1, Z2); it
     reads the full plan grouped by midpoint (one more int32 per entry) and
-    costs one evaluation and one FFT of a(., zeta) per midpoint, in batches
-    of at most 2^15 samples; intended for grids up to 64^2.
+    costs one evaluation of a(., zeta) per midpoint, in batches of at most
+    2^15 samples; intended for grids up to 64^2.  The real and imaginary
+    parts of a batch are transformed in x with rfft2 (a part that vanishes
+    on the batch is skipped), and each entry reads atilde(rho, zeta) from
+    the half spectrum, at -rho with a conjugation where rho falls outside
+    it (Hermitian symmetry of a real part's transform).
 
 Symbol frequencies xi - eta outside the grid rectangle are treated as zero
 rows (a discretization truncation; chi suppresses that region anyway).
@@ -115,8 +121,7 @@ class Symbol:
     @classmethod
     def from_function(cls, field: FourierField, order=0.0, name=""):
         """zeta-independent symbol a(x) given by a field."""
-        one = lambda z1, z2: np.ones(np.broadcast(z1, z2).shape)
-        return cls(order, terms=[SeparableTerm(field, one, (_zero_fn, _zero_fn))],
+        return cls(order, terms=[SeparableTerm(field, _one_fn, (_zero_fn, _zero_fn))],
                    name=name)
 
     @classmethod
@@ -238,6 +243,11 @@ def _zero_fn(z1, z2):
     return np.zeros(np.broadcast(z1, z2).shape)
 
 
+def _one_fn(z1, z2):
+    """The zeta-factor 1: a term carrying it is read without a gather."""
+    return np.ones(np.broadcast(z1, z2).shape)
+
+
 def _scale_fn(g, s):
     return lambda z1, z2: s * np.asarray(g(z1, z2), np.complex128)
 
@@ -275,6 +285,8 @@ def _conj_field(f):
 
 
 def _conj_flip_fn(g, negate=False):
+    if g is _zero_fn or (g is _one_fn and not negate):
+        return g   # real and even: the marks survive the flip
     s = -1.0 if negate else 1.0
     return lambda z1, z2: s * np.conj(np.asarray(
         g(-np.asarray(z1), -np.asarray(z2)), np.complex128))
@@ -408,7 +420,8 @@ class _ChiPlan:
             x1, x2 = (xi // m - half).astype(float), (xi % m - half).astype(float)
             r1, r2 = (rho // m - half).astype(float), (rho % m - half).astype(float)
             w = w * extra_weight(x1, x2, r1, r2, x1 - 0.5 * r1, x2 - 0.5 * r2)
-        v = w * fc[xi - rho + (half * m + half)]
+        # np.take: the int32 plan indices are not converted as [] would
+        v = w * np.take(fc, xi - rho + (half * m + half))
         if divisor != 1.0:
             v /= divisor
         np.add.at(out, xi, v)   # in entry order: no reassociation across batches
@@ -475,38 +488,67 @@ def _apply_rows(a, grid, cfg, plan, out, fc, extra_weight):
     if not len(active):
         return
     n = plan.extend(plan.row_sq[active[-1]])
-    live = np.flatnonzero(plan.mid_row < n)
-    z1, z2 = plan.zeta(live)
-    gz = np.zeros((len(a.terms), len(plan.mid_row)), np.complex128)
-    for g, term in zip(gz, a.terms):
-        g[live] = term.gz(z1, z2)
+    # a zeta-free term (factor _one_fn) reads no midpoint values
+    gz = [None if term.gz is _one_fn else np.zeros(len(plan.mid_row), np.complex128)
+          for term in a.terms]
+    if any(g is not None for g in gz):
+        live = np.flatnonzero(plan.mid_row < n)
+        z1, z2 = plan.zeta(live)
+        for g, term in zip(gz, a.terms):
+            if g is not None:
+                g[live] = term.gz(z1, z2)
     # slices, not gathers: the inactive rows inside the prefix add exact zeros
     end = int(plan.row_start[active[-1] + 1])
     for c0 in range(0, end, _CHUNK):
         e = slice(c0, min(c0 + _CHUNK, end))
         rho, mid = plan.rho[e], plan.mid[e]
-        w = coefs[0, rho] * gz[0, mid]
+        w = np.take(coefs[0], rho)
+        if gz[0] is not None:
+            w = w * np.take(gz[0], mid)
         for c, g in zip(coefs[1:], gz[1:]):
-            w += c[rho] * g[mid]
+            w += np.take(c, rho) if g is None else np.take(c, rho) * np.take(g, mid)
         plan.accumulate(out, e, w, fc, extra_weight)
 
 
 def _apply_midpoints(a, grid, plan, out, fc, extra_weight):
-    """General symbols: a(x, zeta) sampled on batches of midpoints, its
-    x-transform gathered at each entry's row."""
+    """General symbols: a(x, zeta) sampled on batches of midpoints, the real
+    and imaginary parts transformed in x by rfft2 (a part that is zero on
+    the whole batch is skipped), and each entry's atilde(rho, zeta) read
+    from the half spectrum through Hermitian symmetry."""
     m = grid.size
     perm, start, ids = plan.by_midpoint()
+    half, at, flip = _half_spectrum_index(m)
     X1, X2 = grid.x()
     step = max(1, _SAMPLES // (m * m))
     for j in range(0, len(ids), step):
         j2 = min(j + step, len(ids))
         z1, z2 = plan.zeta(ids[j:j2])
         vals = a.eval(X1[None], X2[None], z1[:, None, None], z2[:, None, None])
-        rows = np.fft.fft2(vals, axes=(-2, -1)) * (TWO_PI / m) ** 2
-        rows = np.fft.fftshift(rows, axes=(-2, -1)).reshape(j2 - j, m * m)
         e = perm[start[j]:start[j2]]
-        local = np.repeat(np.arange(j2 - j), np.diff(start[j:j2 + 1]))
-        plan.accumulate(out, e, rows[local, plan.rho[e]], fc, extra_weight, _FOUR_PI2)
+        rho = plan.rho[e]
+        # flat index of each entry's (midpoint, rho) in the batch's half spectra
+        pos = np.repeat(np.arange(j2 - j) * half, np.diff(start[j:j2 + 1])) + np.take(at, rho)
+        conj = np.take(flip, rho)
+        w = 0.0
+        for part, unit in ((vals.real, 1.0), (vals.imag, 1j)):
+            if part.any():
+                v = np.take(np.fft.rfft2(part, axes=(-2, -1)), pos)
+                np.negative(v.imag, out=v.imag, where=conj)   # F(-k) = conj F(k)
+                w = w + unit * v
+        if np.ndim(w):   # else a(., zeta) = 0 on the whole batch
+            plan.accumulate(out, e, w * (TWO_PI / m) ** 2, fc, extra_weight, _FOUR_PI2)
+
+
+def _half_spectrum_index(m):
+    """Per centered flat frequency rho on the M x M grid: its flat index in
+    an rfft2 half spectrum of m * (m // 2 + 1) entries, read at rho or at
+    -rho, and whether it is read at -rho (the value is then conjugated)."""
+    k = np.arange(m) - m // 2
+    k1, k2 = np.meshgrid(k % m, k % m, indexing="ij")
+    flip = k2 > m // 2
+    k1 = np.where(flip, -k1 % m, k1)
+    k2 = np.where(flip, -k2 % m, k2)
+    return m * (m // 2 + 1), (k1 * (m // 2 + 1) + k2).ravel(), flip.ravel()
 
 
 # ---------------------------------------------------------------------------

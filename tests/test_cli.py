@@ -231,11 +231,14 @@ def test_named_caller_errors_map_to_config_exit(tmp_path, monkeypatch, error):
     ["energy-audit", "--grid", "8", "--g", "inf"],
     ["energy-audit", "--grid", "8", "--D", "nan"],
     ["simulate", "--grid", "8", "--t-end", "0.05", "--linear-only", "7"],
+    ["energy-audit", "--grid", "8", "--t-end", "0.02", "--audit-times", "0.01",
+     "--N", "400", "--depletion-radius", "8"],
 ], ids=["g-text", "budget-inf", "n-records-negative", "bprime-nan", "bigB-nan",
         "eps-list-text", "eps-list-empty", "eps-zero", "dt-nan", "snapshot-dt-nan",
         "sobolev-index-nan", "t-end-negative", "courant-nan", "N-nan",
         "depletion-radius-negative", "amplitude-nan", "scan3-sigma-inf",
-        "scan4-sigma-inf", "energy-g-inf", "D-nan", "linear-only-7"])
+        "scan4-sigma-inf", "energy-g-inf", "D-nan", "linear-only-7",
+        "N-overflows-depletion-table"])
 def test_value_errors_become_config_errors_at_entry(tmp_path, argv):
     out = tmp_path / "bad"
     assert dispatch(argv + ["--out", str(out)]) == EXIT_CONFIG

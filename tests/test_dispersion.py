@@ -1,9 +1,14 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
 import pytest
 
+import gcwaves
 from gcwaves import dispersion
 from gcwaves.dispersion import (DispersionParams, ScanWindow,
                                 SignPattern, WeightParams, collinear_gap,
@@ -452,6 +457,26 @@ def test_scan3_extended_precision_near_resonances():
     assert "extended-precision" in top.flags
     assert abs(top.phase_value) <= 1e-13
     assert res.min_gap <= 1e-10
+
+
+def test_mpmath_is_imported_only_for_reevaluation():
+    # importing the CLI and the calculus leaves mpmath unloaded; the
+    # extended-precision re-evaluation imports it when a record needs it
+    code = ("import sys\n"
+            "import gcwaves.cli, gcwaves.goodvar, gcwaves.paradiff\n"
+            "assert 'mpmath' not in sys.modules, 'mpmath imported'\n"
+            "from gcwaves.dispersion import (DispersionParams, ScanWindow,\n"
+            "                                WeightParams, scan_three_wave)\n"
+            "res = scan_three_wave(DispersionParams(2.0, 1.0), WeightParams(0.5),\n"
+            "                      ScanWindow(2, 1), n_records=10)\n"
+            "assert 'extended-precision' in res.records[0].flags\n"
+            "assert 'mpmath' in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(pathlib.Path(gcwaves.__file__).resolve().parents[1])]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_scan4_admissibility_flag_literal():

@@ -417,6 +417,19 @@ def test_depletion_report_stability():
     assert 0.5 <= a.mprime_max / b.mprime_max <= 2.0
 
 
+@pytest.mark.parametrize("N, radius, n_max", [(120.0, 16, 87.93), (400.0, 8, 100.67)])
+def test_depletion_rejects_N_that_overflows_its_table(N, radius, n_max):
+    # (1+|v|^2)^N overflowed on the tabulated square and whole offset
+    # blocks silently dropped out (mprime_max = inf at radius 16, and
+    # mprime_min = None, mprime_max = 0 at radius 8)
+    with pytest.raises(ConfigError) as err:
+        depletion_checks(P, N, radius)
+    msg = str(err.value)
+    assert f"N = {N!r}" in msg and f"radius {radius}" in msg and f"is {n_max}" in msg
+    rep = depletion_checks(P, n_max, radius)     # the bound itself is admissible
+    assert 0.0 < rep.mprime_min <= rep.mprime_max < math.inf
+
+
 def test_depletion_excludes_equal_moduli():
     # the |xi| = |eta| diagonal contributes d = 0 and is excluded from the
     # m' statistics; its m value is 0 as well

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from gcwaves import cli, goodvar, paradiff
 from gcwaves.dispersion import DispersionParams, lam
@@ -146,6 +147,67 @@ def test_lambda0_matches_spectral_bracket():
         ref = A ** 2 / (2.0 * l1) * br + 0.5 * lap
         got = syms.lambda0.eval(X1, X2, np.asarray(z1), np.asarray(z2))
         assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def _lambda0_chain_rule(state):
+    """lambda0 = (A^2 / 2 lambda1) {lambda1/A, (zeta.grad h)/A} + Lap h / 2 at
+    grid index i, each bracket gradient by the chain rule at every (x, zeta):
+    the oracle for the quadratic-form evaluation N/Q + c0 in goodvar."""
+    h = state.h
+    dh1 = synthesize(dx(h, 0)).real
+    dh2 = synthesize(dx(h, 1)).real
+    A = 1.0 + dh1 ** 2 + dh2 ** 2
+    d11 = synthesize(dx(dx(h, 0), 0)).real
+    d12 = synthesize(dx(dx(h, 0), 1)).real
+    d22 = synthesize(dx(dx(h, 1), 1)).real
+    dA = (2.0 * (dh1 * d11 + dh2 * d12), 2.0 * (dh1 * d12 + dh2 * d22))
+
+    def lambda0(i, Z1, Z2):
+        a = A[i]
+        dot = Z1 * dh1[i] + Z2 * dh2[i]
+        l1 = np.sqrt(a * (Z1 ** 2 + Z2 ** 2) - dot ** 2)
+        br = 0.0
+        for z, hj, dAj, hj1, hj2 in ((Z1, dh1[i], dA[0][i], d11[i], d12[i]),
+                                     (Z2, dh2[i], dA[1][i], d12[i], d22[i])):
+            ddot = Z1 * hj1 + Z2 * hj2                      # d_j (zeta.grad h)
+            dl1 = (dAj * (Z1 ** 2 + Z2 ** 2) - 2.0 * dot * ddot) / (2.0 * l1)
+            dxP = dl1 / a - l1 * dAj / a ** 2
+            dxQ = ddot / a - dot * dAj / a ** 2
+            dzP = (a * z - dot * hj) / l1 / a
+            br = br + dxP * hj / a - dzP * dxQ
+        return a ** 2 / (2.0 * l1) * br + 0.5 * (d11[i] + d22[i])
+    return lambda0
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(m=st.sampled_from([8, 12, 16]), seed=st.integers(0, 2 ** 16),
+       amplitude=st.floats(0.01, 1.5), sigma=st.floats(0.1, 3.0),
+       zeta=st.lists(st.tuples(st.floats(-40.0, 40.0), st.floats(-40.0, 40.0)),
+                     min_size=1, max_size=8))
+def test_lambda0_quadratic_form_matches_chain_rule(m, seed, amplitude, sigma, zeta):
+    # lambda0 = N/Q + c0 against the chain-rule bracket, at every grid point
+    # and random zeta with |zeta| > 1/2; lambda1 = sqrt(Q) against its formula
+    grid = Grid(m)
+    zeta = [z for z in zeta if z[0] ** 2 + z[1] ** 2 > 0.25]
+    assume(zeta)
+    state = random_state(grid, DispersionParams(1.0, sigma), amplitude=amplitude, seed=seed)
+    try:
+        fam, _ = goodvar._principal_family(state)
+    except PositivityError:
+        assume(False)
+    oracle = _lambda0_chain_rule(state)
+    X1, X2 = grid.x()
+    i = paradiff.grid_index(X1, X2, m)
+    dh1 = synthesize(dx(state.h, 0)).real
+    dh2 = synthesize(dx(state.h, 1)).real
+    for z1, z2 in zeta:
+        Z1, Z2 = np.asarray(z1), np.asarray(z2)
+        got = fam["lambda0"].eval(X1, X2, Z1, Z2)
+        ref = oracle(i, Z1, Z2)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        l1 = np.sqrt((1.0 + dh1 ** 2 + dh2 ** 2) * (z1 ** 2 + z2 ** 2)
+                     - (z1 * dh1 + z2 * dh2) ** 2)
+        assert np.max(np.abs(fam["lambda1"].eval(X1, X2, Z1, Z2) - l1)) <= 1e-14 * np.max(l1)
 
 
 def test_fully_flat_state_mprime_and_gamma_vanish():

@@ -476,6 +476,19 @@ def _oracle_case(case, g):
         SeparableTerm(None, lambda z1, z2: np.hypot(z1, z2))], 1.0)
     if case == "general":
         return gen, CFG, gen, None, None
+    if case == "general-real":   # the imaginary part is skipped, not transformed
+        real = Symbol.general(lambda X1, X2, Z1, Z2: fs * np.sqrt(1.0 + Z1 ** 2 + Z2 ** 2)
+                              + np.cos(X1 - 2 * X2) * Z1 / np.hypot(Z1, Z2), 1.0)
+        return real, CFG, real, None, None
+    if case == "general-imag":   # the real part is skipped
+        imag = Symbol.general(lambda X1, X2, Z1, Z2: 1j * np.sin(2 * X1 + X2) * Z2
+                              * np.hypot(Z1, Z2) ** -0.5 + 0.5j * fs, 0.5)
+        return imag, CFG, imag, None, None
+    if case == "conj-flip":      # a zeta-free term whose mark survives conj_flip
+        cfld = random_field(g, seed=49)
+        cf = Symbol.from_function(cfld).conj_flip()
+        assert cf.terms[0].gz is paradiff._one_fn
+        return cf, CFG, Symbol.from_function(cfld.conj()), None, None
     if case == "separable":
         return multi, CFG, multi, None, None
     if case == "row_tol":
@@ -489,8 +502,8 @@ def _oracle_case(case, g):
 
 
 @pytest.mark.parametrize("m", [8, 12])
-@pytest.mark.parametrize("case", ["general", "separable", "row_tol",
-                                  "kernel-left", "kernel-right"])
+@pytest.mark.parametrize("case", ["general", "general-real", "general-imag", "separable",
+                                  "row_tol", "conj-flip", "kernel-left", "kernel-right"])
 def test_weyl_apply_matches_brute_force_double_sum(case, m):
     g = Grid(m)
     sym, cfg, ref_sym, a, side = _oracle_case(case, g)

@@ -1,5 +1,6 @@
-"""Committed mutants of the census code: each one must be killed by the
-tests named for it.
+"""Committed mutants of the census, the Weyl calculus, the good variable,
+the model kernel and the energy plan: each one must be killed by the tests
+named for it.
 
 A mutant replaces one exact piece of text in one file under ``src/``.  For
 each mutant the script copies ``src/`` to a temporary directory, applies the
@@ -12,7 +13,7 @@ fault: strengthen the oracle, never weaken the check.
     python tools/mutants.py tie-order  # the named mutants only
 
 Exits 0 when every mutant run is killed, 1 otherwise.  Needs pytest and
-hypothesis; not part of the unit test suite (about a minute on two cores).
+hypothesis; not part of the unit test suite (a few minutes on two cores).
 """
 
 from __future__ import annotations
@@ -29,10 +30,21 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 DISP = "gcwaves/dispersion.py"
 ENERGY = "gcwaves/energy.py"
+PARADIFF = "gcwaves/paradiff.py"
+GOODVAR = "gcwaves/goodvar.py"
+MODEL = "gcwaves/model.py"
 SCAN3 = "tests/test_dispersion.py::test_scan3_matches_brute_force_census"
 SCAN4 = "tests/test_dispersion.py::test_scan4_matches_brute_force_census"
 PROPS = "tests/test_properties.py::"
 CUTS = "tests/test_dispersion.py::"
+BRUTE = "tests/test_paradiff.py::test_weyl_apply_matches_brute_force_double_sum"
+ROWS = "tests/test_paradiff.py::test_separable_apply_matches_active_row_walk"
+KERNEL = ("tests/test_model.py::test_fused_kernel_matches_six_transform_oracle",
+          "tests/test_model.py::test_kernel_matches_direct_symbol_sum")
+EPLAN = ("tests/test_energy_oracle.py::test_plan_holds_exactly_the_near_resonant_pairs",
+         "tests/test_energy_oracle.py::test_energy_routes_match_row_loop")
+MEASURE = (PROPS + "test_measure_distinct_rows_equal_per_level_bisection",
+           "tests/test_dispersion.py::test_measure_bound_matches_pairwise_lemma1_sum")
 
 
 @dataclass(frozen=True)
@@ -73,8 +85,64 @@ MUTANTS = (
     Mutant("measure-gather-shifted", DISP,
            "lengths = length[row][",
            "lengths = length[np.roll(row, 1)][",
-           (PROPS + "test_measure_distinct_rows_equal_per_level_bisection",
-            "tests/test_dispersion.py::test_measure_bound_matches_pairwise_lemma1_sum")),
+           MEASURE),
+    Mutant("measure-prefilter-loosened", DISP,
+           "keep = (f0 < delta) & (fB > -delta)",
+           "keep = (f0 < 2.0 * delta) & (fB > -2.0 * delta)",
+           MEASURE),
+    # the Weyl calculus: both application paths and the symbol algebra
+    Mutant("hermitian-read-no-conj", PARADIFF,
+           "np.negative(v.imag, out=v.imag, where=conj)",
+           "pass",
+           (BRUTE,)),
+    Mutant("every-term-zeta-free", PARADIFF,
+           "gz = [None if term.gz is _one_fn else",
+           "gz = [None if True else",
+           (BRUTE, ROWS)),
+    Mutant("walk-ends-one-row-early", PARADIFF,
+           "end = int(plan.row_start[active[-1] + 1])",
+           "end = int(plan.row_start[active[-1]])",
+           (BRUTE, ROWS)),
+    Mutant("slice-drops-last-entry", PARADIFF,
+           "e = slice(c0, min(c0 + _CHUNK, end))",
+           "e = slice(c0, min(c0 + _CHUNK, end) - 1)",
+           (BRUTE, ROWS)),
+    Mutant("conj-flip-no-sign-flip", PARADIFF,
+           "g(-np.asarray(z1), -np.asarray(z2)), np.complex128))",
+           "g(np.asarray(z1), np.asarray(z2)), np.complex128))",
+           ("tests/test_paradiff.py::test_conjugation_identity",)),
+    # the good variable: lambda0 = N/Q + c0
+    Mutant("n12-sign-flipped", GOODVAR,
+           "    c0 = 0.5 * lap - ",
+           "    n12 = -n12\n    c0 = 0.5 * lap - ",
+           ("tests/test_goodvar.py::test_lambda0_quadratic_form_matches_chain_rule",
+            "tests/test_goodvar.py::test_lambda0_matches_spectral_bracket")),
+    # the model kernel N = (1/2) dbar(W U) + (1/2) conj(W) d U
+    Mutant("kernel-swapped-sums", MODEL,
+           "out = self.c1 * ug\n            np.multiply(self.c2, dug, out=dug)",
+           "out = self.c2 * ug\n            np.multiply(self.c1, dug, out=dug)",
+           KERNEL),
+    Mutant("kernel-half-divergence-0.6", MODEL,
+           "self.c1 = (1j * k1 + k2) * c2",
+           "self.c1 = (1j * k1 + k2) * c2 * 1.2",
+           KERNEL),
+    Mutant("kernel-drops-conj-W", MODEL,
+           "            np.conj(wg, out=wg)\n",
+           "",
+           KERNEL),
+    Mutant("kernel-d-for-dbar", MODEL,
+           "self.c1 = (1j * k1 + k2) * c2",
+           "self.c1 = (1j * k1 - k2) * c2",
+           KERNEL),
+    Mutant("l2-drift-abort-off", MODEL,
+           "L2_DRIFT_ABORT = 0.1",
+           "L2_DRIFT_ABORT = 1e30",
+           ("tests/test_cli.py::test_failed_simulate_keeps_its_healthy_prefix",)),
+    # the energy audit's near-resonant plan: le0 = bump(Phi) > 0
+    Mutant("energy-plan-support-shrunk", ENERGY,
+           "near = np.flatnonzero(np.abs(phi) < _R_OUT)",
+           "near = np.flatnonzero(np.abs(phi) < 0.9 * _R_OUT)",
+           EPLAN),
 )
 
 
