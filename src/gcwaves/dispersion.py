@@ -10,14 +10,8 @@ All scans are deterministic.  A scan keeping n records keeps the n smallest
 tuples by (normalized gap, dyadic shell of |xi|, xi, offset, signs), points
 and sign tuples compared lexicographically, ties included; the records are
 then listed by (gap, frequencies).  Shell statistics and tuple counts cover
-every tuple in the window.
-
-Lambda depends on |v| only, so every phase and weight is unchanged, bit for
-bit, when the lattice symmetry group D4 acts on all frequencies of a tuple
-at once.  The census sweeps therefore evaluate only the tuples whose first
-frequency is an orbit representative 0 <= v2 <= v1, and map the shortlisted
-ones to their 8 images; the records, shell statistics and tuple counts are
-those of the whole window.
+every tuple in the window.  The sweeps run on D4 orbit representatives
+and walk the lattice through ``gcwaves.lattice``.
 """
 
 from __future__ import annotations
@@ -28,6 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ResourceBudgetError
+from .lattice import (d4_images, d4_reps, disk_size, flat, index_of, lattice_disk, norms,
+                      row_blocks)
 
 # near-zero phases are re-evaluated at this precision to kill cancellation
 _REEVAL_THRESHOLD = 1e-9
@@ -225,40 +221,8 @@ def _k_max_factor(wp, b):
 
 
 # ---------------------------------------------------------------------------
-# lattice enumeration helpers
+# census bookkeeping
 # ---------------------------------------------------------------------------
-
-def lattice_disk(radius, include_origin=False):
-    """All lattice points with |v| <= radius as an (n, 2) int array,
-    lex-sorted; origin optional."""
-    r = int(math.floor(radius))
-    a, b = np.meshgrid(np.arange(-r, r + 1), np.arange(-r, r + 1), indexing="ij")
-    keep = a * a + b * b <= radius * radius
-    if not include_origin:
-        keep &= (a != 0) | (b != 0)
-    return np.stack((a[keep], b[keep]), axis=1)
-
-
-def _disk_size(radius):
-    """len(lattice_disk(radius)), counted row by row without listing the
-    points, so budgets are checked before any enumeration."""
-    r2 = radius * radius
-    r = int(math.floor(radius))
-    return sum(2 * math.isqrt(math.floor(r2 - a * a)) + 1 for a in range(-r, r + 1)) - 1
-
-
-def _square_abs(side):
-    """|v| over the square [-side, side]^2, flattened row-major (see _flat)."""
-    return np.hypot(*np.meshgrid(np.arange(-side, side + 1),
-                                 np.arange(-side, side + 1), indexing="ij")).ravel()
-
-
-def _flat(pts, side):
-    """Row-major index of lattice points in the square [-side, side]^2; the
-    index of v - u is _flat(v) - _flat(u) + _flat(0)."""
-    pts = np.asarray(pts)
-    return (pts[..., 0] + side) * (2 * side + 1) + (pts[..., 1] + side)
-
 
 def _by_shell(pts):
     """Points stably sorted by dyadic shell, so that position is rank in the
@@ -267,35 +231,6 @@ def _by_shell(pts):
     shells = _shell_index(a)
     order = np.argsort(shells, kind="stable")
     return pts[order], a[order], shells[order]
-
-
-# the lattice symmetry group D4 of Z^2 as 8 integer matrices: the sign
-# changes of (v1, v2) and of (v2, v1)
-_D4 = np.array([[[s1, 0], [0, s2]] for s1 in (1, -1) for s2 in (1, -1)]
-               + [[[0, s1], [s2, 0]] for s1 in (1, -1) for s2 in (1, -1)])
-
-
-def _d4_reps(pts):
-    """Representatives 0 <= v2 <= v1 of a D4-invariant point set: their
-    indices into pts and their orbit sizes (1 at the origin, 4 on the axes
-    and diagonals, 8 elsewhere).  Each orbit holds exactly one of them."""
-    v1, v2 = np.asarray(pts).T
-    rep = np.flatnonzero((0 <= v2) & (v2 <= v1))
-    v1, v2 = v1[rep], v2[rep]
-    return rep, np.where(v1 == 0, 1, np.where((v2 == 0) | (v2 == v1), 4, 8))
-
-
-def _d4_images(pts, side, at):
-    """(8, n) table of at[_flat(g v)] over the symmetries g and the points v;
-    ``at`` maps a flat index of the square to a position in a point list."""
-    return at[_flat(np.asarray(pts) @ _D4.transpose(0, 2, 1), side)]
-
-
-def _index_of(pts, side):
-    """Flat index of the square [-side, side]^2 -> position in pts."""
-    at = np.full((2 * side + 1) ** 2, -1, np.int64)
-    at[_flat(pts, side)] = np.arange(len(pts))
-    return at
 
 
 class _TopN:
@@ -406,7 +341,7 @@ def scan_three_wave(params: DispersionParams, wp: WeightParams, window: ScanWind
     re-evaluated in 50-digit arithmetic before being recorded.
     """
     _check_n_records(n_records)
-    _check_budget(_disk_size(window.max_high_freq) * _disk_size(window.max_low_freq) * 4,
+    _check_budget(disk_size(window.max_high_freq) * disk_size(window.max_low_freq) * 4,
                   budget)
     rhos = lattice_disk(window.max_low_freq)
     xs = lattice_disk(window.max_high_freq)
@@ -415,13 +350,13 @@ def scan_three_wave(params: DispersionParams, wp: WeightParams, window: ScanWind
     lam_xi = lam_abs(params, axi)
     n_rho = len(rhos)
 
-    # every eta = xi - rho lies in the square [-side, side]^2, where |eta|,
-    # Lambda(eta) and the weight factors are tabulated once per point
-    side = int(math.floor(window.max_high_freq)) + int(math.floor(window.max_low_freq))
-    abs_sq = _square_abs(side)
+    # every eta = xi - rho lies in the centered n-box, where |eta|, Lambda(eta)
+    # and the weight factors are tabulated once per point
+    n = 2 * (int(math.floor(window.max_high_freq)) + int(math.floor(window.max_low_freq))) + 1
+    abs_sq = norms(n)
     lam_sq = lam_abs(params, abs_sq)
-    x_at = _flat(xs, side)
-    rho_off = _flat(rhos, side) - _flat((0, 0), side)
+    x_at = flat(xs, n)
+    rho_off = flat(rhos, n) - flat((0, 0), n)
     arho = np.array([math.hypot(r1, r2) for r1, r2 in rhos.tolist()])
     lam_rho = lam_abs(params, arho)
     if weight_fn is None:  # K_kappa = F(largest bracket) * G(smallest bracket)
@@ -433,13 +368,13 @@ def scan_three_wave(params: DispersionParams, wp: WeightParams, window: ScanWind
     # D4 acting on (xi, rho) jointly keeps every |.|, so every gap bit for
     # bit: the sweep runs over the representative xi, and a shortlisted row
     # enters as its 8 images (g xi, g rho), repeats dropped by key
-    rep, size = _d4_reps(xs)
-    img_x = _d4_images(xs[rep], side, _index_of(xs, side))
-    img_rho = _d4_images(rhos, side, _index_of(rhos, side))
+    rep, size = d4_reps(xs)
+    img_x = d4_images(xs[rep], n, index_of(xs, n))
+    img_rho = d4_images(rhos, n, index_of(rhos, n))
     xs_r, axi, lam_xi, x_at = xs[rep], axi[rep], lam_xi[rep], x_at[rep]
     if weight_fn is None:
         b1, f1, g1 = b_sq[x_at], f_sq[x_at], g_sq[x_at]
-    xi_is_rho = _index_of(xs_r, side)[_flat(rhos, side)]  # -1 unless rho is a rep
+    xi_is_rho = index_of(xs_r, n)[flat(rhos, n)]  # -1 unless rho is a rep
 
     best_gap = np.full(len(xs_r), np.inf)    # per xi, over every offset and sign
     best_phase = np.full(len(xs_r), np.inf)
@@ -537,8 +472,8 @@ def scan_four_wave(params: DispersionParams, window: ScanWindow, n_records=100,
     if math.isnan(bprime):
         raise ConfigError("bprime must not be NaN")
     _check_n_records(n_records)
-    n_low = _disk_size(window.max_low_freq)
-    _check_budget(_disk_size(window.max_high_freq) * (n_low * (n_low + 1) // 2) * 4, budget)
+    n_low = disk_size(window.max_low_freq)
+    _check_budget(disk_size(window.max_high_freq) * (n_low * (n_low + 1) // 2) * 4, budget)
     lows = lattice_disk(window.max_low_freq)
     vs = lattice_disk(window.max_high_freq)
     pairs = [(a, b) for a in range(len(lows)) for b in range(a, len(lows))]
@@ -551,10 +486,10 @@ def scan_four_wave(params: DispersionParams, window: ScanWindow, n_records=100,
     # its 8 images; an image whose low points have indices a' > b' is the row
     # of pair (b', a') with the signs swapped, which has the same
     # max(|G1|, |G2|) and weight
-    rep, size = _d4_reps(vs)
-    side = int(math.floor(window.max_high_freq))
-    img_v = _d4_images(vs[rep], side, _index_of(vs, side))
-    img_low = _d4_images(lows, side, _index_of(lows, side))
+    rep, size = d4_reps(vs)
+    n = 2 * int(math.floor(window.max_high_freq)) + 1
+    img_v = d4_images(vs[rep], n, index_of(vs, n))
+    img_low = d4_images(lows, n, index_of(lows, n))
     a_img, b_img = img_low[:, :, None], img_low[:, None, :]
     pair_at = np.zeros((len(lows), len(lows)), np.int64)
     pair_at[tuple(np.array(pairs).T)] = np.arange(len(pairs))
@@ -782,10 +717,6 @@ def exceptional_measure_bound(B, j, wp: WeightParams, cutoff,
     return exceptional_measure_bounds(B, [j], wp, cutoff, budget)[0]
 
 
-# pairs per block of eta rows in the exceptional-set sweep
-_MEASURE_BLOCK = 1 << 16
-
-
 def exceptional_measure_bounds(B, js, wp: WeightParams, cutoff,
                                budget=_DEFAULT_BUDGET) -> list:
     """``exceptional_measure_bound`` at every level j in ``js``, in order.
@@ -796,27 +727,26 @@ def exceptional_measure_bounds(B, js, wp: WeightParams, cutoff,
     js = list(js)
     if not (js and min(js) >= 5 and 5 <= B < math.inf and cutoff >= 1):
         raise ConfigError("need j >= 5, finite B >= 5, cutoff >= 1")
-    _check_budget(_disk_size(cutoff) ** 2, budget)
+    _check_budget(disk_size(cutoff) ** 2, budget)
     pts = lattice_disk(cutoff)
 
     # |v| and the profile terms over the square holding every xi + eta; the
     # |eta| terms are scalar (libm) powers, which numpy's array power can miss
     # by an ulp, so the totals equal a loop over eta bit for bit
-    side = 2 * int(math.floor(cutoff))
-    abs_sq = _square_abs(side)
+    n = 4 * int(math.floor(cutoff)) + 1
+    abs_sq = norms(n)
     p15_sq = abs_sq ** 1.5
     rB_sq = np.sqrt(abs_sq * B + abs_sq ** 3)
-    at = _flat(pts, side)
+    at = flat(pts, n)
     a_pt = abs_sq[at]
     p15_eta = np.array([a ** 1.5 for a in a_pt])
     rB_eta = np.array([np.sqrt(a * B + a ** 3) for a in a_pt])
 
     loose = 2.0 ** (-min(js))
     kept, n_pairs = [], 0
-    rows = max(1, _MEASURE_BLOCK // len(pts))
-    for r0 in range(0, len(pts), rows):
-        e = np.arange(r0, min(r0 + rows, len(pts)))
-        s_at = at[e, None] + at[None, :] - _flat((0, 0), side)   # xi + eta
+    for lo, hi in row_blocks(len(pts), len(pts)):
+        e = np.arange(lo, hi)
+        s_at = at[e, None] + at[None, :] - flat((0, 0), n)   # xi + eta
         asum = abs_sq[s_at]
         ok = (a_pt[None, :] >= a_pt[e, None]) & (asum >= a_pt[None, :]) & (asum > 0.0)
         ie, ix = np.nonzero(ok)                                  # (eta, xi) order

@@ -41,33 +41,26 @@ near-resonant pairs, a small share of all pairs as the paper's counting
 bounds predict, and the {|Phi| > 1} part is the total minus them.  The
 general-mu trilinear sums go through one pair-sum kernel: near-resonant
 filters read the same plan, the others walk every pair of the box in
-blocks.
+blocks (``gcwaves.lattice``).
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import (DispersionParams, _d4_reps, _flat, _square_abs, lam_abs,
-                         lattice_disk)
+from .dispersion import DispersionParams, lam_abs
 from .errors import CadenceError, ConfigError, SmallDivisorError
-from .fields import (_R_IN, _R_OUT, FourierField, bump, dealias, finite_json, l2_norm,
-                     phi_le, sobolev_norm)
-from .model import ModelConfig, SolverState, _Stepper, initial_data
-from .paradiff import _centered
+from .fields import (R_IN, R_OUT, FourierField, bump, check_power, dealias, finite_json,
+                     l2_norm, phi_le, sobolev_norm)
+from .lattice import coords, d4_reps, flat, lattice_disk, norms, plan_cache, row_blocks
+from .model import ModelConfig, SolverState, Stepper, initial_data
 
 #: the derived normalization constant of the energy symbol
 C_ENERGY = -0.5 * (2.0 * np.pi) ** -4
-
-# pairs per vectorized block: small enough that no block's temporaries
-# raise a run's peak memory
-_BLOCK = 1 << 13
 
 #: the default phi_{<=B} cutoff riding on the symbol: the model's default
 #: velocity band (V = P_{<=10} Im U)
@@ -199,21 +192,6 @@ def _row_mask(coeffs, row_tol):
     return a > (row_tol * np.max(a) if row_tol else 0.0)
 
 
-# Pairs live in a centered n x n box: flat index i is the point
-# (i // n - n // 2, i % n - n // 2), so the origin is (n // 2) (n + 1) and
-# eta = xi - rho has flat index xi - rho + origin.
-
-def _box_coords(n):
-    """Signed coordinates (k1, k2) of every flat point of the box."""
-    k = np.arange(n * n)
-    return k // n - n // 2, k % n - n // 2
-
-
-def _lam_table(n, params):
-    """Lambda at every flat point of the box."""
-    return lam_abs(params, np.hypot(*_box_coords(n)))
-
-
 def _phase(lam, signs, xi, eta, rho):
     """Phi_{i1 i2} = Lam(xi) - i1 Lam(rho) - i2 Lam(eta) from the Lambda table."""
     i1, i2 = signs
@@ -221,16 +199,16 @@ def _phase(lam, signs, xi, eta, rho):
 
 
 def _box_pairs(n, rows):
-    """Every pair of the box with rho = xi - eta one of the flat points
-    ``rows`` and eta in the box: flat (xi, eta, rho) arrays, about _BLOCK
+    """Every pair of the centered n-box with rho = xi - eta one of the flat
+    points ``rows`` and eta in the box: flat (xi, eta, rho) arrays, about BLOCK
     pairs per block, blocks of rows in the order given, xi in flat order."""
     k = np.arange(n)
-    origin = (n // 2) * (n + 1)
-    step = max(1, _BLOCK // (n * n))
-    for lo in range(0, len(rows), step):
-        r = rows[lo:lo + step]
-        e1 = k[:, None] - (r // n - n // 2)[:, None, None]   # eta's box coordinates
-        e2 = k[None, :] - (r % n - n // 2)[:, None, None]
+    k1, k2 = coords(n)
+    origin = int(flat((0, 0), n))
+    for lo, hi in row_blocks(len(rows), n * n):
+        r = rows[lo:hi]
+        e1 = k[:, None] - k1[r][:, None, None]   # eta's box coordinates
+        e2 = k[None, :] - k2[r][:, None, None]
         b, x1, x2 = np.nonzero((e1 >= 0) & (e1 < n) & (e2 >= 0) & (e2 < n))
         xi = x1 * n + x2
         yield xi, xi - r[b] + origin, r[b]
@@ -247,11 +225,11 @@ class _ResonantPlan:
 
     def __init__(self, n, params, signs):
         self.n = n
-        self.lam = _lam_table(n, params)
+        self.lam = lam_abs(params, norms(n))
         xis, etas, le0s = [], [], []
         for xi, eta, rho in _box_pairs(n, np.arange(n * n)):
             phi = _phase(self.lam, signs, xi, eta, rho)
-            near = np.flatnonzero(np.abs(phi) < _R_OUT)   # bump is 0 beyond
+            near = np.flatnonzero(np.abs(phi) < R_OUT)   # bump is 0 beyond
             le0 = bump(phi[near])
             pos = le0 > 0.0
             xis.append(xi[near[pos]])
@@ -265,18 +243,18 @@ class _ResonantPlan:
 
     def entries(self, rows):
         """The entries whose rho is in the boolean row mask ``rows``, as
-        (xi, eta, rho, le0) blocks of at most _BLOCK entries."""
-        origin = (self.n // 2) * (self.n + 1)
-        for lo in range(0, len(self.xi), _BLOCK):
-            xi, eta = self.xi[lo:lo + _BLOCK], self.eta[lo:lo + _BLOCK]
+        (xi, eta, rho, le0) blocks of at most BLOCK entries."""
+        origin = int(flat((0, 0), self.n))
+        for lo, hi in row_blocks(len(self.xi), 1):
+            xi, eta = self.xi[lo:hi], self.eta[lo:hi]
             rho = xi - eta + origin
             sel = rows[rho]
-            yield xi[sel], eta[sel], rho[sel], self.le0[lo:lo + _BLOCK][sel]
+            yield xi[sel], eta[sel], rho[sel], self.le0[lo:hi][sel]
 
 
-# plans kept: the audit needs one (the dealiased box, signs (+, +)); the
-# general trilinear sums cycle through a few sign pairs
-@functools.lru_cache(maxsize=3)
+# the audit needs one plan (the dealiased box, signs (+, +)); the general
+# trilinear sums cycle through a few sign pairs
+@plan_cache
 def _resonant_plan(n, params, signs):
     """The cached near-resonant plan for (box size, g, sigma, signs); the
     Phi-support radius is the bump's, 8/5, for every plan."""
@@ -302,10 +280,10 @@ def _pair_sums(mu, filt, fc, gc, hconjs, params, rows, weighted=False):
         plan = _resonant_plan(n, params, tuple(filt.signs))
         lam, blocks = plan.lam, plan.entries(rows)
     else:
-        lam = _lam_table(n, params)
+        lam = lam_abs(params, norms(n))
         blocks = ((xi, eta, rho, None)
                   for xi, eta, rho in _box_pairs(n, np.flatnonzero(rows)))
-    k1, k2 = _box_coords(n)
+    k1, k2 = coords(n)
     sums = [0.0 + 0.0j] * len(hconjs)
     for xi, eta, rho, le0 in blocks:
         phi = _phase(lam, filt.signs, xi, eta, rho)
@@ -343,9 +321,9 @@ def trilinear(mu, filt: ModulationFilter, F: FourierField, G: FourierField,
     """
     if F.grid != G.grid or F.grid != H.grid:
         raise ConfigError("trilinear operands must share a grid")
-    fc = _centered(F.coeffs)
-    return _pair_sums(mu, filt, fc, _centered(G.coeffs), [np.conj(_centered(H.coeffs))],
-                      params, _row_mask(fc, row_tol), weighted)[0]
+    fc, gc, hc = (np.fft.fftshift(X.coeffs) for X in (F, G, H))
+    return _pair_sums(mu, filt, fc, gc, [np.conj(hc)], params, _row_mask(fc, row_tol),
+                      weighted)[0]
 
 
 def trivial_resonance_sum(mu, filt: ModulationFilter, U: FourierField,
@@ -368,9 +346,9 @@ def trivial_resonance_sum(mu, filt: ModulationFilter, U: FourierField,
     """
     if U.grid != W.grid:
         raise ConfigError("trivial_resonance_sum operands must share a grid")
-    uc = _centered(U.coeffs)
+    uc = np.fft.fftshift(U.coeffs)
     return _pair_sums(mu, filt, 1j * np.abs(uc) ** 2, np.ones(uc.shape),
-                      [np.abs(_centered(W.coeffs)) ** 2], params,
+                      [np.abs(np.fft.fftshift(W.coeffs)) ** 2], params,
                       _row_mask(uc, row_tol), weighted)[0]
 
 
@@ -428,7 +406,7 @@ def _energy_total(U: FourierField, N: float, c, band, row_tol=1e-14) -> float:
     big = (1.0 + q) ** N
     u = np.asarray(U.coeffs)
     f = np.where(_row_mask(u, row_tol), 1j * u, 0.0)
-    if math.hypot(m // 2, m // 2) >= _R_IN * 2.0 ** band:
+    if math.hypot(m // 2, m // 2) >= R_IN * 2.0 ** band:
         f = f * phi_le(np.hypot(k1, k2), band)
     fx = np.fft.ifft2(f)
 
@@ -448,7 +426,7 @@ def _energy_le0_parts(U: FourierField, N: float, params: DispersionParams, c, ba
     box = slice(h - k, h + k + 1)
 
     def cen(a):
-        return _centered(a)[box, box]
+        return np.fft.fftshift(a)[box, box]
 
     W = _w_field(U, N).coeffs
     fc = cen(1j * U.coeffs)
@@ -491,6 +469,8 @@ def increment_audit(cfg: ModelConfig, initial: FourierField | None,
         N = cfg.sobolev_index
     if not math.isfinite(N):
         raise ConfigError(f"N must be finite, got {N!r}")
+    m = cfg.grid.size
+    check_power(N, 2 * (m // 2) ** 2, f"on the {m}^2 grid")
     if not math.isfinite(D):
         raise ConfigError(f"D must be finite, got {D!r}")
     if parts_cadence is None:
@@ -501,7 +481,7 @@ def increment_audit(cfg: ModelConfig, initial: FourierField | None,
     if initial is None:
         initial = initial_data(cfg)
     u0 = dealias(initial)
-    stepper = _Stepper(cfg)
+    stepper = Stepper(cfg)
     state = SolverState(0.0, u0, l2_norm(u0))
     n_steps = int(math.ceil(cfg.t_end / cfg.dt - 1e-12))
     audit_steps = sorted({int(round(t / cfg.dt)) for t in audit_times})
@@ -598,7 +578,7 @@ def depletion_checks(params: DispersionParams, N: float, radius: int,
     Offsets rho = xi - eta run over |rho_i| <= max(max_offset, radius // 8
     + 1).  |v|, Lambda(|v|) and (1+|v|^2)^N, ^{N/2} are tabulated once on a
     square holding every xi, eta and xi + eta, and gathered for blocks of
-    offsets of about _BLOCK pairs each.  Every quantity reads norms only, so
+    offsets of about BLOCK pairs each.  Every quantity reads norms only, so
     it is the same bit for bit on each image of (xi, rho) under the lattice
     symmetries D4: xi runs over the representatives 0 <= xi_2 <= xi_1 against
     every offset, and a pair counts as many pairs as its xi's orbit holds."""
@@ -608,23 +588,18 @@ def depletion_checks(params: DispersionParams, N: float, radius: int,
         raise ConfigError(f"radius must be >= 1, got {radius!r}")
     off_max = max(max_offset, radius // 8 + 1)
     side = 2 * radius + off_max
-    abs_sq = _square_abs(side)
+    check_power(N, 2 * side * side, f"on the depletion square at radius {radius}")
+    n = 2 * side + 1
+    abs_sq = norms(n)
     lam_sq = lam_abs(params, abs_sq)
-    sq = np.arange(-side, side + 1) ** 2
-    w_sq = (1.0 + sq[:, None] + sq[None, :]).ravel()   # 1 + |v|^2, exact
-    with np.errstate(over="ignore"):
-        big_sq, half_sq = w_sq ** N, w_sq ** (N / 2.0)
-    if not np.isfinite(big_sq).all():
-        # (1 + 2 side^2)^N is the largest entry of the table
-        n_max = math.log(sys.float_info.max) / math.log(1.0 + 2.0 * side * side)
-        raise ConfigError(
-            f"N = {N!r} overflows (1+|v|^2)^N on the depletion square at radius "
-            f"{radius}; the largest admissible N there is {math.floor(n_max * 100) / 100}")
+    k1, k2 = coords(n)
+    w_sq = 1.0 + (k1 * k1 + k2 * k2)                   # 1 + |v|^2, exact
+    big_sq, half_sq = w_sq ** N, w_sq ** (N / 2.0)
 
     pts = lattice_disk(radius, include_origin=True)
-    rep, size = _d4_reps(pts)
+    rep, size = d4_reps(pts)
     pts = pts[rep]
-    x_at = _flat(pts, side)
+    x_at = flat(pts, n)
     abs_x, lam_x, w_x = abs_sq[x_at], lam_sq[x_at], w_sq[x_at]
     big_x, half_x = big_sq[x_at], half_sq[x_at]
     offs = [(r1, r2) for r1 in range(-off_max, off_max + 1)
@@ -633,8 +608,8 @@ def depletion_checks(params: DispersionParams, N: float, radius: int,
     order = np.argsort(rn, kind="stable")    # the |m'| offsets first
     offs, rn = np.array(offs)[order], rn[order]
     n_near = int(np.searchsorted(rn, max_offset, side="right"))
-    origin = _flat((0, 0), side)
-    shift = _flat(offs, side) - origin       # flat(eta) = flat(xi) - shift
+    origin = flat((0, 0), n)
+    shift = flat(offs, n) - origin           # flat(eta) = flat(xi) - shift
     br = np.sqrt(1.0 + rn * rn)
     br2 = np.array([b ** 2 for b in br.tolist()])
     br3 = np.array([b ** 3 for b in br.tolist()])
@@ -645,9 +620,7 @@ def depletion_checks(params: DispersionParams, N: float, radius: int,
     n_mp = 0
     c_best = 0.0
     n_fac = 0
-    step = max(1, _BLOCK // len(pts))
-    for lo in range(0, len(offs), step):
-        hi = min(lo + step, len(offs))
+    for lo, hi in row_blocks(len(offs), len(pts)):
         e_at = x_at - shift[lo:hi, None]         # eta, per (offset, point)
         s_at = x_at + e_at - origin              # xi + eta
         dot = w_x - w_sq[e_at]                   # (xi-eta).(xi+eta) = |xi|^2 - |eta|^2

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import functools
 import json
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,8 +32,8 @@ from .errors import ConfigError, SingularMultiplierError
 TWO_PI = 2.0 * np.pi
 
 # support / plateau radii of the fixed bump
-_R_OUT = 8.0 / 5.0
-_R_IN = 5.0 / 4.0
+R_OUT = 8.0 / 5.0
+R_IN = 5.0 / 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +57,7 @@ def bump(r):
     the outer support radius; exact 0/1 values off the transition zone.
     """
     r = np.abs(np.asarray(r, dtype=float))
-    t = (_R_OUT - r) / (_R_OUT - _R_IN)
+    t = (R_OUT - r) / (R_OUT - R_IN)
     num = _psi(t)
     den = num + _psi(1.0 - t)
     out = np.empty_like(r)
@@ -352,6 +354,16 @@ def sobolev_norm(f: FourierField, s: float) -> float:
     k1, k2 = f.grid.freqs()
     w = (1.0 + (k1 * k1 + k2 * k2).astype(float)) ** s
     return float(np.sqrt(np.sum(w * np.abs(f.coeffs) ** 2)) / TWO_PI)
+
+
+def check_power(N, q_max, where):
+    """ConfigError unless (1+q)^N is finite for every q = |v|^2 <= q_max."""
+    with np.errstate(over="ignore"):
+        if np.isfinite(np.float64(1.0 + q_max) ** N):
+            return
+    n_max = math.log(sys.float_info.max) / math.log(1.0 + q_max)
+    raise ConfigError(f"N = {N!r} overflows (1+|v|^2)^N {where}; the largest "
+                      f"admissible N there is {math.floor(n_max * 100) / 100}")
 
 
 def inner(f: FourierField, g: FourierField) -> complex:

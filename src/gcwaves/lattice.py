@@ -1,0 +1,105 @@
+"""The integer lattice Z^2 as every pair walk sees it: the censuses over
+(xi, offset) tuples, the energy sums over the pairs of a box and the Weyl
+calculus over the chi support share its index rule, D4 helpers, block walk
+and plan cache; each keeps its own predicates, weights and entry order.
+
+Index rule.  The centered n-box holds the v with -(n // 2) <= v_i < n - n // 2
+at flat index (v1 + n // 2) n + (v2 + n // 2), so v - u sits at flat(v) -
+flat(u) + flat(0).  It is the square [-s, s]^2 for n = 2 s + 1, and the
+np.fft.fftshift layout of an n x n array for every n.
+
+D4.  Lambda depends on |v| only, so every phase, weight and depletion
+quantity is unchanged, bit for bit, when the lattice symmetry group D4 acts
+on all frequencies of a tuple at once.  The census sweeps therefore
+evaluate only the tuples whose first frequency is an orbit representative
+0 <= v2 <= v1, and map the shortlisted ones to their 8 images; the records,
+shell statistics and tuple counts are those of the whole window.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+
+import numpy as np
+
+# pairs per block of a vectorized walk, so no block's temporaries raise a
+# run's peak memory.  The energy pair sums add one partial sum per block, so
+# the grouping fixes the last bits of audit.json
+BLOCK = 1 << 13
+
+#: the three most recently used plans of a kind are kept: a run alternates
+#: between at most two grid sizes (or sign pairs), plus one
+plan_cache = functools.lru_cache(maxsize=3)
+
+# the lattice symmetry group D4 of Z^2 as 8 integer matrices: the sign
+# changes of (v1, v2) and of (v2, v1)
+D4 = np.array([[[s1, 0], [0, s2]] for s1 in (1, -1) for s2 in (1, -1)]
+              + [[[0, s1], [s2, 0]] for s1 in (1, -1) for s2 in (1, -1)])
+
+
+def flat(pts, n):
+    """Flat index of the points pts (..., 2) in the centered n-box."""
+    pts = np.asarray(pts)
+    return (pts[..., 0] + n // 2) * n + (pts[..., 1] + n // 2)
+
+
+def coords(n):
+    """Signed coordinates (k1, k2) of every flat index of the centered n-box."""
+    k = np.arange(n * n)
+    return k // n - n // 2, k % n - n // 2
+
+
+def norms(n):
+    """|v| at every flat index of the centered n-box."""
+    return np.hypot(*coords(n))
+
+
+def lattice_disk(radius, include_origin=False):
+    """All lattice points with |v| <= radius as an (n, 2) int array,
+    lex-sorted; origin optional."""
+    r = int(math.floor(radius))
+    a, b = np.meshgrid(np.arange(-r, r + 1), np.arange(-r, r + 1), indexing="ij")
+    keep = a * a + b * b <= radius * radius
+    if not include_origin:
+        keep &= (a != 0) | (b != 0)
+    return np.stack((a[keep], b[keep]), axis=1)
+
+
+def disk_size(radius):
+    """len(lattice_disk(radius)), counted row by row without listing the
+    points, so budgets are checked before any enumeration."""
+    r2 = radius * radius
+    r = int(math.floor(radius))
+    return sum(2 * math.isqrt(math.floor(r2 - a * a)) + 1 for a in range(-r, r + 1)) - 1
+
+
+def d4_reps(pts):
+    """Representatives 0 <= v2 <= v1 of a D4-invariant point set: their
+    indices into pts and their orbit sizes (1 at the origin, 4 on the axes
+    and diagonals, 8 elsewhere).  Each orbit holds exactly one of them."""
+    v1, v2 = np.asarray(pts).T
+    rep = np.flatnonzero((0 <= v2) & (v2 <= v1))
+    v1, v2 = v1[rep], v2[rep]
+    return rep, np.where(v1 == 0, 1, np.where((v2 == 0) | (v2 == v1), 4, 8))
+
+
+def d4_images(pts, n, at):
+    """(8, len(pts)) table of at[flat(g v)] over the symmetries g and the
+    points v; ``at`` maps a flat index of the n-box to a list position."""
+    return at[flat(np.asarray(pts) @ D4.transpose(0, 2, 1), n)]
+
+
+def index_of(pts, n):
+    """Flat index of the n-box -> position in pts (-1 for other points)."""
+    at = np.full(n * n, -1, np.int64)
+    at[flat(pts, n)] = np.arange(len(pts))
+    return at
+
+
+def row_blocks(n_rows, row_len):
+    """(lo, hi) ranges covering rows 0 .. n_rows - 1 in order, each of about
+    BLOCK // row_len rows (at least one)."""
+    step = max(1, BLOCK // row_len)
+    for lo in range(0, n_rows, step):
+        yield lo, min(lo + step, n_rows)

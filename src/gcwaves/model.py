@@ -40,7 +40,7 @@ import numpy as np
 
 from .dispersion import DispersionParams, lam_grid
 from .errors import ConfigError, NumericAbortError
-from .fields import (FourierField, Grid, TWO_PI, dealias, l2_norm, phi_le,
+from .fields import (FourierField, Grid, TWO_PI, check_power, dealias, l2_norm, phi_le,
                      sobolev_norm)
 
 
@@ -67,6 +67,9 @@ class ModelConfig:
                 and math.isfinite(self.sobolev_index) and self.velocity_band >= 0):
             raise ConfigError("need finite dt > 0, epsilon > 0 and t_end > 0, finite "
                               "snapshot_dt and sobolev_index, and velocity_band >= 0")
+        m = self.grid.size
+        check_power(self.sobolev_index, 2 * (m // 2) ** 2,
+                    f"in the sobolev_index weight on the {m}^2 grid")
         if self.integrator not in ("rk4", "midpoint"):
             raise ConfigError(f"unknown integrator {self.integrator!r}")
 
@@ -202,7 +205,7 @@ def suggest_dt(U0: FourierField, cfg: ModelConfig, courant=0.1) -> float:
     return courant / (vmax * kmax)
 
 
-class _Stepper:
+class Stepper:
     """Integrating-factor stepper with precomputed linear phases."""
 
     def __init__(self, cfg: ModelConfig):
@@ -248,7 +251,7 @@ class _Stepper:
 
 def step(state: SolverState, cfg: ModelConfig) -> SolverState:
     """Advance by one dt (convenience wrapper; runs build a stepper once)."""
-    return _Stepper(cfg).step(state)
+    return Stepper(cfg).step(state)
 
 
 @dataclass
@@ -288,7 +291,7 @@ def run(cfg: ModelConfig, initial: FourierField | None = None,
         initial = initial_data(cfg)
     u0 = dealias(initial)
     state = SolverState(0.0, u0, l2_norm(u0))
-    stepper = _Stepper(cfg)
+    stepper = Stepper(cfg)
     every = max(1, int(round(cfg.snapshot_dt / cfg.dt)))
     n_steps = int(math.ceil(cfg.t_end / cfg.dt - 1e-12))
 

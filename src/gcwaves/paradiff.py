@@ -12,10 +12,11 @@ whole row is 0 (so T_a output is always mean-free and T_a kills constants),
 and symbols only ever get evaluated at |zeta| > 1/2.
 
 Both kinds of symbol read one chi-support plan per (grid size, chi
-exponent), built on demand and kept for the process: the pairs (xi, eta)
-of the sum with chi > 0, 20 bytes each (int32 xi, rho and midpoint ids,
-float64 chi), ordered by row rho in increasing |rho|.  At chi_exponent = -2
-the full plan holds 0.16M entries (3.1 MB) at 32^2 and 2.7M (54 MB) at 64^2.
+exponent), built on demand and kept by the lattice plan cache
+(``gcwaves.lattice``): the pairs (xi, eta) of the sum with chi > 0, 20
+bytes each (int32 xi, rho and midpoint ids, float64 chi), ordered by row
+rho in increasing |rho|.  At chi_exponent = -2 the full plan holds 0.16M
+entries (3.1 MB) at 32^2 and 2.7M (54 MB) at 64^2.
 
 Symbols come in two flavours:
   * separable - a finite sum of terms  spatial(x) * g(zeta); rows are exact.
@@ -48,6 +49,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .fields import FourierField, Grid, TWO_PI, bump, dealias, analyze, synthesize
+from .lattice import coords, flat, plan_cache, row_blocks
 
 _FOUR_PI2 = (2.0 * np.pi) ** 2
 
@@ -293,20 +295,14 @@ def _conj_flip_fn(g, negate=False):
 
 
 # ---------------------------------------------------------------------------
-# centered-layout helpers (no-wrap frequency shifts)
+# the chi-support plan
 # ---------------------------------------------------------------------------
 
-def _centered(coeffs):
-    return np.fft.fftshift(coeffs)
-
-
-def _uncentered(coeffs):
-    return np.fft.ifftshift(coeffs)
-
-
-def _centered_freqs(m):
-    k = np.arange(m) - m // 2
-    return np.meshgrid(k, k, indexing="ij")
+_SAMPLES = 1 << 15  # symbol samples (midpoints x M^2) per general-path batch
+# plan entries per separable-apply pass.  Not lattice.BLOCK: in passes of
+# 1 << 13 entries some entry products round differently (numpy 2.4.6,
+# x86-64 with AVX-512), which moves the last bits of the paradiff-audit report
+_APPLY_SLICE = 1 << 15
 
 
 def _guard_zeta(z_abs_sq):
@@ -315,35 +311,29 @@ def _guard_zeta(z_abs_sq):
                           "inside the chi support")
 
 
-# ---------------------------------------------------------------------------
-# the chi-support plan
-# ---------------------------------------------------------------------------
-
-_SAMPLES = 1 << 15  # symbol samples (midpoints x M^2) per general-path batch
-_CHUNK = 1 << 15    # candidate pairs per plan-build pass, plan entries per apply pass
-
-
 class _ChiPlan:
     """The chi support on an M x M grid, shared by both application paths.
 
     One entry per pair (xi, eta) with xi, eta off the Nyquist rows, rho =
     xi - eta on the grid, xi + eta != 0 and chi(|rho| / |xi + eta|) > 0:
-    int32 centered flat indices of xi and rho, the int32 id of the midpoint
-    sum s = xi + eta on the (2M-1)^2 box of sums, and float64 chi.  Entries
-    run row by row, rows in increasing |rho|, with row k at entries
-    [row_start[k], row_start[k+1]); ``extend`` builds rows only as far as a
-    call needs, and chi is evaluated nowhere else.  The separable path walks
-    the rows as one contiguous prefix of the entry arrays, in slices of
-    _CHUNK entries; ``by_midpoint`` groups the full plan by midpoint with
-    one int32 permutation for the general path.
+    int32 flat indices of xi and rho in the centered M-box, the int32 flat
+    index (the midpoint id) of the sum s = xi + eta in the centered
+    (2M-1)-box, and float64 chi.  Entries run row by row, rows in
+    increasing |rho|, with row k at entries [row_start[k], row_start[k+1]);
+    ``extend`` builds rows only as far as a call needs, and chi is
+    evaluated nowhere else.  The separable path walks the rows as one
+    contiguous prefix of the entry arrays, in slices of _APPLY_SLICE entries;
+    ``by_midpoint`` groups the full plan by midpoint with one int32
+    permutation for the general path.
     """
 
     def __init__(self, m, chi):
         self.m = m
         self.chi_fn = chi
-        half = m // 2
-        r = np.arange(m * m)
-        rsq = (r // m - half) ** 2 + (r % m - half) ** 2
+        self.k1, self.k2 = coords(m)
+        self.sums = coords(2 * m - 1)                    # midpoint id -> s = xi + eta
+        self.origin = int(flat((0, 0), m))
+        rsq = self.k1 ** 2 + self.k2 ** 2
         self.rows = np.argsort(rsq, kind="stable")      # centered flat rho, plan order
         self.row_sq = rsq[self.rows]
         self.row_start = np.zeros(1, np.int64)           # entries of row k: [start[k], start[k+1])
@@ -363,13 +353,12 @@ class _ChiPlan:
             return n
         m, half = self.m, self.m // 2
         k = np.arange(1 - half, half)  # xi and eta off the Nyquist rows, which stay 0
-        step = max(1, _CHUNK // (m * m))
         new = {"xi": [], "rho": [], "mid": [], "chi": []}
         counts = []
-        for lo in range(built, n, step):
-            ks = np.arange(lo, min(lo + step, n))
-            r1 = (self.rows[ks] // m - half)[:, None, None]
-            r2 = (self.rows[ks] % m - half)[:, None, None]
+        for lo, hi in row_blocks(n - built, m * m):
+            ks = np.arange(built + lo, built + hi)
+            r1 = self.k1[self.rows[ks]][:, None, None]
+            r2 = self.k2[self.rows[ks]][:, None, None]
             den = np.hypot(2 * k[:, None] - r1, 2 * k[None, :] - r2)
             cand = ((np.abs(k[:, None] - r1) < half) & (np.abs(k[None, :] - r2) < half)
                     & (den > 0))
@@ -380,11 +369,11 @@ class _ChiPlan:
             s1 = 2 * x1 - r1.ravel()[b]
             s2 = 2 * x2 - r2.ravel()[b]
             _guard_zeta(0.25 * (s1 * s1 + s2 * s2))
-            mid = (s1 + m) * (2 * m - 1) + (s2 + m)
+            mid = flat(np.stack((s1, s2), axis=-1), 2 * m - 1)
             ids, first = np.unique(mid, return_index=True)
             self.mid_row[ids] = np.minimum(self.mid_row[ids], ks[b[first]])
             counts.append(np.bincount(b, minlength=len(ks)))
-            new["xi"].append(((x1 + half) * m + x2 + half).astype(np.int32))
+            new["xi"].append(flat(np.stack((x1, x2), axis=-1), m).astype(np.int32))
             new["rho"].append(self.rows[ks[b]].astype(np.int32))
             new["mid"].append(mid.astype(np.int32))
             new["chi"].append(chi[keep])
@@ -397,8 +386,7 @@ class _ChiPlan:
 
     def zeta(self, ids):
         """The midpoints zeta = s / 2 of midpoint ids."""
-        w = 2 * self.m - 1
-        return 0.5 * (ids // w - self.m), 0.5 * (ids % w - self.m)
+        return 0.5 * self.sums[0][ids], 0.5 * self.sums[1][ids]
 
     def by_midpoint(self):
         """The full plan grouped by midpoint: (perm, start, ids), the entries
@@ -413,38 +401,25 @@ class _ChiPlan:
 
     def accumulate(self, out, e, w, fc, extra_weight, divisor=1.0):
         """out[xi] += w chi [extra] fhat(eta) / divisor over the entries e."""
-        m, half = self.m, self.m // 2
         xi, rho = self.xi[e], self.rho[e]
         w = w * self.chi[e]
         if extra_weight is not None:
-            x1, x2 = (xi // m - half).astype(float), (xi % m - half).astype(float)
-            r1, r2 = (rho // m - half).astype(float), (rho % m - half).astype(float)
+            x1, x2 = self.k1[xi].astype(float), self.k2[xi].astype(float)
+            r1, r2 = self.k1[rho].astype(float), self.k2[rho].astype(float)
             w = w * extra_weight(x1, x2, r1, r2, x1 - 0.5 * r1, x2 - 0.5 * r2)
         # np.take: the int32 plan indices are not converted as [] would
-        v = w * np.take(fc, xi - rho + (half * m + half))
+        v = w * np.take(fc, xi - rho + self.origin)
         if divisor != 1.0:
             v /= divisor
         np.add.at(out, xi, v)   # in entry order: no reassociation across batches
 
 
-_PLANS = {}   # (grid size, chi exponent) -> _ChiPlan, least recently used first
-# plans kept: the two grid sizes the Weyl calculus alternates between in a
-# run (a symbol build and an operator audit) plus one
-_MAX_PLANS = 3
-
-
-def _plan(m, cfg):
-    """The cached chi-support plan for (m, cfg.chi_exponent); only the
-    _MAX_PLANS most recently used plans are kept."""
-    key = (m, cfg.chi_exponent)
-    plan = _PLANS.get(key)
-    if plan is None:
-        plan = _PLANS[key] = _ChiPlan(m, cfg.chi)
-        while len(_PLANS) > _MAX_PLANS:
-            del _PLANS[next(iter(_PLANS))]
-    elif key != next(reversed(_PLANS)):
-        _PLANS[key] = _PLANS.pop(key)   # to the most recently used end
-    return plan
+# the Weyl calculus alternates between two grid sizes in a run (a symbol
+# build and an operator audit)
+@plan_cache
+def _plan(m, chi_exponent):
+    """The cached chi-support plan for grid size m and chi exponent."""
+    return _ChiPlan(m, ParadiffConfig(chi_exponent).chi)
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +432,8 @@ def weyl_apply(a: Symbol, f: FourierField, cfg: ParadiffConfig,
     explicit error kernels; it receives flat arrays
     (XI1, XI2, R1, R2, Z1, Z2) over the chi support."""
     m = f.grid.size
-    plan = _plan(m, cfg)
-    fc = _centered(f.coeffs).ravel()
+    plan = _plan(m, cfg.chi_exponent)
+    fc = np.fft.fftshift(f.coeffs).ravel()
     out = np.zeros(m * m, np.complex128)
     if a.is_separable:
         _apply_rows(a, f.grid, cfg, plan, out, fc, extra_weight)
@@ -466,7 +441,7 @@ def weyl_apply(a: Symbol, f: FourierField, cfg: ParadiffConfig,
         _apply_midpoints(a, f.grid, plan, out, fc, extra_weight)
     out = out.reshape(m, m)
     out[m // 2, m // 2] = 0.0  # xi = 0 convention
-    return FourierField(f.grid, _uncentered(out))
+    return FourierField(f.grid, np.fft.ifftshift(out))
 
 
 def _apply_rows(a, grid, cfg, plan, out, fc, extra_weight):
@@ -480,7 +455,7 @@ def _apply_rows(a, grid, cfg, plan, out, fc, extra_weight):
             continue
         if term.spatial.grid != grid:
             raise ConfigError("symbol spatial factor lives on a different grid")
-        sc = _centered(term.spatial.coeffs).ravel()
+        sc = np.fft.fftshift(term.spatial.coeffs).ravel()
         tol = cfg.row_tol * np.max(np.abs(sc)) if cfg.row_tol else 0.0
         kept = np.abs(sc) > tol
         c[kept] = sc[kept] / _FOUR_PI2
@@ -499,8 +474,8 @@ def _apply_rows(a, grid, cfg, plan, out, fc, extra_weight):
                 g[live] = term.gz(z1, z2)
     # slices, not gathers: the inactive rows inside the prefix add exact zeros
     end = int(plan.row_start[active[-1] + 1])
-    for c0 in range(0, end, _CHUNK):
-        e = slice(c0, min(c0 + _CHUNK, end))
+    for lo in range(0, end, _APPLY_SLICE):
+        e = slice(lo, min(lo + _APPLY_SLICE, end))
         rho, mid = plan.rho[e], plan.mid[e]
         w = np.take(coefs[0], rho)
         if gz[0] is not None:
@@ -543,12 +518,11 @@ def _half_spectrum_index(m):
     """Per centered flat frequency rho on the M x M grid: its flat index in
     an rfft2 half spectrum of m * (m // 2 + 1) entries, read at rho or at
     -rho, and whether it is read at -rho (the value is then conjugated)."""
-    k = np.arange(m) - m // 2
-    k1, k2 = np.meshgrid(k % m, k % m, indexing="ij")
+    k1, k2 = (k % m for k in coords(m))
     flip = k2 > m // 2
     k1 = np.where(flip, -k1 % m, k1)
     k2 = np.where(flip, -k2 % m, k2)
-    return m * (m // 2 + 1), (k1 * (m // 2 + 1) + k2).ravel(), flip.ravel()
+    return m * (m // 2 + 1), k1 * (m // 2 + 1) + k2, flip
 
 
 # ---------------------------------------------------------------------------
@@ -635,8 +609,7 @@ def symbol_norm(a: Symbol, l, r, zeta_samples, grid: Grid, zeta_step=0.25) -> Sy
         raise ConfigError("differentiability r must be >= 0")
     m = grid.size
     X1, X2 = grid.x()
-    k = np.fft.fftfreq(m, 1.0 / m)
-    K1f, K2f = np.meshgrid(k, k, indexing="ij")
+    K1f, K2f = grid.freqs()
     dx_quad = (TWO_PI / m) ** 2
     # (|alpha|, (i K1)^alpha1 (i K2)^alpha2) for 1 <= |alpha| <= r, formed once
     mults = [(atot, (1j * K1f) ** a1 * (1j * K2f) ** (atot - a1))

@@ -119,13 +119,17 @@ def test_collinear_artifacts(tmp_path):
     assert len(lines) == 6  # header + five interior points
 
 
+def _no_constant(token):
+    raise ValueError(f"{token} is not valid JSON (RFC 8259)")
+
+
 def test_simulate_artifacts(tmp_path):
     out = str(tmp_path / "sim")
     code = dispatch(["simulate", "--grid", "16", "--epsilon", "0.01",
                      "--dt", "0.01", "--t-end", "0.2", "--snapshot-dt", "0.1",
                      "--out", out])
     assert code == EXIT_OK
-    rows = [json.loads(l) for l in
+    rows = [json.loads(l, parse_constant=_no_constant) for l in
             (tmp_path / "sim" / "trajectory.jsonl").read_text().splitlines()]
     assert rows and set(rows[0]) == {"t", "l2", "hN", "doubled"}
     cons = json.loads((tmp_path / "sim" / "conservation.json").read_text())
@@ -233,12 +237,17 @@ def test_named_caller_errors_map_to_config_exit(tmp_path, monkeypatch, error):
     ["simulate", "--grid", "8", "--t-end", "0.05", "--linear-only", "7"],
     ["energy-audit", "--grid", "8", "--t-end", "0.02", "--audit-times", "0.01",
      "--N", "400", "--depletion-radius", "8"],
+    ["energy-audit", "--grid", "64", "--N", "95", "--depletion-radius", "8",
+     "--t-end", "0.02", "--audit-times", "0.01", "--dt", "0.002"],
+    ["simulate", "--grid", "32", "--t-end", "0.01", "--dt", "0.005",
+     "--snapshot-dt", "0.005", "--sobolev-index", "120"],
 ], ids=["g-text", "budget-inf", "n-records-negative", "bprime-nan", "bigB-nan",
         "eps-list-text", "eps-list-empty", "eps-zero", "dt-nan", "snapshot-dt-nan",
         "sobolev-index-nan", "t-end-negative", "courant-nan", "N-nan",
         "depletion-radius-negative", "amplitude-nan", "scan3-sigma-inf",
         "scan4-sigma-inf", "energy-g-inf", "D-nan", "linear-only-7",
-        "N-overflows-depletion-table"])
+        "N-overflows-depletion-table", "N-overflows-grid-weight",
+        "sobolev-index-overflows"])
 def test_value_errors_become_config_errors_at_entry(tmp_path, argv):
     out = tmp_path / "bad"
     assert dispatch(argv + ["--out", str(out)]) == EXIT_CONFIG

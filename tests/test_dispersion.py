@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import gcwaves
-from gcwaves import dispersion
+from gcwaves import dispersion, lattice
 from gcwaves.dispersion import (DispersionParams, ScanWindow,
                                 SignPattern, WeightParams, collinear_gap,
                                 exceptional_measure_bound,
@@ -583,8 +583,8 @@ def test_measure_bound_matches_pairwise_lemma1_sum():
 
 def test_disk_size_counts_lattice_disk():
     for radius in (1, 1.5, 2, math.sqrt(2.0), 2.9, 4, 5.0, 6.3, 16, 33, 64.5, 128):
-        assert dispersion._disk_size(radius) == len(dispersion.lattice_disk(radius))
-    assert len(dispersion.lattice_disk(3, include_origin=True)) == 29
+        assert lattice.disk_size(radius) == len(lattice.lattice_disk(radius))
+    assert len(lattice.lattice_disk(3, include_origin=True)) == 29
 
 
 def test_budget_checked_before_enumerating(monkeypatch):

@@ -19,7 +19,7 @@ from gcwaves.energy import (C_ENERGY, BulkSymbol, ModulationFilter, energy_symbo
 from gcwaves.errors import SmallDivisorError
 from gcwaves.fields import FourierField, Grid, bump, phi_le, random_field
 from gcwaves.model import ModelConfig
-from gcwaves.paradiff import _centered, _centered_freqs
+from gcwaves.lattice import coords
 
 P = DispersionParams(1.0, 1.0)
 SETTINGS = settings(max_examples=20, derandomize=True, deadline=None, database=None)
@@ -52,7 +52,7 @@ def row_sums(mu, filt, fc, rows, gc, hconj, params, weighted=False):
     centered m x m arrays, xi, eta and rho on the grid."""
     i1, i2 = filt.signs
     m = gc.shape[0]
-    K1, K2 = _centered_freqs(m)
+    K1, K2 = (k.reshape(m, m) for k in coords(m))
     k1, k2 = K1.astype(float), K2.astype(float)
     lam_xi = lam_abs(params, np.hypot(K1, K2))
     ones = np.ones((m, m))
@@ -75,7 +75,7 @@ def row_sums(mu, filt, fc, rows, gc, hconj, params, weighted=False):
 def oracle_trilinear(mu, filt, F, G, H, weighted=False, row_tol=0.0, absolute=False):
     """The oracle for trilinear; absolute=True sums |terms| instead (for a
     nonnegative filter)."""
-    fc, gc, hc = (_centered(X.coeffs) for X in (F, G, H))
+    fc, gc, hc = (np.fft.fftshift(X.coeffs) for X in (F, G, H))
     rows = rows_above(fc, row_tol)
     if absolute:
         amu = lambda *a: np.abs(mu(*a))
@@ -164,9 +164,9 @@ def test_trivial_resonance_matches_row_loop(mu, signs):
     g = Grid(10)
     U = random_field(g, seed=37, decay=0.2)
     W = random_field(g, seed=38, decay=0.2)
-    uc = _centered(U.coeffs)
+    uc = np.fft.fftshift(U.coeffs)
     rows = rows_above(uc, 1e-14)
-    fc, hc = 1j * np.abs(uc) ** 2, np.abs(_centered(W.coeffs)) ** 2
+    fc, hc = 1j * np.abs(uc) ** 2, np.abs(np.fft.fftshift(W.coeffs)) ** 2
     for filt, weighted in ((ModulationFilter("le0", signs), False),
                            (ModulationFilter("none", signs), False),
                            (ModulationFilter("leB", signs, -1.0), False),

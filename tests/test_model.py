@@ -7,7 +7,7 @@ from gcwaves.dispersion import DispersionParams, lam, lam_grid
 from gcwaves.errors import ConfigError, NumericAbortError
 from gcwaves.fields import (FourierField, Grid, analyze, dealias, dx, inner,
                             l2_norm, phi_le, random_field, synthesize)
-from gcwaves.model import (ModelConfig, SolverState, _NlKernel, _Stepper,
+from gcwaves.model import (ModelConfig, SolverState, _NlKernel, Stepper,
                            initial_data, lifespan_sweep, nonlinearity, run, step,
                            suggest_dt)
 
@@ -29,6 +29,9 @@ def test_config_validation():
         _cfg(dt=0.0)
     with pytest.raises(ConfigError):
         _cfg(integrator="euler")
+    # the H^N weight (1+|xi|^2)^N of sobolev_norm overflows on 32^2 past N = 113.74
+    with pytest.raises(ConfigError, match="largest admissible N there is 113.74"):
+        _cfg(sobolev_index=120.0)
 
 
 def test_linear_flow_exact_rotation():
@@ -180,7 +183,7 @@ def test_fused_kernel_linear_only_and_blow_up_path():
     assert not np.all(np.isfinite(_NlKernel(cfg)(u)))
     l2 = 1e200 * l2_norm(FourierField(G, _random_u(32, 4), False))
     with pytest.raises(NumericAbortError):
-        _Stepper(cfg).step(SolverState(0.0, FourierField(G, u, False), l2))
+        Stepper(cfg).step(SolverState(0.0, FourierField(G, u, False), l2))
 
 
 def test_fused_kernels_on_two_grids_called_in_turn():
@@ -243,7 +246,7 @@ def test_lawson_step_matches_rotated_rk4_oracle():
 
 def test_linear_flow_time_reversible():
     cfg = _cfg(linear_only=True, dt=0.05)
-    s = _Stepper(cfg)
+    s = Stepper(cfg)
     u = np.asarray(random_field(G, seed=5).coeffs)
     back = np.conj(s.e_full) * (s.e_full * u)
     assert np.max(np.abs(back - u)) <= 1e-13 * np.max(np.abs(u))

@@ -10,6 +10,7 @@ from gcwaves.errors import ConfigError
 from gcwaves.fields import (FourierField, Grid, inner, l2_norm,
                             lp_project, mean, product_exact, random_field,
                             synthesize)
+from gcwaves.lattice import BLOCK
 from gcwaves.paradiff import (ParadiffConfig, SeparableTerm, Symbol,
                               compose_residual_field, composition_residual,
                               error_kernel_apply, paracomp_remainder,
@@ -518,10 +519,10 @@ def test_weyl_apply_matches_brute_force_double_sum(case, m):
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-def test_plan_cache_state_is_invisible(monkeypatch):
+def test_plan_cache_state_is_invisible():
     # cold cache, warm cache, and a plan already extended by the general
     # path all give bit-identical results on both paths
-    monkeypatch.setattr(paradiff, "_PLANS", {})
+    paradiff._plan.cache_clear()
     gen = _oracle_case("general", G16)[0]
     fld = random_field(G16, seed=53, real=True)
     sep = Symbol.separable([
@@ -529,12 +530,12 @@ def test_plan_cache_state_is_invisible(monkeypatch):
         SeparableTerm(None, lambda z1, z2: z1 - 0.5j * z2)], 0.5)
     f = random_field(G16, seed=54)
     cold = weyl_apply(sep, f, CFG).coeffs
-    plan = paradiff._PLANS[(16, -2)]
+    plan = paradiff._plan(16, -2)
     assert len(plan.row_start) - 1 < 16 * 16   # rows only out to |rho| <= 5 sqrt(2)
     warm = weyl_apply(sep, f, CFG).coeffs
     gen_after_sep = weyl_apply(gen, f, CFG).coeffs
     after_full = weyl_apply(sep, f, CFG).coeffs
-    paradiff._PLANS.clear()
+    paradiff._plan.cache_clear()
     gen_cold = weyl_apply(gen, f, CFG).coeffs
     after_gen_cold = weyl_apply(sep, f, CFG).coeffs
     for other in (warm, after_full, after_gen_cold):
@@ -542,53 +543,59 @@ def test_plan_cache_state_is_invisible(monkeypatch):
     assert np.array_equal(gen_cold, gen_after_sep)
 
 
-def test_plan_holds_only_the_rows_a_symbol_needs(monkeypatch):
+def test_plan_holds_only_the_rows_a_symbol_needs():
     # a single-mode function symbol on 128^2 extends the plan to |rho| <= 1
     # (rho = 0 and the four unit rows), not to the full ~46M-entry support
-    monkeypatch.setattr(paradiff, "_PLANS", {})
+    paradiff._plan.cache_clear()
     g = Grid(128)
     e1 = Symbol.from_function(FourierField.single_mode(g, (1, 0), 1.0))
     weyl_apply(e1, random_field(g, seed=55), CFG)
-    plan = paradiff._PLANS[(128, -2)]
+    plan = paradiff._plan(128, -2)
     assert len(plan.row_start) - 1 == 5
     assert len(plan.xi) <= 5 * 128 ** 2
 
 
-def test_plan_cache_keeps_only_recent_plans_and_eviction_is_invisible(monkeypatch):
-    # the cache holds at most _MAX_PLANS plans, least recently used evicted
-    # first; a plan rebuilt after eviction gives bit-identical results on
-    # both paths, and the two sizes used last stay cached
-    monkeypatch.setattr(paradiff, "_PLANS", {})
-    sizes = [8, 12] + [12 + 2 * k for k in range(1, paradiff._MAX_PLANS + 1)]
+def test_plan_cache_keeps_only_recent_plans_and_eviction_is_invisible():
+    # the cache holds at most 3 plans, least recently used evicted first; a
+    # hit returns the same plan, and a plan rebuilt after eviction is a new
+    # one that gives bit-identical results on both paths
+    cache, info = paradiff._plan, paradiff._plan.cache_info
+    cache.cache_clear()
+    assert info().maxsize == 3
     gen8 = _oracle_case("general", Grid(8))[0]
     sep8 = Symbol.from_function(random_field(Grid(8), seed=56, real=True))
     f8 = random_field(Grid(8), seed=57)
     first = [weyl_apply(s, f8, CFG).coeffs for s in (gen8, sep8)]
-    plan8 = paradiff._PLANS[(8, -2)]
-    for m in sizes[1:]:
+    plan8 = cache(8, -2)
+    for m in (12, 14, 16):
         weyl_apply(Symbol.constant(1.0), random_field(Grid(m), seed=m), CFG)
-        assert len(paradiff._PLANS) <= paradiff._MAX_PLANS
-    assert (8, -2) not in paradiff._PLANS
-    assert list(paradiff._PLANS)[-2:] == [(sizes[-2], -2), (sizes[-1], -2)]
+        assert info().currsize <= 3
+    # 8 is evicted, 12 is kept; the hit makes 14 the least recently used
+    hits = info().hits
+    kept = cache(12, -2)
+    assert info().hits == hits + 1
+    misses = info().misses
     again = [weyl_apply(s, f8, CFG).coeffs for s in (gen8, sep8)]
-    assert paradiff._PLANS[(8, -2)] is not plan8
+    assert info().misses == misses + 1
+    assert cache(8, -2) is not plan8
     for a, b in zip(first, again):
         assert np.array_equal(a, b)
-    # a hit moves a plan to the most recent end instead of rebuilding it
-    kept = paradiff._PLANS[(sizes[-1], -2)]
-    weyl_apply(Symbol.constant(1.0), random_field(Grid(sizes[-1]), seed=1), CFG)
-    assert paradiff._PLANS[(sizes[-1], -2)] is kept
-    assert list(paradiff._PLANS)[-1] == (sizes[-1], -2)
+    # rebuilding 8 evicted 14, the least recently used, not 12
+    weyl_apply(Symbol.constant(1.0), random_field(Grid(12), seed=1), CFG)
+    assert cache(12, -2) is kept
+    misses = info().misses
+    cache(14, -2)
+    assert info().misses == misses + 1
 
 
 def _row_entries_by_position(plan, rows):
-    """The entries of plan rows ``rows`` in order, in chunks of _CHUNK, by a
+    """The entries of plan rows ``rows`` in order, in chunks of BLOCK, by a
     per-position search."""
     lo = plan.row_start[rows]
     cnt = plan.row_start[rows + 1] - lo
     end = np.cumsum(cnt)
-    for c0 in range(0, int(end[-1]), paradiff._CHUNK):
-        pos = np.arange(c0, min(c0 + paradiff._CHUNK, int(end[-1])))
+    for c0 in range(0, int(end[-1]), BLOCK):
+        pos = np.arange(c0, min(c0 + BLOCK, int(end[-1])))
         r = np.searchsorted(end, pos, side="right")
         yield lo[r] + (pos - (end[r] - cnt[r]))
 
@@ -638,7 +645,7 @@ def _sparse_field(g, rng, n_modes, kmax):
 @example(m=64, kind="high_row", seed=3)
 def test_separable_apply_matches_active_row_walk(m, kind, seed):
     # the prefix walk against a walk over only the occupied rows, at sizes
-    # whose plans span several _CHUNK-entry slices
+    # whose plans span several _APPLY_SLICE-entry slices
     g = Grid(m)
     rng = np.random.default_rng(seed)
     full = lambda: FourierField.from_coeffs(

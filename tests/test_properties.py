@@ -5,7 +5,8 @@ real function symbol (separable) and the Sigma that build_symbols makes
 from a small random state (general).  The model nonlinearity is checked
 for the skew identity behind L^2 conservation, with no time stepping.
 The lattice sweeps, which run over D4 orbit representatives, are checked
-against brute-force loops over every tuple of small windows.
+against brute-force loops over every tuple of small windows, and the
+lattice index rule against numpy's FFT layout.
 Examples are derandomized, so every run draws the same cases.
 """
 
@@ -19,11 +20,11 @@ from census_oracles import (check_census, oracle_scan3, oracle_scan4, scan3_id,
                             scan4_id)
 from gcwaves.dispersion import (DispersionParams, ScanWindow, WeightParams,
                                 _interval_lengths_vec, exceptional_measure_bounds,
-                                lam, lattice_disk, scan_four_wave, scan_three_wave,
-                                weight_K_arr)
+                                lam, scan_four_wave, scan_three_wave, weight_K_arr)
 from gcwaves.energy import depletion_checks, energy_symbol
 from gcwaves.fields import Grid, inner, l2_norm, random_field
 from gcwaves.goodvar import build_symbols, random_state
+from gcwaves.lattice import coords, flat, lattice_disk, norms
 from gcwaves.model import ModelConfig, nonlinearity
 from gcwaves.paradiff import ParadiffConfig, Symbol, weyl_apply
 
@@ -203,3 +204,20 @@ def test_measure_distinct_rows_equal_per_level_bisection(B, kappa, cutoff, js):
     got = exceptional_measure_bounds(B, js, wp, cutoff)
     assert [(m.total, m.n_intervals, m.n_pairs) for m in got] == _measure_reference(
         B, js, wp, cutoff)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(n=st.integers(1, 40), side=st.integers(0, 60))
+def test_index_rule_matches_fft_layout(n, side):
+    # flat inverts coords on the centered n-box, odd and even n alike
+    k1, k2 = coords(n)
+    assert np.array_equal(flat(np.stack((k1, k2), axis=-1), n), np.arange(n * n))
+    # fftshift moves the coefficient of frequency k to flat index flat(k, n)
+    k = np.fft.fftfreq(n, 1.0 / n).round().astype(int)
+    K = np.stack(np.meshgrid(k, k, indexing="ij"), axis=-1)
+    a = np.arange(n * n).reshape(n, n)
+    assert np.array_equal(np.fft.fftshift(a).ravel()[flat(K, n)], a)
+    # norms(2 s + 1) is the |v| table of the square [-s, s]^2, bit for bit
+    axis = np.arange(-side, side + 1)
+    square = np.hypot(*np.meshgrid(axis, axis, indexing="ij")).ravel()
+    assert norms(2 * side + 1).tobytes() == square.tobytes()

@@ -1,6 +1,6 @@
-"""Committed mutants of the census, the Weyl calculus, the good variable,
-the model kernel and the energy plan: each one must be killed by the tests
-named for it.
+"""Committed mutants of the lattice layer, the census, the Weyl calculus,
+the good variable, the model kernel and the energy plan: each one must be
+killed by the tests named for it.
 
 A mutant replaces one exact piece of text in one file under ``src/``.  For
 each mutant the script copies ``src/`` to a temporary directory, applies the
@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
+LATTICE = "gcwaves/lattice.py"
 DISP = "gcwaves/dispersion.py"
 ENERGY = "gcwaves/energy.py"
 PARADIFF = "gcwaves/paradiff.py"
@@ -57,13 +58,18 @@ class Mutant:
 
 
 MUTANTS = (
-    Mutant("diagonal-not-a-rep", DISP,
+    # the lattice layer: the index rule and the D4 orbit representatives
+    Mutant("index-rule-odd-offset", LATTICE,
+           "return (pts[..., 0] + n // 2) * n + (pts[..., 1] + n // 2)",
+           "return (pts[..., 0] + (n - 1) // 2) * n + (pts[..., 1] + (n - 1) // 2)",
+           (PROPS + "test_index_rule_matches_fft_layout", BRUTE)),
+    Mutant("diagonal-not-a-rep", LATTICE,
            "rep = np.flatnonzero((0 <= v2) & (v2 <= v1))",
            "rep = np.flatnonzero((0 <= v2) & ((v2 < v1) | (v1 == 0) & (v2 == 0)))",
            (SCAN3, PROPS + "test_depletion_checks_match_double_loop")),
-    Mutant("axis-orbit-size-8", ENERGY,
-           "    pts = pts[rep]\n",
-           "    pts = pts[rep]\n    size = np.where((pts[:, 1] == 0) & (pts[:, 0] > 0), 8, size)\n",
+    Mutant("axis-orbit-size-8", LATTICE,
+           "np.where((v2 == 0) | (v2 == v1), 4, 8)",
+           "np.where(v2 == v1, 4, 8)",
            (PROPS + "test_depletion_checks_match_double_loop",)),
     Mutant("eta-zero-kept", DISP,
            "gap[xi_is_rho[k]] = aphase[xi_is_rho[k]] = np.inf",
@@ -104,8 +110,8 @@ MUTANTS = (
            "end = int(plan.row_start[active[-1]])",
            (BRUTE, ROWS)),
     Mutant("slice-drops-last-entry", PARADIFF,
-           "e = slice(c0, min(c0 + _CHUNK, end))",
-           "e = slice(c0, min(c0 + _CHUNK, end) - 1)",
+           "e = slice(lo, min(lo + _APPLY_SLICE, end))",
+           "e = slice(lo, min(lo + _APPLY_SLICE, end) - 1)",
            (BRUTE, ROWS)),
     Mutant("conj-flip-no-sign-flip", PARADIFF,
            "g(-np.asarray(z1), -np.asarray(z2)), np.complex128))",
@@ -140,8 +146,8 @@ MUTANTS = (
            ("tests/test_cli.py::test_failed_simulate_keeps_its_healthy_prefix",)),
     # the energy audit's near-resonant plan: le0 = bump(Phi) > 0
     Mutant("energy-plan-support-shrunk", ENERGY,
-           "near = np.flatnonzero(np.abs(phi) < _R_OUT)",
-           "near = np.flatnonzero(np.abs(phi) < 0.9 * _R_OUT)",
+           "near = np.flatnonzero(np.abs(phi) < R_OUT)",
+           "near = np.flatnonzero(np.abs(phi) < 0.9 * R_OUT)",
            EPLAN),
 )
 
