@@ -10,8 +10,10 @@ All scans are deterministic.  A scan keeping n records keeps the n smallest
 tuples by (normalized gap, dyadic shell of |xi|, xi, offset, signs), points
 and sign tuples compared lexicographically, ties included; the records are
 then listed by (gap, frequencies).  Shell statistics and tuple counts cover
-every tuple in the window.  The sweeps run on D4 orbit representatives
-and walk the lattice through ``gcwaves.lattice``.
+every tuple in the window.  The sweeps (scan3's xi, scan4's v and the
+measure's eta) run on D4 orbit representatives and walk the lattice through
+``gcwaves.lattice``; their tables and keys are sized by the representatives,
+not by the window, and the rows they keep enter as their 8 images.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ResourceBudgetError
-from .lattice import (d4_images, d4_reps, disk_size, flat, index_of, lattice_disk, norms,
-                      row_blocks)
+from .lattice import (Box, d4_images, d4_points, d4_reps, disk_reps, disk_size, flat,
+                      lattice_disk, norms, row_blocks)
 
 # near-zero phases are re-evaluated at this precision to kill cancellation
 _REEVAL_THRESHOLD = 1e-9
@@ -224,13 +226,30 @@ def _k_max_factor(wp, b):
 # census bookkeeping
 # ---------------------------------------------------------------------------
 
-def _by_shell(pts):
-    """Points stably sorted by dyadic shell, so that position is rank in the
-    (shell, point) order; returns (pts, |pts|, shells)."""
+def _window_reps(radius):
+    """The D4 representatives of the window |v| <= radius, stably sorted by
+    dyadic shell, so that their order is the (shell, point) order; returns
+    (pts, orbit sizes, |pts|, shells)."""
+    pts, size = disk_reps(radius)
     a = np.hypot(pts[:, 0], pts[:, 1])
     shells = _shell_index(a)
     order = np.argsort(shells, kind="stable")
-    return pts[order], a[order], shells[order]
+    return pts[order], size[order], a[order], shells[order]
+
+
+def _point_key(pts, shells, radius):
+    """Integer keys of window points (..., 2) in the (shell, point) order;
+    ``_key_point`` inverts them.  The images of a point under D4 share its
+    shell, so their keys need no table of the window."""
+    r = int(math.floor(radius))
+    w = 2 * r + 1
+    return (shells * w + pts[..., 0] + r) * w + pts[..., 1] + r
+
+
+def _key_point(key, radius):
+    r = int(math.floor(radius))
+    w = 2 * r + 1
+    return (key // w % w - r, key % w - r)
 
 
 class _TopN:
@@ -240,12 +259,16 @@ class _TopN:
     shortlisted points only.  Infinite and NaN gaps are never kept.  A key
     names one row: offered again, with the same gap, it is held once, and
     repeats are dropped before the n smallest are cut, so a repeat never takes
-    the place of a distinct row."""
+    the place of a distinct row.  Offered rows wait until at least n of them
+    are pending and are then sorted with the held ones in one pass, so each
+    row costs O(log) however large n is; tau only tightens at those passes."""
 
     def __init__(self, n):
         self.n = int(n)
         self.tau = np.finfo(float).max if self.n > 0 else -np.inf
-        self.rows = []
+        self._held = []
+        self._pending = []
+        self._n_pending = 0
 
     def shortlist(self, gap):
         """Indices of the gaps that can still enter: at most tau (the n-th
@@ -262,15 +285,28 @@ class _TopN:
         sel = np.flatnonzero(gap <= self.tau)
         if not sel.size:
             return
-        cols = [c[sel] for c in (gap, key) + payload]
-        if self.rows:
-            cols = [np.concatenate(pair) for pair in zip(self.rows, cols)]
+        self._pending.append([c[sel] for c in (gap, key) + payload])
+        self._n_pending += sel.size
+        if self._n_pending >= self.n:
+            self._merge()
+
+    @property
+    def rows(self):
+        """The held rows as columns (gap, key, payload...), sorted by (gap, key)."""
+        if self._pending:
+            self._merge()
+        return self._held
+
+    def _merge(self):
+        batches = ([self._held] if self._held else []) + self._pending
+        cols = [np.concatenate(c) for c in zip(*batches)]
         keep = np.lexsort((cols[1], cols[0]))
         key = cols[1][keep]
         keep = keep[np.r_[True, key[1:] != key[:-1]]][:self.n]
-        self.rows = [c[keep] for c in cols]
+        self._held = [c[keep] for c in cols]
+        self._pending, self._n_pending = [], 0
         if keep.size == self.n:
-            self.tau = self.rows[0][-1]
+            self.tau = self._held[0][-1]
 
 
 # sign pairs (i1, i2) of _SIGN_PAIRS ranked by ascending tuple order
@@ -343,20 +379,29 @@ def scan_three_wave(params: DispersionParams, wp: WeightParams, window: ScanWind
     _check_n_records(n_records)
     _check_budget(disk_size(window.max_high_freq) * disk_size(window.max_low_freq) * 4,
                   budget)
-    rhos = lattice_disk(window.max_low_freq)
-    xs = lattice_disk(window.max_high_freq)
-
-    xs, axi, shells = _by_shell(xs)
-    lam_xi = lam_abs(params, axi)
+    r_hi, r_lo = window.max_high_freq, window.max_low_freq
+    rhos = lattice_disk(r_lo)
     n_rho = len(rhos)
+    # D4 acting on (xi, rho) jointly keeps every |.|, so every gap bit for
+    # bit: the sweep runs over the representative xi, and a shortlisted row
+    # enters as its 8 images (g xi, g rho), repeats dropped by key
+    xs, size, axi, shells = _window_reps(r_hi)
+    lam_xi = lam_abs(params, axi)
+    img_rho = d4_images(rhos, r_lo)
+    # the position of each offset rho among the xi (whose keys increase along
+    # xs), -1 unless rho is a representative
+    x_key = _point_key(xs, shells, r_hi)
+    rho_key = _point_key(rhos, _shell_index(np.hypot(rhos[:, 0], rhos[:, 1])), r_hi)
+    xi_is_rho = np.minimum(np.searchsorted(x_key, rho_key), len(xs) - 1)
+    xi_is_rho[x_key[xi_is_rho] != rho_key] = -1
 
-    # every eta = xi - rho lies in the centered n-box, where |eta|, Lambda(eta)
-    # and the weight factors are tabulated once per point
-    n = 2 * (int(math.floor(window.max_high_freq)) + int(math.floor(window.max_low_freq))) + 1
-    abs_sq = norms(n)
+    # every eta = xi - rho lies in the box around the representatives, where
+    # |eta|, Lambda(eta) and the weight factors are tabulated once per point
+    box = Box(xs.min(axis=0) - math.floor(r_lo), xs.max(axis=0) + math.floor(r_lo))
+    abs_sq = box.norms()
     lam_sq = lam_abs(params, abs_sq)
-    x_at = flat(xs, n)
-    rho_off = flat(rhos, n) - flat((0, 0), n)
+    x_at = box.flat(xs)
+    rho_off = box.flat(rhos) - box.flat((0, 0))
     arho = np.array([math.hypot(r1, r2) for r1, r2 in rhos.tolist()])
     lam_rho = lam_abs(params, arho)
     if weight_fn is None:  # K_kappa = F(largest bracket) * G(smallest bracket)
@@ -364,20 +409,10 @@ def scan_three_wave(params: DispersionParams, wp: WeightParams, window: ScanWind
         f_sq, g_sq = _k_max_factor(wp, b_sq), b_sq ** -4.0
         b2 = np.sqrt(1.0 + arho ** 2)
         f2, g2 = _k_max_factor(wp, b2), b2 ** -4.0
-
-    # D4 acting on (xi, rho) jointly keeps every |.|, so every gap bit for
-    # bit: the sweep runs over the representative xi, and a shortlisted row
-    # enters as its 8 images (g xi, g rho), repeats dropped by key
-    rep, size = d4_reps(xs)
-    img_x = d4_images(xs[rep], n, index_of(xs, n))
-    img_rho = d4_images(rhos, n, index_of(rhos, n))
-    xs_r, axi, lam_xi, x_at = xs[rep], axi[rep], lam_xi[rep], x_at[rep]
-    if weight_fn is None:
         b1, f1, g1 = b_sq[x_at], f_sq[x_at], g_sq[x_at]
-    xi_is_rho = index_of(xs_r, n)[flat(rhos, n)]  # -1 unless rho is a rep
 
-    best_gap = np.full(len(xs_r), np.inf)    # per xi, over every offset and sign
-    best_phase = np.full(len(xs_r), np.inf)
+    best_gap = np.full(len(xs), np.inf)      # per xi, over every offset and sign
+    best_phase = np.full(len(xs), np.inf)
     top = _TopN(n_records)
     for k in range(n_rho):
         e = x_at - rho_off[k]               # eta = xi - rho
@@ -404,21 +439,21 @@ def scan_three_wave(params: DispersionParams, wp: WeightParams, window: ScanWind
             le = lam_eta[c]
             phase = np.stack((c_p[c] - le, c_p[c] + le, c_m[c] - le, c_m[c] + le))
             # rows over (symmetry, sign, xi)
-            key = (img_x[:, None, c] * n_rho + img_rho[:, k, None, None]) * 4
+            img_x = _point_key(d4_points(xs[c]), shells[c], r_hi)
+            key = (img_x[:, None] * n_rho + img_rho[:, k, None, None]) * 4
             key = key + _SIGN_RANK[:, None]
             top.offer(*(np.broadcast_to(col, key.shape).ravel() for col in (
                 np.abs(phase) / w[c], key, phase, w[c])))
 
-    count = np.full(len(xs_r), 4 * n_rho)
+    count = np.full(len(xs), 4 * n_rho)
     count[xi_is_rho[xi_is_rho >= 0]] -= 4
     count *= size                            # tuples of the whole orbit
-    stats = _shell_stats(shells[rep], count, best_gap,
-                         best_phase * (1.0 + axi ** 2) ** 0.75)
+    stats = _shell_stats(shells, count, best_gap, best_phase * (1.0 + axi ** 2) ** 0.75)
 
     records = []
     for gap, key, ph, w in zip(*(c.tolist() for c in top.rows)):
         (i, k), (i1, i2) = divmod(key // 4, n_rho), _RANK_SIGNS[key % 4]
-        xi, rho = tuple(xs[i].tolist()), tuple(rhos[k].tolist())
+        xi, rho = _key_point(i, r_hi), tuple(rhos[k].tolist())
         flags = ()
         if abs(ph) < _REEVAL_THRESHOLD:
             ph = _reeval_phase3(params, xi, rho, (i1, i2))
@@ -474,41 +509,36 @@ def scan_four_wave(params: DispersionParams, window: ScanWindow, n_records=100,
     _check_n_records(n_records)
     n_low = disk_size(window.max_low_freq)
     _check_budget(disk_size(window.max_high_freq) * (n_low * (n_low + 1) // 2) * 4, budget)
-    lows = lattice_disk(window.max_low_freq)
-    vs = lattice_disk(window.max_high_freq)
+    r_hi, r_lo = window.max_high_freq, window.max_low_freq
+    lows = lattice_disk(r_lo)
     pairs = [(a, b) for a in range(len(lows)) for b in range(a, len(lows))]
-
-    vs, av, shells = _by_shell(vs)
-    w_v = np.sqrt(1.0 + av ** 2) ** -0.5 if weight == "paired" else av ** -0.5
 
     # D4 acting on (v, xi, eta) jointly keeps every modulation and weight, so
     # the sweep runs over the representative v.  A shortlisted row enters as
     # its 8 images; an image whose low points have indices a' > b' is the row
     # of pair (b', a') with the signs swapped, which has the same
     # max(|G1|, |G2|) and weight
-    rep, size = d4_reps(vs)
-    n = 2 * int(math.floor(window.max_high_freq)) + 1
-    img_v = d4_images(vs[rep], n, index_of(vs, n))
-    img_low = d4_images(lows, n, index_of(lows, n))
+    vs, size, av, shells = _window_reps(r_hi)
+    w_v = np.sqrt(1.0 + av ** 2) ** -0.5 if weight == "paired" else av ** -0.5
+    img_low = d4_images(lows, r_lo)
     a_img, b_img = img_low[:, :, None], img_low[:, None, :]
     pair_at = np.zeros((len(lows), len(lows)), np.int64)
     pair_at[tuple(np.array(pairs).T)] = np.arange(len(pairs))
     img_pair = pair_at[np.minimum(a_img, b_img), np.maximum(a_img, b_img)]  # (8, a, b)
     swapped = a_img > b_img
-    vs_r, av_r, w_v = vs[rep], av[rep], w_v[rep]
-    lam_v = lam_abs(params, av_r)
+    lam_v = lam_abs(params, av)
 
     # |Lambda(v+mu) - Lambda(v) - i Lambda(mu)| for every low point mu, i = +, -
-    mods = np.empty((len(lows), 2, len(vs_r)))
+    mods = np.empty((len(lows), 2, len(vs)))
     for m, mu in enumerate(lows.tolist()):
-        shifted = vs_r + np.asarray(mu)
+        shifted = vs + np.asarray(mu)
         base = lam_abs(params, np.hypot(shifted[:, 0], shifted[:, 1])) - lam_v
         lam_mu = lam(params, mu)
         mods[m] = np.abs(base - lam_mu), np.abs(base + lam_mu)
     mod_lo, mod_hi = mods.min(axis=1), mods.max(axis=1)
 
-    best_gap = np.full(len(vs_r), np.inf)  # per v, over every pair and sign
-    best_val = np.full(len(vs_r), np.inf)
+    best_gap = np.full(len(vs), np.inf)    # per v, over every pair and sign
+    best_val = np.full(len(vs), np.inf)
     top = _TopN(n_records)
     for p, (a, b) in enumerate(pairs):
         xi, eta = lows[a].tolist(), lows[b].tolist()
@@ -528,22 +558,22 @@ def scan_four_wave(params: DispersionParams, window: ScanWindow, n_records=100,
             val = np.maximum(mods[a][:, None, c], mods[b][None, :, c]).reshape(4, -1)[rows]
             # rows over (symmetry, sign, v)
             signs = np.where(swapped[:, a, b, None], _SWAP_SIGNS[rows], rows)
-            key = (img_v[:, None, c] * len(pairs) + img_pair[:, a, b, None, None]) * 4
+            img_v = _point_key(d4_points(vs[c]), shells[c], r_hi)
+            key = (img_v[:, None] * len(pairs) + img_pair[:, a, b, None, None]) * 4
             key = key + _SIGN_RANK[signs][:, :, None]
             top.offer(*(np.broadcast_to(col, key.shape).ravel() for col in (
-                val / w[c], key, val, w[c])))
+                val / w[c], key, val, w[c], av[c])))
 
     n_batches = 4 * len(pairs) - 2 * len(lows)
     count = n_batches * size                 # tuples of the whole orbit
-    stats = _shell_stats(shells[rep], count, best_gap,
-                         best_val * (1.0 + av_r ** 2) ** 0.25)
+    stats = _shell_stats(shells, count, best_gap, best_val * (1.0 + av ** 2) ** 0.25)
 
     records = []
-    for gap, key, val, w in zip(*(c.tolist() for c in top.rows)):
+    for gap, key, val, w, abs_v in zip(*(c.tolist() for c in top.rows)):
         (i, p), (i1, i2) = divmod(key // 4, len(pairs)), _RANK_SIGNS[key % 4]
-        v = tuple(vs[i].tolist())
+        v = _key_point(i, r_hi)
         xi, eta = (tuple(lows[m].tolist()) for m in pairs[p])
-        admissible = (math.hypot(*xi) + math.hypot(*eta)) ** 16 <= bprime * av[i]
+        admissible = (math.hypot(*xi) + math.hypot(*eta)) ** 16 <= bprime * abs_v
         flags = ("admissible-regime",) if admissible else ("outside-regime",)
         records.append(ResonanceRecord(
             frequencies=(v, xi, eta), signs=SignPattern((i1, i2)),
@@ -703,6 +733,7 @@ class MeasureBound:
     cutoff: int
     B: float
     kappa: float
+    n_bisected: int   # distinct (a, b, c) rows bisected, once for every level
 
 
 def exceptional_measure_bound(B, j, wp: WeightParams, cutoff,
@@ -721,8 +752,11 @@ def exceptional_measure_bounds(B, js, wp: WeightParams, cutoff,
                                budget=_DEFAULT_BUDGET) -> list:
     """``exceptional_measure_bound`` at every level j in ``js``, in order.
 
-    The pair sweep does not depend on j: it runs once, keeps the pairs that
-    pass the pre-filter at the loosest level, and each j filters those.
+    The pair sweep does not depend on j: it runs once, over the D4
+    representative eta against every xi, keeps the pairs that pass the
+    pre-filter at the loosest level, and each j filters those.  ``n_pairs``
+    counts every pair of the window, ``n_bisected`` the distinct (a, b, c)
+    bisected for all levels together.
     """
     js = list(js)
     if not (js and min(js) >= 5 and 5 <= B < math.inf and cutoff >= 1):
@@ -739,29 +773,38 @@ def exceptional_measure_bounds(B, js, wp: WeightParams, cutoff,
     rB_sq = np.sqrt(abs_sq * B + abs_sq ** 3)
     at = flat(pts, n)
     a_pt = abs_sq[at]
-    p15_eta = np.array([a ** 1.5 for a in a_pt])
-    rB_eta = np.array([np.sqrt(a * B + a ** 3) for a in a_pt])
 
+    # D4 acting on (eta, xi) jointly keeps |eta|, |xi| and |xi + eta| bit for
+    # bit, so the sweep runs over the representative eta against every xi;
+    # each kept row enters as its 8 images (g eta, g xi), and sorting the
+    # distinct ones by pair restores the (eta, xi) row order of the window
+    rep, size = d4_reps(pts)
+    img = d4_images(pts, cutoff)
+    p15_eta = np.array([a ** 1.5 for a in a_pt[rep]])
+    rB_eta = np.array([np.sqrt(a * B + a ** 3) for a in a_pt[rep]])
     loose = 2.0 ** (-min(js))
     kept, n_pairs = [], 0
-    for lo, hi in row_blocks(len(pts), len(pts)):
-        e = np.arange(lo, hi)
+    for lo, hi in row_blocks(len(rep), len(pts)):
+        e = rep[lo:hi]
         s_at = at[e, None] + at[None, :] - flat((0, 0), n)   # xi + eta
         asum = abs_sq[s_at]
         ok = (a_pt[None, :] >= a_pt[e, None]) & (asum >= a_pt[None, :]) & (asum > 0.0)
-        ie, ix = np.nonzero(ok)                                  # (eta, xi) order
-        ie = e[ie]
-        n_pairs += ie.size
-        x_at, s_ok = at[ix], s_at[ok]
+        n_pairs += int(np.count_nonzero(ok, axis=1) @ size[lo:hi])
+        ir, ix = np.nonzero(ok)
+        ir += lo                                              # index into rep
+        ie, x_at, s_ok = rep[ir], at[ix], s_at[ok]
         a, b, c = a_pt[ie], abs_sq[x_at], abs_sq[s_ok]
         k = weight_K_arr(wp, b, a, c)
-        f0 = p15_eta[ie] + p15_sq[x_at] - p15_sq[s_ok]
-        fB = rB_eta[ie] + rB_sq[x_at] - rB_sq[s_ok]
+        f0 = p15_eta[ir] + p15_sq[x_at] - p15_sq[s_ok]
+        fB = rB_eta[ir] + rB_sq[x_at] - rB_sq[s_ok]
         # closed-form pre-filter: X nonempty needs F(0) < delta, F(B) > -delta
         delta = loose * k
         keep = (f0 < delta) & (fB > -delta)
-        kept.append((a[keep], b[keep], c[keep], k[keep], f0[keep], fB[keep]))
-    a, b, c, k, f0, fB = (np.concatenate(col) for col in zip(*kept))
+        kept.append((ie[keep], ix[keep], a[keep], b[keep], c[keep], k[keep], f0[keep],
+                     fB[keep]))
+    ie, ix, *cols = (np.concatenate(col) for col in zip(*kept))
+    _, src = np.unique((img[:, ie] * len(pts) + img[:, ix]).ravel(), return_index=True)
+    a, b, c, k, f0, fB = (v[src % ie.size] for v in cols)
 
     # many rows share (a, b, c), so K and each level's interval: bisect every
     # distinct row at every level in one call, then gather and sum each
@@ -784,7 +827,7 @@ def exceptional_measure_bounds(B, js, wp: WeightParams, cutoff,
         delta = level * k
         lengths = length[row][(f0 < delta) & (fB > -delta)]
         out.append(MeasureBound(float(lengths.sum()), int(np.count_nonzero(lengths)),
-                                n_pairs, j, cutoff, B, wp.kappa))
+                                n_pairs, j, cutoff, B, wp.kappa, first.size))
     return out
 
 

@@ -56,7 +56,7 @@ from .dispersion import DispersionParams, lam_abs
 from .errors import CadenceError, ConfigError, SmallDivisorError
 from .fields import (R_IN, R_OUT, FourierField, bump, check_power, dealias, finite_json,
                      l2_norm, phi_le, sobolev_norm)
-from .lattice import coords, d4_reps, flat, lattice_disk, norms, plan_cache, row_blocks
+from .lattice import coords, disk_reps, flat, norms, plan_cache, row_blocks
 from .model import ModelConfig, SolverState, Stepper, initial_data
 
 #: the derived normalization constant of the energy symbol
@@ -596,9 +596,7 @@ def depletion_checks(params: DispersionParams, N: float, radius: int,
     w_sq = 1.0 + (k1 * k1 + k2 * k2)                   # 1 + |v|^2, exact
     big_sq, half_sq = w_sq ** N, w_sq ** (N / 2.0)
 
-    pts = lattice_disk(radius, include_origin=True)
-    rep, size = d4_reps(pts)
-    pts = pts[rep]
+    pts, size = disk_reps(radius, include_origin=True)
     x_at = flat(pts, n)
     abs_x, lam_x, w_x = abs_sq[x_at], lam_sq[x_at], w_sq[x_at]
     big_x, half_x = big_sq[x_at], half_sq[x_at]

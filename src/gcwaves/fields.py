@@ -357,13 +357,20 @@ def sobolev_norm(f: FourierField, s: float) -> float:
 
 
 def check_power(N, q_max, where):
-    """ConfigError unless (1+q)^N is finite for every q = |v|^2 <= q_max."""
-    with np.errstate(over="ignore"):
-        if np.isfinite(np.float64(1.0 + q_max) ** N):
-            return
-    n_max = math.log(sys.float_info.max) / math.log(1.0 + q_max)
-    raise ConfigError(f"N = {N!r} overflows (1+|v|^2)^N {where}; the largest "
-                      f"admissible N there is {math.floor(n_max * 100) / 100}")
+    """ConfigError unless (1+q)^N is a finite normal float for every q = |v|^2
+    <= q_max: a large N overflows it, a large negative N underflows it to 0
+    (or to subnormals that have lost their digits)."""
+    with np.errstate(over="ignore", under="ignore"):
+        w = np.float64(1.0 + q_max) ** N
+    if sys.float_info.min <= w < math.inf:
+        return
+    if w == math.inf:
+        n_max = math.log(sys.float_info.max) / math.log(1.0 + q_max)
+        raise ConfigError(f"N = {N!r} overflows (1+|v|^2)^N {where}; the largest "
+                          f"admissible N there is {math.floor(n_max * 100) / 100}")
+    n_min = math.log(sys.float_info.min) / math.log(1.0 + q_max)
+    raise ConfigError(f"N = {N!r} underflows (1+|v|^2)^N {where}; the smallest "
+                      f"admissible N there is {math.ceil(n_min * 100) / 100}")
 
 
 def inner(f: FourierField, g: FourierField) -> complex:
@@ -421,7 +428,7 @@ def save_snapshot(f: FourierField, path_prefix: str, time=0.0, name="field"):
         "table": "csv",
     }
     with open(path_prefix + ".json", "w") as fh:
-        json.dump(header, fh, indent=2, sort_keys=True)
+        json.dump(finite_json(header), fh, indent=2, sort_keys=True)
         fh.write("\n")
     k1, k2 = f.grid.freqs()
     nz = np.nonzero(f.coeffs)

@@ -8,12 +8,16 @@ at flat index (v1 + n // 2) n + (v2 + n // 2), so v - u sits at flat(v) -
 flat(u) + flat(0).  It is the square [-s, s]^2 for n = 2 s + 1, and the
 np.fft.fftshift layout of an n x n array for every n.
 
-D4.  Lambda depends on |v| only, so every phase, weight and depletion
-quantity is unchanged, bit for bit, when the lattice symmetry group D4 acts
-on all frequencies of a tuple at once.  The census sweeps therefore
-evaluate only the tuples whose first frequency is an orbit representative
-0 <= v2 <= v1, and map the shortlisted ones to their 8 images; the records,
-shell statistics and tuple counts are those of the whole window.
+D4.  Lambda depends on |v| only, so every phase, weight, measure profile
+and depletion quantity is unchanged, bit for bit, when the lattice symmetry
+group D4 acts on all frequencies of a tuple at once.  The census sweeps
+therefore evaluate only the tuples whose first frequency is an orbit
+representative 0 <= v2 <= v1 (scan3's xi, scan4's v, measure's eta), and
+map the rows they keep to their 8 images; the records, shell statistics,
+tuple counts and measure totals are those of the whole window.  The
+representatives are listed without the window (``disk_reps``), and scan3
+tabulates its norms on the ``Box`` its sweep reaches, so a sweep's memory
+is sized by the representatives it evaluates.
 """
 
 from __future__ import annotations
@@ -55,15 +59,41 @@ def norms(n):
     return np.hypot(*coords(n))
 
 
-def lattice_disk(radius, include_origin=False):
-    """All lattice points with |v| <= radius as an (n, 2) int array,
-    lex-sorted; origin optional."""
+class Box:
+    """The lattice points lo <= v <= hi (coordinatewise) at flat index
+    (v1 - lo1) w + (v2 - lo2), w = hi2 - lo2 + 1, so v - u sits at flat(v) -
+    flat(u) + flat(0) like in the centered n-box."""
+
+    def __init__(self, lo, hi):
+        self.lo = (int(lo[0]), int(lo[1]))
+        self.width = int(hi[1]) - self.lo[1] + 1
+        self.size = (int(hi[0]) - self.lo[0] + 1) * self.width
+
+    def flat(self, pts):
+        """Flat index of the points pts (..., 2)."""
+        pts = np.asarray(pts)
+        return (pts[..., 0] - self.lo[0]) * self.width + (pts[..., 1] - self.lo[1])
+
+    def norms(self):
+        """|v| at every flat index, by the same elementwise call as ``norms``."""
+        k = np.arange(self.size)
+        return np.hypot(k // self.width + self.lo[0], k % self.width + self.lo[1])
+
+
+def _disk(lo, radius, include_origin):
+    # the points lo <= v_i <= radius with |v| <= radius, lex-sorted
     r = int(math.floor(radius))
-    a, b = np.meshgrid(np.arange(-r, r + 1), np.arange(-r, r + 1), indexing="ij")
+    a, b = np.meshgrid(np.arange(lo, r + 1), np.arange(lo, r + 1), indexing="ij")
     keep = a * a + b * b <= radius * radius
     if not include_origin:
         keep &= (a != 0) | (b != 0)
     return np.stack((a[keep], b[keep]), axis=1)
+
+
+def lattice_disk(radius, include_origin=False):
+    """All lattice points with |v| <= radius as an (n, 2) int array,
+    lex-sorted; origin optional."""
+    return _disk(-int(math.floor(radius)), radius, include_origin)
 
 
 def disk_size(radius):
@@ -84,17 +114,27 @@ def d4_reps(pts):
     return rep, np.where(v1 == 0, 1, np.where((v2 == 0) | (v2 == v1), 4, 8))
 
 
-def d4_images(pts, n, at):
-    """(8, len(pts)) table of at[flat(g v)] over the symmetries g and the
-    points v; ``at`` maps a flat index of the n-box to a list position."""
-    return at[flat(np.asarray(pts) @ D4.transpose(0, 2, 1), n)]
+def disk_reps(radius, include_origin=False):
+    """The D4 representatives of lattice_disk(radius), in its order, and
+    their orbit sizes, listed from the quadrant v >= 0 only."""
+    pts = _disk(0, radius, include_origin)
+    rep, size = d4_reps(pts)
+    return pts[rep], size
 
 
-def index_of(pts, n):
-    """Flat index of the n-box -> position in pts (-1 for other points)."""
+def d4_points(pts):
+    """(8, len(pts), 2) array of the images g v over the symmetries g and the
+    points v."""
+    return np.asarray(pts) @ D4.transpose(0, 2, 1)
+
+
+def d4_images(pts, radius):
+    """(8, len(pts)) table of the position in pts of g v over the symmetries
+    g and the points v of pts, a D4-invariant set inside |v| <= radius."""
+    n = 2 * int(math.floor(radius)) + 1
     at = np.full(n * n, -1, np.int64)
     at[flat(pts, n)] = np.arange(len(pts))
-    return at
+    return at[flat(d4_points(pts), n)]
 
 
 def row_blocks(n_rows, row_len):

@@ -40,8 +40,8 @@ import numpy as np
 
 from .dispersion import DispersionParams, lam_grid
 from .errors import ConfigError, NumericAbortError
-from .fields import (FourierField, Grid, TWO_PI, check_power, dealias, l2_norm, phi_le,
-                     sobolev_norm)
+from .fields import (FourierField, Grid, TWO_PI, check_power, dealias, finite_json, l2_norm,
+                     phi_le, sobolev_norm)
 
 
 @dataclass(frozen=True)
@@ -275,12 +275,13 @@ class Trajectory:
     report: ConservationReport
 
     def to_jsonl(self, path):
-        """One JSON record per snapshot time: {t, l2, hN, doubled}."""
+        """One strict JSON record per snapshot time: {t, l2, hN, doubled};
+        a non-finite value is written as null."""
         hn0 = self.hn[0]
         with open(path, "w") as fh:
             for t, l2v, hnv in zip(self.times, self.l2, self.hn):
-                fh.write(json.dumps({"t": t, "l2": l2v, "hN": hnv,
-                                     "doubled": bool(hnv > 2.0 * hn0)},
+                fh.write(json.dumps(finite_json({"t": t, "l2": l2v, "hN": hnv,
+                                                 "doubled": bool(hnv > 2.0 * hn0)}),
                                     sort_keys=True) + "\n")
 
 

@@ -241,13 +241,15 @@ def test_named_caller_errors_map_to_config_exit(tmp_path, monkeypatch, error):
      "--t-end", "0.02", "--audit-times", "0.01", "--dt", "0.002"],
     ["simulate", "--grid", "32", "--t-end", "0.01", "--dt", "0.005",
      "--snapshot-dt", "0.005", "--sobolev-index", "120"],
+    ["energy-audit", "--grid", "8", "--t-end", "0.02", "--audit-times", "0.01",
+     "--N", "-400", "--depletion-radius", "8"],
 ], ids=["g-text", "budget-inf", "n-records-negative", "bprime-nan", "bigB-nan",
         "eps-list-text", "eps-list-empty", "eps-zero", "dt-nan", "snapshot-dt-nan",
         "sobolev-index-nan", "t-end-negative", "courant-nan", "N-nan",
         "depletion-radius-negative", "amplitude-nan", "scan3-sigma-inf",
         "scan4-sigma-inf", "energy-g-inf", "D-nan", "linear-only-7",
         "N-overflows-depletion-table", "N-overflows-grid-weight",
-        "sobolev-index-overflows"])
+        "sobolev-index-overflows", "N-underflows-grid-weight"])
 def test_value_errors_become_config_errors_at_entry(tmp_path, argv):
     out = tmp_path / "bad"
     assert dispatch(argv + ["--out", str(out)]) == EXIT_CONFIG

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -593,6 +594,7 @@ def test_budget_checked_before_enumerating(monkeypatch):
         raise AssertionError("enumerated before the budget check")
 
     monkeypatch.setattr(dispersion, "lattice_disk", never)
+    monkeypatch.setattr(dispersion, "disk_reps", never)
     wide = ScanWindow(10 ** 5, 4)
     with pytest.raises(ResourceBudgetError):
         scan_three_wave(P11, WeightParams(0.5), wide, budget=10 ** 9)
@@ -600,3 +602,17 @@ def test_budget_checked_before_enumerating(monkeypatch):
         scan_four_wave(P11, wide, budget=10 ** 9)
     with pytest.raises(ResourceBudgetError):
         exceptional_measure_bound(5.0, 5, WeightParams(1.0), 10 ** 5, budget=10 ** 9)
+
+
+def test_scan3_traced_peak_is_bounded():
+    # the sweep tabulates on the box its representatives reach and keys
+    # records without window-sized tables: 7.7 MB traced when every table
+    # covered the window, about 2.1 MB now
+    tracemalloc.start()
+    try:
+        scan_three_wave(DispersionParams(math.sqrt(2.0)), WeightParams(0.5),
+                        ScanWindow(128, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6

@@ -417,11 +417,13 @@ def test_depletion_report_stability():
     assert 0.5 <= a.mprime_max / b.mprime_max <= 2.0
 
 
-@pytest.mark.parametrize("N, radius, n_max", [(120.0, 16, 87.93), (400.0, 8, 100.67)])
+@pytest.mark.parametrize("N, radius, n_max", [(120.0, 16, 87.93), (400.0, 8, 100.67),
+                                              (-400.0, 8, -100.48)])
 def test_depletion_rejects_N_that_overflows_its_table(N, radius, n_max):
     # (1+|v|^2)^N overflowed on the tabulated square and whole offset
     # blocks silently dropped out (mprime_max = inf at radius 16, and
-    # mprime_min = None, mprime_max = 0 at radius 8)
+    # mprime_min = None, mprime_max = 0 at radius 8); a large negative N
+    # underflowed it to 0 and made m = 0/0.  n_max is the admissible end
     with pytest.raises(ConfigError) as err:
         depletion_checks(P, N, radius)
     msg = str(err.value)

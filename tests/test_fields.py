@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -192,8 +194,17 @@ def test_snapshot_roundtrip(tmp_path):
     save_snapshot(f, str(tmp_path / "snap"), time=1.25, name="probe")
     back, header = load_snapshot(str(tmp_path / "snap"))
     assert header["time"] == 1.25
+    assert json.loads((tmp_path / "snap.json").read_text(),
+                      parse_constant=_no_constant) == header
+    save_snapshot(f, str(tmp_path / "nan"), time=float("nan"))
+    text = (tmp_path / "nan.json").read_text()
+    assert json.loads(text, parse_constant=_no_constant)["time"] is None
     assert back.grid == g
     assert np.max(np.abs(back.coeffs - f.coeffs)) <= 1e-15 * np.max(np.abs(f.coeffs))
+
+
+def _no_constant(token):
+    raise ValueError(f"{token} is not valid JSON (RFC 8259)")
 
 
 def _snapshot_csv_loop(f):

@@ -319,7 +319,18 @@ def test_trajectory_jsonl(tmp_path):
     traj = run(cfg, keep_snapshots=False)
     path = tmp_path / "traj.jsonl"
     traj.to_jsonl(path)
-    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    rows = [json.loads(line, parse_constant=_no_constant)
+            for line in path.read_text().splitlines()]
     assert rows[0]["t"] == 0.0
     assert set(rows[0]) == {"t", "l2", "hN", "doubled"}
     assert len(rows) == len(traj.times)
+    assert [r["l2"] for r in rows] == traj.l2      # finite values keep every digit
+    # a non-finite value is written as null, never as a bare NaN token
+    traj.hn[-1] = math.nan
+    traj.to_jsonl(path)
+    last = json.loads(path.read_text().splitlines()[-1], parse_constant=_no_constant)
+    assert last["hN"] is None and last["l2"] == traj.l2[-1]
+
+
+def _no_constant(token):
+    raise ValueError(f"{token} is not valid JSON (RFC 8259)")

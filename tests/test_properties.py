@@ -175,9 +175,8 @@ def test_depletion_checks_match_double_loop(g, N, radius, max_offset):
     assert rep.factor_C == pytest.approx(c_best, rel=1e-12)
 
 
-def _measure_reference(B, js, wp, cutoff):
-    """The per-level path: every (eta, xi) pair in order, and each level's
-    selected rows through _interval_lengths_vec."""
+def _measure_rows(B, wp, cutoff):
+    """(a, b, c, K, F(0), F(B)) of every admissible (eta, xi) pair, in order."""
     pts = lattice_disk(cutoff)
     ie, ix = np.divmod(np.arange(len(pts) ** 2), len(pts))
     a, b, c = (np.hypot(v[:, 0], v[:, 1]) for v in (pts[ie], pts[ix], pts[ie] + pts[ix]))
@@ -187,13 +186,29 @@ def _measure_reference(B, js, wp, cutoff):
     f0 = np.array([v ** 1.5 for v in a]) + b ** 1.5 - c ** 1.5
     fB = (np.array([np.sqrt(v * B + v ** 3) for v in a]) + np.sqrt(b * B + b ** 3)
           - np.sqrt(c * B + c ** 3))
+    return a, b, c, k, f0, fB
+
+
+def _measure_reference(B, js, wp, cutoff):
+    """The per-level path: every (eta, xi) pair in order, and each level's
+    selected rows through _interval_lengths_vec; plus the distinct (a, b, c)
+    of the rows some level selects."""
+    a, b, c, k, f0, fB = _measure_rows(B, wp, cutoff)
     out = []
     for j in js:
         delta = 2.0 ** (-j) * k
         sel = (f0 < delta) & (fB > -delta)
         lengths = _interval_lengths_vec(a[sel], b[sel], c[sel], delta[sel], B)
         out.append((float(lengths.sum()), int(np.count_nonzero(lengths)), a.size))
-    return out
+    delta = 2.0 ** (-min(js)) * k    # the loosest level selects every other's rows
+    sel = (f0 < delta) & (fB > -delta)
+    n_distinct = len(set(zip(a[sel].tolist(), b[sel].tolist(), c[sel].tolist())))
+    return [row + (n_distinct,) for row in out]
+
+
+def _measure_got(B, js, wp, cutoff):
+    return [(m.total, m.n_intervals, m.n_pairs, m.n_bisected)
+            for m in exceptional_measure_bounds(B, js, wp, cutoff)]
 
 
 @settings(max_examples=12, derandomize=True, deadline=None, database=None)
@@ -201,9 +216,33 @@ def _measure_reference(B, js, wp, cutoff):
        js=st.lists(st.integers(5, 12), min_size=1, max_size=4))
 def test_measure_distinct_rows_equal_per_level_bisection(B, kappa, cutoff, js):
     wp = WeightParams(kappa)
-    got = exceptional_measure_bounds(B, js, wp, cutoff)
-    assert [(m.total, m.n_intervals, m.n_pairs) for m in got] == _measure_reference(
-        B, js, wp, cutoff)
+    assert _measure_got(B, js, wp, cutoff) == _measure_reference(B, js, wp, cutoff)
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 3, 4, 5, 6, math.sqrt(2.0), 4.5])
+@pytest.mark.parametrize("B, kappa, js", [
+    (5.0, 1.0, [5, 6, 7]), (17.5, 0.3, [9]),
+    # B just below the root x0 = 5.31936... of F at (a, b, c) = (1, sqrt 13,
+    # sqrt 20), e.g. eta = (1, 0), xi = (3, 2): there F(B) = -1.5 delta_5, so
+    # no level keeps the row, but a pre-filter at 2 delta_5 would bisect it
+    (5.317443006, 1.0, [5]),
+    # here F(B) = -delta_5 / 2: kept at j = 5, not selected at j = 8
+    (5.318721863, 1.0, [5, 8])])
+def test_measure_representative_sweep_equals_reference(cutoff, B, kappa, js):
+    # the sweep runs over the representative eta (axis and diagonal ones
+    # included) and restores every kept row of the window in (eta, xi) order
+    wp = WeightParams(kappa)
+    assert _measure_got(B, js, wp, cutoff) == _measure_reference(B, js, wp, cutoff)
+
+
+def test_measure_bisects_each_distinct_row_once():
+    # at the benchmark flags 524 distinct (a, b, c) are bisected, however many
+    # rows (4,332 per level) share them; a looser pre-filter bisects more
+    wp = WeightParams(1.0)
+    got = exceptional_measure_bounds(5.0, [5, 6, 7], wp, 16)
+    ref = _measure_reference(5.0, [5, 6, 7], wp, 16)
+    assert [(m.total, m.n_intervals, m.n_pairs, m.n_bisected) for m in got] == ref
+    assert {m.n_bisected for m in got} == {524}
 
 
 @settings(max_examples=20, derandomize=True, deadline=None, database=None)

@@ -45,6 +45,8 @@ KERNEL = ("tests/test_model.py::test_fused_kernel_matches_six_transform_oracle",
 EPLAN = ("tests/test_energy_oracle.py::test_plan_holds_exactly_the_near_resonant_pairs",
          "tests/test_energy_oracle.py::test_energy_routes_match_row_loop")
 MEASURE = (PROPS + "test_measure_distinct_rows_equal_per_level_bisection",
+           PROPS + "test_measure_representative_sweep_equals_reference",
+           PROPS + "test_measure_bisects_each_distinct_row_once",
            "tests/test_dispersion.py::test_measure_bound_matches_pairwise_lemma1_sum")
 
 
@@ -71,6 +73,14 @@ MUTANTS = (
            "np.where((v2 == 0) | (v2 == v1), 4, 8)",
            "np.where(v2 == v1, 4, 8)",
            (PROPS + "test_depletion_checks_match_double_loop",)),
+    Mutant("point-key-drops-shell", DISP,
+           "return (shells * w + pts[..., 0] + r) * w + pts[..., 1] + r",
+           "return (0 * shells * w + pts[..., 0] + r) * w + pts[..., 1] + r",
+           (SCAN3, SCAN4)),
+    Mutant("scan3-box-one-short", DISP,
+           "xs.max(axis=0) + math.floor(r_lo))",
+           "xs.max(axis=0) + math.floor(r_lo) - 1)",
+           (SCAN3,)),
     Mutant("eta-zero-kept", DISP,
            "gap[xi_is_rho[k]] = aphase[xi_is_rho[k]] = np.inf",
            "pass",
@@ -95,6 +105,14 @@ MUTANTS = (
     Mutant("measure-prefilter-loosened", DISP,
            "keep = (f0 < delta) & (fB > -delta)",
            "keep = (f0 < 2.0 * delta) & (fB > -2.0 * delta)",
+           MEASURE),
+    Mutant("measure-identity-image-only", DISP,
+           "(img[:, ie] * len(pts) + img[:, ix])",
+           "(img[:1, ie] * len(pts) + img[:1, ix])",
+           MEASURE),
+    Mutant("measure-pairs-unweighted", DISP,
+           "np.count_nonzero(ok, axis=1) @ size[lo:hi]",
+           "np.count_nonzero(ok)",
            MEASURE),
     # the Weyl calculus: both application paths and the symbol algebra
     Mutant("hermitian-read-no-conj", PARADIFF,
