@@ -607,7 +607,7 @@ def test_budget_checked_before_enumerating(monkeypatch):
 def test_scan3_traced_peak_is_bounded():
     # the sweep tabulates on the box its representatives reach and keys
     # records without window-sized tables: 7.7 MB traced when every table
-    # covered the window, about 2.1 MB now
+    # covered the window, about 2.2 MB now
     tracemalloc.start()
     try:
         scan_three_wave(DispersionParams(math.sqrt(2.0)), WeightParams(0.5),

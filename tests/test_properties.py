@@ -237,12 +237,11 @@ def test_measure_representative_sweep_equals_reference(cutoff, B, kappa, js):
 
 def test_measure_bisects_each_distinct_row_once():
     # at the benchmark flags 524 distinct (a, b, c) are bisected, however many
-    # rows (4,332 per level) share them; a looser pre-filter bisects more
+    # rows (4,332 per level) share them
     wp = WeightParams(1.0)
-    got = exceptional_measure_bounds(5.0, [5, 6, 7], wp, 16)
-    ref = _measure_reference(5.0, [5, 6, 7], wp, 16)
-    assert [(m.total, m.n_intervals, m.n_pairs, m.n_bisected) for m in got] == ref
-    assert {m.n_bisected for m in got} == {524}
+    got = _measure_got(5.0, [5, 6, 7], wp, 16)
+    assert got == _measure_reference(5.0, [5, 6, 7], wp, 16)
+    assert {n_bisected for *_, n_bisected in got} == {524}
 
 
 @settings(max_examples=20, derandomize=True, deadline=None, database=None)
