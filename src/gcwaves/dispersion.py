@@ -312,6 +312,10 @@ class _TopN:
 # sign pairs (i1, i2) of _SIGN_PAIRS ranked by ascending tuple order
 _SIGN_RANK = np.array([3, 2, 1, 0])
 _RANK_SIGNS = _SIGN_PAIRS[::-1]
+# the records' sign patterns per rank, shared by every record: scan3's
+# (1, -i1, -i2) and scan4's (i1, i2)
+_RANK_PATTERNS3 = tuple(SignPattern((1, -i1, -i2)) for i1, i2 in _RANK_SIGNS)
+_RANK_PATTERNS4 = tuple(SignPattern(s) for s in _RANK_SIGNS)
 # index of (i2, i1) in _SIGN_PAIRS for each (i1, i2)
 _SWAP_SIGNS = np.array([0, 2, 1, 3])
 
@@ -452,16 +456,16 @@ def scan_three_wave(params: DispersionParams, wp: WeightParams, window: ScanWind
 
     records = []
     for gap, key, ph, w in zip(*(c.tolist() for c in top.rows)):
-        (i, k), (i1, i2) = divmod(key // 4, n_rho), _RANK_SIGNS[key % 4]
+        (i, k), rank = divmod(key // 4, n_rho), key % 4
         xi, rho = _key_point(i, r_hi), tuple(rhos[k].tolist())
         flags = ()
         if abs(ph) < _REEVAL_THRESHOLD:
-            ph = _reeval_phase3(params, xi, rho, (i1, i2))
+            ph = _reeval_phase3(params, xi, rho, _RANK_SIGNS[rank])
             gap = abs(ph) / w
             flags = ("extended-precision",)
         v1, v2, v3 = xi, (-rho[0], -rho[1]), (rho[0] - xi[0], rho[1] - xi[1])
         records.append(ResonanceRecord(
-            frequencies=(v1, v2, v3), signs=SignPattern((1, -i1, -i2)),
+            frequencies=(v1, v2, v3), signs=_RANK_PATTERNS3[rank],
             phase_value=ph, weight=w, normalized_gap=gap, flags=flags))
     records.sort(key=lambda r: (r.normalized_gap, r.frequencies))
     min_gap = min((r.normalized_gap for r in records), default=math.inf)
@@ -568,15 +572,19 @@ def scan_four_wave(params: DispersionParams, window: ScanWindow, n_records=100,
     count = n_batches * size                 # tuples of the whole orbit
     stats = _shell_stats(shells, count, best_gap, best_val * (1.0 + av ** 2) ** 0.25)
 
+    # each pair's frequencies and regime scale (|xi| + |eta|)^16, built once
+    low_pts = [tuple(x) for x in lows.tolist()]
+    pair_pts = [(low_pts[a], low_pts[b]) for a, b in pairs]
+    scale = [(math.hypot(*xi) + math.hypot(*eta)) ** 16 for xi, eta in pair_pts]
     records = []
     for gap, key, val, w, abs_v in zip(*(c.tolist() for c in top.rows)):
-        (i, p), (i1, i2) = divmod(key // 4, len(pairs)), _RANK_SIGNS[key % 4]
+        i, p = divmod(key // 4, len(pairs))
         v = _key_point(i, r_hi)
-        xi, eta = (tuple(lows[m].tolist()) for m in pairs[p])
-        admissible = (math.hypot(*xi) + math.hypot(*eta)) ** 16 <= bprime * abs_v
+        xi, eta = pair_pts[p]
+        admissible = scale[p] <= bprime * abs_v
         flags = ("admissible-regime",) if admissible else ("outside-regime",)
         records.append(ResonanceRecord(
-            frequencies=(v, xi, eta), signs=SignPattern((i1, i2)),
+            frequencies=(v, xi, eta), signs=_RANK_PATTERNS4[key % 4],
             phase_value=val, weight=w, normalized_gap=gap, flags=flags))
     records.sort(key=lambda r: (r.normalized_gap, r.frequencies))
     min_gap = min((r.normalized_gap for r in records), default=math.inf)

@@ -439,12 +439,12 @@ def expansion_check(state: SurfaceState, eps_list, cfg: ParadiffConfig | None = 
         st = state.scaled(eps)
         fam, _ = _principal_family(st)
         lam2h = synthesize(apply_multiplier(st.h, lambda k1, k2: _lam2(p0, k1, k2))).real
-        # symbol_norm samples every remainder on the full grid at each zeta
-        # sample, so the symbol values are kept per zeta and shared by all p
+        # symbol_norm samples every remainder on the full grid at all zeta
+        # samples at once, so the symbol values are kept and shared by all p
         memo = {}
 
         def sampled(Xa, Xb, Z1, Z2):
-            key = (float(Z1), float(Z2))
+            key = (Z1.tobytes(), Z2.tobytes())
             if key not in memo:
                 memo[key] = (fam["ell"].eval(Xa, Xb, Z1, Z2) + p0.g,
                              p0.g + p0.sigma * (Z1 ** 2 + Z2 ** 2),

@@ -27,9 +27,10 @@ import math
 
 import numpy as np
 
-# pairs per block of a vectorized walk, so no block's temporaries raise a
-# run's peak memory.  The energy pair sums add one partial sum per block, so
-# the grouping fixes the last bits of audit.json
+# pairs per block of a vectorized walk (plan entries per pass of a Weyl
+# walk), so no block's temporaries raise a run's peak memory.  The energy
+# pair sums add one partial sum per block, so the grouping fixes the last
+# bits of audit.json; a Weyl walk's sums do not depend on it
 BLOCK = 1 << 13
 
 #: the three most recently used plans of a kind are kept: a run alternates

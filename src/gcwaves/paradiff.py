@@ -11,24 +11,33 @@ the symbol frequency below the pair frequency.  Conventions: if xi = 0 the
 whole row is 0 (so T_a output is always mean-free and T_a kills constants),
 and symbols only ever get evaluated at |zeta| > 1/2.
 
-Both kinds of symbol read one chi-support plan per (grid size, chi
-exponent), built on demand and kept by the lattice plan cache
-(``gcwaves.lattice``): the pairs (xi, eta) of the sum with chi > 0, 20
-bytes each (int32 xi, rho and midpoint ids, float64 chi), ordered by row
-rho in increasing |rho|.  At chi_exponent = -2 the full plan holds 0.16M
-entries (3.1 MB) at 32^2 and 2.7M (54 MB) at 64^2.
+Both kinds of symbol read a chi-support plan of the input's eta box: the
+pairs (xi, eta) of the sum with chi > 0 and |eta|_inf <= K, 20 bytes each
+(int32 xi, rho and midpoint ids, float64 chi), ordered by row rho in
+increasing |rho|.  An application takes the smallest K holding the support
+of fhat, so its walk holds only entries that can contribute.  For a symbol
+with finite values every entry it leaves out would add an exact zero
+(fhat(eta) = 0 times a finite weight, onto an output that never holds
+-0.0), so the sums are those of the full plan, K = M//2 - 1.  The plans of one (grid size, chi exponent) are built on
+demand and kept together as one entry of the lattice plan cache
+(``gcwaves.lattice``).  At chi_exponent = -2 the full plan holds 0.16M
+entries (3.1 MB) at 32^2 and 2.7M (54 MB) at 64^2.  At 32^2 a dealiased
+input (K = 10) reads 63,736 entries (41%), a band-2 probe (K = 6) 13,400
+and a constant (K = 0) none; at 12^2 the 2,464 entries and 416 midpoints
+of the full plan are 816 and 264 at K = 3.
 
 Symbols come in two flavours:
   * separable - a finite sum of terms  spatial(x) * g(zeta); rows are exact.
     The plan is extended only out to the largest |rho| with a nonzero
     spatial coefficient, each g is evaluated once per midpoint, and an
     application costs one gather and one scatter per entry of every row up
-    to the last occupied one.  Fourier multipliers and function symbols are
+    to the last occupied one, in passes of lattice.BLOCK entries through
+    buffers the plans own.  Fourier multipliers and function symbols are
     the 1-term cases.  A zeta-free term (g = 1, as Symbol.from_function
     builds it, marked through conj_flip) adds its row coefficient with no
     midpoint gather and no multiply.
   * general   - an arbitrary vectorized evaluator fn(X1, X2, Z1, Z2); it
-    reads the full plan grouped by midpoint (one more int32 per entry) and
+    reads the whole plan grouped by midpoint (one more int32 per entry) and
     costs one evaluation of a(., zeta) per midpoint, in batches of at most
     2^15 samples; intended for grids up to 64^2.  The real and imaginary
     parts of a batch are transformed in x with rfft2 (a part that vanishes
@@ -49,7 +58,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .fields import FourierField, Grid, TWO_PI, bump, dealias, analyze, synthesize
-from .lattice import coords, flat, plan_cache, row_blocks
+from .lattice import BLOCK, coords, flat, plan_cache, row_blocks
 
 _FOUR_PI2 = (2.0 * np.pi) ** 2
 
@@ -299,10 +308,6 @@ def _conj_flip_fn(g, negate=False):
 # ---------------------------------------------------------------------------
 
 _SAMPLES = 1 << 15  # symbol samples (midpoints x M^2) per general-path batch
-# plan entries per separable-apply pass.  Not lattice.BLOCK: in passes of
-# 1 << 13 entries some entry products round differently (numpy 2.4.6,
-# x86-64 with AVX-512), which moves the last bits of the paradiff-audit report
-_APPLY_SLICE = 1 << 15
 
 
 def _guard_zeta(z_abs_sq):
@@ -311,21 +316,11 @@ def _guard_zeta(z_abs_sq):
                           "inside the chi support")
 
 
-class _ChiPlan:
-    """The chi support on an M x M grid, shared by both application paths.
-
-    One entry per pair (xi, eta) with xi, eta off the Nyquist rows, rho =
-    xi - eta on the grid, xi + eta != 0 and chi(|rho| / |xi + eta|) > 0:
-    int32 flat indices of xi and rho in the centered M-box, the int32 flat
-    index (the midpoint id) of the sum s = xi + eta in the centered
-    (2M-1)-box, and float64 chi.  Entries run row by row, rows in
-    increasing |rho|, with row k at entries [row_start[k], row_start[k+1]);
-    ``extend`` builds rows only as far as a call needs, and chi is
-    evaluated nowhere else.  The separable path walks the rows as one
-    contiguous prefix of the entry arrays, in slices of _APPLY_SLICE entries;
-    ``by_midpoint`` groups the full plan by midpoint with one int32
-    permutation for the general path.
-    """
+class _ChiPlans:
+    """The chi-support plans of one grid size and chi exponent, one per eta
+    box, with the index tables they share and the pass buffers every walk
+    over them reuses (three complex and one int32 array of BLOCK entries),
+    so no two walks over one grid's plans may run at once."""
 
     def __init__(self, m, chi):
         self.m = m
@@ -336,13 +331,58 @@ class _ChiPlan:
         rsq = self.k1 ** 2 + self.k2 ** 2
         self.rows = np.argsort(rsq, kind="stable")      # centered flat rho, plan order
         self.row_sq = rsq[self.rows]
+        self.work = np.empty((3, BLOCK), np.complex128)
+        self.eta = np.empty(BLOCK, np.int32)
+        self._boxes = {}
+
+    def box(self, radius):
+        """The plan of the pairs with |eta|_inf <= radius, built on first use."""
+        if radius not in self._boxes:
+            self._boxes[radius] = _ChiPlan(self, radius)
+        return self._boxes[radius]
+
+    def covering(self, fc):
+        """The plan of the smallest eta box holding the support of the
+        centered flat coefficients fc; the full plan at most."""
+        nz = np.flatnonzero(fc)
+        radius = max(np.abs(self.k1[nz]).max(initial=0), np.abs(self.k2[nz]).max(initial=0))
+        return self.box(min(int(radius), self.m // 2 - 1))
+
+
+class _ChiPlan:
+    """The chi support on an M x M grid for inputs supported in the eta box
+    |eta|_inf <= K, shared by both application paths.
+
+    One entry per pair (xi, eta) with |eta|_inf <= K <= M // 2 - 1, xi off
+    the Nyquist rows, rho = xi - eta on the grid, xi + eta != 0 and
+    chi(|rho| / |xi + eta|) > 0: int32 flat indices of xi and rho in the
+    centered M-box, the int32 flat index (the midpoint id) of the sum s = xi
+    + eta in the centered (2M-1)-box, and float64 chi.  Entries run row by
+    row, rows in increasing |rho|, with row k at entries [row_start[k],
+    row_start[k+1]) in the lex order of eta (and so of xi).  A K-plan is
+    thus the order-preserving subsequence |eta|_inf <= K of the full plan,
+    K = M // 2 - 1, and an input whose coefficients vanish off the box gets
+    the full plan's sums from it: each skipped entry adds an exact zero.
+    ``extend`` builds rows only as far as a call needs, and chi is evaluated
+    nowhere else.  The separable path walks the rows as one contiguous
+    prefix of the entry arrays, in passes of BLOCK entries; ``by_midpoint``
+    groups the whole plan by midpoint with one int32 permutation for the
+    general path.
+    """
+
+    def __init__(self, plans, radius):
+        self.radius = radius
+        self.m, self.chi_fn, self.origin = plans.m, plans.chi_fn, plans.origin
+        self.k1, self.k2, self.sums = plans.k1, plans.k2, plans.sums
+        self.rows, self.row_sq = plans.rows, plans.row_sq
+        self.work, self.eta = plans.work, plans.eta
         self.row_start = np.zeros(1, np.int64)           # entries of row k: [start[k], start[k+1])
         self.xi = np.zeros(0, np.int32)
         self.rho = np.zeros(0, np.int32)
         self.mid = np.zeros(0, np.int32)
         self.chi = np.zeros(0)
         # first plan row that reaches each midpoint (m * m: none yet)
-        self.mid_row = np.full((2 * m - 1) ** 2, m * m, np.int32)
+        self.mid_row = np.full(len(self.sums[0]), self.m * self.m, np.int32)
         self._by_mid = None
 
     def extend(self, rho_sq):
@@ -352,22 +392,23 @@ class _ChiPlan:
         if n <= built:
             return n
         m, half = self.m, self.m // 2
-        k = np.arange(1 - half, half)  # xi and eta off the Nyquist rows, which stay 0
+        k = np.arange(-self.radius, self.radius + 1)   # eta in the box
         new = {"xi": [], "rho": [], "mid": [], "chi": []}
         counts = []
-        for lo, hi in row_blocks(n - built, m * m):
+        for lo, hi in row_blocks(n - built, len(k) ** 2):
             ks = np.arange(built + lo, built + hi)
             r1 = self.k1[self.rows[ks]][:, None, None]
             r2 = self.k2[self.rows[ks]][:, None, None]
-            den = np.hypot(2 * k[:, None] - r1, 2 * k[None, :] - r2)
-            cand = ((np.abs(k[:, None] - r1) < half) & (np.abs(k[None, :] - r2) < half)
+            den = np.hypot(2 * k[:, None] + r1, 2 * k[None, :] + r2)
+            # xi = rho + eta off the Nyquist rows, which stay 0
+            cand = ((np.abs(k[:, None] + r1) < half) & (np.abs(k[None, :] + r2) < half)
                     & (den > 0))
             b, i1, i2 = np.nonzero(cand)
             chi = self.chi_fn(np.hypot(r1, r2).astype(float).ravel()[b] / den[b, i1, i2])
             keep = chi > 0.0
-            b, x1, x2 = b[keep], k[i1[keep]], k[i2[keep]]
-            s1 = 2 * x1 - r1.ravel()[b]
-            s2 = 2 * x2 - r2.ravel()[b]
+            b, e1, e2 = b[keep], k[i1[keep]], k[i2[keep]]
+            x1, x2 = e1 + r1.ravel()[b], e2 + r2.ravel()[b]
+            s1, s2 = x1 + e1, x2 + e2
             _guard_zeta(0.25 * (s1 * s1 + s2 * s2))
             mid = flat(np.stack((s1, s2), axis=-1), 2 * m - 1)
             ids, first = np.unique(mid, return_index=True)
@@ -389,7 +430,7 @@ class _ChiPlan:
         return 0.5 * self.sums[0][ids], 0.5 * self.sums[1][ids]
 
     def by_midpoint(self):
-        """The full plan grouped by midpoint: (perm, start, ids), the entries
+        """The whole plan grouped by midpoint: (perm, start, ids), the entries
         perm[start[j]:start[j+1]] sharing midpoint ids[j]; built once."""
         if self._by_mid is None:
             self.extend(np.inf)
@@ -400,26 +441,35 @@ class _ChiPlan:
         return self._by_mid
 
     def accumulate(self, out, e, w, fc, extra_weight, divisor=1.0):
-        """out[xi] += w chi [extra] fhat(eta) / divisor over the entries e."""
+        """out[xi] += w chi [extra] fhat(eta) / divisor over the entries e, at
+        most BLOCK of them; w is overwritten.
+
+        A complex product takes its gathered operand first: numpy elides a
+        temporary operand of 256 KiB or more by multiplying into it in
+        place, operands swapped, and numpy's complex product rounds
+        differently with its operands swapped."""
         xi, rho = self.xi[e], self.rho[e]
-        w = w * self.chi[e]
+        np.multiply(w, self.chi[e], out=w)
         if extra_weight is not None:
             x1, x2 = self.k1[xi].astype(float), self.k2[xi].astype(float)
             r1, r2 = self.k1[rho].astype(float), self.k2[rho].astype(float)
-            w = w * extra_weight(x1, x2, r1, r2, x1 - 0.5 * r1, x2 - 0.5 * r2)
+            np.multiply(extra_weight(x1, x2, r1, r2, x1 - 0.5 * r1, x2 - 0.5 * r2), w, out=w)
+        eta = np.subtract(xi, rho, out=self.eta[:len(w)])
+        eta += self.origin
         # np.take: the int32 plan indices are not converted as [] would
-        v = w * np.take(fc, xi - rho + self.origin)
+        v = np.take(fc, eta, out=self.work[2, :len(w)], mode="clip")
+        np.multiply(v, w, out=v)
         if divisor != 1.0:
             v /= divisor
-        np.add.at(out, xi, v)   # in entry order: no reassociation across batches
+        np.add.at(out, xi, v)   # in entry order: no reassociation across passes
 
 
 # the Weyl calculus alternates between two grid sizes in a run (a symbol
-# build and an operator audit)
+# build and an operator audit); each grid's plans are one cache entry
 @plan_cache
-def _plan(m, chi_exponent):
-    """The cached chi-support plan for grid size m and chi exponent."""
-    return _ChiPlan(m, ParadiffConfig(chi_exponent).chi)
+def _plans(m, chi_exponent):
+    """The cached chi-support plans for grid size m and chi exponent."""
+    return _ChiPlans(m, ParadiffConfig(chi_exponent).chi)
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +482,8 @@ def weyl_apply(a: Symbol, f: FourierField, cfg: ParadiffConfig,
     explicit error kernels; it receives flat arrays
     (XI1, XI2, R1, R2, Z1, Z2) over the chi support."""
     m = f.grid.size
-    plan = _plan(m, cfg.chi_exponent)
     fc = np.fft.fftshift(f.coeffs).ravel()
+    plan = _plans(m, cfg.chi_exponent).covering(fc)
     out = np.zeros(m * m, np.complex128)
     if a.is_separable:
         _apply_rows(a, f.grid, cfg, plan, out, fc, extra_weight)
@@ -474,14 +524,18 @@ def _apply_rows(a, grid, cfg, plan, out, fc, extra_weight):
                 g[live] = term.gz(z1, z2)
     # slices, not gathers: the inactive rows inside the prefix add exact zeros
     end = int(plan.row_start[active[-1] + 1])
-    for lo in range(0, end, _APPLY_SLICE):
-        e = slice(lo, min(lo + _APPLY_SLICE, end))
+    for lo in range(0, end, BLOCK):
+        e = slice(lo, min(lo + BLOCK, end))
         rho, mid = plan.rho[e], plan.mid[e]
-        w = np.take(coefs[0], rho)
+        w, t, u = plan.work[:, :len(rho)]
+        np.take(coefs[0], rho, out=w, mode="clip")
         if gz[0] is not None:
-            w = w * np.take(gz[0], mid)
+            np.multiply(np.take(gz[0], mid, out=t, mode="clip"), w, out=w)
         for c, g in zip(coefs[1:], gz[1:]):
-            w += np.take(c, rho) if g is None else np.take(c, rho) * np.take(g, mid)
+            np.take(c, rho, out=t, mode="clip")
+            if g is not None:
+                np.multiply(t, np.take(g, mid, out=u, mode="clip"), out=t)
+            w += t
         plan.accumulate(out, e, w, fc, extra_weight)
 
 
@@ -511,7 +565,10 @@ def _apply_midpoints(a, grid, plan, out, fc, extra_weight):
                 np.negative(v.imag, out=v.imag, where=conj)   # F(-k) = conj F(k)
                 w = w + unit * v
         if np.ndim(w):   # else a(., zeta) = 0 on the whole batch
-            plan.accumulate(out, e, w * (TWO_PI / m) ** 2, fc, extra_weight, _FOUR_PI2)
+            w = w * (TWO_PI / m) ** 2
+            for lo in range(0, len(e), BLOCK):
+                plan.accumulate(out, e[lo:lo + BLOCK], w[lo:lo + BLOCK], fc,
+                                extra_weight, _FOUR_PI2)
 
 
 def _half_spectrum_index(m):
@@ -604,9 +661,12 @@ def symbol_norm(a: Symbol, l, r, zeta_samples, grid: Grid, zeta_step=0.25) -> Sy
 
     x-derivatives are exact in Fourier, zeta-derivatives by central
     differences; the alpha = 0 terms are norms of the samples themselves.
+    Every zeta sample is evaluated in one broadcast call per derivative.
     """
     if r < 0:
         raise ConfigError("differentiability r must be >= 0")
+    if any(z1 * z1 + z2 * z2 <= 0.25 for z1, z2 in zeta_samples):
+        raise ConfigError("zeta samples must satisfy |zeta| > 1/2")
     m = grid.size
     X1, X2 = grid.x()
     K1f, K2f = grid.freqs()
@@ -628,23 +688,20 @@ def symbol_norm(a: Symbol, l, r, zeta_samples, grid: Grid, zeta_step=0.25) -> Sy
         b2 = (beta[0], beta[1] - 1)
         return (zderiv(fn_eval, b2, z1, z2 + h) - zderiv(fn_eval, b2, z1, z2 - h)) / (2 * h)
 
+    # every zeta sample at once: (n, 1, 1) arrays against the (m, m) grid
+    z1, z2 = (np.array([z[i] for z in zeta_samples], float).reshape(-1, 1, 1) for i in (0, 1))
+    fn_eval = lambda w1, w2: a.eval(X1, X2, w1, w2)
     best = 0.0
-    for (z1, z2) in zeta_samples:
-        if z1 * z1 + z2 * z2 <= 0.25:
-            raise ConfigError("zeta samples must satisfy |zeta| > 1/2")
-        bz = math.sqrt(1.0 + z1 * z1 + z2 * z2)
-        fn_eval = lambda w1, w2: a.eval(X1, X2, np.asarray(w1), np.asarray(w2))
-        for btot in range(r + 1):
-            for b1 in range(btot + 1):
-                base = zderiv(fn_eval, (b1, btot - b1), z1, z2)
-                base = np.asarray(base, np.complex128) + np.zeros((m, m), np.complex128)
-                scale = bz ** (-l + btot)
-                best = max(best, scale * l2(base))
-                if btot < r:     # x-derivatives left: one transform
-                    bh = np.fft.fft2(base)
-                    for atot, mult in mults:
-                        if atot <= r - btot:
-                            best = max(best, scale * l2(np.fft.ifft2(mult * bh)))
+    for btot in range(r + 1):
+        scales = [math.sqrt(1.0 + w1 * w1 + w2 * w2) ** (-l + btot) for w1, w2 in zeta_samples]
+        for b1 in range(btot + 1):
+            base = zderiv(fn_eval, (b1, btot - b1), z1, z2)
+            parts = [np.asarray(base, np.complex128) + np.zeros((len(scales), m, m), np.complex128)]
+            if btot < r:     # x-derivatives left: one transform
+                bh = np.fft.fft2(parts[0])
+                parts += [np.fft.ifft2(mult * bh) for atot, mult in mults if atot <= r - btot]
+            for part in parts:
+                best = max([best] + [s * l2(v) for s, v in zip(scales, part)])
     return SymbolNormReport(l, r, best, len(zeta_samples),
                             f"sampled lower bound, grid {m}^2, {len(zeta_samples)} zeta pts")
 

@@ -519,56 +519,71 @@ def test_weyl_apply_matches_brute_force_double_sum(case, m):
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+def _centered(f):
+    return np.fft.fftshift(f.coeffs).ravel()
+
+
 def test_plan_cache_state_is_invisible():
-    # cold cache, warm cache, and a plan already extended by the general
-    # path all give bit-identical results on both paths
-    paradiff._plan.cache_clear()
+    # cold cache, warm cache, and plans already extended by the general
+    # path or built for another support box all give bit-identical results
+    # on both paths
+    paradiff._plans.cache_clear()
     gen = _oracle_case("general", G16)[0]
     fld = random_field(G16, seed=53, real=True)
     sep = Symbol.separable([
         SeparableTerm(fld, lambda z1, z2: np.hypot(z1, z2) ** 0.5),
         SeparableTerm(None, lambda z1, z2: z1 - 0.5j * z2)], 0.5)
     f = random_field(G16, seed=54)
+    wide = FourierField(G16, np.ones((16, 16), complex), True)
     cold = weyl_apply(sep, f, CFG).coeffs
-    plan = paradiff._plan(16, -2)
+    plan = paradiff._plans(16, -2).covering(_centered(f))
     assert len(plan.row_start) - 1 < 16 * 16   # rows only out to |rho| <= 5 sqrt(2)
     warm = weyl_apply(sep, f, CFG).coeffs
     gen_after_sep = weyl_apply(gen, f, CFG).coeffs
     after_full = weyl_apply(sep, f, CFG).coeffs
-    paradiff._plan.cache_clear()
+    weyl_apply(gen, wide, CFG)
+    after_wide = weyl_apply(sep, f, CFG).coeffs
+    paradiff._plans.cache_clear()
     gen_cold = weyl_apply(gen, f, CFG).coeffs
     after_gen_cold = weyl_apply(sep, f, CFG).coeffs
-    for other in (warm, after_full, after_gen_cold):
+    for other in (warm, after_full, after_wide, after_gen_cold):
         assert np.array_equal(cold, other)
     assert np.array_equal(gen_cold, gen_after_sep)
 
 
 def test_plan_holds_only_the_rows_a_symbol_needs():
-    # a single-mode function symbol on 128^2 extends the plan to |rho| <= 1
-    # (rho = 0 and the four unit rows), not to the full ~46M-entry support
-    paradiff._plan.cache_clear()
+    # a single-mode function symbol on 128^2 extends the plan of its input's
+    # box to |rho| <= 1 (rho = 0 and the four unit rows), not to the full
+    # ~46M-entry support, and builds no other box
+    paradiff._plans.cache_clear()
     g = Grid(128)
     e1 = Symbol.from_function(FourierField.single_mode(g, (1, 0), 1.0))
-    weyl_apply(e1, random_field(g, seed=55), CFG)
-    plan = paradiff._plan(128, -2)
+    f = random_field(g, seed=55)
+    weyl_apply(e1, f, CFG)
+    plans = paradiff._plans(128, -2)
+    plan = plans.covering(_centered(f))
+    assert list(plans._boxes.values()) == [plan]
     assert len(plan.row_start) - 1 == 5
     assert len(plan.xi) <= 5 * 128 ** 2
 
 
 def test_plan_cache_keeps_only_recent_plans_and_eviction_is_invisible():
-    # the cache holds at most 3 plans, least recently used evicted first; a
-    # hit returns the same plan, and a plan rebuilt after eviction is a new
-    # one that gives bit-identical results on both paths
-    cache, info = paradiff._plan, paradiff._plan.cache_info
+    # the cache holds the plans of at most 3 grid sizes, least recently
+    # used evicted first, every support box of a grid in its one entry; a
+    # hit returns the same plans, and plans rebuilt after eviction are new
+    # ones that give bit-identical results on both paths
+    cache, info = paradiff._plans, paradiff._plans.cache_info
     cache.cache_clear()
     assert info().maxsize == 3
     gen8 = _oracle_case("general", Grid(8))[0]
     sep8 = Symbol.from_function(random_field(Grid(8), seed=56, real=True))
     f8 = random_field(Grid(8), seed=57)
     first = [weyl_apply(s, f8, CFG).coeffs for s in (gen8, sep8)]
-    plan8 = cache(8, -2)
+    plans8 = cache(8, -2)
     for m in (12, 14, 16):
-        weyl_apply(Symbol.constant(1.0), random_field(Grid(m), seed=m), CFG)
+        for f in (random_field(Grid(m), seed=m), FourierField.single_mode(Grid(m), (1, 1), 1.0)):
+            weyl_apply(Symbol.constant(1.0), f, CFG)
+        assert len(cache(m, -2)._boxes) == 2
         assert info().currsize <= 3
     # 8 is evicted, 12 is kept; the hit makes 14 the least recently used
     hits = info().hits
@@ -577,7 +592,7 @@ def test_plan_cache_keeps_only_recent_plans_and_eviction_is_invisible():
     misses = info().misses
     again = [weyl_apply(s, f8, CFG).coeffs for s in (gen8, sep8)]
     assert info().misses == misses + 1
-    assert cache(8, -2) is not plan8
+    assert cache(8, -2) is not plans8
     for a, b in zip(first, again):
         assert np.array_equal(a, b)
     # rebuilding 8 evicted 14, the least recently used, not 12
@@ -586,6 +601,64 @@ def test_plan_cache_keeps_only_recent_plans_and_eviction_is_invisible():
     misses = info().misses
     cache(14, -2)
     assert info().misses == misses + 1
+
+
+@pytest.mark.parametrize("m", [12, 32])
+def test_box_plan_is_the_full_plan_restricted_to_its_box(m):
+    # an input supported in |eta|_inf <= K gets the plan of the entries of
+    # the full plan with |eta|_inf <= K, in the full plan's order
+    paradiff._plans.cache_clear()
+    g = Grid(m)
+    plans = paradiff._plans(m, -2)
+    full = plans.box(m // 2 - 1)
+    full.extend(np.inf)
+    eta1, eta2 = full.k1[full.xi] - full.k1[full.rho], full.k2[full.xi] - full.k2[full.rho]
+    row = np.repeat(np.arange(m * m), np.diff(full.row_start))
+    rng = np.random.default_rng(m)
+    for k in (0, 3, m // 2 - 1):
+        c = np.zeros((m, m), complex)
+        c[k % m, -k % m] = 1.0                     # the box's corner eta = (k, -k)
+        c[k % m, 0] = complex(*rng.standard_normal(2))
+        f = FourierField(g, c, True)
+        weyl_apply(_mult(1.0), f, CFG)
+        plan = plans.covering(_centered(f))
+        assert plan.radius == k
+        plan.extend(np.inf)
+        sel = np.flatnonzero((np.abs(eta1) <= k) & (np.abs(eta2) <= k))
+        for name in ("xi", "rho", "mid", "chi"):
+            assert np.array_equal(getattr(plan, name), getattr(full, name)[sel])
+        assert np.array_equal(np.diff(plan.row_start), np.bincount(row[sel], minlength=m * m))
+    assert plans.covering(np.zeros(m * m)).radius == 0
+
+
+@pytest.mark.parametrize("kind", ["separable", "kernel"])
+def test_apply_is_independent_of_the_pass_length(kind):
+    # the walk in passes of 1 << 13 entries and of 1 << 15, on a 32^2 plan
+    # of 0.16M entries: bit-identical, because every complex product takes
+    # its gathered operand first, as numpy's temporary elision does
+    g = Grid(32)
+    rng = np.random.default_rng(58)
+    f = FourierField.from_coeffs(
+        g, rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32)), check_real=False)
+    sym = Symbol.separable([
+        SeparableTerm(random_field(g, seed=59, decay=0.0), lambda z1, z2: (z1 + 2j * z2) / np.hypot(z1, z2)),
+        SeparableTerm(None, lambda z1, z2: z1 - 0.5j * z2)], 1.0)
+
+    def apply():
+        if kind == "kernel":
+            return error_kernel_apply(_mult(0.5), sym, f, "right", CFG).coeffs
+        return weyl_apply(sym, f, CFG).coeffs
+
+    assert paradiff.BLOCK == 1 << 13
+    paradiff._plans.cache_clear()
+    short = apply()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(paradiff, "BLOCK", 1 << 15)
+        paradiff._plans.cache_clear()
+        long = apply()
+        assert len(paradiff._plans(32, -2).box(15).xi) > 4 << 15   # five long passes
+    paradiff._plans.cache_clear()
+    assert np.array_equal(short, long)
 
 
 def _row_entries_by_position(plan, rows):
@@ -602,8 +675,10 @@ def _row_entries_by_position(plan, rows):
 
 def _apply_active_rows(a, grid, cfg, plan, out, fc, extra_weight):
     """Oracle for paradiff._apply_rows: only the entries of the rows some
-    term occupies, gathered row by row."""
+    term occupies, gathered row by row from the full plan whatever the
+    support of fc."""
     m = grid.size
+    plan = paradiff._plans(m, cfg.chi_exponent).box(m // 2 - 1)
     coefs = np.zeros((len(a.terms), m * m), np.complex128)
     for c, term in zip(coefs, a.terms):
         if term.spatial is None:
@@ -640,12 +715,17 @@ def _sparse_field(g, rng, n_modes, kmax):
 
 @settings(max_examples=15, derandomize=True, deadline=None, database=None)
 @given(m=st.just(32),
-       kind=st.sampled_from(["dense", "row_tol", "high_row", "multi", "kernel"]),
+       kind=st.sampled_from(["dense", "row_tol", "high_row", "multi", "kernel", "boxed"]),
        seed=st.integers(0, 2 ** 16))
 @example(m=64, kind="high_row", seed=3)
+@example(m=32, kind="row_tol", seed=11)
+@example(m=32, kind="boxed", seed=3)
+@example(m=32, kind="boxed", seed=7)
+@example(m=32, kind="boxed", seed=8)
 def test_separable_apply_matches_active_row_walk(m, kind, seed):
-    # the prefix walk against a walk over only the occupied rows, at sizes
-    # whose plans span several _APPLY_SLICE-entry slices
+    # the prefix walk of the input's box plan against a walk over only the
+    # occupied rows of the full plan, at sizes whose plans span several
+    # BLOCK-entry passes
     g = Grid(m)
     rng = np.random.default_rng(seed)
     full = lambda: FourierField.from_coeffs(
@@ -669,6 +749,11 @@ def test_separable_apply_matches_active_row_walk(m, kind, seed):
             SeparableTerm(None, lambda z1, z2: z1 - 0.5j * z2)], 1.0)
         if kind == "kernel":     # error_kernel_apply's extra_weight hook
             kernel = (_mult(float(rng.uniform(-1.0, 1.5))), str(rng.choice(["left", "right"])))
+        if kind == "boxed":      # fhat supported in a random eta box
+            box = int(rng.integers(1, m // 2))
+            k1, k2 = g.freqs()
+            inside = (np.abs(k1) <= box) & (np.abs(k2) <= box)
+            f = FourierField.from_coeffs(g, np.where(inside, f.coeffs, 0.0), check_real=False)
 
     def apply():
         if kernel is None:

@@ -40,6 +40,8 @@ PROPS = "tests/test_properties.py::"
 CUTS = "tests/test_dispersion.py::"
 BRUTE = "tests/test_paradiff.py::test_weyl_apply_matches_brute_force_double_sum"
 ROWS = "tests/test_paradiff.py::test_separable_apply_matches_active_row_walk"
+BOXES = "tests/test_paradiff.py::test_box_plan_is_the_full_plan_restricted_to_its_box"
+PASSES = "tests/test_paradiff.py::test_apply_is_independent_of_the_pass_length"
 KERNEL = ("tests/test_model.py::test_fused_kernel_matches_six_transform_oracle",
           "tests/test_model.py::test_kernel_matches_direct_symbol_sum")
 EPLAN = ("tests/test_energy_oracle.py::test_plan_holds_exactly_the_near_resonant_pairs",
@@ -128,9 +130,24 @@ MUTANTS = (
            "end = int(plan.row_start[active[-1]])",
            (BRUTE, ROWS)),
     Mutant("slice-drops-last-entry", PARADIFF,
-           "e = slice(lo, min(lo + _APPLY_SLICE, end))",
-           "e = slice(lo, min(lo + _APPLY_SLICE, end) - 1)",
+           "e = slice(lo, min(lo + BLOCK, end))",
+           "e = slice(lo, min(lo + BLOCK, end) - 1)",
            (BRUTE, ROWS)),
+    Mutant("eta-box-one-short", PARADIFF,
+           "k = np.arange(-self.radius, self.radius + 1)",
+           "k = np.arange(-self.radius, self.radius)",
+           (BRUTE, ROWS)),
+    # every input on the full plan: the sums do not change, only the work
+    Mutant("box-radius-ignored", PARADIFF,
+           "return self.box(min(int(radius), self.m // 2 - 1))",
+           "return self.box(self.m // 2 - 1)",
+           (BOXES,)),
+    # the f-hat product as it was written before the walk had fixed passes
+    Mutant("product-order-swapped-back", PARADIFF,
+           'v = np.take(fc, eta, out=self.work[2, :len(w)], mode="clip")\n'
+           "        np.multiply(v, w, out=v)",
+           "v = w * np.take(fc, eta)",
+           (PASSES,)),
     Mutant("conj-flip-no-sign-flip", PARADIFF,
            "g(-np.asarray(z1), -np.asarray(z2)), np.complex128))",
            "g(np.asarray(z1), np.asarray(z2)), np.complex128))",
