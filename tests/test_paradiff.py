@@ -534,7 +534,7 @@ def test_plan_cache_state_is_invisible():
         SeparableTerm(fld, lambda z1, z2: np.hypot(z1, z2) ** 0.5),
         SeparableTerm(None, lambda z1, z2: z1 - 0.5j * z2)], 0.5)
     f = random_field(G16, seed=54)
-    wide = FourierField(G16, np.ones((16, 16), complex), True)
+    wide = FourierField(G16, np.ones((16, 16), complex))
     cold = weyl_apply(sep, f, CFG).coeffs
     plan = paradiff._plans(16, -2).covering(_centered(f))
     assert len(plan.row_start) - 1 < 16 * 16   # rows only out to |rho| <= 5 sqrt(2)
@@ -619,9 +619,7 @@ def test_box_plan_is_the_full_plan_restricted_to_its_box(m):
         c = np.zeros((m, m), complex)
         c[k % m, -k % m] = 1.0                     # the box's corner eta = (k, -k)
         c[k % m, 0] = complex(*rng.standard_normal(2))
-        f = FourierField(g, c, True)
-        weyl_apply(_mult(1.0), f, CFG)
-        plan = plans.covering(_centered(f))
+        plan = plans.covering(_centered(FourierField(g, c)))
         assert plan.radius == k
         plan.extend(np.inf)
         sel = np.flatnonzero((np.abs(eta1) <= k) & (np.abs(eta2) <= k))
