@@ -218,19 +218,8 @@ def _budget(cfg):
 
 def _write_json(path, obj):
     with open(path, "w") as fh:
-        json.dump(finite_json(json.loads(json.dumps(obj, default=_jsonable))),
-                  fh, indent=2, sort_keys=True)
+        json.dump(finite_json(obj), fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _jsonable(o):
-    if isinstance(o, (np.floating, np.integer)):
-        return o.item()
-    if hasattr(o, "to_json"):
-        return o.to_json()
-    if hasattr(o, "__dict__"):
-        return {k: v for k, v in o.__dict__.items() if not k.startswith("_")}
-    raise TypeError(f"not serializable: {type(o)}")
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +342,7 @@ def _cmd_paradiff_audit(cfg, out):
 def _cmd_symbols(cfg, out):
     from .goodvar import (build_good_variable, expansion_check,
                           export_symbol_trace, fit_loglog,
-                          linear_good_variable, random_state)
+                          linear_good_variable, principal_family, random_state)
     from .paradiff import ParadiffConfig
 
     pcfg = ParadiffConfig(chi_exponent=cfg["chi"])
@@ -361,11 +350,14 @@ def _cmd_symbols(cfg, out):
     params = DispersionParams(cfg["g"], cfg["sigma"])
     base = random_state(grid, params, amplitude=cfg["amplitude"], seed=cfg["seed"])
     eps_list = _floats(cfg["eps-list"])
-    reports = expansion_check(base, eps_list, pcfg, powers=(-1.0, 0.5, 1.0, 2.0))
+    states = [base.scaled(eps) for eps in eps_list]
+    # one principal family per eps, read by the expansion check and by U
+    families = [principal_family(st) for st in states]
+    reports = expansion_check(base, eps_list, pcfg, powers=(-1.0, 0.5, 1.0, 2.0),
+                              families=families)
     vals = []
-    for eps in eps_list:
-        st = base.scaled(eps)
-        gv = build_good_variable(st, pcfg)
+    for st, fam in zip(states, families):
+        gv = build_good_variable(st, pcfg, fam)
         vals.append(sobolev_norm(gv.U - linear_good_variable(st), 3.0))
     reports_json = [r.to_json() for r in reports]
     reports_json.append({"name": "U_minus_linear", "eps": eps_list,
@@ -497,8 +489,7 @@ def dispatch(argv) -> int:
         print(f"gcwaves: manifest not written: {err}", file=sys.stderr)
         return code if code != EXIT_OK else EXIT_INTERNAL
     if summary:
-        print(json.dumps(finite_json(json.loads(
-            json.dumps(summary, default=_jsonable))), sort_keys=True))
+        print(json.dumps(finite_json(summary), sort_keys=True))
     return code
 
 

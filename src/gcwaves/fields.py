@@ -401,15 +401,35 @@ def random_field(grid: Grid, seed=0, decay=0.25, real=False, mean_zero=True) -> 
 # ---------------------------------------------------------------------------
 
 def finite_json(obj):
-    """Strict-JSON (RFC 8259) pass over dicts, lists and tuples: non-finite
-    floats become null."""
+    """obj as strict-JSON (RFC 8259) values in one walk, with the bytes
+    json.dumps would write for it: non-finite floats become null, tuples
+    lists, and dict keys the strings JSON makes of them; numpy scalars
+    become Python numbers, and any other object is written through its
+    to_json() or, failing that, its public __dict__ entries."""
     if isinstance(obj, float):
-        return obj if np.isfinite(obj) else None
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, (str, int)) or obj is None:
+        return obj
     if isinstance(obj, dict):
-        return {k: finite_json(v) for k, v in obj.items()}
+        return {_json_key(k): finite_json(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [finite_json(v) for v in obj]
-    return obj
+    if isinstance(obj, (np.floating, np.integer)):
+        return finite_json(obj.item())
+    if hasattr(obj, "to_json"):
+        return finite_json(obj.to_json())
+    if hasattr(obj, "__dict__"):
+        return {k: finite_json(v) for k, v in obj.__dict__.items() if not k.startswith("_")}
+    raise TypeError(f"not serializable: {type(obj)}")
+
+
+def _json_key(k):
+    """A dict key as JSON writes it (1 -> "1", True -> "true", None -> "null")."""
+    if isinstance(k, str):
+        return k
+    if isinstance(k, (int, float)) or k is None:
+        return json.dumps(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k)}")
 
 
 def save_snapshot(f: FourierField, path_prefix: str, time=0.0, name="field"):

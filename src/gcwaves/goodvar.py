@@ -17,7 +17,7 @@ that depend on x only, so they are evaluated as
 
 with A = 1+|grad h|^2, N = n11 zeta1^2 + n12 zeta1 zeta2 + n22 zeta2^2 and
 c0 = Lap h/2 - sum_j h_j d_j A/(2A) the bracket expanded once per state
-(_principal_family); no (x, zeta) sample repeats the chain rule.
+(principal_family); no (x, zeta) sample repeats the chain rule.
 
 plus the first-order expansion symbols Sigma1 and lambda1_0, the velocity
 proxy V1 = |grad|^{-1/2} grad Im U, the auxiliary symbol
@@ -116,7 +116,7 @@ class WWSymbols:
     psi_sigma: FourierField  # stage 1: T_Sigma T_{1/sqrt(g+ell)} omega
 
 
-def _principal_family(state: SurfaceState):
+def principal_family(state: SurfaceState):
     """The symbols of build_symbols that do not read Im U, as a dict keyed
     by WWSymbols field name, and the pointwise g_ell(i, Z1, Z2) = g + ell at
     grid index i that m' reuses.  Makes no operator application."""
@@ -230,20 +230,22 @@ def _pointwise(fn, m, order, name):
                           order, name=name)
 
 
-def build_symbols(state: SurfaceState, cfg: ParadiffConfig | None = None) -> WWSymbols:
+def build_symbols(state: SurfaceState, cfg: ParadiffConfig | None = None,
+                  family=None) -> WWSymbols:
     """Construct the full symbol family from (h, omega).
 
     The principal family (lambda, ell, Sigma, Sigma1, lambda1_0 and
-    sqrt(g+ell)^{+-1}) comes from _principal_family; stage 1 then makes the
-    three general-path applies that give Im U, and from it m', m'_1, gamma
-    and V1.  Every symbol is pointwise in (x, zeta): its x-arrays may hold
+    sqrt(g+ell)^{+-1}) is principal_family(state), passed as ``family`` by a
+    caller that has built it already; stage 1 then makes the three
+    general-path applies that give Im U, and from it m', m'_1, gamma and
+    V1.  Every symbol is pointwise in (x, zeta): its x-arrays may hold
     any subset of the grid points, in any broadcastable shape.  Raises
     PositivityError (with the offending grid point) when 1 + |grad h|^2 or
     inf_{|zeta|>1/2} (g + ell) fails to stay positive.
     """
     if cfg is None:
         cfg = ParadiffConfig(chi_exponent=EXPERIMENT_CHI)
-    fam, g_ell = _principal_family(state)
+    fam, g_ell = principal_family(state) if family is None else family
     params = state.params
     m = state.grid.size
     h = state.h
@@ -350,13 +352,15 @@ class GoodVariable:
     chi_exponent: int
 
 
-def build_good_variable(state: SurfaceState, cfg: ParadiffConfig | None = None) -> GoodVariable:
+def build_good_variable(state: SurfaceState, cfg: ParadiffConfig | None = None,
+                        family=None) -> GoodVariable:
     """U = T_{sqrt(g+ell)} h + i T_Sigma T_{1/sqrt(g+ell)} omega + i T_{m'} omega.
 
-    The first two terms are build_symbols' stage 1, carried on WWSymbols."""
+    The first two terms are build_symbols' stage 1, carried on WWSymbols;
+    ``family`` is passed on to it."""
     if cfg is None:
         cfg = ParadiffConfig(chi_exponent=EXPERIMENT_CHI)
-    syms = build_symbols(state, cfg)
+    syms = build_symbols(state, cfg, family)
     mp_term = weyl_apply(syms.mprime, state.omega, cfg)
     psi = syms.psi_sigma + mp_term
     U = syms.H + 1j * psi
@@ -406,7 +410,8 @@ class SlopeReport:
 
 
 def expansion_check(state: SurfaceState, eps_list, cfg: ParadiffConfig | None = None,
-                    powers=(-2.0, -1.0, -0.5, 0.5, 1.0, 2.0), zeta_samples=None):
+                    powers=(-2.0, -1.0, -0.5, 0.5, 1.0, 2.0), zeta_samples=None,
+                    families=None):
     """epsilon-scaling of the first-order symbol expansions.
 
     For each scale eps the state (eps h, eps omega) is built and the sampled
@@ -417,9 +422,11 @@ def expansion_check(state: SurfaceState, eps_list, cfg: ParadiffConfig | None = 
         Sigma - Lam(zeta) - Sigma1                  (order-3/2 weighted)
 
     are measured; the expected log-log slope is 2 (p = 0 is identically 0).
-    Only the principal family enters (_principal_family, no stage 1), so no
-    operator is applied and ``cfg`` does not change the result.  Each symbol
-    is evaluated once per (eps, zeta sample) and shared across the powers p.
+    Only the principal family enters (principal_family, no stage 1), so no
+    operator is applied and ``cfg`` does not change the result; ``families``
+    may hold principal_family(state.scaled(eps)) per eps, built once for
+    this check and the good variables of the same states.  Each symbol is
+    evaluated once per (eps, zeta sample) and shared across the powers p.
     """
     if not eps_list or not all(0.0 < e < math.inf for e in eps_list):
         raise ConfigError(f"eps values must be finite and > 0, got {list(eps_list)}")
@@ -435,9 +442,9 @@ def expansion_check(state: SurfaceState, eps_list, cfg: ParadiffConfig | None = 
     values.update({f"lambda_pow_{p}": [] for p in powers})
     values["Sigma_minus_Lam_minus_Sigma1"] = []
 
-    for eps in eps_list:
+    for k, eps in enumerate(eps_list):
         st = state.scaled(eps)
-        fam, _ = _principal_family(st)
+        fam, _ = principal_family(st) if families is None else families[k]
         lam2h = synthesize(apply_multiplier(st.h, lambda k1, k2: _lam2(p0, k1, k2))).real
         # symbol_norm samples every remainder on the full grid at all zeta
         # samples at once, so the symbol values are kept and shared by all p
@@ -479,16 +486,14 @@ def export_symbol_trace(sym: Symbol, grid: Grid, zeta_samples, path):
     """Write symbol values over the (x-grid x zeta-sample) product as CSV
     with columns x1, x2, zeta1, zeta2, re, im (plot-ready)."""
     X1, X2 = grid.x()
+    x1, x2 = X1.ravel().tolist(), X2.ravel().tolist()
     with open(path, "w") as fh:
         fh.write("x1,x2,zeta1,zeta2,re,im\n")
         for (z1, z2) in zeta_samples:
             vals = sym.eval(X1, X2, np.asarray(z1), np.asarray(z2))
-            vals = np.asarray(vals, np.complex128) + np.zeros_like(X1, np.complex128)
-            for i in range(grid.size):
-                for j in range(grid.size):
-                    fh.write(f"{float(X1[i, j])!r},{float(X2[i, j])!r},"
-                             f"{z1!r},{z2!r},"
-                             f"{float(vals[i, j].real)!r},{float(vals[i, j].imag)!r}\n")
+            vals = (np.asarray(vals, np.complex128) + np.zeros_like(X1, np.complex128)).ravel()
+            rows = zip(x1, x2, vals.real.tolist(), vals.imag.tolist())
+            fh.writelines(f"{a!r},{b!r},{z1!r},{z2!r},{re!r},{im!r}\n" for a, b, re, im in rows)
 
 
 @dataclass

@@ -53,7 +53,8 @@ class ModelConfig:
     t_end: float
     velocity_band: int = 10          # V = P_{<= velocity_band} Im U
     integrator: str = "rk4"          # "rk4" | "midpoint"
-    snapshot_dt: float = 0.1
+    snapshot_dt: float = 0.1         # > 0; every round(snapshot_dt / dt)-th step,
+                                     # so any 0 < snapshot_dt < dt records every step
     sobolev_index: float = 5.0       # the monitored H^N
     linear_only: bool = False
     seed: int = 0
@@ -63,10 +64,11 @@ class ModelConfig:
             raise ConfigError("the model equation fixes sigma = 1 "
                               "(rescale time for other values)")
         if not (0.0 < self.dt < math.inf and 0.0 < self.epsilon < math.inf
-                and 0.0 < self.t_end < math.inf and math.isfinite(self.snapshot_dt)
+                and 0.0 < self.t_end < math.inf and 0.0 < self.snapshot_dt < math.inf
                 and math.isfinite(self.sobolev_index) and self.velocity_band >= 0):
-            raise ConfigError("need finite dt > 0, epsilon > 0 and t_end > 0, finite "
-                              "snapshot_dt and sobolev_index, and velocity_band >= 0")
+            raise ConfigError("need finite dt > 0, epsilon > 0, t_end > 0 and "
+                              "snapshot_dt > 0, finite sobolev_index, and "
+                              "velocity_band >= 0")
         m = self.grid.size
         check_power(self.sobolev_index, 2 * (m // 2) ** 2,
                     f"in the sobolev_index weight on the {m}^2 grid")

@@ -39,11 +39,16 @@ Symbols come in two flavours:
   * general   - an arbitrary vectorized evaluator fn(X1, X2, Z1, Z2); it
     reads the whole plan grouped by midpoint (one more int32 per entry) and
     costs one evaluation of a(., zeta) per midpoint, in batches of at most
-    2^15 samples; intended for grids up to 64^2.  The real and imaginary
-    parts of a batch are transformed in x with rfft2 (a part that vanishes
-    on the batch is skipped), and each entry reads atilde(rho, zeta) from
-    the half spectrum, at -rho with a conjugation where rho falls outside
-    it (Hermitian symmetry of a real part's transform).
+    2^15 samples; intended for grids up to 64^2.  Each entry needs
+    atilde(rho, zeta) only for rho in the plan's box |rho_i| <= R, so the
+    samples are transformed in x by a DFT over that box alone: one real
+    matrix product over x2 per part of the batch (real samples stay real;
+    a part that vanishes on the batch is skipped) against the table
+    E[x, r] = e^{-ixr}, r in [-R, R], that the plan keeps, then per entry
+    one dot product over x1 at its (midpoint, rho1, rho2).  At 12^2 the
+    K = 3 plan has R = 3 (R = 4 at K = 5): its 264 midpoints take 12 x 7
+    values each from the x2 product, and its 816 entries one 12-term dot
+    product each.
 
 Symbol frequencies xi - eta outside the grid rectangle are treated as zero
 rows (a discretization truncation; chi suppresses that region anyway).
@@ -430,14 +435,18 @@ class _ChiPlan:
         return 0.5 * self.sums[0][ids], 0.5 * self.sums[1][ids]
 
     def by_midpoint(self):
-        """The whole plan grouped by midpoint: (perm, start, ids), the entries
-        perm[start[j]:start[j+1]] sharing midpoint ids[j]; built once."""
+        """The whole plan grouped by midpoint: (perm, start, ids, table), the
+        entries perm[start[j]:start[j+1]] sharing midpoint ids[j], and the
+        DFT table of the plan's rho box (_dft_table); built once."""
         if self._by_mid is None:
             self.extend(np.inf)
             counts = np.bincount(self.mid, minlength=len(self.mid_row))
             ids = np.flatnonzero(counts)
+            used = self.rows[np.flatnonzero(np.diff(self.row_start))]
+            radius = max(np.abs(self.k1[used]).max(initial=0), np.abs(self.k2[used]).max(initial=0))
             self._by_mid = (np.argsort(self.mid, kind="stable").astype(np.int32),
-                            np.concatenate(([0], np.cumsum(counts[ids]))), ids)
+                            np.concatenate(([0], np.cumsum(counts[ids]))), ids,
+                            _dft_table(self.m, int(radius)))
         return self._by_mid
 
     def accumulate(self, out, e, w, fc, extra_weight, divisor=1.0):
@@ -540,46 +549,57 @@ def _apply_rows(a, grid, cfg, plan, out, fc, extra_weight):
 
 
 def _apply_midpoints(a, grid, plan, out, fc, extra_weight):
-    """General symbols: a(x, zeta) sampled on batches of midpoints, the real
-    and imaginary parts transformed in x by rfft2 (a part that is zero on
-    the whole batch is skipped), and each entry's atilde(rho, zeta) read
-    from the half spectrum through Hermitian symmetry."""
+    """General symbols: a(x, zeta) sampled by the symbol's own evaluator on
+    batches of midpoints, and each entry's atilde(rho, zeta) taken by the
+    DFT over the plan's rho box (_box_dft)."""
     m = grid.size
-    perm, start, ids = plan.by_midpoint()
-    half, at, flip = _half_spectrum_index(m)
+    perm, start, ids, table = plan.by_midpoint()
+    radius = table.shape[1] // 2
     X1, X2 = grid.x()
     step = max(1, _SAMPLES // (m * m))
     for j in range(0, len(ids), step):
         j2 = min(j + step, len(ids))
         z1, z2 = plan.zeta(ids[j:j2])
-        vals = a.eval(X1[None], X2[None], z1[:, None, None], z2[:, None, None])
+        vals = np.broadcast_to(a.fn(X1[None], X2[None], z1[:, None, None], z2[:, None, None]),
+                               (j2 - j, m, m))
         e = perm[start[j]:start[j2]]
         rho = plan.rho[e]
-        # flat index of each entry's (midpoint, rho) in the batch's half spectra
-        pos = np.repeat(np.arange(j2 - j) * half, np.diff(start[j:j2 + 1])) + np.take(at, rho)
-        conj = np.take(flip, rho)
-        w = 0.0
-        for part, unit in ((vals.real, 1.0), (vals.imag, 1j)):
-            if part.any():
-                v = np.take(np.fft.rfft2(part, axes=(-2, -1)), pos)
-                np.negative(v.imag, out=v.imag, where=conj)   # F(-k) = conj F(k)
-                w = w + unit * v
+        mid = np.repeat(np.arange(j2 - j), np.diff(start[j:j2 + 1]))
+        w = _box_dft(vals, table, mid, plan.k1[rho] + radius, plan.k2[rho] + radius)
         if np.ndim(w):   # else a(., zeta) = 0 on the whole batch
-            w = w * (TWO_PI / m) ** 2
+            w *= (TWO_PI / m) ** 2
             for lo in range(0, len(e), BLOCK):
                 plan.accumulate(out, e[lo:lo + BLOCK], w[lo:lo + BLOCK], fc,
                                 extra_weight, _FOUR_PI2)
 
 
-def _half_spectrum_index(m):
-    """Per centered flat frequency rho on the M x M grid: its flat index in
-    an rfft2 half spectrum of m * (m // 2 + 1) entries, read at rho or at
-    -rho, and whether it is read at -rho (the value is then conjugated)."""
-    k1, k2 = (k % m for k in coords(m))
-    flip = k2 > m // 2
-    k1 = np.where(flip, -k1 % m, k1)
-    k2 = np.where(flip, -k2 % m, k2)
-    return m * (m // 2 + 1), k1 * (m // 2 + 1) + k2, flip
+def _dft_table(m, radius):
+    """E[x, r] = e^{-ixr} at the M grid points x = 2 pi n / M, for r in
+    [-radius, radius] (column r + radius); the phase n r is reduced mod M in
+    integers first."""
+    nr = np.arange(m)[:, None] * np.arange(-radius, radius + 1) % m
+    return np.exp(-1j * (TWO_PI / m) * nr)
+
+
+def _box_dft(vals, table, mid, c1, c2):
+    """sum_x vals[mid, x] e^{-i rho . x} per entry, rho = (c1, c2) - R read as
+    columns of table (_dft_table of radius R), for samples vals[b, x1, x2].
+
+    Each part of vals (the real and imaginary parts of complex samples, real
+    samples whole; a part that is zero on the whole batch is skipped) takes
+    one real matrix product over x2 against the table's interleaved real and
+    imaginary columns, viewed back as complex; then each entry contracts its
+    (mid, :, c2) row over x1 with E[:, c1].  Returns 0.0 when every part is
+    zero."""
+    nb, m = vals.shape[0], vals.shape[-1]
+    e1 = table.T[c1]
+    parts = ((vals.real, 1.0), (vals.imag, 1j)) if np.iscomplexobj(vals) else ((vals, 1.0),)
+    w = 0.0
+    for part, unit in parts:
+        if part.any():
+            t = (part.reshape(-1, m) @ table.view(np.float64)).view(np.complex128)
+            w = w + unit * np.einsum("ij,ij->i", t.reshape(nb, m, -1)[mid, :, c2], e1)
+    return w
 
 
 # ---------------------------------------------------------------------------

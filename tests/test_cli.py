@@ -6,6 +6,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from gcwaves import cli
@@ -243,13 +244,18 @@ def test_named_caller_errors_map_to_config_exit(tmp_path, monkeypatch, error):
      "--snapshot-dt", "0.005", "--sobolev-index", "120"],
     ["energy-audit", "--grid", "8", "--t-end", "0.02", "--audit-times", "0.01",
      "--N", "-400", "--depletion-radius", "8"],
+    ["energy-audit", "--grid", "8", "--t-end", "0.02", "--audit-times", "nan"],
+    ["energy-audit", "--grid", "8", "--t-end", "0.02", "--audit-times", "inf"],
+    ["simulate", "--grid", "8", "--t-end", "0.05", "--snapshot-dt", "0"],
+    ["simulate", "--grid", "8", "--t-end", "0.05", "--snapshot-dt", "-1"],
 ], ids=["g-text", "budget-inf", "n-records-negative", "bprime-nan", "bigB-nan",
         "eps-list-text", "eps-list-empty", "eps-zero", "dt-nan", "snapshot-dt-nan",
         "sobolev-index-nan", "t-end-negative", "courant-nan", "N-nan",
         "depletion-radius-negative", "amplitude-nan", "scan3-sigma-inf",
         "scan4-sigma-inf", "energy-g-inf", "D-nan", "linear-only-7",
         "N-overflows-depletion-table", "N-overflows-grid-weight",
-        "sobolev-index-overflows", "N-underflows-grid-weight"])
+        "sobolev-index-overflows", "N-underflows-grid-weight", "audit-times-nan",
+        "audit-times-inf", "snapshot-dt-zero", "snapshot-dt-negative"])
 def test_value_errors_become_config_errors_at_entry(tmp_path, argv):
     out = tmp_path / "bad"
     assert dispatch(argv + ["--out", str(out)]) == EXIT_CONFIG
@@ -307,3 +313,65 @@ def test_unwritable_output_directory(tmp_path, capsys):
     blocker.write_text("")
     assert dispatch(["lemma1", "--out", str(blocker / "sub")]) == EXIT_CONFIG
     assert "manifest not written" in capsys.readouterr().err
+
+
+class _ToJson:
+    def to_json(self):
+        return {"value": np.float32("nan"), "pair": (1, np.int64(2))}
+
+
+class _Plain:
+    def __init__(self):
+        self.total = np.float64(2.5)
+        self.rows = [(0.1, math.inf)]
+        self._hidden = "not written"
+
+
+def _write_json_by_two_encodes(path, obj):
+    """The artifact writer as it was: encode with a default hook, decode,
+    null the non-finite floats, encode again."""
+    def default(o):
+        if isinstance(o, (np.floating, np.integer)):
+            return o.item()
+        if hasattr(o, "to_json"):
+            return o.to_json()
+        if hasattr(o, "__dict__"):
+            return {k: v for k, v in o.__dict__.items() if not k.startswith("_")}
+        raise TypeError(f"not serializable: {type(o)}")
+
+    def nulled(o):
+        if isinstance(o, float):
+            return o if math.isfinite(o) else None
+        if isinstance(o, dict):
+            return {k: nulled(v) for k, v in o.items()}
+        if isinstance(o, list):
+            return [nulled(v) for v in o]
+        return o
+
+    with open(path, "w") as fh:
+        json.dump(nulled(json.loads(json.dumps(obj, default=default))), fh,
+                  indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+@pytest.mark.parametrize("obj", [
+    {"a": np.float64(0.1), "b": np.int64(-3), "c": np.float32(1.5), "d": np.float64("nan"),
+     "e": -0.0, "f": math.inf, "g": -math.inf, "h": None, "i": True, "j": "text"},
+    {"t": (1, (2.5, float("nan"))), "l": [np.int32(7), (), []], "n": {"x": (np.float32(-0.0),)}},
+    {10: "ten", 9: "nine", 1.5: "float", True: "bool", None: "none", "k": {2: [3], 11: [4]}},
+    {"obj": _ToJson(), "plain": _Plain(), "list": [_Plain(), _ToJson()]},
+    [1, 2.0, 1e300 * 10, (np.float64(3e-320), 12345678901234567890)],
+], ids=["numpy-scalars", "tuples", "int-keys", "to-json-and-dict", "top-level-list"])
+def test_write_json_matches_two_encodes(tmp_path, obj):
+    # one walk writes the bytes the encode-decode-null-encode pipeline wrote
+    cli._write_json(tmp_path / "one.json", obj)
+    _write_json_by_two_encodes(tmp_path / "two.json", obj)
+    assert (tmp_path / "one.json").read_bytes() == (tmp_path / "two.json").read_bytes()
+
+
+def test_write_json_rejects_what_json_rejects(tmp_path):
+    for obj in ({"a": np.bool_(True)}, {np.int64(1): 2}, {"a": {1, 2}}):
+        with pytest.raises(TypeError):
+            cli._write_json(tmp_path / "bad.json", obj)
+        with pytest.raises(TypeError):
+            _write_json_by_two_encodes(tmp_path / "bad.json", obj)

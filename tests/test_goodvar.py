@@ -114,6 +114,21 @@ def test_expansion_check_makes_no_apply(monkeypatch):
     assert calls == []
 
 
+def test_symbols_command_builds_one_principal_family_per_eps(monkeypatch, tmp_path):
+    # the expansion check and the good variable of each eps share one family
+    calls = []
+    real = goodvar.principal_family
+
+    def counting(state):
+        calls.append(state)
+        return real(state)
+
+    monkeypatch.setattr(goodvar, "principal_family", counting)
+    assert cli.dispatch(["symbols", "--grid", "8", "--eps-list", "1e-1,1e-3",
+                         "--out", str(tmp_path)]) == cli.EXIT_OK
+    assert len(calls) == 2
+
+
 def test_symbols_command_makes_four_general_applies_per_eps(monkeypatch, tmp_path):
     # build_good_variable per eps: stage 1 (3) plus T_{m'} (1); none elsewhere
     calls = _count_applies(monkeypatch)
@@ -192,7 +207,7 @@ def test_lambda0_quadratic_form_matches_chain_rule(m, seed, amplitude, sigma, ze
     assume(zeta)
     state = random_state(grid, DispersionParams(1.0, sigma), amplitude=amplitude, seed=seed)
     try:
-        fam, _ = goodvar._principal_family(state)
+        fam, _ = goodvar.principal_family(state)
     except PositivityError:
         assume(False)
     oracle = _lambda0_chain_rule(state)
@@ -386,3 +401,33 @@ def test_export_symbol_trace(tmp_path):
     assert len(lines) == 1 + 2 * 8 * 8
     cols = lines[1].split(",")
     assert len(cols) == 6
+
+
+def _symbol_trace_loop(sym, grid, zeta_samples):
+    """The trace CSV one element at a time, as export_symbol_trace wrote it."""
+    X1, X2 = grid.x()
+    text = "x1,x2,zeta1,zeta2,re,im\n"
+    for (z1, z2) in zeta_samples:
+        vals = sym.eval(X1, X2, np.asarray(z1), np.asarray(z2))
+        vals = np.asarray(vals, np.complex128) + np.zeros_like(X1, np.complex128)
+        for i in range(grid.size):
+            for j in range(grid.size):
+                text += (f"{float(X1[i, j])!r},{float(X2[i, j])!r},{z1!r},{z2!r},"
+                         f"{float(vals[i, j].real)!r},{float(vals[i, j].imag)!r}\n")
+    return text
+
+
+@pytest.mark.parametrize("m, seed", [(8, 11), (12, 12), (16, 13)])
+def test_symbol_trace_matches_loop_oracle(tmp_path, m, seed):
+    # real and complex, x-dependent and x-free symbols: the CSV is byte-equal
+    from gcwaves.goodvar import export_symbol_trace
+
+    grid = Grid(m)
+    st = random_state(grid, P11, amplitude=0.3, seed=seed)
+    syms = build_symbols(st, CFG)
+    samples = [(1.0, 0.0), (2.0, 1.5), (4.0, -3.0), (-0.5, 0.5)]
+    for k, sym in enumerate((syms.Sigma1, syms.gamma, syms.mprime, syms.lam,
+                             Symbol.constant(-0.0), Symbol.constant(1 - 2j))):
+        path = tmp_path / f"trace{k}.csv"
+        export_symbol_trace(sym, grid, samples, path)
+        assert path.read_text() == _symbol_trace_loop(sym, grid, samples)

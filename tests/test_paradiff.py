@@ -523,6 +523,48 @@ def _centered(f):
     return np.fft.fftshift(f.coeffs).ravel()
 
 
+@pytest.mark.parametrize("m", [8, 12, 32])
+@pytest.mark.parametrize("part", ["real", "imag", "complex"])
+@settings(max_examples=12, derandomize=True, deadline=None, database=None)
+@given(data=st.data(), seed=st.integers(0, 2 ** 16))
+def test_box_dft_matches_direct_sum(m, part, data, seed):
+    # sum_x a(x, zeta) e^{-i rho . x} per entry (midpoint, rho1, rho2), with
+    # the full 2-d phase of each grid point, against the rho-box DFT of
+    # real (float64), purely imaginary and complex samples
+    radius = data.draw(st.integers(0, m // 2), label="radius")
+    rng = np.random.default_rng(seed)
+    nb = int(rng.integers(1, 7))
+    shape = (nb, m, m)
+    vals = {"real": lambda: rng.standard_normal(shape),
+            "imag": lambda: 1j * rng.standard_normal(shape),
+            "complex": lambda: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)}[part]()
+    n = int(rng.integers(1, 60))
+    mid = rng.integers(0, nb, n)
+    c1, c2 = rng.integers(0, 2 * radius + 1, (2, n))
+    c1[0], c2[0] = 0, 2 * radius            # the box's corners are read
+    got = paradiff._box_dft(vals, paradiff._dft_table(m, radius), mid, c1, c2)
+    i1, i2 = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
+    want = np.array([np.sum(vals[b] * np.exp(-2j * np.pi * (((r1 - radius) * i1 + (r2 - radius) * i2) % m) / m))
+                     for b, r1, r2 in zip(mid, c1, c2)])
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert paradiff._box_dft(np.zeros(shape), paradiff._dft_table(m, radius), mid, c1, c2) == 0.0
+
+
+@pytest.mark.parametrize("m", [12, 32])
+def test_dft_table_spans_the_plan_rho_box(m):
+    # the general path's table covers |rho_i| <= R for the largest rho_i
+    # of the plan, and no more
+    plans = paradiff._plans(m, -2)
+    for k in (0, 3, m // 2 - 1):
+        plan = plans.box(k)
+        table = plan.by_midpoint()[3]
+        r = max(np.abs(plan.k1[plan.rho]).max(initial=0), np.abs(plan.k2[plan.rho]).max(initial=0))
+        assert table.shape == (m, 2 * r + 1)
+        x = TWO_PI * np.arange(m) / m
+        assert np.allclose(table, np.exp(-1j * np.outer(x, np.arange(-r, r + 1))), rtol=0, atol=1e-12)
+
+
 def test_plan_cache_state_is_invisible():
     # cold cache, warm cache, and plans already extended by the general
     # path or built for another support box all give bit-identical results
@@ -711,19 +753,25 @@ def _sparse_field(g, rng, n_modes, kmax):
     return FourierField.from_coeffs(g, c, check_real=False)
 
 
+@pytest.mark.parametrize("kind", ["dense", "row_tol", "high_row", "multi", "kernel", "boxed"])
 @settings(max_examples=15, derandomize=True, deadline=None, database=None)
-@given(m=st.just(32),
-       kind=st.sampled_from(["dense", "row_tol", "high_row", "multi", "kernel", "boxed"]),
-       seed=st.integers(0, 2 ** 16))
-@example(m=64, kind="high_row", seed=3)
-@example(m=32, kind="row_tol", seed=11)
-@example(m=32, kind="boxed", seed=3)
-@example(m=32, kind="boxed", seed=7)
-@example(m=32, kind="boxed", seed=8)
-def test_separable_apply_matches_active_row_walk(m, kind, seed):
-    # the prefix walk of the input's box plan against a walk over only the
-    # occupied rows of the full plan, at sizes whose plans span several
-    # BLOCK-entry passes
+@given(seed=st.integers(0, 2 ** 16))
+def test_separable_apply_matches_active_row_walk(kind, seed):
+    # every kind gets its own draws at 32^2
+    _check_separable_walk(32, kind, seed)
+
+
+@pytest.mark.parametrize("m, kind, seed", [(64, "high_row", 3), (32, "row_tol", 11),
+                                           (32, "boxed", 3), (32, "boxed", 7), (32, "boxed", 8)])
+def test_separable_apply_matches_active_row_walk_pinned(m, kind, seed):
+    # fixed cases that stay whatever the draws: boxes 1, 5 and 15, and 64^2
+    _check_separable_walk(m, kind, seed)
+
+
+def _check_separable_walk(m, kind, seed):
+    """The prefix walk of the input's box plan against a walk over only the
+    occupied rows of the full plan, at sizes whose plans span several
+    BLOCK-entry passes."""
     g = Grid(m)
     rng = np.random.default_rng(seed)
     full = lambda: FourierField.from_coeffs(

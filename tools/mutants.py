@@ -39,7 +39,9 @@ SCAN4 = "tests/test_dispersion.py::test_scan4_matches_brute_force_census"
 PROPS = "tests/test_properties.py::"
 CUTS = "tests/test_dispersion.py::"
 BRUTE = "tests/test_paradiff.py::test_weyl_apply_matches_brute_force_double_sum"
-ROWS = "tests/test_paradiff.py::test_separable_apply_matches_active_row_walk"
+ROWS = ("tests/test_paradiff.py::test_separable_apply_matches_active_row_walk",
+        "tests/test_paradiff.py::test_separable_apply_matches_active_row_walk_pinned")
+DFT = "tests/test_paradiff.py::test_box_dft_matches_direct_sum"
 BOXES = "tests/test_paradiff.py::test_box_plan_is_the_full_plan_restricted_to_its_box"
 PASSES = "tests/test_paradiff.py::test_apply_is_independent_of_the_pass_length"
 KERNEL = ("tests/test_model.py::test_fused_kernel_matches_six_transform_oracle",
@@ -117,26 +119,30 @@ MUTANTS = (
            "np.count_nonzero(ok)",
            MEASURE),
     # the Weyl calculus: both application paths and the symbol algebra
-    Mutant("hermitian-read-no-conj", PARADIFF,
-           "np.negative(v.imag, out=v.imag, where=conj)",
-           "pass",
-           (BRUTE,)),
+    Mutant("dft-box-one-short", PARADIFF,
+           "_dft_table(self.m, int(radius))",
+           "_dft_table(self.m, int(radius) - 1)",
+           (BRUTE, "tests/test_paradiff.py::test_dft_table_spans_the_plan_rho_box")),
+    Mutant("dft-twiddle-sign", PARADIFF,
+           "return np.exp(-1j * (TWO_PI / m) * nr)",
+           "return np.exp(1j * (TWO_PI / m) * nr)",
+           (BRUTE, DFT)),
     Mutant("every-term-zeta-free", PARADIFF,
            "gz = [None if term.gz is _one_fn else",
            "gz = [None if True else",
-           (BRUTE, ROWS)),
+           (BRUTE, *ROWS)),
     Mutant("walk-ends-one-row-early", PARADIFF,
            "end = int(plan.row_start[active[-1] + 1])",
            "end = int(plan.row_start[active[-1]])",
-           (BRUTE, ROWS)),
+           (BRUTE, *ROWS)),
     Mutant("slice-drops-last-entry", PARADIFF,
            "e = slice(lo, min(lo + BLOCK, end))",
            "e = slice(lo, min(lo + BLOCK, end) - 1)",
-           (BRUTE, ROWS)),
+           (BRUTE, *ROWS)),
     Mutant("eta-box-one-short", PARADIFF,
            "k = np.arange(-self.radius, self.radius + 1)",
            "k = np.arange(-self.radius, self.radius)",
-           (BRUTE, ROWS)),
+           (BRUTE, *ROWS)),
     # every input on the full plan: the sums do not change, only the work
     Mutant("box-radius-ignored", PARADIFF,
            "return self.box(min(int(radius), self.m // 2 - 1))",
