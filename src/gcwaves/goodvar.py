@@ -486,14 +486,15 @@ def export_symbol_trace(sym: Symbol, grid: Grid, zeta_samples, path):
     """Write symbol values over the (x-grid x zeta-sample) product as CSV
     with columns x1, x2, zeta1, zeta2, re, im (plot-ready)."""
     X1, X2 = grid.x()
-    x1, x2 = X1.ravel().tolist(), X2.ravel().tolist()
+    xs = [f"{a!r},{b!r}," for a, b in zip(X1.ravel().tolist(), X2.ravel().tolist())]
     with open(path, "w") as fh:
         fh.write("x1,x2,zeta1,zeta2,re,im\n")
         for (z1, z2) in zeta_samples:
             vals = sym.eval(X1, X2, np.asarray(z1), np.asarray(z2))
             vals = (np.asarray(vals, np.complex128) + np.zeros_like(X1, np.complex128)).ravel()
-            rows = zip(x1, x2, vals.real.tolist(), vals.imag.tolist())
-            fh.writelines(f"{a!r},{b!r},{z1!r},{z2!r},{re!r},{im!r}\n" for a, b, re, im in rows)
+            zs = f"{z1!r},{z2!r},"
+            fh.writelines(f"{x}{zs}{re!r},{im!r}\n"
+                          for x, re, im in zip(xs, vals.real.tolist(), vals.imag.tolist()))
 
 
 @dataclass
