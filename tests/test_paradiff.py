@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gcwaves import paradiff
 from gcwaves.errors import ConfigError
@@ -544,7 +544,8 @@ def test_box_dft_matches_direct_sum(m, part, data, seed):
     c1[0], c2[0] = 0, 2 * radius            # the box's corners are read
     got = paradiff._box_dft(vals, paradiff._dft_table(m, radius), mid, c1, c2)
     i1, i2 = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
-    want = np.array([np.sum(vals[b] * np.exp(-2j * np.pi * (((r1 - radius) * i1 + (r2 - radius) * i2) % m) / m))
+    phase = lambda r1, r2: ((r1 - radius) * i1 + (r2 - radius) * i2) % m
+    want = np.array([np.sum(vals[b] * np.exp(-2j * np.pi * phase(r1, r2) / m))
                      for b, r1, r2 in zip(mid, c1, c2)])
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
