@@ -28,14 +28,14 @@ import traceback
 import numpy as np
 
 from . import __version__
-from .dispersion import (BISECTION_TOL, DispersionParams, ScanWindow,
+from .dispersion import (BISECTION_TOL, G_PRESETS, DispersionParams, ScanWindow,
                          WeightParams, collinear_gap, exceptional_measure_bounds,
                          lemma1_profile, scan_four_wave, scan_three_wave)
 from .errors import (CadenceError, ConfigError, NumericAbortError,
                      PositivityError, ResourceBudgetError,
                      SingularMultiplierError, SmallDivisorError)
 from .fields import (Grid, finite_json, l2_norm, random_field, save_snapshot,
-                     sobolev_norm)
+                     sobolev_norm, write_json)
 from .model import ModelConfig, lifespan_sweep, run
 from .energy import (C_ENERGY, SMALL_DIVISOR_GUARD, depletion_checks,
                      increment_audit)
@@ -183,14 +183,10 @@ def _resolve(args):
     return cfg
 
 
-_G_PRESETS = {"sqrt2": math.sqrt(2.0), "e": math.e, "pi/2": math.pi / 2.0,
-              "pi_2": math.pi / 2.0}
-
-
 def _parse_g(value):
     """Gravity parameter: a float, or one of the generic presets."""
-    if isinstance(value, str) and value in _G_PRESETS:
-        return _G_PRESETS[value]
+    if isinstance(value, str) and value in G_PRESETS:
+        return G_PRESETS[value]
     return _number(float, value, "g")
 
 
@@ -216,12 +212,6 @@ def _budget(cfg):
     return int(cfg["budget"])
 
 
-def _write_json(path, obj):
-    with open(path, "w") as fh:
-        json.dump(finite_json(obj), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 # ---------------------------------------------------------------------------
 # subcommand bodies
 # ---------------------------------------------------------------------------
@@ -239,7 +229,7 @@ def _cmd_scan3(cfg, out):
                      f"{v1[0]},{v1[1]},{v2[0]},{v2[1]},{v3[0]},{v3[1]},"
                      f"{r.phase_value!r},{r.weight!r},{r.normalized_gap!r},"
                      f"{'|'.join(r.flags)}\n")
-    _write_json(f"{out}/summary.json", {
+    write_json(f"{out}/summary.json", {
         "min_normalized_gap": res.min_gap,
         "shell_stats": [s.__dict__ for s in res.shell_stats],
         "n_evaluated": res.n_evaluated, "meta": res.meta})
@@ -259,7 +249,7 @@ def _cmd_scan4(cfg, out):
                      f"{v[0]},{v[1]},{xi[0]},{xi[1]},{eta[0]},{eta[1]},"
                      f"{r.phase_value!r},{r.weight!r},{r.normalized_gap!r},"
                      f"{'|'.join(r.flags)}\n")
-    _write_json(f"{out}/summary.json", {
+    write_json(f"{out}/summary.json", {
         "min_normalized_gap": res.min_gap,
         "shell_stats": [s.__dict__ for s in res.shell_stats],
         "n_evaluated": res.n_evaluated, "meta": res.meta})
@@ -281,7 +271,7 @@ def _cmd_collinear(cfg, out):
 
 def _cmd_lemma1(cfg, out):
     res = lemma1_profile(cfg["a"], cfg["b"], cfg["c"], cfg["bigB"], cfg["delta"])
-    _write_json(f"{out}/result.json", res.__dict__)
+    write_json(f"{out}/result.json", res.__dict__)
     return {"length": res.length}
 
 
@@ -335,7 +325,7 @@ def _cmd_paradiff_audit(cfg, out):
               "t_const_err": tconst, "t_one_err": t1_err,
               "composition": comp.to_json(), "paralin_h_norm": l2_norm(h),
               "chi_exponent": pcfg.chi_exponent}
-    _write_json(f"{out}/report.json", report)
+    write_json(f"{out}/report.json", report)
     return report
 
 
@@ -362,7 +352,7 @@ def _cmd_symbols(cfg, out):
     reports_json = [r.to_json() for r in reports]
     reports_json.append({"name": "U_minus_linear", "eps": eps_list,
                          "values": vals, "slope": fit_loglog(eps_list, vals)})
-    _write_json(f"{out}/slopes.json", reports_json)
+    write_json(f"{out}/slopes.json", reports_json)
     export_symbol_trace(gv.symbols.Sigma1, grid,
                         [(1.0, 0.0), (2.0, 1.5), (4.0, -3.0)],
                         f"{out}/sigma1_trace.csv")
@@ -385,7 +375,7 @@ def _cmd_simulate(cfg, out):
         err.trajectory.to_jsonl(f"{out}/trajectory.jsonl")
         raise
     traj.to_jsonl(f"{out}/trajectory.jsonl")
-    _write_json(f"{out}/conservation.json", traj.report.__dict__)
+    write_json(f"{out}/conservation.json", traj.report.__dict__)
     t_final, u_final = traj.snapshots[-1]
     save_snapshot(u_final, f"{out}/final_field", time=t_final, name="final state")
     return {"max_rel_l2_drift": traj.report.max_rel_l2_drift}
@@ -408,7 +398,7 @@ def _cmd_energy_audit(cfg, out):
                             N=cfg["N"], D=cfg["D"])
     audit.save(f"{out}/audit.json")
     rep = depletion_checks(params, cfg["N"], cfg["depletion-radius"])
-    _write_json(f"{out}/depletion.json", rep.to_json())
+    write_json(f"{out}/depletion.json", rep.to_json())
     return {"max_rel_err": audit.max_rel_err, "factor_C": rep.factor_C}
 
 
@@ -449,7 +439,7 @@ def dispatch(argv) -> int:
             os.makedirs(out, exist_ok=True)
         except OSError as err:
             raise ConfigError(f"cannot create output directory {out!r}: {err}") from err
-        _write_json(f"{out}/run_config.json", dict(cfg))
+        write_json(f"{out}/run_config.json", dict(cfg))
         summary = _COMMANDS[args.subcommand](cfg, out)
     except (ConfigError, SingularMultiplierError, CadenceError) as err:
         status, abort_reason, code = "config-error", str(err), EXIT_CONFIG
@@ -484,7 +474,7 @@ def dispatch(argv) -> int:
     }
     try:
         os.makedirs(out, exist_ok=True)
-        _write_json(f"{out}/manifest.json", manifest)
+        write_json(f"{out}/manifest.json", manifest)
     except OSError as err:
         print(f"gcwaves: manifest not written: {err}", file=sys.stderr)
         return code if code != EXIT_OK else EXIT_INTERNAL

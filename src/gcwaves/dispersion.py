@@ -33,9 +33,10 @@ _MP_DPS = 50
 
 _SIGN_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
-#: preset "generic" gravity values offered in configs; genericity is
-#: empirical (reported gaps), never asserted membership in the full-measure set
-GENERIC_G = (math.sqrt(2.0), math.e, math.pi / 2.0)
+#: preset "generic" gravity values by config name (pi_2 aliases pi/2); genericity
+#: is empirical (reported gaps), never asserted membership in the full-measure set
+G_PRESETS = {"sqrt2": math.sqrt(2.0), "e": math.e, "pi/2": math.pi / 2.0,
+             "pi_2": math.pi / 2.0}
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +97,6 @@ class ScanWindow:
 
     max_high_freq: int
     max_low_freq: int
-    shell_mode: bool = True
 
     def __post_init__(self):
         if self.max_high_freq < 1 or self.max_low_freq < 1:
@@ -658,6 +658,8 @@ def _check_abc(a, b, c, B=None, delta=None):
 
 # bracket width at which the Lemma 1 bisections stop
 BISECTION_TOL = 1e-10
+# halvings of [0, B] per interval end in the vectorized measure sweep
+_BISECTIONS = 48
 
 
 def _bisect_level(a, b, c, level, lo, hi, tol):
@@ -839,7 +841,7 @@ def exceptional_measure_bounds(B, js, wp: WeightParams, cutoff,
     return out
 
 
-def _interval_lengths_vec(a, b, c, delta, B, iters=48):
+def _interval_lengths_vec(a, b, c, delta, B):
     """Vectorized |X_{B,delta}| for arrays of admissible (a, b, c, delta)."""
     abc = (a, b, c, a ** 3, b ** 3, c ** 3)
 
@@ -851,7 +853,7 @@ def _interval_lengths_vec(a, b, c, delta, B, iters=48):
     def solve(level, m):  # bisection on the pairs m only
         abc_m = [v[m] for v in abc]
         lo, hi = np.zeros(m.size), np.full(m.size, B)
-        for _ in range(iters):
+        for _ in range(_BISECTIONS):
             mid = 0.5 * (lo + hi)
             below = f(mid, *abc_m) < level
             lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)

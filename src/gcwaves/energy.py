@@ -46,7 +46,6 @@ blocks (``gcwaves.lattice``).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -54,8 +53,8 @@ import numpy as np
 
 from .dispersion import DispersionParams, lam_abs
 from .errors import CadenceError, ConfigError, SmallDivisorError
-from .fields import (R_IN, R_OUT, FourierField, bump, check_power, dealias, finite_json,
-                     l2_norm, phi_le, sobolev_norm)
+from .fields import (R_IN, R_OUT, FourierField, bump, check_power, dealias, l2_norm,
+                     phi_le, sobolev_norm, write_json)
 from .lattice import coords, disk_reps, flat, norms, plan_cache, row_blocks
 from .model import ModelConfig, SolverState, Stepper, initial_data
 
@@ -373,9 +372,7 @@ class EnergyAudit:
 
     def save(self, path):
         """Strict JSON (RFC 8259): a non-finite number is written as null."""
-        with open(path, "w") as fh:
-            json.dump(finite_json(self.to_json()), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self)
 
 
 def _w_field(U: FourierField, N: float) -> FourierField:

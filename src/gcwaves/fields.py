@@ -432,6 +432,14 @@ def _json_key(k):
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(k)}")
 
 
+def write_json(path, obj):
+    """Write finite_json(obj) to path as sorted, 2-space indented strict JSON
+    with a final newline: the one format of every JSON artifact."""
+    with open(path, "w") as fh:
+        json.dump(finite_json(obj), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def save_snapshot(f: FourierField, path_prefix: str, time=0.0, name="field"):
     """Write <prefix>.json (header) and <prefix>.csv (coefficient table).
 
@@ -447,9 +455,7 @@ def save_snapshot(f: FourierField, path_prefix: str, time=0.0, name="field"):
         "columns": ["xi1", "xi2", "re", "im"],
         "table": "csv",
     }
-    with open(path_prefix + ".json", "w") as fh:
-        json.dump(finite_json(header), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path_prefix + ".json", header)
     k1, k2 = f.grid.freqs()
     nz = np.nonzero(f.coeffs)
     x1, x2 = k1[nz], k2[nz]

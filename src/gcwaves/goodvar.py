@@ -52,7 +52,7 @@ from .errors import ConfigError, PositivityError
 from .fields import (FourierField, Grid, analyze, apply_multiplier, dx, l2_norm,
                      mean, random_field, sobolev_norm, synthesize)
 from .paradiff import (EXPERIMENT_CHI, ParadiffConfig, SeparableTerm, Symbol,
-                       grid_index, symbol_norm, weyl_apply)
+                       grid_index, sampled_norm, weyl_apply, zeta_arrays)
 
 
 @dataclass(frozen=True)
@@ -425,19 +425,24 @@ def expansion_check(state: SurfaceState, eps_list, cfg: ParadiffConfig | None = 
     Only the principal family enters (principal_family, no stage 1), so no
     operator is applied and ``cfg`` does not change the result; ``families``
     may hold principal_family(state.scaled(eps)) per eps, built once for
-    this check and the good variables of the same states.  Each symbol is
-    evaluated once per (eps, zeta sample) and shared across the powers p.
+    this check and the good variables of the same states.  Per eps, ell,
+    lambda and lambda1_0 are sampled once on the full grid at every zeta
+    sample (one broadcast call each), every remainder is formed from those
+    samples, and paradiff.sampled_norm measures it.
     """
     if not eps_list or not all(0.0 < e < math.inf for e in eps_list):
         raise ConfigError(f"eps values must be finite and > 0, got {list(eps_list)}")
     if max(eps_list) / min(eps_list) < 99:
         raise ConfigError("eps values should span at least two decades")
-    grid = state.grid
     p0 = state.params
     if zeta_samples is None:
         zeta_samples = [(1.0, 0.0), (0.5, 1.0), (-1.5, 2.0), (3.0, -0.5),
                         (4.5, 4.0), (-6.0, 1.5), (2.5, -2.5), (8.0, 0.5)]
-    lam_mult = Symbol.multiplier(lambda z1, z2: np.sqrt(_lam2(p0, z1, z2)), 1.5, name="Lam")
+    X1, X2 = state.grid.x()
+    Z1, Z2 = zeta_arrays(zeta_samples)
+    lead = p0.g + p0.sigma * (Z1 ** 2 + Z2 ** 2)
+    r = np.hypot(Z1, Z2)
+    lam_z = np.sqrt(_lam2(p0, Z1, Z2))
     values = {f"g_ell_pow_{p}": [] for p in powers}
     values.update({f"lambda_pow_{p}": [] for p in powers})
     values["Sigma_minus_Lam_minus_Sigma1"] = []
@@ -446,37 +451,17 @@ def expansion_check(state: SurfaceState, eps_list, cfg: ParadiffConfig | None = 
         st = state.scaled(eps)
         fam, _ = principal_family(st) if families is None else families[k]
         lam2h = synthesize(apply_multiplier(st.h, lambda k1, k2: _lam2(p0, k1, k2))).real
-        # symbol_norm samples every remainder on the full grid at all zeta
-        # samples at once, so the symbol values are kept and shared by all p
-        memo = {}
-
-        def sampled(Xa, Xb, Z1, Z2):
-            key = (Z1.tobytes(), Z2.tobytes())
-            if key not in memo:
-                memo[key] = (fam["ell"].eval(Xa, Xb, Z1, Z2) + p0.g,
-                             p0.g + p0.sigma * (Z1 ** 2 + Z2 ** 2),
-                             fam["lam"].eval(Xa, Xb, Z1, Z2), np.hypot(Z1, Z2),
-                             fam["lambda1_0"].eval(Xa, Xb, Z1, Z2))
-            return memo[key]
-
+        gl = fam["ell"].eval(X1, X2, Z1, Z2) + p0.g
+        lam = fam["lam"].eval(X1, X2, Z1, Z2)
+        l10 = fam["lambda1_0"].eval(X1, X2, Z1, Z2)
         for p in powers:
-            def rem_gl(Xa, Xb, Z1, Z2, p=p):
-                gl, lead = sampled(Xa, Xb, Z1, Z2)[:2]
-                return (gl ** p) * lead ** (-p) - 1.0 + p * lam2h / lead
-
-            rep = symbol_norm(Symbol.general(rem_gl, 0.0), 0.0, 0, zeta_samples, grid)
-            values[f"g_ell_pow_{p}"].append(rep.value)
-
-            def rem_lam(Xa, Xb, Z1, Z2, p=p):
-                lam_full, r, l10 = sampled(Xa, Xb, Z1, Z2)[2:]
-                return (lam_full ** p) * r ** (-p) - 1.0 - p * l10 / r
-
-            rep = symbol_norm(Symbol.general(rem_lam, 0.0), 0.0, 0, zeta_samples, grid)
-            values[f"lambda_pow_{p}"].append(rep.value)
-
-        rem_sigma = fam["Sigma"] - lam_mult - fam["Sigma1"]
-        rep = symbol_norm(rem_sigma, 1.5, 0, zeta_samples, grid)
-        values["Sigma_minus_Lam_minus_Sigma1"].append(rep.value)
+            rem_gl = (gl ** p) * lead ** (-p) - 1.0 + p * lam2h / lead
+            values[f"g_ell_pow_{p}"].append(sampled_norm(rem_gl, 0.0, zeta_samples))
+            rem_lam = (lam ** p) * r ** (-p) - 1.0 - p * l10 / r
+            values[f"lambda_pow_{p}"].append(sampled_norm(rem_lam, 0.0, zeta_samples))
+        rem_sigma = (fam["Sigma"].eval(X1, X2, Z1, Z2) - lam_z
+                     - fam["Sigma1"].eval(X1, X2, Z1, Z2))
+        values["Sigma_minus_Lam_minus_Sigma1"].append(sampled_norm(rem_sigma, 1.5, zeta_samples))
 
     return [SlopeReport(name, list(eps_list), vals, fit_loglog(eps_list, vals))
             for name, vals in values.items()]

@@ -84,7 +84,6 @@ class ParadiffConfig:
 
     chi_exponent: int = -20
     row_tol: float = 0.0
-    zeta_step: float = 0.25  # central-difference step on the half-lattice
 
     def __post_init__(self):
         if self.chi_exponent > -1:
@@ -95,6 +94,7 @@ class ParadiffConfig:
 
 
 EXPERIMENT_CHI = -2  # desk-scale default used by drivers and experiments
+ZETA_STEP = 0.25     # the central-difference step in zeta, on the half-lattice
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +174,9 @@ class Symbol:
                 np.broadcast(X1 * 0.0, Z1 * 0.0).shape, np.complex128)
         return np.asarray(self.fn(X1, X2, Z1, Z2), dtype=np.complex128)
 
-    def dzeta(self, X1, X2, Z1, Z2, step=0.25):
+    def dzeta(self, X1, X2, Z1, Z2):
         """(d a/d zeta1, d a/d zeta2): exact for a separable symbol whose
-        terms all carry gradient callbacks, central differences otherwise."""
+        terms all carry gradient callbacks, zeta_difference otherwise."""
         if self.is_separable and all(t.dgz is not None for t in self.terms):
             d1 = 0.0
             d2 = 0.0
@@ -184,11 +184,8 @@ class Symbol:
                 d1 = d1 + s * np.asarray(t.dgz[0](Z1, Z2), np.complex128)
                 d2 = d2 + s * np.asarray(t.dgz[1](Z1, Z2), np.complex128)
             return d1, d2
-        # central differences on the half-lattice
-        h = step
-        d1 = (self.eval(X1, X2, Z1 + h, Z2) - self.eval(X1, X2, Z1 - h, Z2)) / (2 * h)
-        d2 = (self.eval(X1, X2, Z1, Z2 + h) - self.eval(X1, X2, Z1, Z2 - h)) / (2 * h)
-        return d1, d2
+        at = lambda w1, w2: self.eval(X1, X2, w1, w2)
+        return zeta_difference(at, 0, Z1, Z2), zeta_difference(at, 1, Z1, Z2)
 
     # -- algebra --------------------------------------------------------------
     def __mul__(self, scalar):
@@ -606,13 +603,22 @@ def _box_dft(vals, table, mid, c1, c2):
 # Poisson bracket, symbol norms
 # ---------------------------------------------------------------------------
 
-def poisson_bracket(a: Symbol, b: Symbol, zeta_step=0.25) -> Symbol:
+def zeta_difference(fn, axis, Z1, Z2):
+    """The central difference of fn(Z1, Z2) in zeta_{axis+1} at step ZETA_STEP
+    (exact on polynomials of degree <= 2 in zeta)."""
+    h = ZETA_STEP
+    if axis == 0:
+        return (fn(Z1 + h, Z2) - fn(Z1 - h, Z2)) / (2 * h)
+    return (fn(Z1, Z2 + h) - fn(Z1, Z2 - h)) / (2 * h)
+
+
+def poisson_bracket(a: Symbol, b: Symbol) -> Symbol:
     """{a, b} = grad_x a . grad_zeta b - grad_zeta a . grad_x b.
 
     x-derivatives are exact in Fourier.  Only separable terms carry exact
     zeta-gradients: when every term of both symbols has them the result
-    stays separable; otherwise zeta-derivatives are central differences of
-    step ``zeta_step`` (exact where a separable factor has callbacks).
+    stays separable; otherwise zeta-derivatives come from Symbol.dzeta
+    (zeta_difference, exact where a separable factor has callbacks).
     """
     if a.is_separable and b.is_separable and \
             all(t.dgz is not None for t in a.terms) and \
@@ -648,8 +654,8 @@ def poisson_bracket(a: Symbol, b: Symbol, zeta_step=0.25) -> Symbol:
         Bh = grid_fft(B + np.zeros_like(X1, np.complex128))
         dxA = (grid_ifft(1j * K1f * Ah), grid_ifft(1j * K2f * Ah))
         dxB = (grid_ifft(1j * K1f * Bh), grid_ifft(1j * K2f * Bh))
-        dzA = a.dzeta(X1, X2, Z1, Z2, zeta_step)
-        dzB = b.dzeta(X1, X2, Z1, Z2, zeta_step)
+        dzA = a.dzeta(X1, X2, Z1, Z2)
+        dzB = b.dzeta(X1, X2, Z1, Z2)
         return (dxA[0] * dzB[0] + dxA[1] * dzB[1]
                 - dzA[0] * dxB[0] - dzA[1] * dxB[1])
 
@@ -673,55 +679,66 @@ class SymbolNormReport:
     description: str
 
 
-def symbol_norm(a: Symbol, l, r, zeta_samples, grid: Grid, zeta_step=0.25) -> SymbolNormReport:
+def zeta_arrays(zeta_samples):
+    """The zeta samples, all with |zeta| > 1/2, as two (n, 1, 1) arrays: one
+    call against the (M, M) grid arrays samples a symbol at all of them."""
+    if any(z1 * z1 + z2 * z2 <= 0.25 for z1, z2 in zeta_samples):
+        raise ConfigError("zeta samples must satisfy |zeta| > 1/2")
+    return tuple(np.array([z[i] for z in zeta_samples], float).reshape(-1, 1, 1)
+                 for i in (0, 1))
+
+
+def sampled_norm(values, l, zeta_samples) -> float:
+    """max over the zeta samples of <zeta>^{-l} ||values(., zeta)||_{L^2_x}.
+
+    ``values``, shape (len(zeta_samples), M, M), holds one function on the
+    full grid at every zeta sample; a NaN sample norm is skipped."""
+    dx_quad = (TWO_PI / values.shape[-1]) ** 2
+    best = 0.0
+    for (w1, w2), v in zip(zeta_samples, values):
+        weight = math.sqrt(1.0 + w1 * w1 + w2 * w2) ** -l
+        best = max(best, weight * math.sqrt(float(np.sum(np.abs(v) ** 2)) * dx_quad))
+    return best
+
+
+def symbol_norm(a: Symbol, l, r, zeta_samples, grid: Grid) -> SymbolNormReport:
     """Sampled symbol-class norm: a lower bound for
 
         sup_{|alpha|+|beta| <= r} sup_{|zeta| > 1/2}
         <zeta>^{-l} || <zeta>^{|beta|} d^beta_zeta d^alpha_x a ||_{L^2_x}.
 
-    x-derivatives are exact in Fourier, zeta-derivatives by central
-    differences; the alpha = 0 terms are norms of the samples themselves.
-    Every zeta sample is evaluated in one broadcast call per derivative.
+    x-derivatives are exact in Fourier, zeta-derivatives repeated
+    zeta_differences; each derivative part is measured by sampled_norm at
+    order l - |beta|.  Every zeta sample is evaluated in one broadcast call
+    per derivative.
     """
     if r < 0:
         raise ConfigError("differentiability r must be >= 0")
-    if any(z1 * z1 + z2 * z2 <= 0.25 for z1, z2 in zeta_samples):
-        raise ConfigError("zeta samples must satisfy |zeta| > 1/2")
+    z1, z2 = zeta_arrays(zeta_samples)
     m = grid.size
     X1, X2 = grid.x()
     K1f, K2f = grid.freqs()
-    dx_quad = (TWO_PI / m) ** 2
     # (|alpha|, (i K1)^alpha1 (i K2)^alpha2) for 1 <= |alpha| <= r, formed once
     mults = [(atot, (1j * K1f) ** a1 * (1j * K2f) ** (atot - a1))
              for atot in range(1, r + 1) for a1 in range(atot + 1)]
 
-    def l2(v):
-        return math.sqrt(float(np.sum(np.abs(v) ** 2)) * dx_quad)
-
-    def zderiv(fn_eval, beta, z1, z2):
+    def zderiv(beta, w1, w2):
         if beta == (0, 0):
-            return fn_eval(z1, z2)
-        h = zeta_step
-        if beta[0] > 0:
-            b2 = (beta[0] - 1, beta[1])
-            return (zderiv(fn_eval, b2, z1 + h, z2) - zderiv(fn_eval, b2, z1 - h, z2)) / (2 * h)
-        b2 = (beta[0], beta[1] - 1)
-        return (zderiv(fn_eval, b2, z1, z2 + h) - zderiv(fn_eval, b2, z1, z2 - h)) / (2 * h)
+            return a.eval(X1, X2, w1, w2)
+        axis = 0 if beta[0] > 0 else 1
+        lower = (beta[0] - 1, beta[1]) if axis == 0 else (0, beta[1] - 1)
+        return zeta_difference(lambda v1, v2: zderiv(lower, v1, v2), axis, w1, w2)
 
-    # every zeta sample at once: (n, 1, 1) arrays against the (m, m) grid
-    z1, z2 = (np.array([z[i] for z in zeta_samples], float).reshape(-1, 1, 1) for i in (0, 1))
-    fn_eval = lambda w1, w2: a.eval(X1, X2, w1, w2)
     best = 0.0
     for btot in range(r + 1):
-        scales = [math.sqrt(1.0 + w1 * w1 + w2 * w2) ** (-l + btot) for w1, w2 in zeta_samples]
         for b1 in range(btot + 1):
-            base = zderiv(fn_eval, (b1, btot - b1), z1, z2)
-            parts = [np.asarray(base, np.complex128) + np.zeros((len(scales), m, m), np.complex128)]
+            base = zderiv((b1, btot - b1), z1, z2)
+            parts = [np.asarray(base, np.complex128) + np.zeros((z1.size, m, m), np.complex128)]
             if btot < r:     # x-derivatives left: one transform
                 bh = np.fft.fft2(parts[0])
                 parts += [np.fft.ifft2(mult * bh) for atot, mult in mults if atot <= r - btot]
             for part in parts:
-                best = max([best] + [s * l2(v) for s, v in zip(scales, part)])
+                best = max(best, sampled_norm(part, l - btot, zeta_samples))
     return SymbolNormReport(l, r, best, len(zeta_samples),
                             f"sampled lower bound, grid {m}^2, {len(zeta_samples)} zeta pts")
 
@@ -763,7 +780,7 @@ def compose_residual_field(a, b, f, cfg) -> FourierField:
     """(T_a T_b - T_{ab} - (i/2) T_{a,b}) f."""
     tatb = weyl_apply(a, weyl_apply(b, f, cfg), cfg)
     tab = weyl_apply(a.product(b), f, cfg)
-    tbr = weyl_apply(poisson_bracket(a, b, cfg.zeta_step), f, cfg)
+    tbr = weyl_apply(poisson_bracket(a, b), f, cfg)
     return tatb - tab - (0.5j) * tbr
 
 

@@ -13,6 +13,7 @@ from gcwaves import cli
 from gcwaves.cli import (EXIT_CONFIG, EXIT_INTERNAL, EXIT_NUMERIC, EXIT_OK,
                          EXIT_RESOURCE, SCHEMAS, dispatch)
 from gcwaves.errors import CadenceError, SingularMultiplierError
+from gcwaves.fields import write_json
 
 
 def _sha(path):
@@ -364,7 +365,7 @@ def _write_json_by_two_encodes(path, obj):
 ], ids=["numpy-scalars", "tuples", "int-keys", "to-json-and-dict", "top-level-list"])
 def test_write_json_matches_two_encodes(tmp_path, obj):
     # one walk writes the bytes the encode-decode-null-encode pipeline wrote
-    cli._write_json(tmp_path / "one.json", obj)
+    write_json(tmp_path / "one.json", obj)
     _write_json_by_two_encodes(tmp_path / "two.json", obj)
     assert (tmp_path / "one.json").read_bytes() == (tmp_path / "two.json").read_bytes()
 
@@ -372,6 +373,6 @@ def test_write_json_matches_two_encodes(tmp_path, obj):
 def test_write_json_rejects_what_json_rejects(tmp_path):
     for obj in ({"a": np.bool_(True)}, {np.int64(1): 2}, {"a": {1, 2}}):
         with pytest.raises(TypeError):
-            cli._write_json(tmp_path / "bad.json", obj)
+            write_json(tmp_path / "bad.json", obj)
         with pytest.raises(TypeError):
             _write_json_by_two_encodes(tmp_path / "bad.json", obj)

@@ -13,7 +13,7 @@ from gcwaves.goodvar import (SurfaceState, build_good_variable, build_symbols,
                              expansion_check, fit_loglog, ladder,
                              linear_good_variable, quadratic_energy,
                              random_state)
-from gcwaves.paradiff import ParadiffConfig, Symbol, poisson_bracket
+from gcwaves.paradiff import ParadiffConfig, Symbol, poisson_bracket, symbol_norm
 
 CFG = ParadiffConfig(chi_exponent=-2)
 P11 = DispersionParams(1.0, 1.0)
@@ -194,8 +194,9 @@ def _lambda0_chain_rule(state):
     return lambda0
 
 
+@pytest.mark.parametrize("m", [8, 12, 16])
 @settings(max_examples=25, derandomize=True, deadline=None, database=None)
-@given(m=st.sampled_from([8, 12, 16]), seed=st.integers(0, 2 ** 16),
+@given(seed=st.integers(0, 2 ** 16),
        amplitude=st.floats(0.01, 1.5), sigma=st.floats(0.1, 3.0),
        zeta=st.lists(st.tuples(st.floats(-40.0, 40.0), st.floats(-40.0, 40.0)),
                      min_size=1, max_size=8))
@@ -330,6 +331,46 @@ def test_expansion_check_slopes_and_p0():
     z = {r.name: r for r in rep0}
     assert max(z["g_ell_pow_0.0"].values) <= 1e-12
     assert max(z["lambda_pow_0.0"].values) <= 1e-12
+
+
+def _expansion_check_by_symbol_norm(state, eps_list, powers, zeta_samples):
+    """expansion_check's values through symbol_norm: every remainder a
+    general Symbol (Sigma's from the symbol algebra) with r = 0."""
+    p0, grid = state.params, state.grid
+    lead = lambda Z1, Z2: p0.g + p0.sigma * (Z1 ** 2 + Z2 ** 2)
+    lam_mult = Symbol.multiplier(lambda z1, z2: np.sqrt(goodvar._lam2(p0, z1, z2)), 1.5)
+    values = {}
+    for eps in eps_list:
+        st = state.scaled(eps)
+        fam, _ = goodvar.principal_family(st)
+        lam2h = synthesize(apply_multiplier(st.h, lambda k1, k2: goodvar._lam2(p0, k1, k2))).real
+        for p in powers:
+            rem_gl = lambda X1, X2, Z1, Z2, p=p: (
+                (fam["ell"].eval(X1, X2, Z1, Z2) + p0.g) ** p * lead(Z1, Z2) ** (-p)
+                - 1.0 + p * lam2h / lead(Z1, Z2))
+            rem_lam = lambda X1, X2, Z1, Z2, p=p: (
+                fam["lam"].eval(X1, X2, Z1, Z2) ** p * np.hypot(Z1, Z2) ** (-p)
+                - 1.0 - p * fam["lambda1_0"].eval(X1, X2, Z1, Z2) / np.hypot(Z1, Z2))
+            for name, rem in ((f"g_ell_pow_{p}", rem_gl), (f"lambda_pow_{p}", rem_lam)):
+                rep = symbol_norm(Symbol.general(rem, 0.0), 0.0, 0, zeta_samples, grid)
+                values.setdefault(name, []).append(rep.value)
+        rep = symbol_norm(fam["Sigma"] - lam_mult - fam["Sigma1"], 1.5, 0, zeta_samples, grid)
+        values.setdefault("Sigma_minus_Lam_minus_Sigma1", []).append(rep.value)
+    return values
+
+
+@pytest.mark.parametrize("m", [8, 12])
+@pytest.mark.parametrize("seed", [5, 29])
+def test_expansion_check_equals_symbol_norm_route(m, seed):
+    # the remainders read straight from the family's samples give the
+    # symbol_norm values bit for bit, at every power (p = 0 included)
+    base = random_state(Grid(m), P11, amplitude=0.8, seed=seed)
+    eps_list, powers = [1e-1, 1e-2, 1e-3], (-2.0, 0.0, 0.5, 1.0)
+    zeta_samples = [(1.0, 0.0), (0.5, 1.0), (-1.5, 2.0), (4.5, 4.0), (8.0, 0.5)]
+    reports = expansion_check(base, eps_list, CFG, powers=powers, zeta_samples=zeta_samples)
+    oracle = _expansion_check_by_symbol_norm(base, eps_list, powers, zeta_samples)
+    assert {r.name: r.values for r in reports} == oracle
+    assert all(v > 0.0 for r in reports if "_pow_0.0" not in r.name for v in r.values)
 
 
 def test_expansion_check_needs_two_decades():

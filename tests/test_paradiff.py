@@ -244,6 +244,36 @@ def test_symbol_norm_homogeneous_in_amplitude():
     assert r2.value == pytest.approx(2.0 * r1.value, rel=1e-12)
 
 
+def _cubic():
+    # a = zeta1^3 + 2 zeta2^3 has no gradient callbacks: zeta-derivatives are
+    # central differences, 3 zeta_j^2 + h^2 per unit coefficient at step h
+    return Symbol.general(lambda X1, X2, Z1, Z2: Z1 ** 3 + 2.0 * Z2 ** 3 + 0.0 * X1, 3.0)
+
+
+def test_zeta_difference_is_central_at_step_one_quarter():
+    X1, X2 = G16.x()
+    d1, d2 = _cubic().dzeta(X1, X2, np.asarray(2.0), np.asarray(-1.0))
+    assert np.all(d1 == 3.0 * 4.0 + 1.0 / 16.0)
+    assert np.all(d2 == 2.0 * (3.0 * 1.0 + 1.0 / 16.0))
+
+
+def test_symbol_norm_zeta_derivatives_at_step_one_quarter():
+    # one sample, <zeta>^2 = 6: the d/dzeta1 part 12.0625 * 6^{-1} is the largest
+    rep = symbol_norm(_cubic(), 3.0, 1, [(2.0, -1.0)], G16)
+    assert rep.value == pytest.approx(TWO_PI * (12.0 + 1.0 / 16.0) / 6.0, rel=1e-14)
+
+
+def test_sampled_norm_weights_each_sample():
+    # constants c_k at zeta_k: max_k <zeta_k>^{-l} |c_k| 2 pi
+    values = np.stack([np.full((16, 16), 3.0), np.full((16, 16), -4.0j)])
+    samples = [(1.0, 0.0), (0.0, 3.0)]
+    assert paradiff.sampled_norm(values, 1.0, samples) == pytest.approx(
+        TWO_PI * 3.0 / math.sqrt(2.0), rel=1e-14)
+    assert paradiff.sampled_norm(values, -1.0, samples) == pytest.approx(
+        TWO_PI * 4.0 * math.sqrt(10.0), rel=1e-14)
+    assert paradiff.sampled_norm(values, 0.0, samples) == pytest.approx(TWO_PI * 4.0, rel=1e-14)
+
+
 def test_zeta_samples_respect_domain():
     with pytest.raises(ConfigError):
         symbol_norm(_mult(1.0), 1.0, 0, [(0.25, 0.25)], G16)

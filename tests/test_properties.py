@@ -29,8 +29,8 @@ from gcwaves.model import ModelConfig, nonlinearity
 from gcwaves.paradiff import ParadiffConfig, Symbol, weyl_apply
 
 CASES = dict(m=st.integers(4, 8).map(lambda k: 2 * k),
-             seed=st.integers(0, 2 ** 16),
-             chi=st.sampled_from([-2, -3]))
+             seed=st.integers(0, 2 ** 16))
+CHIS = pytest.mark.parametrize("chi", [-2, -3])
 SETTINGS = settings(max_examples=20, derandomize=True, deadline=None, database=None)
 
 
@@ -47,6 +47,7 @@ def _check_self_adjoint_and_conjugation(a, grid, cfg, seed):
         1e-30 + np.max(np.abs(left.coeffs)))
 
 
+@CHIS
 @SETTINGS
 @given(**CASES)
 def test_weyl_invariants_real_function_symbol(m, seed, chi):
@@ -55,6 +56,7 @@ def test_weyl_invariants_real_function_symbol(m, seed, chi):
     _check_self_adjoint_and_conjugation(a, grid, ParadiffConfig(chi_exponent=chi), seed)
 
 
+@CHIS
 @SETTINGS
 @given(**CASES)
 def test_weyl_invariants_good_variable_sigma(m, seed, chi):

@@ -1,6 +1,6 @@
-"""Committed mutants of the lattice layer, the census, the Weyl calculus,
-the good variable, the model kernel and the energy plan: each one must be
-killed by the tests named for it.
+"""Committed mutants of the lattice layer, the census, the Weyl calculus and
+its sampled symbol norms, the good variable, the model kernel and the energy
+plan: each one must be killed by the tests named for it.
 
 A mutant replaces one exact piece of text in one file under ``src/``.  For
 each mutant the script copies ``src/`` to a temporary directory, applies the
@@ -44,6 +44,9 @@ ROWS = ("tests/test_paradiff.py::test_separable_apply_matches_active_row_walk",
 DFT = "tests/test_paradiff.py::test_box_dft_matches_direct_sum"
 BOXES = "tests/test_paradiff.py::test_box_plan_is_the_full_plan_restricted_to_its_box"
 PASSES = "tests/test_paradiff.py::test_apply_is_independent_of_the_pass_length"
+NORMS = "tests/test_paradiff.py::test_symbol_norm_"
+ZDIFF = ("tests/test_paradiff.py::test_zeta_difference_is_central_at_step_one_quarter",
+         NORMS + "zeta_derivatives_at_step_one_quarter")
 KERNEL = ("tests/test_model.py::test_fused_kernel_matches_six_transform_oracle",
           "tests/test_model.py::test_kernel_matches_direct_symbol_sum")
 EPLAN = ("tests/test_energy_oracle.py::test_plan_holds_exactly_the_near_resonant_pairs",
@@ -158,6 +161,25 @@ MUTANTS = (
            "g(-np.asarray(z1), -np.asarray(z2)), np.complex128))",
            "g(np.asarray(z1), np.asarray(z2)), np.complex128))",
            ("tests/test_paradiff.py::test_conjugation_identity",)),
+    # the sampled symbol norms: one weight <zeta>^{-l}, one zeta difference
+    Mutant("sampled-norm-weight-flipped", PARADIFF,
+           "weight = math.sqrt(1.0 + w1 * w1 + w2 * w2) ** -l",
+           "weight = math.sqrt(1.0 + w1 * w1 + w2 * w2) ** l",
+           ("tests/test_paradiff.py::test_sampled_norm_weights_each_sample",
+            NORMS + "order_one_multiplier")),
+    Mutant("zeta-difference-step-doubled", PARADIFF,
+           "    h = ZETA_STEP\n",
+           "    h = 2 * ZETA_STEP\n",
+           ZDIFF),
+    Mutant("zeta-difference-sign-flipped", PARADIFF,
+           "return (fn(Z1, Z2 + h) - fn(Z1, Z2 - h)) / (2 * h)",
+           "return (fn(Z1, Z2 - h) - fn(Z1, Z2 + h)) / (2 * h)",
+           (*ZDIFF, "tests/test_paradiff.py::test_poisson_finite_difference_fallback")),
+    # the good variable: the expansion remainders, bit for bit
+    Mutant("expansion-remainder-regrouped", GOODVAR,
+           "rem_gl = (gl ** p) * lead ** (-p) - 1.0 + p * lam2h / lead",
+           "rem_gl = (gl ** p) * lead ** (-p) + (p * lam2h / lead - 1.0)",
+           ("tests/test_goodvar.py::test_expansion_check_equals_symbol_norm_route",)),
     # the good variable: lambda0 = N/Q + c0
     Mutant("n12-sign-flipped", GOODVAR,
            "    c0 = 0.5 * lap - ",
