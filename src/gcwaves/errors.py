@@ -18,8 +18,9 @@ class ResourceBudgetError(GcwavesError):
 
 
 class NumericAbortError(GcwavesError):
-    """NaN/overflow, or an L2 norm far from its conserved initial value,
-    detected during time integration.
+    """A computation met values it cannot go on from: NaN/overflow, or an
+    L2 norm far from its conserved initial value, during time integration;
+    a symbol sample norm that is not finite in the sampled symbol norms.
 
     Carries the last healthy solver state in ``last_state`` when available.
     """

@@ -131,9 +131,18 @@ class Grid:
         return (np.abs(k1) <= km) & (np.abs(k2) <= km)
 
     def x(self):
-        """Spatial sample points (X1, X2), X_i in [0, 2pi)."""
-        x = TWO_PI * np.arange(self.size) / self.size
-        return np.meshgrid(x, x, indexing="ij")
+        """Spatial sample points (X1, X2), X_i in [0, 2pi); cached per grid
+        size and read-only, like freqs()."""
+        return _points(self.size)
+
+
+@functools.cache
+def _points(m):
+    x = TWO_PI * np.arange(m) / m
+    X1, X2 = np.meshgrid(x, x, indexing="ij")
+    X1.flags.writeable = False
+    X2.flags.writeable = False
+    return X1, X2
 
 
 @functools.cache
@@ -277,7 +286,7 @@ def apply_multiplier(f: FourierField, m, name="multiplier") -> FourierField:
             raise SingularMultiplierError(f"{name} is not finite on the retained frequencies")
     out = vals * f.coeffs
     idx = _neg_index(f.grid.size)
-    even_real = np.isreal(vals).all() and np.allclose(vals, vals[idx][:, idx], rtol=0.0, atol=0.0)
+    even_real = np.isreal(vals).all() and np.array_equal(vals, vals[idx][:, idx])
     return FourierField(f.grid, out, f.is_real_valued and bool(even_real))
 
 

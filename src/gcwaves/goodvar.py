@@ -225,9 +225,12 @@ def principal_family(state: SurfaceState):
 
 
 def _pointwise(fn, m, order, name):
-    """A general symbol fn(i, Z1, Z2) of the grid index i of x on an m x m grid."""
+    """A general symbol fn(i, Z1, Z2) of the grid index i of x on an m x m
+    grid, declared even in zeta: every one here reads zeta only through
+    Z1 ** 2, Z1 * Z2 and Z2 ** 2, whose bits do not change when zeta does
+    sign."""
     return Symbol.general(lambda X1, X2, Z1, Z2: fn(grid_index(X1, X2, m), Z1, Z2),
-                          order, name=name)
+                          order, name=name, even=True)
 
 
 def build_symbols(state: SurfaceState, cfg: ParadiffConfig | None = None,

@@ -60,6 +60,21 @@ def norms(n):
     return np.hypot(*coords(n))
 
 
+@functools.cache
+def shift_perms(n):
+    """(centered, fft): read-only flat index permutations between the fft
+    layout of an n x n array and the centered n-box, cached per n.
+    np.take(a, centered) is np.fft.fftshift(a).ravel() and np.take(b, fft)
+    is np.fft.ifftshift(b.reshape(n, n)).ravel(), with no np.roll."""
+    k1, k2 = coords(n)
+    centered = (k1 % n) * n + k2 % n
+    fft = np.empty_like(centered)
+    fft[centered] = np.arange(n * n)
+    centered.flags.writeable = False
+    fft.flags.writeable = False
+    return centered, fft
+
+
 class Box:
     """The lattice points lo <= v <= hi (coordinatewise) at flat index
     (v1 - lo1) w + (v2 - lo2), w = hi2 - lo2 + 1, so v - u sits at flat(v) -

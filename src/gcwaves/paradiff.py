@@ -39,16 +39,20 @@ Symbols come in two flavours:
   * general   - an arbitrary vectorized evaluator fn(X1, X2, Z1, Z2); it
     reads the whole plan grouped by midpoint (one more int32 per entry) and
     costs one evaluation of a(., zeta) per midpoint, in batches of at most
-    2^15 samples; intended for grids up to 64^2.  Each entry needs
+    2^15 samples; intended for grids up to 64^2.  A symbol declared even in
+    zeta (Symbol.general(..., even=True), as goodvar's pointwise symbols
+    are) costs one evaluation and one x2 product per pair +-s of midpoints;
+    the midpoints of every plan checked (6^2 to 32^2, chi -1 to -3, every
+    eta box) come in such pairs.  Each entry needs
     atilde(rho, zeta) only for rho in the plan's box |rho_i| <= R, so the
     samples are transformed in x by a DFT over that box alone: one real
     matrix product over x2 per part of the batch (real samples stay real;
     a part that vanishes on the batch is skipped) against the table
     E[x, r] = e^{-ixr}, r in [-R, R], that the plan keeps, then per entry
     one dot product over x1 at its (midpoint, rho1, rho2).  At 12^2 the
-    K = 3 plan has R = 3 (R = 4 at K = 5): its 264 midpoints take 12 x 7
-    values each from the x2 product, and its 816 entries one 12-term dot
-    product each.
+    K = 3 plan has R = 3 (R = 4 at K = 5): its 264 midpoints (132 pairs)
+    take 12 x 7 values each from the x2 product, and its 816 entries one
+    12-term dot product each.
 
 Symbol frequencies xi - eta outside the grid rectangle are treated as zero
 rows (a discretization truncation; chi suppresses that region anyway).
@@ -61,9 +65,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericAbortError
 from .fields import FourierField, Grid, TWO_PI, bump, dealias, analyze, synthesize
-from .lattice import BLOCK, coords, flat, plan_cache, row_blocks
+from .lattice import BLOCK, coords, flat, plan_cache, row_blocks, shift_perms
 
 _FOUR_PI2 = (2.0 * np.pi) ** 2
 
@@ -113,13 +117,14 @@ class SeparableTerm:
 class Symbol:
     """A symbol a(x, zeta), |zeta| > 1/2, with declared order."""
 
-    def __init__(self, order, terms=None, fn=None, name=""):
+    def __init__(self, order, terms=None, fn=None, name="", even=False):
         if (terms is None) == (fn is None):
             raise ConfigError("exactly one of terms / fn must be given")
         self.order = float(order)
         self.terms = terms
         self.fn = fn
         self.name = name
+        self.even = even
         self._samples = None   # separable: the synthesized spatial factors
 
     # -- constructors --------------------------------------------------------
@@ -145,8 +150,15 @@ class Symbol:
         return cls(order, terms=list(terms), name=name)
 
     @classmethod
-    def general(cls, fn, order, name=""):
-        return cls(order, fn=fn, name=name)
+    def general(cls, fn, order, name="", even=False):
+        """The symbol a = fn(X1, X2, Z1, Z2), evaluated by fn alone.
+
+        ``even=True`` promises a(x, -zeta) == a(x, zeta) bit for bit, as
+        for a function of zeta through quadratic forms in it: weyl_apply
+        then samples and transforms one midpoint of each +-s pair of its
+        plan.  The symbol algebra builds its general symbols with the
+        default False, which is always correct."""
+        return cls(order, fn=fn, name=name, even=even)
 
     @property
     def is_separable(self):
@@ -321,7 +333,7 @@ def _guard_zeta(z_abs_sq):
 class _ChiPlans:
     """The chi-support plans of one grid size and chi exponent, one per eta
     box, with the index tables they share and the pass buffers every walk
-    over them reuses (three complex and one int32 array of BLOCK entries),
+    over them reuses (four complex and one int32 array of BLOCK entries),
     so no two walks over one grid's plans may run at once."""
 
     def __init__(self, m, chi):
@@ -333,7 +345,7 @@ class _ChiPlans:
         rsq = self.k1 ** 2 + self.k2 ** 2
         self.rows = np.argsort(rsq, kind="stable")      # centered flat rho, plan order
         self.row_sq = rsq[self.rows]
-        self.work = np.empty((3, BLOCK), np.complex128)
+        self.work = np.empty((4, BLOCK), np.complex128)
         self.eta = np.empty(BLOCK, np.int32)
         self._boxes = {}
 
@@ -432,39 +444,52 @@ class _ChiPlan:
         return 0.5 * self.sums[0][ids], 0.5 * self.sums[1][ids]
 
     def by_midpoint(self):
-        """The whole plan grouped by midpoint: (perm, start, ids, table), the
-        entries perm[start[j]:start[j+1]] sharing midpoint ids[j], and the
-        DFT table of the plan's rho box (_dft_table); built once."""
+        """The whole plan grouped by midpoint: (perm, start, ids, table, rep),
+        the entries perm[start[j]:start[j+1]] sharing midpoint ids[j], the
+        DFT table of the plan's rho box (_dft_table), and the representative
+        rep[j] of each midpoint: the position in ids of the larger id of the
+        pair {s, -s}, or j when -s is not a midpoint of the plan.  Built
+        once per plan."""
         if self._by_mid is None:
             self.extend(np.inf)
             counts = np.bincount(self.mid, minlength=len(self.mid_row))
             ids = np.flatnonzero(counts)
             used = self.rows[np.flatnonzero(np.diff(self.row_start))]
             radius = max(np.abs(self.k1[used]).max(initial=0), np.abs(self.k2[used]).max(initial=0))
+            # the id of -s in the centered (2M-1)-box, and its position in ids
+            mirror = len(self.mid_row) - 1 - ids
+            at = np.minimum(np.searchsorted(ids, mirror), len(ids) - 1)
+            j = np.arange(len(ids))
+            rep = np.where(ids[at] == mirror, np.maximum(j, at), j)
             self._by_mid = (np.argsort(self.mid, kind="stable").astype(np.int32),
                             np.concatenate(([0], np.cumsum(counts[ids]))), ids,
-                            _dft_table(self.m, int(radius)))
+                            _dft_table(self.m, int(radius)), rep)
         return self._by_mid
 
     def accumulate(self, out, e, w, fc, extra_weight, divisor=1.0):
         """out[xi] += w chi [extra] fhat(eta) / divisor over the entries e, at
-        most BLOCK of them; w is overwritten.
+        most BLOCK of them; w (which may be work[0]) is overwritten, and
+        work[1] and work[2] are written.
 
         A complex product takes its gathered operand first: numpy elides a
         temporary operand of 256 KiB or more by multiplying into it in
         place, operands swapped, and numpy's complex product rounds
-        differently with its operands swapped."""
+        differently with its operands swapped.  Nor does a complex product
+        write over one of its operands: numpy's one-element complex product
+        in place skips its SIMD loop and rounds without FMA, so a one-entry
+        pass would round unlike the same entry in a longer pass.  (The
+        product by the real chi rounds alike in every loop.)"""
         xi, rho = self.xi[e], self.rho[e]
         np.multiply(w, self.chi[e], out=w)
         if extra_weight is not None:
             x1, x2 = self.k1[xi].astype(float), self.k2[xi].astype(float)
             r1, r2 = self.k1[rho].astype(float), self.k2[rho].astype(float)
-            np.multiply(extra_weight(x1, x2, r1, r2, x1 - 0.5 * r1, x2 - 0.5 * r2), w, out=w)
+            w = np.multiply(extra_weight(x1, x2, r1, r2, x1 - 0.5 * r1, x2 - 0.5 * r2), w)
         eta = np.subtract(xi, rho, out=self.eta[:len(w)])
         eta += self.origin
         # np.take: the int32 plan indices are not converted as [] would
-        v = np.take(fc, eta, out=self.work[2, :len(w)], mode="clip")
-        np.multiply(v, w, out=v)
+        v = np.multiply(np.take(fc, eta, out=self.work[2, :len(w)], mode="clip"), w,
+                        out=self.work[1, :len(w)])
         if divisor != 1.0:
             v /= divisor
         np.add.at(out, xi, v)   # in entry order: no reassociation across passes
@@ -488,16 +513,16 @@ def weyl_apply(a: Symbol, f: FourierField, cfg: ParadiffConfig,
     explicit error kernels; it receives flat arrays
     (XI1, XI2, R1, R2, Z1, Z2) over the chi support."""
     m = f.grid.size
-    fc = np.fft.fftshift(f.coeffs).ravel()
+    centered, fft = shift_perms(m)
+    fc = np.take(f.coeffs, centered)
     plan = _plans(m, cfg.chi_exponent).covering(fc)
     out = np.zeros(m * m, np.complex128)
     if a.is_separable:
         _apply_rows(a, f.grid, cfg, plan, out, fc, extra_weight)
     else:
         _apply_midpoints(a, f.grid, plan, out, fc, extra_weight)
-    out = out.reshape(m, m)
-    out[m // 2, m // 2] = 0.0  # xi = 0 convention
-    return FourierField(f.grid, np.fft.ifftshift(out))
+    out[plan.origin] = 0.0  # xi = 0 convention
+    return FourierField(f.grid, np.take(out, fft).reshape(m, m))
 
 
 def _apply_rows(a, grid, cfg, plan, out, fc, extra_weight):
@@ -511,7 +536,7 @@ def _apply_rows(a, grid, cfg, plan, out, fc, extra_weight):
             continue
         if term.spatial.grid != grid:
             raise ConfigError("symbol spatial factor lives on a different grid")
-        sc = np.fft.fftshift(term.spatial.coeffs).ravel()
+        sc = np.take(term.spatial.coeffs, shift_perms(m)[0])
         tol = cfg.row_tol * np.max(np.abs(sc)) if cfg.row_tol else 0.0
         kept = np.abs(sc) > tol
         c[kept] = sc[kept] / _FOUR_PI2
@@ -533,41 +558,93 @@ def _apply_rows(a, grid, cfg, plan, out, fc, extra_weight):
     for lo in range(0, end, BLOCK):
         e = slice(lo, min(lo + BLOCK, end))
         rho, mid = plan.rho[e], plan.mid[e]
-        w, t, u = plan.work[:, :len(rho)]
-        np.take(coefs[0], rho, out=w, mode="clip")
-        if gz[0] is not None:
-            np.multiply(np.take(gz[0], mid, out=t, mode="clip"), w, out=w)
+        # no complex product writes over an operand (see accumulate)
+        w, t, u, p = plan.work[:, :len(rho)]
+        if gz[0] is None:
+            np.take(coefs[0], rho, out=w, mode="clip")
+        else:
+            np.multiply(np.take(gz[0], mid, out=t, mode="clip"),
+                        np.take(coefs[0], rho, out=u, mode="clip"), out=w)
         for c, g in zip(coefs[1:], gz[1:]):
-            np.take(c, rho, out=t, mode="clip")
+            term = np.take(c, rho, out=t, mode="clip")
             if g is not None:
-                np.multiply(t, np.take(g, mid, out=u, mode="clip"), out=t)
-            w += t
+                term = np.multiply(term, np.take(g, mid, out=u, mode="clip"), out=p)
+            w += term
         plan.accumulate(out, e, w, fc, extra_weight)
 
 
 def _apply_midpoints(a, grid, plan, out, fc, extra_weight):
     """General symbols: a(x, zeta) sampled by the symbol's own evaluator on
     batches of midpoints, and each entry's atilde(rho, zeta) taken by the
-    DFT over the plan's rho box (_box_dft)."""
+    DFT over the plan's rho box (_box_dft).
+
+    A symbol declared even in zeta is sampled and transformed in x2 once
+    per +-s pair, at the representative of by_midpoint: the walk goes
+    through the lower half (ids below s = 0) in order, each batch sampled
+    at the representatives (the mirrors, descending) and serving the
+    entries of both of its midpoints, each contracted over x1 with its own
+    rho.  The lower entries are accumulated at once; the upper ones hold
+    their weights (16 bytes an entry, in chunks of BLOCK entries that fit
+    in memory the plan build freed, where one array of them would not)
+    until the walk is done, and are then accumulated in their own order.
+    Upper midpoints without a mirror are walked last, at themselves.  Any
+    other symbol walks every midpoint at itself, all of them in the lower
+    half.  Either way the entries are accumulated in the plan's midpoint
+    order, so a symbol declared even gets bit for bit the sums of the same
+    evaluator undeclared.  (Masks and bincount, not np.setdiff1d or
+    np.unique, which import numpy.ma: a megabyte more peak RSS.)"""
     m = grid.size
-    perm, start, ids, table = plan.by_midpoint()
+    perm, start, ids, table, rep = plan.by_midpoint()
     radius = table.shape[1] // 2
     X1, X2 = grid.x()
+    n = len(ids)
+    if a.even:   # the lower half h is walked at its representatives
+        h = int(np.searchsorted(ids, len(plan.mid_row) // 2))
+    else:
+        h, rep = n, np.arange(n)
+    paired = rep[:h] > np.arange(h)
+    walked = np.zeros(n, bool)
+    walked[rep[:h]] = True
+    lone = h + np.flatnonzero(~walked[h:])   # upper midpoints no lower one represents
+    walk = np.concatenate((rep[:h], lone))                        # midpoints sampled
+    upper = np.concatenate((np.where(paired, rep[:h], -1), lone))  # upper midpoint served
+    held = {}   # chunk k: the upper half's weights of final pass k, BLOCK entries
+
+    def passes(e, w):
+        for lo in range(0, len(e), BLOCK):
+            plan.accumulate(out, e[lo:lo + BLOCK], w[lo:lo + BLOCK], fc, extra_weight, _FOUR_PI2)
+
     step = max(1, _SAMPLES // (m * m))
-    for j in range(0, len(ids), step):
-        j2 = min(j + step, len(ids))
-        z1, z2 = plan.zeta(ids[j:j2])
+    for j in range(0, len(walk), step):
+        j2 = min(j + step, len(walk))
+        z1, z2 = plan.zeta(ids[walk[j:j2]])
         vals = np.broadcast_to(a.fn(X1[None], X2[None], z1[:, None, None], z2[:, None, None]),
                                (j2 - j, m, m))
-        e = perm[start[j]:start[j2]]
+        if j2 - j < step:   # zero samples pad the batch: see _box_dft
+            vals = np.concatenate((vals, np.zeros((step - (j2 - j), m, m))))
+        # the entries served: the lower midpoints' first, then the upper ones'
+        lo, hi = min(j, h), min(j2, h)
+        up = np.flatnonzero(upper[j:j2] >= 0)
+        served = np.concatenate((np.arange(lo, hi), upper[j:j2][up]))
+        counts = start[served + 1] - start[served]
+        pos = np.repeat(start[served] - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+        mid = np.repeat(np.concatenate((np.arange(lo - j, hi - j), up)), counts)
+        e = perm[pos]
         rho = plan.rho[e]
-        mid = np.repeat(np.arange(j2 - j), np.diff(start[j:j2 + 1]))
         w = _box_dft(vals, table, mid, plan.k1[rho] + radius, plan.k2[rho] + radius)
         if np.ndim(w):   # else a(., zeta) = 0 on the whole batch
             w *= (TWO_PI / m) ** 2
-            for lo in range(0, len(e), BLOCK):
-                plan.accumulate(out, e[lo:lo + BLOCK], w[lo:lo + BLOCK], fc,
-                                extra_weight, _FOUR_PI2)
+            now = start[hi] - start[lo]
+            off = pos[now:] - start[h]
+            for k in np.flatnonzero(np.bincount(off // BLOCK)):
+                sel = off // BLOCK == k
+                size = min(BLOCK, start[n] - start[h] - k * BLOCK)
+                held.setdefault(k, np.zeros(size, np.complex128))[off[sel] % BLOCK] = w[now:][sel]
+            passes(e[:now], w[:now])
+    for k, lo in enumerate(range(start[h], start[n], BLOCK)):
+        e = perm[lo:lo + BLOCK]
+        plan.accumulate(out, e, held.pop(k, np.zeros(len(e), np.complex128)), fc,
+                        extra_weight, _FOUR_PI2)
 
 
 def _dft_table(m, radius):
@@ -587,7 +664,13 @@ def _box_dft(vals, table, mid, c1, c2):
     one real matrix product over x2 against the table's interleaved real and
     imaginary columns, viewed back as complex; then each entry contracts its
     (mid, :, c2) row over x1 with E[:, c1].  Returns 0.0 when every part is
-    zero."""
+    zero.
+
+    The product's rows round alike in every call of one shape, but BLAS
+    (OpenBLAS) takes another kernel for small products, which rounds the
+    last columns otherwise; so _apply_midpoints passes every batch of a walk
+    with the same number of samples, a short one padded with zeros, and a
+    midpoint's values do not depend on the batch it falls in."""
     nb, m = vals.shape[0], vals.shape[-1]
     e1 = table.T[c1]
     parts = ((vals.real, 1.0), (vals.imag, 1j)) if np.iscomplexobj(vals) else ((vals, 1.0),)
@@ -692,12 +775,16 @@ def sampled_norm(values, l, zeta_samples) -> float:
     """max over the zeta samples of <zeta>^{-l} ||values(., zeta)||_{L^2_x}.
 
     ``values``, shape (len(zeta_samples), M, M), holds one function on the
-    full grid at every zeta sample; a NaN sample norm is skipped."""
+    full grid at every zeta sample.  A sample norm that is not finite (NaN
+    or inf) raises NumericAbortError naming its zeta sample."""
     dx_quad = (TWO_PI / values.shape[-1]) ** 2
     best = 0.0
     for (w1, w2), v in zip(zeta_samples, values):
         weight = math.sqrt(1.0 + w1 * w1 + w2 * w2) ** -l
-        best = max(best, weight * math.sqrt(float(np.sum(np.abs(v) ** 2)) * dx_quad))
+        norm = weight * math.sqrt(float(np.sum(np.abs(v) ** 2)) * dx_quad)
+        if not math.isfinite(norm):
+            raise NumericAbortError(f"sample norm {norm} at zeta = ({w1!r}, {w2!r})")
+        best = max(best, norm)
     return best
 
 
@@ -709,8 +796,10 @@ def symbol_norm(a: Symbol, l, r, zeta_samples, grid: Grid) -> SymbolNormReport:
 
     x-derivatives are exact in Fourier, zeta-derivatives repeated
     zeta_differences; each derivative part is measured by sampled_norm at
-    order l - |beta|.  Every zeta sample is evaluated in one broadcast call
-    per derivative.
+    order l - |beta|, so a part that is not finite at some zeta sample
+    raises NumericAbortError and the running max only ever sees finite
+    values.  Every zeta sample is evaluated in one broadcast call per
+    derivative.
     """
     if r < 0:
         raise ConfigError("differentiability r must be >= 0")

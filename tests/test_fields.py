@@ -9,6 +9,7 @@ from gcwaves.fields import (FourierField, Grid, analyze, apply_multiplier,
                             lp_gt, lp_leq, lp_project, mean, phi_le, phi_gt,
                             phi_shell, pointwise_product, random_field,
                             save_snapshot, sobolev_norm, synthesize)
+from gcwaves.lattice import shift_perms
 
 TWO_PI = 2.0 * np.pi
 
@@ -259,3 +260,30 @@ def test_freqs_cached_and_read_only():
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0, 0] = 1
+
+
+def test_grid_points_cached_and_read_only():
+    X1, X2 = Grid(16).x()
+    again = Grid(16, dealias_fraction=0.5).x()
+    assert again[0] is X1 and again[1] is X2
+    x = TWO_PI * np.arange(16) / 16
+    e1, e2 = np.meshgrid(x, x, indexing="ij")
+    assert X1.tobytes() == e1.tobytes() and X2.tobytes() == e2.tobytes()
+    for arr in (X1, X2):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 12, 33, 64])
+def test_shift_perms_are_fftshift_and_ifftshift(n):
+    # the cached gathers give numpy's shifts bit for bit, odd n included
+    centered, fft = shift_perms(n)
+    assert shift_perms(n)[0] is centered
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    assert np.take(a, centered).tobytes() == np.fft.fftshift(a).ravel().tobytes()
+    assert np.take(a.ravel(), fft).tobytes() == np.fft.ifftshift(a).ravel().tobytes()
+    assert np.array_equal(centered[fft], np.arange(n * n))
+    for arr in (centered, fft):
+        assert not arr.flags.writeable

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -13,7 +14,8 @@ from gcwaves.goodvar import (SurfaceState, build_good_variable, build_symbols,
                              expansion_check, fit_loglog, ladder,
                              linear_good_variable, quadratic_energy,
                              random_state)
-from gcwaves.paradiff import ParadiffConfig, Symbol, poisson_bracket, symbol_norm
+from gcwaves.paradiff import (ParadiffConfig, Symbol, poisson_bracket, symbol_norm,
+                              weyl_apply)
 
 CFG = ParadiffConfig(chi_exponent=-2)
 P11 = DispersionParams(1.0, 1.0)
@@ -472,3 +474,62 @@ def test_symbol_trace_matches_loop_oracle(tmp_path, m, seed):
         path = tmp_path / f"trace{k}.csv"
         export_symbol_trace(sym, grid, samples, path)
         assert path.read_text() == _symbol_trace_loop(sym, grid, samples)
+
+
+# ---------------------------------------------------------------------------
+# the pointwise symbols are even in zeta: one sample per +-s pair
+# ---------------------------------------------------------------------------
+
+EVEN = ("lambda1", "lambda0", "lam", "Sigma", "sqrt_g_ell", "inv_sqrt_g_ell", "mprime")
+
+
+@functools.lru_cache(maxsize=3)
+def _family(m, chi):
+    state = random_state(Grid(m), P11, amplitude=0.3, seed=m - chi)
+    return build_symbols(state, ParadiffConfig(chi_exponent=chi))
+
+
+# every box radius at 8^2, 12^2 and 16^2; at 32^2 two boxes whose short
+# batch would take another BLAS kernel unpadded, and two more
+PAIRING = [pytest.param(m, chi, radii, id=f"{m}-chi{chi}-r{'-'.join(map(str, radii))}")
+           for m, chi, radii in
+           [(m, chi, tuple(range(m // 2))) for m in (8, 12, 16) for chi in (-1, -2, -3)]
+           + [(32, -1, (3,)), (32, -2, (0, 9)), (32, -3, (5,))]]
+
+
+@pytest.mark.parametrize("m, chi, radii", PAIRING)
+def test_even_symbols_apply_bit_for_bit_as_undeclared(m, chi, radii):
+    # the same evaluator declared even and not: equal sums, bit for bit,
+    # for inputs supported in each eta box |eta|_inf <= radius
+    syms = _family(m, chi)
+    cfg = ParadiffConfig(chi_exponent=chi)
+    g = Grid(m)
+    k1, k2 = g.freqs()
+    rng = np.random.default_rng(m * 100 + radii[0])
+    for radius in radii:
+        c = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        c[radius % m, -radius % m] = 1.0          # the box's corner is occupied
+        f = FourierField(g, np.where((np.abs(k1) <= radius) & (np.abs(k2) <= radius), c, 0.0))
+        for name in EVEN:
+            sym = getattr(syms, name)
+            assert sym.even
+            plain = Symbol.general(sym.fn, sym.order)
+            got = weyl_apply(sym, f, cfg).coeffs
+            assert got.tobytes() == weyl_apply(plain, f, cfg).coeffs.tobytes(), (name, radius)
+            assert radius == 0 or np.max(np.abs(got)) > 0.0
+
+
+@pytest.mark.parametrize("m", [8, 12])
+@settings(max_examples=15, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 16),
+       zeta=st.lists(st.tuples(st.floats(-40.0, 40.0), st.floats(-40.0, 40.0)),
+                     min_size=1, max_size=4))
+def test_pointwise_symbols_are_even_bit_for_bit(m, seed, zeta):
+    assume(all(z1 * z1 + z2 * z2 > 0.25 for z1, z2 in zeta))
+    g = Grid(m)
+    syms = build_symbols(random_state(g, P11, amplitude=0.3, seed=seed), CFG)
+    X1, X2 = g.x()
+    Z1, Z2 = (np.array([z[i] for z in zeta]).reshape(-1, 1, 1) for i in (0, 1))
+    for name in EVEN:
+        fn = getattr(syms, name).fn
+        assert fn(X1, X2, Z1, Z2).tobytes() == fn(X1, X2, -Z1, -Z2).tobytes(), name

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gcwaves import paradiff
-from gcwaves.errors import ConfigError
+from gcwaves.errors import ConfigError, NumericAbortError
 from gcwaves.fields import (FourierField, Grid, inner, l2_norm,
                             lp_project, mean, product_exact, random_field,
                             synthesize)
@@ -272,6 +272,31 @@ def test_sampled_norm_weights_each_sample():
     assert paradiff.sampled_norm(values, -1.0, samples) == pytest.approx(
         TWO_PI * 4.0 * math.sqrt(10.0), rel=1e-14)
     assert paradiff.sampled_norm(values, 0.0, samples) == pytest.approx(TWO_PI * 4.0, rel=1e-14)
+
+
+def test_sampled_norm_raises_on_a_nan_sample():
+    # the NaN sample is not skipped in favour of the finite one, whatever
+    # its place in the stack
+    values = np.stack([np.full((8, 8), 1.0), np.full((8, 8), 1.0)])
+    values[1, 3, 5] = np.nan
+    samples = [(1.0, 0.0), (-4.0, 0.0)]
+    with pytest.raises(NumericAbortError, match=r"zeta = \(-4.0, 0.0\)"):
+        paradiff.sampled_norm(values, 0.0, samples)
+    with pytest.raises(NumericAbortError, match=r"zeta = \(-4.0, 0.0\)"):
+        paradiff.sampled_norm(values[::-1], 0.0, samples[::-1])
+    values[1, 3, 5] = np.inf
+    with pytest.raises(NumericAbortError):
+        paradiff.sampled_norm(values, 0.0, samples)
+
+
+def test_symbol_norm_raises_on_a_nan_sample():
+    # sqrt(zeta1) is NaN at zeta1 = -4: the norm is not that of (1, 0) alone
+    g = Grid(8)
+    a = Symbol.general(lambda X1, X2, Z1, Z2: np.sqrt(Z1) + 0.0 * X1, 0.5)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NumericAbortError, match=r"zeta = \(-4.0, 0.0\)"):
+            symbol_norm(a, 0.0, 0, [(1.0, 0.0), (-4.0, 0.0)], g)
+    assert symbol_norm(a, 0.0, 0, [(1.0, 0.0)], g).value == pytest.approx(TWO_PI, rel=1e-14)
 
 
 def test_zeta_samples_respect_domain():
@@ -843,3 +868,76 @@ def _check_separable_walk(m, kind, seed):
         want = apply()
     assert np.max(np.abs(want)) > 0.0
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+# ---------------------------------------------------------------------------
+# the general path's +-s pairing of midpoints
+# ---------------------------------------------------------------------------
+
+def _even_general(g, seed):
+    """An even general symbol (zeta only through Z1^2, Z1 Z2 and Z2^2, with
+    a complex x-dependent coefficient) and the same evaluator undeclared."""
+    fs = synthesize(random_field(g, seed=seed))
+    fn = lambda X1, X2, Z1, Z2: np.sqrt(1.0 + Z1 ** 2 + 0.5 * (Z1 * Z2) + Z2 ** 2) * fs
+    return Symbol.general(fn, 1.0, even=True), Symbol.general(fn, 1.0)
+
+
+@pytest.mark.parametrize("m, chis", [(6, (-1, -2, -3)), (8, (-1, -2, -3)), (12, (-1, -2, -3)),
+                                     (16, (-1, -2, -3)), (20, (-1, -3)), (32, (-2,))])
+def test_every_plan_midpoint_is_paired_with_its_mirror(m, chis):
+    # rep[j] is the position of the larger id of {s, -s}: every box plan
+    # checked holds -s with each midpoint s
+    for chi in chis:
+        plans = paradiff._plans(m, chi)
+        for k in range(m // 2):
+            plan = plans.box(k)
+            perm, start, ids, table, rep = plan.by_midpoint()
+            s1, s2 = plan.sums[0][ids], plan.sums[1][ids]
+            at = {(a, b): j for j, (a, b) in enumerate(zip(s1, s2))}
+            mirror = np.array([at[(-a, -b)] for a, b in zip(s1, s2)])
+            assert np.array_equal(rep, np.maximum(np.arange(len(ids)), mirror))
+            assert np.all(ids[rep] > len(plan.mid_row) // 2)
+
+
+def test_midpoints_without_a_mirror_are_walked_at_themselves(monkeypatch):
+    # unpair some +-s pairs (and a lower and an upper half of others) in the
+    # plan's record: an even symbol still gets the undeclared one's sums
+    g = Grid(12)
+    even, plain = _even_general(g, 60)
+    f = random_field(g, seed=61, mean_zero=False)
+    plan = paradiff._plans(12, -2).covering(_centered(f))
+    perm, start, ids, table, rep = plan.by_midpoint()
+    n = len(ids)
+    rep = rep.copy()
+    lower = np.flatnonzero(rep > np.arange(n))
+    rng = np.random.default_rng(62)
+    gone = rng.choice(lower, len(lower) // 3, replace=False)
+    rep[rep[gone]] = rep[gone]            # upper midpoints left on their own
+    rep[gone] = gone                      # and their lower mirrors
+    monkeypatch.setattr(plan, "_by_mid", (perm, start, ids, table, rep))
+    assert np.array_equal(weyl_apply(even, f, CFG).coeffs, weyl_apply(plain, f, CFG).coeffs)
+
+
+@pytest.mark.parametrize("kind", ["general", "even", "separable", "kernel"])
+def test_one_entry_passes_round_like_long_ones(kind):
+    # passes of one entry against passes of BLOCK: numpy's one-element
+    # complex product in place would round without FMA
+    g = Grid(8)
+    f = random_field(g, seed=63, mean_zero=False)
+    even, plain = _even_general(g, 64)
+    sym = {"general": plain, "even": even, "kernel": plain,
+           "separable": _oracle_case("separable", g)[0]}[kind]
+
+    def apply():
+        if kind == "kernel":
+            return error_kernel_apply(_mult(0.5), sym, f, "left", CFG).coeffs
+        return weyl_apply(sym, f, CFG).coeffs
+
+    paradiff._plans.cache_clear()
+    long = apply()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(paradiff, "BLOCK", 1)
+        paradiff._plans.cache_clear()
+        short = apply()
+    paradiff._plans.cache_clear()
+    assert np.array_equal(short, long)

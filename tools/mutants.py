@@ -44,6 +44,8 @@ ROWS = ("tests/test_paradiff.py::test_separable_apply_matches_active_row_walk",
 DFT = "tests/test_paradiff.py::test_box_dft_matches_direct_sum"
 BOXES = "tests/test_paradiff.py::test_box_plan_is_the_full_plan_restricted_to_its_box"
 PASSES = "tests/test_paradiff.py::test_apply_is_independent_of_the_pass_length"
+ONE_ENTRY = "tests/test_paradiff.py::test_one_entry_passes_round_like_long_ones"
+PAIRING = "tests/test_goodvar.py::test_even_symbols_apply_bit_for_bit_as_undeclared"
 NORMS = "tests/test_paradiff.py::test_symbol_norm_"
 ZDIFF = ("tests/test_paradiff.py::test_zeta_difference_is_central_at_step_one_quarter",
          NORMS + "zeta_derivatives_at_step_one_quarter")
@@ -153,10 +155,34 @@ MUTANTS = (
            (BOXES,)),
     # the f-hat product as it was written before the walk had fixed passes
     Mutant("product-order-swapped-back", PARADIFF,
-           'v = np.take(fc, eta, out=self.work[2, :len(w)], mode="clip")\n'
-           "        np.multiply(v, w, out=v)",
+           'v = np.multiply(np.take(fc, eta, out=self.work[2, :len(w)], mode="clip"), w,\n'
+           "                        out=self.work[1, :len(w)])",
            "v = w * np.take(fc, eta)",
            (PASSES,)),
+    # the f-hat product as it was written in place, one-entry passes and all
+    Mutant("one-entry-product-in-place", PARADIFF,
+           'v = np.multiply(np.take(fc, eta, out=self.work[2, :len(w)], mode="clip"), w,\n'
+           "                        out=self.work[1, :len(w)])",
+           'v = np.take(fc, eta, out=self.work[2, :len(w)], mode="clip")\n'
+           "        np.multiply(v, w, out=v)",
+           (ONE_ENTRY,)),
+    # the general path's +-s pairing of an even symbol's midpoints
+    Mutant("pairing-wrong-mirror", PARADIFF,
+           "mirror = len(self.mid_row) - 1 - ids",
+           "mirror = len(self.mid_row) - 2 - ids",
+           (PAIRING, "tests/test_paradiff.py::test_every_plan_midpoint_is_paired_with_its_mirror")),
+    Mutant("upper-half-accumulated-first", PARADIFF,
+           "            off = pos[now:] - start[h]\n"
+           "            for k in np.flatnonzero(np.bincount(off // BLOCK)):\n"
+           "                sel = off // BLOCK == k\n"
+           "                size = min(BLOCK, start[n] - start[h] - k * BLOCK)\n"
+           "                held.setdefault(k, np.zeros(size, np.complex128))[off[sel] % BLOCK] = w[now:][sel]\n",
+           "            passes(e[now:], w[now:])\n",
+           (PAIRING,)),
+    Mutant("short-batch-not-padded", PARADIFF,
+           "if j2 - j < step:",
+           "if False:",
+           (PAIRING,)),
     Mutant("conj-flip-no-sign-flip", PARADIFF,
            "g(-np.asarray(z1), -np.asarray(z2)), np.complex128))",
            "g(np.asarray(z1), np.asarray(z2)), np.complex128))",
@@ -167,6 +193,11 @@ MUTANTS = (
            "weight = math.sqrt(1.0 + w1 * w1 + w2 * w2) ** l",
            ("tests/test_paradiff.py::test_sampled_norm_weights_each_sample",
             NORMS + "order_one_multiplier")),
+    Mutant("sampled-norm-nan-skipped", PARADIFF,
+           "if not math.isfinite(norm):",
+           "if math.isinf(norm):",
+           ("tests/test_paradiff.py::test_sampled_norm_raises_on_a_nan_sample",
+            "tests/test_paradiff.py::test_symbol_norm_raises_on_a_nan_sample")),
     Mutant("zeta-difference-step-doubled", PARADIFF,
            "    h = ZETA_STEP\n",
            "    h = 2 * ZETA_STEP\n",
