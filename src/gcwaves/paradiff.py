@@ -43,16 +43,17 @@ Symbols come in two flavours:
     zeta (Symbol.general(..., even=True), as goodvar's pointwise symbols
     are) costs one evaluation and one x2 product per pair +-s of midpoints;
     the midpoints of every plan checked (6^2 to 32^2, chi -1 to -3, every
-    eta box) come in such pairs.  Each entry needs
-    atilde(rho, zeta) only for rho in the plan's box |rho_i| <= R, so the
-    samples are transformed in x by a DFT over that box alone: one real
-    matrix product over x2 per part of the batch (real samples stay real;
-    a part that vanishes on the batch is skipped) against the table
-    E[x, r] = e^{-ixr}, r in [-R, R], that the plan keeps, then per entry
-    one dot product over x1 at its (midpoint, rho1, rho2).  At 12^2 the
-    K = 3 plan has R = 3 (R = 4 at K = 5): its 264 midpoints (132 pairs)
-    take 12 x 7 values each from the x2 product, and its 816 entries one
-    12-term dot product each.
+    eta box) come in such pairs.  Either way the entries are summed in the
+    plan's midpoint order, so the sums do not change with the declaration.
+    Each entry needs atilde(rho, zeta) only for rho in the plan's box
+    |rho_i| <= R, so the samples are transformed in x by a DFT over that
+    box alone: one real matrix product over x2 per part of the batch (real
+    samples stay real; a part that vanishes on the batch is skipped)
+    against the table E[x, r] = e^{-ixr}, r in [-R, R], that the plan
+    keeps, then per entry one dot product over x1 at its (midpoint, rho1,
+    rho2).  At 12^2 the K = 3 plan has R = 3 (R = 4 at K = 5): its 264
+    midpoints (132 pairs) take 12 x 7 values each from the x2 product, and
+    its 816 entries one 12-term dot product each.
 
 Symbol frequencies xi - eta outside the grid rectangle are treated as zero
 rows (a discretization truncation; chi suppresses that region anyway).
@@ -80,18 +81,21 @@ class ParadiffConfig:
     on desk-scale grids (|xi - eta| >= 1 forces |xi + eta| >~ 2^20), so
     experiments default to passing chi_exponent=-2 explicitly and every
     report records the exponent in effect.  ``row_tol`` optionally drops
-    symbol rows with relative weight below it (0 keeps exactness).  A
-    separable apply walks every plan row up to the last one it keeps, so
-    dropping rows shortens the walk only when they are the trailing ones;
-    dropped rows inside the walk add exact zeros.
+    symbol rows with relative weight below it (0 keeps exactness; 1 or more
+    would drop every row).  A separable apply walks every plan row up to the
+    last one it keeps, so dropping rows shortens the walk only when they are
+    the trailing ones; dropped rows inside the walk add exact zeros.
     """
 
     chi_exponent: int = -20
     row_tol: float = 0.0
 
     def __post_init__(self):
-        if self.chi_exponent > -1:
-            raise ConfigError("chi_exponent must be <= -1")
+        # a NaN fails every comparison, so each range check rejects it
+        if not -math.inf < self.chi_exponent <= -1:
+            raise ConfigError(f"chi_exponent must be finite and <= -1, got {self.chi_exponent!r}")
+        if not 0.0 <= self.row_tol < 1.0:
+            raise ConfigError(f"row_tol must be in [0, 1), got {self.row_tol!r}")
 
     def chi(self, ratio):
         return bump(np.asarray(ratio, float) / 2.0 ** self.chi_exponent)
@@ -578,73 +582,67 @@ def _apply_midpoints(a, grid, plan, out, fc, extra_weight):
     batches of midpoints, and each entry's atilde(rho, zeta) taken by the
     DFT over the plan's rho box (_box_dft).
 
-    A symbol declared even in zeta is sampled and transformed in x2 once
-    per +-s pair, at the representative of by_midpoint: the walk goes
-    through the lower half (ids below s = 0) in order, each batch sampled
-    at the representatives (the mirrors, descending) and serving the
-    entries of both of its midpoints, each contracted over x1 with its own
-    rho.  The lower entries are accumulated at once; the upper ones hold
-    their weights (16 bytes an entry, in chunks of BLOCK entries that fit
-    in memory the plan build freed, where one array of them would not)
-    until the walk is done, and are then accumulated in their own order.
-    Upper midpoints without a mirror are walked last, at themselves.  Any
-    other symbol walks every midpoint at itself, all of them in the lower
-    half.  Either way the entries are accumulated in the plan's midpoint
-    order, so a symbol declared even gets bit for bit the sums of the same
-    evaluator undeclared.  (Masks and bincount, not np.setdiff1d or
-    np.unique, which import numpy.ma: a megabyte more peak RSS.)"""
+    The walk samples and transforms in x2 the distinct representatives of
+    by_midpoint (one per +-s pair for a symbol declared even in zeta, every
+    midpoint otherwise), each serving the entries of the midpoints it
+    represents, each entry contracted over x1 with its own rho.  A
+    midpoint's weights depend neither on its batch (batches are padded, see
+    _box_dft) nor on the walk's order, so they go into a store of one weight
+    per plan entry, in chunks of BLOCK entries, and each chunk is
+    accumulated as one pass once it and every chunk before it are full: the
+    sums are bit for bit the same for a symbol declared even or not.
+    Samples are walked in the order of the first midpoint each serves, so
+    an even symbol holds only its upper half's weights (16 bytes an entry)
+    until the walk ends, and an undeclared one a chunk or two; the chunks
+    fit in memory the plan build freed, where one array would not.  (A
+    stable argsort and bincount, not np.unique, which imports numpy.ma: a
+    megabyte more peak RSS.)"""
     m = grid.size
     perm, start, ids, table, rep = plan.by_midpoint()
     radius = table.shape[1] // 2
     X1, X2 = grid.x()
     n = len(ids)
-    if a.even:   # the lower half h is walked at its representatives
-        h = int(np.searchsorted(ids, len(plan.mid_row) // 2))
-    else:
-        h, rep = n, np.arange(n)
-    paired = rep[:h] > np.arange(h)
-    walked = np.zeros(n, bool)
-    walked[rep[:h]] = True
-    lone = h + np.flatnonzero(~walked[h:])   # upper midpoints no lower one represents
-    walk = np.concatenate((rep[:h], lone))                        # midpoints sampled
-    upper = np.concatenate((np.where(paired, rep[:h], -1), lone))  # upper midpoint served
-    held = {}   # chunk k: the upper half's weights of final pass k, BLOCK entries
-
-    def passes(e, w):
-        for lo in range(0, len(e), BLOCK):
-            plan.accumulate(out, e[lo:lo + BLOCK], w[lo:lo + BLOCK], fc, extra_weight, _FOUR_PI2)
-
+    if not a.even:
+        rep = np.arange(n)
+    # the midpoints served[at[i]:at[i+1]] share the sample at rep[walk[i]],
+    # walk[i] the first of them; samples are walked in that first one's order
+    first = np.full(n, n)
+    np.minimum.at(first, rep, np.arange(n))
+    key = first[rep]
+    served = np.argsort(key, kind="stable")
+    size = np.bincount(key, minlength=n)
+    walk = np.flatnonzero(size)
+    at = np.concatenate(([0], np.cumsum(size[walk])))
+    store = {}   # chunk k: the weights of the entries perm[k * BLOCK:(k + 1) * BLOCK]
+    left = np.diff(np.append(np.arange(0, len(perm), BLOCK), len(perm)))   # entries to weigh, per chunk
+    done = 0     # chunks accumulated
     step = max(1, _SAMPLES // (m * m))
     for j in range(0, len(walk), step):
         j2 = min(j + step, len(walk))
-        z1, z2 = plan.zeta(ids[walk[j:j2]])
+        z1, z2 = plan.zeta(ids[rep[walk[j:j2]]])
         vals = np.broadcast_to(a.fn(X1[None], X2[None], z1[:, None, None], z2[:, None, None]),
                                (j2 - j, m, m))
         if j2 - j < step:   # zero samples pad the batch: see _box_dft
             vals = np.concatenate((vals, np.zeros((step - (j2 - j), m, m))))
-        # the entries served: the lower midpoints' first, then the upper ones'
-        lo, hi = min(j, h), min(j2, h)
-        up = np.flatnonzero(upper[j:j2] >= 0)
-        served = np.concatenate((np.arange(lo, hi), upper[j:j2][up]))
-        counts = start[served + 1] - start[served]
-        pos = np.repeat(start[served] - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
-        mid = np.repeat(np.concatenate((np.arange(lo - j, hi - j), up)), counts)
-        e = perm[pos]
-        rho = plan.rho[e]
+        q = served[at[j]:at[j2]]
+        counts = start[q + 1] - start[q]
+        pos = np.repeat(start[q] - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+        mid = np.repeat(np.repeat(np.arange(j2 - j), size[walk[j:j2]]), counts)
+        rho = plan.rho[perm[pos]]
         w = _box_dft(vals, table, mid, plan.k1[rho] + radius, plan.k2[rho] + radius)
-        if np.ndim(w):   # else a(., zeta) = 0 on the whole batch
-            w *= (TWO_PI / m) ** 2
-            now = start[hi] - start[lo]
-            off = pos[now:] - start[h]
-            for k in np.flatnonzero(np.bincount(off // BLOCK)):
-                sel = off // BLOCK == k
-                size = min(BLOCK, start[n] - start[h] - k * BLOCK)
-                held.setdefault(k, np.zeros(size, np.complex128))[off[sel] % BLOCK] = w[now:][sel]
-            passes(e[:now], w[:now])
-    for k, lo in enumerate(range(start[h], start[n], BLOCK)):
-        e = perm[lo:lo + BLOCK]
-        plan.accumulate(out, e, held.pop(k, np.zeros(len(e), np.complex128)), fc,
-                        extra_weight, _FOUR_PI2)
+        # w = 0.0 when a(., zeta) = 0 on the whole batch
+        w = np.broadcast_to(w * (TWO_PI / m) ** 2, pos.shape)
+        chunk = pos // BLOCK
+        for k in np.flatnonzero(np.bincount(chunk)):
+            sel = chunk == k
+            if k not in store:
+                store[k] = np.empty(min(BLOCK, len(perm) - k * BLOCK), np.complex128)
+            store[k][pos[sel] - k * BLOCK] = w[sel]
+        left -= np.bincount(chunk, minlength=len(left))
+        while done < len(left) and not left[done]:   # the complete chunks, in plan order
+            e = perm[done * BLOCK:(done + 1) * BLOCK]
+            plan.accumulate(out, e, store.pop(done), fc, extra_weight, _FOUR_PI2)
+            done += 1
 
 
 def _dft_table(m, radius):
@@ -850,6 +848,8 @@ def error_kernel_apply(a: Symbol, b: Symbol, f: FourierField, side,
     t = a.terms[0]
     if t.dgz is None:
         raise ConfigError("error kernels need an exact gradient callback on the multiplier")
+    if side not in ("left", "right"):   # checked here: an empty walk never weighs
+        raise ConfigError(f"side must be 'left' or 'right', got {side!r}")
     ga, dga1, dga2 = t.gz, t.dgz[0], t.dgz[1]
 
     def weight(XI1, XI2, R1, R2, Z1, Z2):
@@ -858,9 +858,7 @@ def error_kernel_apply(a: Symbol, b: Symbol, f: FourierField, side,
         d2 = dga2(Z1, Z2)
         if side == "left":
             return ga(XI1, XI2) - az - 0.5 * (R1 * d1 + R2 * d2)
-        if side == "right":
-            return ga(XI1 - R1, XI2 - R2) - az + 0.5 * (R1 * d1 + R2 * d2)
-        raise ConfigError(f"side must be 'left' or 'right', got {side!r}")
+        return ga(XI1 - R1, XI2 - R2) - az + 0.5 * (R1 * d1 + R2 * d2)
 
     return weyl_apply(b, f, cfg, extra_weight=weight)
 

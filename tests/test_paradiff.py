@@ -68,6 +68,17 @@ def test_config_validation():
     assert ParadiffConfig().chi_exponent == -20  # the faithful default
 
 
+@pytest.mark.parametrize("kw", [{"chi_exponent": math.nan}, {"chi_exponent": -math.inf},
+                                {"row_tol": math.nan}, {"row_tol": math.inf},
+                                {"row_tol": -1.0}, {"row_tol": 1.0}],
+                         ids=["chi-nan", "chi-minus-inf", "tol-nan", "tol-inf", "tol-negative",
+                              "tol-one"])
+def test_config_rejects_values_that_zero_the_operator(kw):
+    # each of these would give T_a f = 0 (row_tol >= 1 drops every row)
+    with pytest.raises(ConfigError):
+        ParadiffConfig(**{"chi_exponent": -2, **kw})
+
+
 def test_t_one_is_identity_minus_mean():
     f = random_field(G16, seed=3, mean_zero=False)
     out = weyl_apply(Symbol.constant(1.0), f, CFG)
@@ -335,6 +346,17 @@ def test_error_kernel_matches_composition_residual():
     res = compose_residual_field(a, b, f, CFG)
     ek = error_kernel_apply(a, b, f, "left", CFG)
     assert np.max(np.abs(res.coeffs - ek.coeffs)) <= 1e-10 * (1 + np.max(np.abs(ek.coeffs)))
+
+
+@pytest.mark.parametrize("constant", [True, False], ids=["constant", "full"])
+def test_error_kernel_checks_its_side_on_entry(constant):
+    # a constant input walks no entry, so the weight is never evaluated
+    b = Symbol.from_function(random_field(G16, seed=30, real=True))
+    f = random_field(G16, seed=31, mean_zero=False)
+    if constant:
+        f = FourierField.from_coeffs(G16, np.pad([[2.0]], ((0, 15), (0, 15))))
+    with pytest.raises(ConfigError):
+        error_kernel_apply(_mult(0.5), b, f, "middle", CFG)
 
 
 def test_error_kernel_requires_multiplier_with_gradient():
@@ -899,23 +921,60 @@ def test_every_plan_midpoint_is_paired_with_its_mirror(m, chis):
             assert np.all(ids[rep] > len(plan.mid_row) // 2)
 
 
+def _unpair(plan, mp, seed):
+    """Unpair a third of the plan's +-s pairs in its by_midpoint record: each
+    midpoint of those pairs is left to represent itself."""
+    perm, start, ids, table, rep = plan.by_midpoint()
+    rep = rep.copy()
+    lower = np.flatnonzero(rep > np.arange(len(ids)))
+    gone = np.random.default_rng(seed).choice(lower, len(lower) // 3, replace=False)
+    rep[rep[gone]] = rep[gone]            # upper midpoints left on their own
+    rep[gone] = gone                      # and their lower mirrors
+    mp.setattr(plan, "_by_mid", (perm, start, ids, table, rep))
+
+
 def test_midpoints_without_a_mirror_are_walked_at_themselves(monkeypatch):
-    # unpair some +-s pairs (and a lower and an upper half of others) in the
-    # plan's record: an even symbol still gets the undeclared one's sums
+    # an even symbol on a partly unpaired plan still gets the undeclared
+    # one's sums
     g = Grid(12)
     even, plain = _even_general(g, 60)
     f = random_field(g, seed=61, mean_zero=False)
-    plan = paradiff._plans(12, -2).covering(_centered(f))
-    perm, start, ids, table, rep = plan.by_midpoint()
-    n = len(ids)
-    rep = rep.copy()
-    lower = np.flatnonzero(rep > np.arange(n))
-    rng = np.random.default_rng(62)
-    gone = rng.choice(lower, len(lower) // 3, replace=False)
-    rep[rep[gone]] = rep[gone]            # upper midpoints left on their own
-    rep[gone] = gone                      # and their lower mirrors
-    monkeypatch.setattr(plan, "_by_mid", (perm, start, ids, table, rep))
+    _unpair(paradiff._plans(12, -2).covering(_centered(f)), monkeypatch, 62)
     assert np.array_equal(weyl_apply(even, f, CFG).coeffs, weyl_apply(plain, f, CFG).coeffs)
+
+
+@pytest.mark.parametrize("block, batch", [(BLOCK, None), (64, 8)], ids=["default", "short"])
+@pytest.mark.parametrize("kind", ["undeclared", "even", "unpaired"])
+def test_general_entries_are_accumulated_once_in_midpoint_order(kind, block, batch):
+    # whatever order the walk samples the midpoints in, the passes hold every
+    # plan entry exactly once, in the plan's midpoint order (perm), in full
+    # passes of BLOCK entries but the last; "short" walks many batches of 8
+    # samples and many passes of 64 entries
+    g = Grid(12)
+    even, plain = _even_general(g, 65)
+    f = random_field(g, seed=66, mean_zero=False)
+    seen = []
+    accumulate = paradiff._ChiPlan.accumulate
+
+    def record(plan, out, e, *args):
+        seen.append(np.array(e))
+        accumulate(plan, out, e, *args)
+
+    paradiff._plans.cache_clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(paradiff, "BLOCK", block)
+        if batch:
+            mp.setattr(paradiff, "_SAMPLES", batch * 12 * 12)
+        plan = paradiff._plans(12, -2).covering(_centered(f))
+        if kind == "unpaired":
+            _unpair(plan, mp, 67)
+        mp.setattr(paradiff._ChiPlan, "accumulate", record)
+        weyl_apply(plain if kind == "undeclared" else even, f, CFG)
+        perm = plan.by_midpoint()[0]
+    paradiff._plans.cache_clear()
+    assert len(perm) > 10 * 64                     # many passes at 64 entries
+    assert all(len(e) == block for e in seen[:-1]) and 0 < len(seen[-1]) <= block
+    assert np.array_equal(np.concatenate(seen), perm)
 
 
 @pytest.mark.parametrize("kind", ["general", "even", "separable", "kernel"])

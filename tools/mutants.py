@@ -46,6 +46,7 @@ BOXES = "tests/test_paradiff.py::test_box_plan_is_the_full_plan_restricted_to_it
 PASSES = "tests/test_paradiff.py::test_apply_is_independent_of_the_pass_length"
 ONE_ENTRY = "tests/test_paradiff.py::test_one_entry_passes_round_like_long_ones"
 PAIRING = "tests/test_goodvar.py::test_even_symbols_apply_bit_for_bit_as_undeclared"
+ORDER = "tests/test_paradiff.py::test_general_entries_are_accumulated_once_in_midpoint_order"
 NORMS = "tests/test_paradiff.py::test_symbol_norm_"
 ZDIFF = ("tests/test_paradiff.py::test_zeta_difference_is_central_at_step_one_quarter",
          NORMS + "zeta_derivatives_at_step_one_quarter")
@@ -171,18 +172,46 @@ MUTANTS = (
            "mirror = len(self.mid_row) - 1 - ids",
            "mirror = len(self.mid_row) - 2 - ids",
            (PAIRING, "tests/test_paradiff.py::test_every_plan_midpoint_is_paired_with_its_mirror")),
-    Mutant("upper-half-accumulated-first", PARADIFF,
-           "            off = pos[now:] - start[h]\n"
-           "            for k in np.flatnonzero(np.bincount(off // BLOCK)):\n"
-           "                sel = off // BLOCK == k\n"
-           "                size = min(BLOCK, start[n] - start[h] - k * BLOCK)\n"
-           "                held.setdefault(k, np.zeros(size, np.complex128))[off[sel] % BLOCK] = w[now:][sel]\n",
-           "            passes(e[now:], w[now:])\n",
-           (PAIRING,)),
+    # the general path's one walk: samples serve their midpoints' entries,
+    # whose weights are stored per plan entry and accumulated in plan order
+    Mutant("sample-slot-off-by-one", PARADIFF,
+           "mid = np.repeat(np.repeat(np.arange(j2 - j), size[walk[j:j2]]), counts)",
+           "mid = np.repeat(np.repeat(np.arange(1, j2 - j + 1), size[walk[j:j2]]), counts)",
+           (BRUTE, PAIRING)),
+    Mutant("store-accumulated-as-completed", PARADIFF,
+           "        while done < len(left) and not left[done]:   # the complete chunks, in plan order\n"
+           "            e = perm[done * BLOCK:(done + 1) * BLOCK]\n"
+           "            plan.accumulate(out, e, store.pop(done), fc, extra_weight, _FOUR_PI2)\n"
+           "            done += 1\n",
+           "        for done in [k for k in store if not left[k]]:\n"
+           "            e = perm[done * BLOCK:(done + 1) * BLOCK]\n"
+           "            plan.accumulate(out, e, store.pop(done), fc, extra_weight, _FOUR_PI2)\n",
+           (ORDER,)),
+    Mutant("store-accumulated-unfilled", PARADIFF,
+           "while done < len(left) and not left[done]:",
+           "while done < len(left) and left[done] < BLOCK:",
+           (BRUTE, PAIRING)),
+    Mutant("store-wrong-chunk", PARADIFF,
+           "store[k][pos[sel] - k * BLOCK] = w[sel]",
+           "store[max(k - 1, 0)][pos[sel] - k * BLOCK] = w[sel]",
+           (BRUTE, ONE_ENTRY)),
     Mutant("short-batch-not-padded", PARADIFF,
            "if j2 - j < step:",
            "if False:",
            (PAIRING,)),
+    # values checked on entry: they would zero the operator or go unchecked
+    Mutant("chi-exponent-nan-accepted", PARADIFF,
+           "if not -math.inf < self.chi_exponent <= -1:",
+           "if self.chi_exponent > -1:",
+           ("tests/test_paradiff.py::test_config_rejects_values_that_zero_the_operator",)),
+    Mutant("row-tol-unbounded", PARADIFF,
+           "if not 0.0 <= self.row_tol < 1.0:",
+           "if self.row_tol < 0.0:",
+           ("tests/test_paradiff.py::test_config_rejects_values_that_zero_the_operator",)),
+    Mutant("kernel-side-unchecked", PARADIFF,
+           'if side not in ("left", "right"):',
+           "if False:",
+           ("tests/test_paradiff.py::test_error_kernel_checks_its_side_on_entry",)),
     Mutant("conj-flip-no-sign-flip", PARADIFF,
            "g(-np.asarray(z1), -np.asarray(z2)), np.complex128))",
            "g(np.asarray(z1), np.asarray(z2)), np.complex128))",
