@@ -369,14 +369,14 @@ def _cmd_simulate(cfg, out):
                      sobolev_index=cfg["sobolev-index"],
                      linear_only=bool(cfg["linear-only"]), seed=cfg["seed"])
     try:
-        traj = run(mc, keep_snapshots=True)
+        traj = run(mc, keep_snapshots=False)   # only the final state is written
     except NumericAbortError as err:
         # the healthy prefix up to the last recorded snapshot stays on disk
         err.trajectory.to_jsonl(f"{out}/trajectory.jsonl")
         raise
     traj.to_jsonl(f"{out}/trajectory.jsonl")
     write_json(f"{out}/conservation.json", traj.report.__dict__)
-    t_final, u_final = traj.snapshots[-1]
+    t_final, u_final = traj.final
     save_snapshot(u_final, f"{out}/final_field", time=t_final, name="final state")
     return {"max_rel_l2_drift": traj.report.max_rel_l2_drift}
 

@@ -405,6 +405,29 @@ def random_field(grid: Grid, seed=0, decay=0.25, real=False, mean_zero=True) -> 
     return fld
 
 
+def fit_line(xs, ys):
+    """(slope, stderr) of the least-squares line through the points (xs, ys).
+
+    The closed form on centered data, every sum a math.fsum in the points'
+    order, so the slope does not depend on a LAPACK build, and is exact on
+    collinear points whose centering is exact.  stderr is np.polyfit's
+    cov=True value, sqrt(resid / (n - 2) / Sxx), and NaN for two points;
+    both are NaN when the xs do not spread."""
+    x = [float(v) for v in xs]
+    y = [float(v) for v in ys]
+    mx, my = math.fsum(x) / len(x), math.fsum(y) / len(y)
+    dx = [v - mx for v in x]
+    dy = [v - my for v in y]
+    sxx = math.fsum(d * d for d in dx)
+    if not sxx > 0.0:
+        return math.nan, math.nan
+    slope = math.fsum(a * b for a, b in zip(dx, dy)) / sxx
+    if len(x) < 3:
+        return slope, math.nan
+    resid = math.fsum((b - slope * a) ** 2 for a, b in zip(dx, dy))
+    return slope, math.sqrt(resid / (len(x) - 2) / sxx)
+
+
 # ---------------------------------------------------------------------------
 # snapshot I/O: JSON header + CSV coefficient table (xi1, xi2, re, im)
 # ---------------------------------------------------------------------------

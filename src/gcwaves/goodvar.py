@@ -49,8 +49,8 @@ import numpy as np
 
 from .dispersion import DispersionParams
 from .errors import ConfigError, PositivityError
-from .fields import (FourierField, Grid, analyze, apply_multiplier, dx, l2_norm,
-                     mean, random_field, sobolev_norm, synthesize)
+from .fields import (FourierField, Grid, analyze, apply_multiplier, dx, fit_line,
+                     l2_norm, mean, random_field, sobolev_norm, synthesize)
 from .paradiff import (EXPERIMENT_CHI, ParadiffConfig, SeparableTerm, Symbol,
                        grid_index, sampled_norm, weyl_apply, zeta_arrays)
 
@@ -397,7 +397,7 @@ def fit_loglog(xs, ys):
     keep = ys > 0.0
     if keep.sum() < 2:
         return -math.inf
-    return float(np.polyfit(np.log(xs[keep]), np.log(ys[keep]), 1)[0])
+    return fit_line(np.log(xs[keep]), np.log(ys[keep]))[0]
 
 
 @dataclass

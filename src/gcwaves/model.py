@@ -40,8 +40,8 @@ import numpy as np
 
 from .dispersion import DispersionParams, lam_grid
 from .errors import ConfigError, NumericAbortError
-from .fields import (FourierField, Grid, TWO_PI, check_power, dealias, finite_json, l2_norm,
-                     phi_le, sobolev_norm)
+from .fields import (FourierField, Grid, TWO_PI, check_power, dealias, finite_json, fit_line,
+                     l2_norm, phi_le, sobolev_norm)
 
 
 @dataclass(frozen=True)
@@ -273,8 +273,9 @@ class Trajectory:
     times: list
     l2: list
     hn: list
-    snapshots: list              # list of (t, FourierField)
+    snapshots: list              # list of (t, FourierField); [] unless kept
     report: ConservationReport
+    final: tuple                 # (t, FourierField) at the last recorded time
 
     def to_jsonl(self, path):
         """One strict JSON record per snapshot time: {t, l2, hN, doubled};
@@ -289,7 +290,9 @@ class Trajectory:
 
 def run(cfg: ModelConfig, initial: FourierField | None = None,
         keep_snapshots=True, stop_on_doubling=False) -> Trajectory:
-    """Integrate to t_end (or until the H^N norm doubles, if requested)."""
+    """Integrate to t_end (or until the H^N norm doubles, if requested).
+    Every recorded state is kept in ``snapshots`` if keep_snapshots, and the
+    last one in ``final`` either way."""
     if initial is None:
         initial = initial_data(cfg)
     u0 = dealias(initial)
@@ -303,16 +306,18 @@ def run(cfg: ModelConfig, initial: FourierField | None = None,
     max_drift = 0.0
     max_growth = 1.0
     doubling_time = None
+    final = None
 
     def record(st):
-        nonlocal max_drift, max_growth, doubling_time
+        nonlocal max_drift, max_growth, doubling_time, final
         l2v = l2_norm(st.U)
         hnv = sobolev_norm(st.U, cfg.sobolev_index)
         times.append(st.t)
         l2s.append(l2v)
         hns.append(hnv)
+        final = (st.t, st.U)
         if keep_snapshots:
-            snaps.append((st.t, st.U))
+            snaps.append(final)
         if st.l2_initial > 0.0:
             max_drift = max(max_drift, abs(l2v - st.l2_initial) / st.l2_initial)
         g = hnv / hn0 if hn0 > 0.0 else 1.0
@@ -343,10 +348,10 @@ def run(cfg: ModelConfig, initial: FourierField | None = None,
     except NumericAbortError as err:
         # surface the abort but keep the healthy prefix of the trajectory
         err.trajectory = Trajectory(cfg, times, l2s, hns, snaps, _report(
-            err.last_state, hn0, max_drift, max_growth, doubling_time))
+            err.last_state, hn0, max_drift, max_growth, doubling_time), final)
         raise
     rep = _report(state, hn0, max_drift, max_growth, doubling_time)
-    return Trajectory(cfg, times, l2s, hns, snaps, rep)
+    return Trajectory(cfg, times, l2s, hns, snaps, rep, final)
 
 
 def _report(state, hn0, max_drift, max_growth, doubling_time):
@@ -407,19 +412,10 @@ def lifespan_sweep(cfg: ModelConfig, eps_list, courant=0.08) -> SweepResult:
         t_doubling = rep.doubling_time if rep.doubling_time is not None else c.t_end
         rows.append(SweepRow(eps, t_doubling, rep.doubling_time is None, rep.n_steps))
     used = [(r.epsilon, r.doubling_time) for r in rows if not r.censored]
-    if len(used) > 2:
-        xs = np.log([u[0] for u in used])
-        ys = np.log([u[1] for u in used])
-        coef, cov = np.polyfit(xs, ys, 1, cov=True)
-        p = -float(coef[0])
-        stderr = float(np.sqrt(cov[0, 0]))
-    elif len(used) == 2:
-        xs = np.log([u[0] for u in used])
-        ys = np.log([u[1] for u in used])
-        p = -float(np.polyfit(xs, ys, 1)[0])
-        stderr = math.nan
-    else:
-        p, stderr = math.nan, math.nan
+    p, stderr = math.nan, math.nan
+    if len(used) > 1:
+        slope, stderr = fit_line(np.log([u[0] for u in used]), np.log([u[1] for u in used]))
+        p = -slope
     return SweepResult(rows, p, stderr,
                        {"grid": cfg.grid.size, "g": cfg.params.g,
                         "seed": cfg.seed, "courant": courant,

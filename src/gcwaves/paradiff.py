@@ -32,7 +32,7 @@ Symbols come in two flavours:
     spatial coefficient, each g is evaluated once per midpoint, and an
     application costs one gather and one scatter per entry of every row up
     to the last occupied one, in passes of lattice.BLOCK entries through
-    buffers the plans own.  Fourier multipliers and function symbols are
+    buffers every plan shares.  Fourier multipliers and function symbols are
     the 1-term cases.  A zeta-free term (g = 1, as Symbol.from_function
     builds it, marked through conj_flip) adds its row coefficient with no
     midpoint gather and no multiply.
@@ -67,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericAbortError
-from .fields import FourierField, Grid, TWO_PI, bump, dealias, analyze, synthesize
+from .fields import R_IN, R_OUT, FourierField, Grid, TWO_PI, bump, dealias, analyze, synthesize
 from .lattice import BLOCK, coords, flat, plan_cache, row_blocks, shift_perms
 
 _FOUR_PI2 = (2.0 * np.pi) ** 2
@@ -336,21 +336,31 @@ def _guard_zeta(z_abs_sq):
 
 class _ChiPlans:
     """The chi-support plans of one grid size and chi exponent, one per eta
-    box, with the index tables they share and the pass buffers every walk
-    over them reuses (four complex and one int32 array of BLOCK entries),
-    so no two walks over one grid's plans may run at once."""
+    box, with the index tables and the support bounds they share.
 
-    def __init__(self, m, chi):
+    chi(|rho| / |xi + eta|) > 0 needs the integer |xi + eta|^2 above c
+    |rho|^2, c = (2^-chi_exponent / R_OUT)^2 (the bump's support).  Per plan
+    row: at or below ``lower`` chi is 0 for certain, and above ``upper`` the
+    bump's exp(-1/t) has t >= 1/64, so chi >= e^-64 / 2 > 0 for certain
+    (integers, c |rho|^2 and its t = 1/64 counterpart scaled by 1 -+ 1e-9 for
+    the rounding of the float ratio).  Only the thin band between them needs
+    chi itself, whose exp(-1/t) underflows to 0 near the support edge."""
+
+    def __init__(self, m, chi_exponent):
         self.m = m
-        self.chi_fn = chi
+        self.chi_fn = ParadiffConfig(chi_exponent).chi
         self.k1, self.k2 = coords(m)
         self.sums = coords(2 * m - 1)                    # midpoint id -> s = xi + eta
         self.origin = int(flat((0, 0), m))
         rsq = self.k1 ** 2 + self.k2 ** 2
         self.rows = np.argsort(rsq, kind="stable")      # centered flat rho, plan order
         self.row_sq = rsq[self.rows]
-        self.work = np.empty((4, BLOCK), np.complex128)
-        self.eta = np.empty(BLOCK, np.int32)
+        scale = 2.0 ** -chi_exponent
+        c_lo = (scale / R_OUT) ** 2 * (1.0 - 1e-9)
+        c_hi = (scale / (R_OUT - (R_OUT - R_IN) / 64.0)) ** 2 * (1.0 + 1e-9)
+        # |xi + eta|^2 <= 2 (m - 2)^2 < 2 m^2: bounds at or above it keep no pair
+        self.lower, self.upper = (np.minimum(np.floor(c * self.row_sq), 2 * m * m).astype(np.int32)
+                                  for c in (c_lo, c_hi))
         self._boxes = {}
 
     def box(self, radius):
@@ -365,6 +375,19 @@ class _ChiPlans:
         nz = np.flatnonzero(fc)
         radius = max(np.abs(self.k1[nz]).max(initial=0), np.abs(self.k2[nz]).max(initial=0))
         return self.box(min(int(radius), self.m // 2 - 1))
+
+
+_PASS = []   # the walk buffers, [work, eta], once allocated
+
+
+def _pass_buffers():
+    """(work, eta): four complex and one int32 buffer of at least BLOCK
+    entries, which every walk over the plans of every grid reuses, so no two
+    walks may run at once.  Allocated on first use, and again if BLOCK has
+    grown since."""
+    if not _PASS or len(_PASS[1]) < BLOCK:
+        _PASS[:] = [np.empty((4, BLOCK), np.complex128), np.empty(BLOCK, np.int32)]
+    return _PASS
 
 
 class _ChiPlan:
@@ -382,18 +405,24 @@ class _ChiPlan:
     K = M // 2 - 1, and an input whose coefficients vanish off the box gets
     the full plan's sums from it: each skipped entry adds an exact zero.
     ``extend`` builds rows only as far as a call needs, and chi is evaluated
-    nowhere else.  The separable path walks the rows as one contiguous
-    prefix of the entry arrays, in passes of BLOCK entries; ``by_midpoint``
-    groups the whole plan by midpoint with one int32 permutation for the
-    general path.
+    nowhere else.  It walks the new rows twice, a block of rows at a time:
+    a count pass finds each row's entries from the integer bounds of
+    _ChiPlans (chi only in the band between them), then a fill pass
+    evaluates chi above the lower bound and writes the kept entries into
+    arrays allocated once at the exact total, so a build peaks near the
+    finished plan plus one block.  The separable path walks the rows as one
+    contiguous prefix of the entry arrays, in passes of BLOCK entries;
+    ``by_midpoint`` groups the whole plan by midpoint with one int32
+    permutation for the general path.
     """
 
     def __init__(self, plans, radius):
         self.radius = radius
+        self.etas = np.arange(-radius, radius + 1, dtype=np.int32)   # eta_i in the box
         self.m, self.chi_fn, self.origin = plans.m, plans.chi_fn, plans.origin
+        self.lower, self.upper = plans.lower, plans.upper
         self.k1, self.k2, self.sums = plans.k1, plans.k2, plans.sums
         self.rows, self.row_sq = plans.rows, plans.row_sq
-        self.work, self.eta = plans.work, plans.eta
         self.row_start = np.zeros(1, np.int64)           # entries of row k: [start[k], start[k+1])
         self.xi = np.zeros(0, np.int32)
         self.rho = np.zeros(0, np.int32)
@@ -409,39 +438,63 @@ class _ChiPlan:
         built = len(self.row_start) - 1
         if n <= built:
             return n
-        m, half = self.m, self.m // 2
-        k = np.arange(-self.radius, self.radius + 1)   # eta in the box
-        new = {"xi": [], "rho": [], "mid": [], "chi": []}
-        counts = []
-        for lo, hi in row_blocks(n - built, len(k) ** 2):
-            ks = np.arange(built + lo, built + hi)
-            r1 = self.k1[self.rows[ks]][:, None, None]
-            r2 = self.k2[self.rows[ks]][:, None, None]
-            den = np.hypot(2 * k[:, None] + r1, 2 * k[None, :] + r2)
-            # xi = rho + eta off the Nyquist rows, which stay 0
-            cand = ((np.abs(k[:, None] + r1) < half) & (np.abs(k[None, :] + r2) < half)
-                    & (den > 0))
-            b, i1, i2 = np.nonzero(cand)
-            chi = self.chi_fn(np.hypot(r1, r2).astype(float).ravel()[b] / den[b, i1, i2])
+        blocks = list(row_blocks(n - built, len(self.etas) ** 2))
+        counts = np.empty(n - built, np.int64)
+        for lo, hi in blocks:
+            ks = np.arange(built + lo, built + hi, dtype=np.int32)
+            cand, ssq = self._pairs(ks)
+            # chi > 0 above the upper bound; in the band, chi's own test
+            b, i1, i2 = np.nonzero(cand & (ssq <= self.upper[ks][:, None, None]))
+            dropped = ~(self._chi(ks, b, i1, i2) > 0.0)
+            counts[lo:hi] = (np.count_nonzero(cand, axis=(1, 2))
+                             - np.bincount(b[dropped], minlength=len(ks)))
+        old = int(self.row_start[-1])
+        self.row_start = np.concatenate((self.row_start, old + np.cumsum(counts)))
+        for name in ("xi", "rho", "mid", "chi"):
+            whole = np.empty(int(self.row_start[-1]), getattr(self, name).dtype)
+            whole[:old] = getattr(self, name)
+            setattr(self, name, whole)
+        for lo, hi in blocks:
+            ks = np.arange(built + lo, built + hi, dtype=np.int32)
+            b, i1, i2 = np.nonzero(self._pairs(ks)[0])
+            chi = self._chi(ks, b, i1, i2)
             keep = chi > 0.0
-            b, e1, e2 = b[keep], k[i1[keep]], k[i2[keep]]
-            x1, x2 = e1 + r1.ravel()[b], e2 + r2.ravel()[b]
+            b, e1, e2 = b[keep], self.etas[i1[keep]], self.etas[i2[keep]]
+            rho = self.rows[ks[b]]
+            x1, x2 = e1 + self.k1[rho], e2 + self.k2[rho]
             s1, s2 = x1 + e1, x2 + e2
             _guard_zeta(0.25 * (s1 * s1 + s2 * s2))
-            mid = flat(np.stack((s1, s2), axis=-1), 2 * m - 1)
-            ids, first = np.unique(mid, return_index=True)
-            self.mid_row[ids] = np.minimum(self.mid_row[ids], ks[b[first]])
-            counts.append(np.bincount(b, minlength=len(ks)))
-            new["xi"].append(flat(np.stack((x1, x2), axis=-1), m).astype(np.int32))
-            new["rho"].append(self.rows[ks[b]].astype(np.int32))
-            new["mid"].append(mid.astype(np.int32))
-            new["chi"].append(chi[keep])
-        self.row_start = np.concatenate(
-            (self.row_start, len(self.xi) + np.cumsum(np.concatenate(counts))))
-        for name, parts in new.items():
-            setattr(self, name, np.concatenate([getattr(self, name)] + parts))
-            parts.clear()
+            mid = flat(np.stack((s1, s2), axis=-1), 2 * self.m - 1)
+            np.minimum.at(self.mid_row, mid, ks[b])
+            # the rows' slots: a fill that does not match its count raises
+            e = slice(int(self.row_start[ks[0]]), int(self.row_start[ks[-1] + 1]))
+            self.xi[e] = flat(np.stack((x1, x2), axis=-1), self.m)
+            self.rho[e] = rho
+            self.mid[e] = mid
+            self.chi[e] = chi[keep]
         return n
+
+    def _pairs(self, ks):
+        """The pairs (row, eta1, eta2) of the plan rows ks and the eta box
+        with xi off the Nyquist rows and |xi + eta|^2 above the lower bound,
+        as a mask, and the integer |xi + eta|^2 of every pair."""
+        k = self.etas
+        r1 = self.k1[self.rows[ks]].astype(np.int32)[:, None, None]
+        r2 = self.k2[self.rows[ks]].astype(np.int32)[:, None, None]
+        s1, s2 = 2 * k[:, None] + r1, 2 * k[None, :] + r2
+        ssq = s1 * s1 + s2 * s2
+        # xi = rho + eta off the Nyquist rows, which stay 0
+        half = self.m // 2
+        cand = ((np.abs(k[:, None] + r1) < half) & (np.abs(k[None, :] + r2) < half)
+                & (ssq > self.lower[ks][:, None, None]))
+        return cand, ssq
+
+    def _chi(self, ks, b, i1, i2):
+        """chi(|rho| / |xi + eta|) at the pairs (b, i1, i2) of _pairs(ks)."""
+        rho = self.rows[ks[b]]
+        r1, r2 = self.k1[rho], self.k2[rho]
+        return self.chi_fn(np.hypot(r1, r2)
+                           / np.hypot(2 * self.etas[i1] + r1, 2 * self.etas[i2] + r2))
 
     def zeta(self, ids):
         """The midpoints zeta = s / 2 of midpoint ids."""
@@ -456,7 +509,7 @@ class _ChiPlan:
         once per plan."""
         if self._by_mid is None:
             self.extend(np.inf)
-            counts = np.bincount(self.mid, minlength=len(self.mid_row))
+            perm, counts = self._group()
             ids = np.flatnonzero(counts)
             used = self.rows[np.flatnonzero(np.diff(self.row_start))]
             radius = max(np.abs(self.k1[used]).max(initial=0), np.abs(self.k2[used]).max(initial=0))
@@ -465,15 +518,35 @@ class _ChiPlan:
             at = np.minimum(np.searchsorted(ids, mirror), len(ids) - 1)
             j = np.arange(len(ids))
             rep = np.where(ids[at] == mirror, np.maximum(j, at), j)
-            self._by_mid = (np.argsort(self.mid, kind="stable").astype(np.int32),
-                            np.concatenate(([0], np.cumsum(counts[ids]))), ids,
+            self._by_mid = (perm, np.concatenate(([0], np.cumsum(counts[ids]))), ids,
                             _dft_table(self.m, int(radius)), rep)
         return self._by_mid
 
+    def _group(self):
+        """The entries grouped by midpoint id, in entry order within an id, as
+        an int32 permutation, and each id's entry count.  Counted and placed
+        BLOCK entries at a time, so no temporary is the plan's size: an int64
+        argsort of the whole plan, or bincount's int64 copy of it, would be
+        twice the permutation."""
+        blocks = [self.mid[lo:lo + BLOCK] for lo in range(0, len(self.mid), BLOCK)]
+        counts = np.zeros(len(self.mid_row), np.int64)
+        for mid in blocks:
+            counts += np.bincount(mid, minlength=len(counts))
+        at = np.cumsum(counts) - counts                 # each id's next slot
+        perm = np.empty(len(self.mid), np.int32)
+        for lo, mid in zip(range(0, len(self.mid), BLOCK), blocks):
+            order = np.argsort(mid, kind="stable")
+            ids = mid[order]
+            first = np.flatnonzero(np.diff(ids, prepend=-1))   # each id's first in the block
+            size = np.diff(np.append(first, len(ids)))
+            perm[at[ids] + np.arange(len(ids)) - np.repeat(first, size)] = lo + order
+            at[ids[first]] += size
+        return perm, counts
+
     def accumulate(self, out, e, w, fc, extra_weight, divisor=1.0):
         """out[xi] += w chi [extra] fhat(eta) / divisor over the entries e, at
-        most BLOCK of them; w (which may be work[0]) is overwritten, and
-        work[1] and work[2] are written.
+        most BLOCK of them; w (which may be work[0] of _pass_buffers) is
+        overwritten, and work[1] and work[2] are written.
 
         A complex product takes its gathered operand first: numpy elides a
         temporary operand of 256 KiB or more by multiplying into it in
@@ -483,17 +556,18 @@ class _ChiPlan:
         in place skips its SIMD loop and rounds without FMA, so a one-entry
         pass would round unlike the same entry in a longer pass.  (The
         product by the real chi rounds alike in every loop.)"""
+        work, buf = _pass_buffers()
         xi, rho = self.xi[e], self.rho[e]
         np.multiply(w, self.chi[e], out=w)
         if extra_weight is not None:
             x1, x2 = self.k1[xi].astype(float), self.k2[xi].astype(float)
             r1, r2 = self.k1[rho].astype(float), self.k2[rho].astype(float)
             w = np.multiply(extra_weight(x1, x2, r1, r2, x1 - 0.5 * r1, x2 - 0.5 * r2), w)
-        eta = np.subtract(xi, rho, out=self.eta[:len(w)])
+        eta = np.subtract(xi, rho, out=buf[:len(w)])
         eta += self.origin
         # np.take: the int32 plan indices are not converted as [] would
-        v = np.multiply(np.take(fc, eta, out=self.work[2, :len(w)], mode="clip"), w,
-                        out=self.work[1, :len(w)])
+        v = np.multiply(np.take(fc, eta, out=work[2, :len(w)], mode="clip"), w,
+                        out=work[1, :len(w)])
         if divisor != 1.0:
             v /= divisor
         np.add.at(out, xi, v)   # in entry order: no reassociation across passes
@@ -504,7 +578,7 @@ class _ChiPlan:
 @plan_cache
 def _plans(m, chi_exponent):
     """The cached chi-support plans for grid size m and chi exponent."""
-    return _ChiPlans(m, ParadiffConfig(chi_exponent).chi)
+    return _ChiPlans(m, chi_exponent)
 
 
 # ---------------------------------------------------------------------------
@@ -559,11 +633,12 @@ def _apply_rows(a, grid, cfg, plan, out, fc, extra_weight):
                 g[live] = term.gz(z1, z2)
     # slices, not gathers: the inactive rows inside the prefix add exact zeros
     end = int(plan.row_start[active[-1] + 1])
+    work = _pass_buffers()[0]
     for lo in range(0, end, BLOCK):
         e = slice(lo, min(lo + BLOCK, end))
         rho, mid = plan.rho[e], plan.mid[e]
         # no complex product writes over an operand (see accumulate)
-        w, t, u, p = plan.work[:, :len(rho)]
+        w, t, u, p = work[:, :len(rho)]
         if gz[0] is None:
             np.take(coefs[0], rho, out=w, mode="clip")
         else:
@@ -593,10 +668,13 @@ def _apply_midpoints(a, grid, plan, out, fc, extra_weight):
     sums are bit for bit the same for a symbol declared even or not.
     Samples are walked in the order of the first midpoint each serves, so
     an even symbol holds only its upper half's weights (16 bytes an entry)
-    until the walk ends, and an undeclared one a chunk or two; the chunks
-    fit in memory the plan build freed, where one array would not.  (A
-    stable argsort and bincount, not np.unique, which imports numpy.ma: a
-    megabyte more peak RSS.)"""
+    until the walk ends, and an undeclared one a chunk or two, and a chunk
+    is freed once accumulated: on the full 64^2 plan (numpy 2.4.6, fresh
+    processes) the walk peaked 34 MB (even) and 10 MB (undeclared) above the
+    plan, and one weight array, every entry's 16 bytes resident by the
+    walk's end, 54 and 48 MB.  (A stable argsort and bincount group the
+    samples: np.unique without return_index, return_inverse or
+    return_counts imports numpy.ma, a megabyte more peak RSS.)"""
     m = grid.size
     perm, start, ids, table, rep = plan.by_midpoint()
     radius = table.shape[1] // 2
@@ -889,7 +967,7 @@ class CompositionReport:
 def composition_residual(a, b, l1, l2, ks, grid, cfg, seed=11) -> CompositionReport:
     """Per-band relative residual of the composition expansion and its
     log2 slope across the probe bands; expected slope <= l1 + l2 - 2."""
-    from .fields import lp_project, random_field, l2_norm
+    from .fields import fit_line, lp_project, random_field, l2_norm
 
     if abs(l1) > 10 or abs(l2) > 10:
         raise ConfigError("composition bounds assume |l1|, |l2| <= 10")
@@ -907,7 +985,7 @@ def composition_residual(a, b, l1, l2, ks, grid, cfg, seed=11) -> CompositionRep
         slope = -math.inf
     else:
         logs = np.log2(np.maximum(rs, 1e-300))
-        slope = float(np.polyfit(np.asarray(ks, float), logs, 1)[0])
+        slope = fit_line(ks, logs)[0]
     return CompositionReport(list(ks), rs, slope, l1 + l2 - 2.0,
                              cfg.chi_exponent, exact)
 

@@ -13,7 +13,7 @@ from gcwaves import cli
 from gcwaves.cli import (EXIT_CONFIG, EXIT_INTERNAL, EXIT_NUMERIC, EXIT_OK,
                          EXIT_RESOURCE, SCHEMAS, dispatch)
 from gcwaves.errors import CadenceError, SingularMultiplierError
-from gcwaves.fields import write_json
+from gcwaves.fields import load_snapshot, write_json
 
 
 def _sha(path):
@@ -138,6 +138,27 @@ def test_simulate_artifacts(tmp_path):
     assert cons["max_rel_l2_drift"] < 1e-8
     assert (tmp_path / "sim" / "final_field.csv").exists()
     assert (tmp_path / "sim" / "final_field.json").exists()
+
+
+def test_simulate_keeps_only_its_final_state(tmp_path, monkeypatch):
+    # simulate writes only the final state, so it keeps no snapshots and its
+    # memory does not grow with t_end / snapshot_dt; the field it writes is
+    # the last snapshot of the same run with every snapshot kept
+    kept, run = [], cli.run
+
+    def spy(mc, *args, **kwargs):
+        kept.append((kwargs["keep_snapshots"], run(mc, keep_snapshots=True)))
+        return run(mc, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run", spy)
+    out = tmp_path / "sim"
+    assert dispatch(["simulate", "--grid", "16", "--epsilon", "0.01", "--dt", "0.01",
+                     "--t-end", "0.05", "--snapshot-dt", "0.01", "--out", str(out)]) == EXIT_OK
+    [(keep, full)] = kept
+    assert keep is False and len(full.snapshots) == 6
+    field, header = load_snapshot(str(out / "final_field"))
+    assert header["time"] == full.snapshots[-1][0]
+    assert np.array_equal(field.coeffs, full.snapshots[-1][1].coeffs)
 
 
 def test_measure_artifacts(tmp_path):

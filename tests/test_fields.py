@@ -1,11 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from gcwaves.errors import ConfigError, SingularMultiplierError
 from gcwaves.fields import (FourierField, Grid, analyze, apply_multiplier,
-                            bump, dealias, dx, inner, l2_norm, load_snapshot,
+                            bump, dealias, dx, fit_line, inner, l2_norm, load_snapshot,
                             lp_gt, lp_leq, lp_project, mean, phi_le, phi_gt,
                             phi_shell, pointwise_product, random_field,
                             save_snapshot, sobolev_norm, synthesize)
@@ -287,3 +288,35 @@ def test_shift_perms_are_fftshift_and_ifftshift(n):
     assert np.array_equal(centered[fft], np.arange(n * n))
     for arr in (centered, fft):
         assert not arr.flags.writeable
+
+
+@pytest.mark.parametrize("n, seed", [(2, 0), (3, 1), (4, 2), (5, 3), (8, 4), (12, 5)])
+def test_fit_line_matches_polyfit(n, seed):
+    # off-center xs like log(eps): the slope to 1e-13 relative, and stderr
+    # on polyfit's cov=True convention sqrt(resid / (n - 2) / Sxx)
+    rng = np.random.default_rng(seed)
+    x = np.log(rng.uniform(1e-4, 1.0, n))
+    y = -1.5 * x + 3.0 + 0.3 * rng.standard_normal(n)
+    slope, stderr = fit_line(x, y)
+    assert abs(slope - np.polyfit(x, y, 1)[0]) <= 1e-13 * abs(slope)
+    if n == 2:
+        assert math.isnan(stderr)
+    else:
+        want = math.sqrt(np.polyfit(x, y, 1, cov=True)[1][0, 0])
+        assert abs(stderr - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("x, y, slope", [
+    ([0, 1, 2, 3], [1, 4, 7, 10], 3.0),
+    ([10.0, 11.0, 12.0], [1.0, 3.0, 5.0], 2.0),
+    ([-6.5, -4.5, -2.5, -0.5], [0.25, -0.75, -1.75, -2.75], -0.5),
+    ([2.0, 3.0], [-7.0, -9.5], -2.5),
+])
+def test_fit_line_is_exact_on_collinear_points(x, y, slope):
+    got, stderr = fit_line(x, y)
+    assert got == slope
+    assert stderr == 0.0 if len(x) > 2 else math.isnan(stderr)
+
+
+def test_fit_line_without_spread_is_nan():
+    assert all(math.isnan(v) for v in fit_line([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]))

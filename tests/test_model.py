@@ -274,6 +274,21 @@ def test_numeric_abort_carries_last_state():
     assert np.all(np.isfinite(err.value.last_state.U.coeffs))
 
 
+def test_final_state_is_the_last_snapshot_kept_or_not():
+    # the last recorded state is carried whether or not the snapshots are
+    # kept, so a caller that writes only it holds one state in memory
+    cfg = _cfg(epsilon=0.05, dt=1e-2, t_end=0.25, snapshot_dt=0.1)
+    kept, lean = run(cfg, keep_snapshots=True), run(cfg, keep_snapshots=False)
+    assert len(kept.snapshots) == len(kept.times) == 4 and lean.snapshots == []
+    assert kept.final is kept.snapshots[-1]
+    assert lean.final[0] == kept.final[0] == lean.times[-1]
+    assert np.array_equal(lean.final[1].coeffs, kept.final[1].coeffs)
+    with pytest.raises(NumericAbortError) as err:
+        run(_cfg(epsilon=50.0, dt=0.5, t_end=50.0), keep_snapshots=False)
+    traj = err.value.trajectory
+    assert traj.final[0] == traj.times[-1] and np.all(np.isfinite(traj.final[1].coeffs))
+
+
 def test_suggest_dt_courant():
     cfg = _cfg(epsilon=0.2)
     u0 = initial_data(cfg)

@@ -1,6 +1,7 @@
-"""Committed mutants of the lattice layer, the census, the Weyl calculus and
-its sampled symbol norms, the good variable, the model kernel and the energy
-plan: each one must be killed by the tests named for it.
+"""Committed mutants of the lattice layer, the census, the Weyl calculus (its
+chi-plan build and sampled symbol norms), the slope fit, the good variable,
+the model kernel and the energy plan: each one must be killed by the tests
+named for it.
 
 A mutant replaces one exact piece of text in one file under ``src/``.  For
 each mutant the script copies ``src/`` to a temporary directory, applies the
@@ -34,6 +35,7 @@ ENERGY = "gcwaves/energy.py"
 PARADIFF = "gcwaves/paradiff.py"
 GOODVAR = "gcwaves/goodvar.py"
 MODEL = "gcwaves/model.py"
+FIELDS = "gcwaves/fields.py"
 SCAN3 = "tests/test_dispersion.py::test_scan3_matches_brute_force_census"
 SCAN4 = "tests/test_dispersion.py::test_scan4_matches_brute_force_census"
 PROPS = "tests/test_properties.py::"
@@ -47,6 +49,10 @@ PASSES = "tests/test_paradiff.py::test_apply_is_independent_of_the_pass_length"
 ONE_ENTRY = "tests/test_paradiff.py::test_one_entry_passes_round_like_long_ones"
 PAIRING = "tests/test_goodvar.py::test_even_symbols_apply_bit_for_bit_as_undeclared"
 ORDER = "tests/test_paradiff.py::test_general_entries_are_accumulated_once_in_midpoint_order"
+BUILD = "tests/test_plan_build.py::test_plan_build_matches_concatenating_oracle"
+BOUNDS = "tests/test_plan_build.py::test_support_bounds_bracket_chi"
+FIT = ("tests/test_fields.py::test_fit_line_matches_polyfit",
+       "tests/test_fields.py::test_fit_line_is_exact_on_collinear_points")
 NORMS = "tests/test_paradiff.py::test_symbol_norm_"
 ZDIFF = ("tests/test_paradiff.py::test_zeta_difference_is_central_at_step_one_quarter",
          NORMS + "zeta_derivatives_at_step_one_quarter")
@@ -146,9 +152,31 @@ MUTANTS = (
            "e = slice(lo, min(lo + BLOCK, end) - 1)",
            (BRUTE, *ROWS)),
     Mutant("eta-box-one-short", PARADIFF,
-           "k = np.arange(-self.radius, self.radius + 1)",
-           "k = np.arange(-self.radius, self.radius)",
+           "self.etas = np.arange(-radius, radius + 1, dtype=np.int32)",
+           "self.etas = np.arange(-radius, radius, dtype=np.int32)",
            (BRUTE, *ROWS)),
+    # the plan build: integer bounds, a count pass, a fill into exact arrays
+    Mutant("plan-lower-bound-too-tight", PARADIFF,
+           "c_lo = (scale / R_OUT) ** 2 * (1.0 - 1e-9)",
+           "c_lo = (scale / R_OUT) ** 2 * (1.0 + 1e-2)",
+           (BUILD, BOUNDS)),
+    Mutant("plan-band-test-dropped", PARADIFF,
+           "            counts[lo:hi] = (np.count_nonzero(cand, axis=(1, 2))\n"
+           "                             - np.bincount(b[dropped], minlength=len(ks)))\n",
+           "            counts[lo:hi] = np.count_nonzero(cand, axis=(1, 2))\n",
+           (BUILD,)),
+    Mutant("plan-fill-offset-off-by-one", PARADIFF,
+           "e = slice(int(self.row_start[ks[0]]), int(self.row_start[ks[-1] + 1]))",
+           "e = slice(int(self.row_start[ks[0]]) + 1, int(self.row_start[ks[-1] + 1]) + 1)",
+           (BUILD,)),
+    Mutant("group-slot-not-advanced", PARADIFF,
+           "            at[ids[first]] += size\n",
+           "",
+           (BUILD,)),
+    Mutant("pass-buffers-not-regrown", PARADIFF,
+           "if not _PASS or len(_PASS[1]) < BLOCK:",
+           "if not _PASS:",
+           (PASSES,)),
     # every input on the full plan: the sums do not change, only the work
     Mutant("box-radius-ignored", PARADIFF,
            "return self.box(min(int(radius), self.m // 2 - 1))",
@@ -156,15 +184,15 @@ MUTANTS = (
            (BOXES,)),
     # the f-hat product as it was written before the walk had fixed passes
     Mutant("product-order-swapped-back", PARADIFF,
-           'v = np.multiply(np.take(fc, eta, out=self.work[2, :len(w)], mode="clip"), w,\n'
-           "                        out=self.work[1, :len(w)])",
+           'v = np.multiply(np.take(fc, eta, out=work[2, :len(w)], mode="clip"), w,\n'
+           "                        out=work[1, :len(w)])",
            "v = w * np.take(fc, eta)",
            (PASSES,)),
     # the f-hat product as it was written in place, one-entry passes and all
     Mutant("one-entry-product-in-place", PARADIFF,
-           'v = np.multiply(np.take(fc, eta, out=self.work[2, :len(w)], mode="clip"), w,\n'
-           "                        out=self.work[1, :len(w)])",
-           'v = np.take(fc, eta, out=self.work[2, :len(w)], mode="clip")\n'
+           'v = np.multiply(np.take(fc, eta, out=work[2, :len(w)], mode="clip"), w,\n'
+           "                        out=work[1, :len(w)])",
+           'v = np.take(fc, eta, out=work[2, :len(w)], mode="clip")\n'
            "        np.multiply(v, w, out=v)",
            (ONE_ENTRY,)),
     # the general path's +-s pairing of an even symbol's midpoints
@@ -246,6 +274,11 @@ MUTANTS = (
            "    n12 = -n12\n    c0 = 0.5 * lap - ",
            ("tests/test_goodvar.py::test_lambda0_quadratic_form_matches_chain_rule",
             "tests/test_goodvar.py::test_lambda0_matches_spectral_bracket")),
+    # the one least-squares line of every fitted slope
+    Mutant("fit-line-uncentered", FIELDS,
+           "mx, my = math.fsum(x) / len(x), math.fsum(y) / len(y)",
+           "mx, my = 0.0, 0.0",
+           FIT),
     # the model kernel N = (1/2) dbar(W U) + (1/2) conj(W) d U
     Mutant("kernel-swapped-sums", MODEL,
            "out = self.c1 * ug\n            np.multiply(self.c2, dug, out=dug)",
