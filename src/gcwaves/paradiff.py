@@ -67,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericAbortError
-from .fields import R_IN, R_OUT, FourierField, Grid, TWO_PI, bump, dealias, analyze, synthesize
+from .fields import R_OUT, FourierField, Grid, TWO_PI, bump, dealias, analyze, synthesize
 from .lattice import BLOCK, coords, flat, plan_cache, row_blocks, shift_perms
 
 _FOUR_PI2 = (2.0 * np.pi) ** 2
@@ -336,15 +336,12 @@ def _guard_zeta(z_abs_sq):
 
 class _ChiPlans:
     """The chi-support plans of one grid size and chi exponent, one per eta
-    box, with the index tables and the support bounds they share.
+    box, with the index tables and the support bound they share.
 
     chi(|rho| / |xi + eta|) > 0 needs the integer |xi + eta|^2 above c
-    |rho|^2, c = (2^-chi_exponent / R_OUT)^2 (the bump's support).  Per plan
-    row: at or below ``lower`` chi is 0 for certain, and above ``upper`` the
-    bump's exp(-1/t) has t >= 1/64, so chi >= e^-64 / 2 > 0 for certain
-    (integers, c |rho|^2 and its t = 1/64 counterpart scaled by 1 -+ 1e-9 for
-    the rounding of the float ratio).  Only the thin band between them needs
-    chi itself, whose exp(-1/t) underflows to 0 near the support edge."""
+    |rho|^2, c = (2^-chi_exponent / R_OUT)^2 (the bump's support): per plan
+    row, chi is 0 for certain at or below ``lower``, the floor of c |rho|^2
+    scaled by 1 - 1e-9 for the rounding of the float ratio."""
 
     def __init__(self, m, chi_exponent):
         self.m = m
@@ -355,12 +352,9 @@ class _ChiPlans:
         rsq = self.k1 ** 2 + self.k2 ** 2
         self.rows = np.argsort(rsq, kind="stable")      # centered flat rho, plan order
         self.row_sq = rsq[self.rows]
-        scale = 2.0 ** -chi_exponent
-        c_lo = (scale / R_OUT) ** 2 * (1.0 - 1e-9)
-        c_hi = (scale / (R_OUT - (R_OUT - R_IN) / 64.0)) ** 2 * (1.0 + 1e-9)
-        # |xi + eta|^2 <= 2 (m - 2)^2 < 2 m^2: bounds at or above it keep no pair
-        self.lower, self.upper = (np.minimum(np.floor(c * self.row_sq), 2 * m * m).astype(np.int32)
-                                  for c in (c_lo, c_hi))
+        c = (2.0 ** -chi_exponent / R_OUT) ** 2 * (1.0 - 1e-9)
+        # |xi + eta|^2 <= 2 (m - 2)^2 < 2 m^2: a bound at or above it keeps no pair
+        self.lower = np.minimum(np.floor(c * self.row_sq), 2 * m * m).astype(np.int32)
         self._boxes = {}
 
     def box(self, radius):
@@ -406,21 +400,21 @@ class _ChiPlan:
     the full plan's sums from it: each skipped entry adds an exact zero.
     ``extend`` builds rows only as far as a call needs, and chi is evaluated
     nowhere else.  It walks the new rows twice, a block of rows at a time:
-    a count pass finds each row's entries from the integer bounds of
-    _ChiPlans (chi only in the band between them), then a fill pass
-    evaluates chi above the lower bound and writes the kept entries into
-    arrays allocated once at the exact total, so a build peaks near the
-    finished plan plus one block.  The separable path walks the rows as one
-    contiguous prefix of the entry arrays, in passes of BLOCK entries;
-    ``by_midpoint`` groups the whole plan by midpoint with one int32
-    permutation for the general path.
+    a count pass counts the pairs above the integer lower bound of
+    _ChiPlans, then a fill pass evaluates chi on them and writes the kept
+    entries one after another into arrays allocated once at that count (a
+    thin band of pairs with chi = 0 is the only slack), so a build peaks
+    near the finished plan plus one block.  The separable path walks the
+    rows as one contiguous prefix of the entry arrays, in passes of BLOCK
+    entries; ``by_midpoint`` groups the whole plan by midpoint with one
+    int32 permutation for the general path.
     """
 
     def __init__(self, plans, radius):
         self.radius = radius
         self.etas = np.arange(-radius, radius + 1, dtype=np.int32)   # eta_i in the box
         self.m, self.chi_fn, self.origin = plans.m, plans.chi_fn, plans.origin
-        self.lower, self.upper = plans.lower, plans.upper
+        self.lower = plans.lower
         self.k1, self.k2, self.sums = plans.k1, plans.k2, plans.sums
         self.rows, self.row_sq = plans.rows, plans.row_sq
         self.row_start = np.zeros(1, np.int64)           # entries of row k: [start[k], start[k+1])
@@ -439,62 +433,53 @@ class _ChiPlan:
         if n <= built:
             return n
         blocks = list(row_blocks(n - built, len(self.etas) ** 2))
-        counts = np.empty(n - built, np.int64)
-        for lo, hi in blocks:
-            ks = np.arange(built + lo, built + hi, dtype=np.int32)
-            cand, ssq = self._pairs(ks)
-            # chi > 0 above the upper bound; in the band, chi's own test
-            b, i1, i2 = np.nonzero(cand & (ssq <= self.upper[ks][:, None, None]))
-            dropped = ~(self._chi(ks, b, i1, i2) > 0.0)
-            counts[lo:hi] = (np.count_nonzero(cand, axis=(1, 2))
-                             - np.bincount(b[dropped], minlength=len(ks)))
         old = int(self.row_start[-1])
-        self.row_start = np.concatenate((self.row_start, old + np.cumsum(counts)))
+        size = old + sum(int(np.count_nonzero(self._pairs(np.arange(built + lo, built + hi))))
+                         for lo, hi in blocks)
         for name in ("xi", "rho", "mid", "chi"):
-            whole = np.empty(int(self.row_start[-1]), getattr(self, name).dtype)
+            whole = np.empty(size, getattr(self, name).dtype)
             whole[:old] = getattr(self, name)
             setattr(self, name, whole)
+        self.row_start = np.concatenate((self.row_start, np.empty(n - built, np.int64)))
+        at = old
         for lo, hi in blocks:
             ks = np.arange(built + lo, built + hi, dtype=np.int32)
-            b, i1, i2 = np.nonzero(self._pairs(ks)[0])
-            chi = self._chi(ks, b, i1, i2)
-            keep = chi > 0.0
-            b, e1, e2 = b[keep], self.etas[i1[keep]], self.etas[i2[keep]]
+            b, i1, i2 = np.nonzero(self._pairs(ks))
             rho = self.rows[ks[b]]
+            r1, r2 = self.k1[rho], self.k2[rho]
+            chi = self.chi_fn(np.hypot(r1, r2)
+                              / np.hypot(2 * self.etas[i1] + r1, 2 * self.etas[i2] + r2))
+            keep = chi > 0.0
+            b, rho, e1, e2 = b[keep], rho[keep], self.etas[i1[keep]], self.etas[i2[keep]]
             x1, x2 = e1 + self.k1[rho], e2 + self.k2[rho]
             s1, s2 = x1 + e1, x2 + e2
             _guard_zeta(0.25 * (s1 * s1 + s2 * s2))
             mid = flat(np.stack((s1, s2), axis=-1), 2 * self.m - 1)
             np.minimum.at(self.mid_row, mid, ks[b])
-            # the rows' slots: a fill that does not match its count raises
-            e = slice(int(self.row_start[ks[0]]), int(self.row_start[ks[-1] + 1]))
+            e = slice(at, at + len(b))
             self.xi[e] = flat(np.stack((x1, x2), axis=-1), self.m)
             self.rho[e] = rho
             self.mid[e] = mid
             self.chi[e] = chi[keep]
+            self.row_start[built + lo + 1:built + hi + 1] = at + np.cumsum(
+                np.bincount(b, minlength=len(ks)))
+            at = e.stop
+        for name in ("xi", "rho", "mid", "chi"):
+            setattr(self, name, getattr(self, name)[:at])
         return n
 
     def _pairs(self, ks):
         """The pairs (row, eta1, eta2) of the plan rows ks and the eta box
         with xi off the Nyquist rows and |xi + eta|^2 above the lower bound,
-        as a mask, and the integer |xi + eta|^2 of every pair."""
+        as a mask."""
         k = self.etas
         r1 = self.k1[self.rows[ks]].astype(np.int32)[:, None, None]
         r2 = self.k2[self.rows[ks]].astype(np.int32)[:, None, None]
         s1, s2 = 2 * k[:, None] + r1, 2 * k[None, :] + r2
-        ssq = s1 * s1 + s2 * s2
         # xi = rho + eta off the Nyquist rows, which stay 0
         half = self.m // 2
-        cand = ((np.abs(k[:, None] + r1) < half) & (np.abs(k[None, :] + r2) < half)
-                & (ssq > self.lower[ks][:, None, None]))
-        return cand, ssq
-
-    def _chi(self, ks, b, i1, i2):
-        """chi(|rho| / |xi + eta|) at the pairs (b, i1, i2) of _pairs(ks)."""
-        rho = self.rows[ks[b]]
-        r1, r2 = self.k1[rho], self.k2[rho]
-        return self.chi_fn(np.hypot(r1, r2)
-                           / np.hypot(2 * self.etas[i1] + r1, 2 * self.etas[i2] + r2))
+        return ((np.abs(k[:, None] + r1) < half) & (np.abs(k[None, :] + r2) < half)
+                & (s1 * s1 + s2 * s2 > self.lower[ks][:, None, None]))
 
     def zeta(self, ids):
         """The midpoints zeta = s / 2 of midpoint ids."""
@@ -509,7 +494,7 @@ class _ChiPlan:
         once per plan."""
         if self._by_mid is None:
             self.extend(np.inf)
-            perm, counts = self._group()
+            counts = np.bincount(self.mid, minlength=len(self.mid_row))
             ids = np.flatnonzero(counts)
             used = self.rows[np.flatnonzero(np.diff(self.row_start))]
             radius = max(np.abs(self.k1[used]).max(initial=0), np.abs(self.k2[used]).max(initial=0))
@@ -518,30 +503,10 @@ class _ChiPlan:
             at = np.minimum(np.searchsorted(ids, mirror), len(ids) - 1)
             j = np.arange(len(ids))
             rep = np.where(ids[at] == mirror, np.maximum(j, at), j)
-            self._by_mid = (perm, np.concatenate(([0], np.cumsum(counts[ids]))), ids,
+            self._by_mid = (np.argsort(self.mid, kind="stable").astype(np.int32),
+                            np.concatenate(([0], np.cumsum(counts[ids]))), ids,
                             _dft_table(self.m, int(radius)), rep)
         return self._by_mid
-
-    def _group(self):
-        """The entries grouped by midpoint id, in entry order within an id, as
-        an int32 permutation, and each id's entry count.  Counted and placed
-        BLOCK entries at a time, so no temporary is the plan's size: an int64
-        argsort of the whole plan, or bincount's int64 copy of it, would be
-        twice the permutation."""
-        blocks = [self.mid[lo:lo + BLOCK] for lo in range(0, len(self.mid), BLOCK)]
-        counts = np.zeros(len(self.mid_row), np.int64)
-        for mid in blocks:
-            counts += np.bincount(mid, minlength=len(counts))
-        at = np.cumsum(counts) - counts                 # each id's next slot
-        perm = np.empty(len(self.mid), np.int32)
-        for lo, mid in zip(range(0, len(self.mid), BLOCK), blocks):
-            order = np.argsort(mid, kind="stable")
-            ids = mid[order]
-            first = np.flatnonzero(np.diff(ids, prepend=-1))   # each id's first in the block
-            size = np.diff(np.append(first, len(ids)))
-            perm[at[ids] + np.arange(len(ids)) - np.repeat(first, size)] = lo + order
-            at[ids[first]] += size
-        return perm, counts
 
     def accumulate(self, out, e, w, fc, extra_weight, divisor=1.0):
         """out[xi] += w chi [extra] fhat(eta) / divisor over the entries e, at

@@ -50,7 +50,7 @@ ONE_ENTRY = "tests/test_paradiff.py::test_one_entry_passes_round_like_long_ones"
 PAIRING = "tests/test_goodvar.py::test_even_symbols_apply_bit_for_bit_as_undeclared"
 ORDER = "tests/test_paradiff.py::test_general_entries_are_accumulated_once_in_midpoint_order"
 BUILD = "tests/test_plan_build.py::test_plan_build_matches_concatenating_oracle"
-BOUNDS = "tests/test_plan_build.py::test_support_bounds_bracket_chi"
+BOUNDS = "tests/test_plan_build.py::test_lower_bound_holds_no_support"
 FIT = ("tests/test_fields.py::test_fit_line_matches_polyfit",
        "tests/test_fields.py::test_fit_line_is_exact_on_collinear_points")
 NORMS = "tests/test_paradiff.py::test_symbol_norm_"
@@ -155,23 +155,18 @@ MUTANTS = (
            "self.etas = np.arange(-radius, radius + 1, dtype=np.int32)",
            "self.etas = np.arange(-radius, radius, dtype=np.int32)",
            (BRUTE, *ROWS)),
-    # the plan build: integer bounds, a count pass, a fill into exact arrays
+    # the plan build: an integer lower bound, a count pass, a contiguous fill
     Mutant("plan-lower-bound-too-tight", PARADIFF,
-           "c_lo = (scale / R_OUT) ** 2 * (1.0 - 1e-9)",
-           "c_lo = (scale / R_OUT) ** 2 * (1.0 + 1e-2)",
+           "c = (2.0 ** -chi_exponent / R_OUT) ** 2 * (1.0 - 1e-9)",
+           "c = (2.0 ** -chi_exponent / R_OUT) ** 2 * (1.0 + 1e-2)",
            (BUILD, BOUNDS)),
-    Mutant("plan-band-test-dropped", PARADIFF,
-           "            counts[lo:hi] = (np.count_nonzero(cand, axis=(1, 2))\n"
-           "                             - np.bincount(b[dropped], minlength=len(ks)))\n",
-           "            counts[lo:hi] = np.count_nonzero(cand, axis=(1, 2))\n",
+    Mutant("plan-kept-by-lower-bound-alone", PARADIFF,
+           "            keep = chi > 0.0\n",
+           "            keep = chi >= 0.0\n",
            (BUILD,)),
     Mutant("plan-fill-offset-off-by-one", PARADIFF,
-           "e = slice(int(self.row_start[ks[0]]), int(self.row_start[ks[-1] + 1]))",
-           "e = slice(int(self.row_start[ks[0]]) + 1, int(self.row_start[ks[-1] + 1]) + 1)",
-           (BUILD,)),
-    Mutant("group-slot-not-advanced", PARADIFF,
-           "            at[ids[first]] += size\n",
-           "",
+           "e = slice(at, at + len(b))",
+           "e = slice(at + 1, at + 1 + len(b))",
            (BUILD,)),
     Mutant("pass-buffers-not-regrown", PARADIFF,
            "if not _PASS or len(_PASS[1]) < BLOCK:",
