@@ -26,6 +26,7 @@ import time
 import traceback
 
 import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
 
 from . import __version__
 from .dispersion import (BISECTION_TOL, G_PRESETS, DispersionParams, ScanWindow,
@@ -34,11 +35,14 @@ from .dispersion import (BISECTION_TOL, G_PRESETS, DispersionParams, ScanWindow,
 from .errors import (CadenceError, ConfigError, NumericAbortError,
                      PositivityError, ResourceBudgetError,
                      SingularMultiplierError, SmallDivisorError)
-from .fields import (Grid, finite_json, l2_norm, random_field, save_snapshot,
-                     sobolev_norm, write_json)
-from .model import ModelConfig, lifespan_sweep, run
+from .fields import (SNAPSHOT_COLUMNS, FourierField, Grid, finite_json, inner, l2_norm,
+                     random_field, save_snapshot, sobolev_norm, write_csv, write_json)
+from .goodvar import TRACE_COLUMNS
+from .model import SWEEP_COLUMNS, ModelConfig, lifespan_sweep, run
 from .energy import (C_ENERGY, SMALL_DIVISOR_GUARD, depletion_checks,
                      increment_audit)
+from .paradiff import (ParadiffConfig, Symbol, composition_residual, paralin_remainder,
+                       weyl_apply)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -80,17 +84,16 @@ SCHEMAS = {
     },
     "symbols": {
         "slopes.json": ["name", "eps", "values", "slope"],
-        "sigma1_trace.csv": ["x1", "x2", "zeta1", "zeta2", "re", "im"],
+        "sigma1_trace.csv": [*TRACE_COLUMNS],
     },
     "simulate": {
         "trajectory.jsonl": ["t", "l2", "hN", "doubled"],
         "conservation.json": ["l2_initial", "max_rel_l2_drift", "hn_initial",
                               "max_hn_growth", "doubling_time", "censored", "n_steps"],
-        "final_field.json/.csv": ["xi1", "xi2", "re", "im"],
+        "final_field.json/.csv": [*SNAPSHOT_COLUMNS],
     },
     "sweep": {
-        "sweep.csv": ["epsilon", "doubling_time", "censored", "n_steps",
-                      "# footer: p_fit, p_stderr"],
+        "sweep.csv": [*SWEEP_COLUMNS, "# footer: p_fit, p_stderr"],
     },
     "energy-audit": {
         "audit.json": ["rows(t,E_N,dE_dt_fd,dE_dt_trilinear,rel_err)",
@@ -216,24 +219,25 @@ def _budget(cfg):
 # subcommand bodies
 # ---------------------------------------------------------------------------
 
-def _cmd_scan3(cfg, out):
-    params = DispersionParams(_parse_g(cfg["g"]), cfg["sigma"])
-    res = scan_three_wave(params, WeightParams(cfg["kappa"]),
-                          ScanWindow(cfg["max-high"], cfg["max-low"]),
-                          n_records=cfg["n-records"], budget=_budget(cfg))
-    with open(f"{out}/records.csv", "w") as fh:
-        fh.write(",".join(SCHEMAS["scan3"]["records.csv"]) + "\n")
-        for r in res.records:
-            (v1, v2, v3) = r.frequencies
-            fh.write(f"{r.signs.signs[0]},{r.signs.signs[1]},{r.signs.signs[2]},"
-                     f"{v1[0]},{v1[1]},{v2[0]},{v2[1]},{v3[0]},{v3[1]},"
-                     f"{r.phase_value!r},{r.weight!r},{r.normalized_gap!r},"
-                     f"{'|'.join(r.flags)}\n")
+def _write_census(res, out, subcommand):
+    """A census's records.csv (one line per record) and summary.json."""
+    write_csv(f"{out}/records.csv", SCHEMAS[subcommand]["records.csv"], (
+        (*r.signs.signs, *(c for v in r.frequencies for c in v),
+         r.phase_value, r.weight, r.normalized_gap, "|".join(r.flags))
+        for r in res.records))
     write_json(f"{out}/summary.json", {
         "min_normalized_gap": res.min_gap,
         "shell_stats": [s.__dict__ for s in res.shell_stats],
         "n_evaluated": res.n_evaluated, "meta": res.meta})
     return {"min_normalized_gap": res.min_gap}
+
+
+def _cmd_scan3(cfg, out):
+    params = DispersionParams(_parse_g(cfg["g"]), cfg["sigma"])
+    res = scan_three_wave(params, WeightParams(cfg["kappa"]),
+                          ScanWindow(cfg["max-high"], cfg["max-low"]),
+                          n_records=cfg["n-records"], budget=_budget(cfg))
+    return _write_census(res, out, "scan3")
 
 
 def _cmd_scan4(cfg, out):
@@ -241,19 +245,7 @@ def _cmd_scan4(cfg, out):
     res = scan_four_wave(params, ScanWindow(cfg["max-high"], cfg["max-low"]),
                          n_records=cfg["n-records"], bprime=cfg["bprime"],
                          budget=_budget(cfg))
-    with open(f"{out}/records.csv", "w") as fh:
-        fh.write(",".join(SCHEMAS["scan4"]["records.csv"]) + "\n")
-        for r in res.records:
-            (v, xi, eta) = r.frequencies
-            fh.write(f"{r.signs.signs[0]},{r.signs.signs[1]},"
-                     f"{v[0]},{v[1]},{xi[0]},{xi[1]},{eta[0]},{eta[1]},"
-                     f"{r.phase_value!r},{r.weight!r},{r.normalized_gap!r},"
-                     f"{'|'.join(r.flags)}\n")
-    write_json(f"{out}/summary.json", {
-        "min_normalized_gap": res.min_gap,
-        "shell_stats": [s.__dict__ for s in res.shell_stats],
-        "n_evaluated": res.n_evaluated, "meta": res.meta})
-    return {"min_normalized_gap": res.min_gap}
+    return _write_census(res, out, "scan4")
 
 
 def _cmd_collinear(cfg, out):
@@ -262,10 +254,8 @@ def _cmd_collinear(cfg, out):
     if len(xi) != 2:
         raise ConfigError(f"xi needs exactly two integers, got {cfg['xi']!r}")
     rows = collinear_gap(params, xi)
-    with open(f"{out}/gaps.csv", "w") as fh:
-        fh.write(",".join(SCHEMAS["collinear"]["gaps.csv"]) + "\n")
-        for eta, gap, norm in rows:
-            fh.write(f"{eta[0]},{eta[1]},{gap!r},{norm!r}\n")
+    write_csv(f"{out}/gaps.csv", SCHEMAS["collinear"]["gaps.csv"],
+              ((*eta, gap, norm) for eta, gap, norm in rows))
     return {"n_gaps": len(rows)}
 
 
@@ -286,18 +276,11 @@ def _cmd_measure(cfg, out):
         ratio = mb.total / prev if prev not in (None, 0.0) else float("nan")
         rows.append((mb.j, mb.total, mb.n_intervals, ratio))
         prev = mb.total
-    with open(f"{out}/bounds.csv", "w") as fh:
-        fh.write(",".join(SCHEMAS["measure"]["bounds.csv"]) + "\n")
-        for j, total, n, ratio in rows:
-            fh.write(f"{j},{total!r},{n},{ratio!r}\n")
+    write_csv(f"{out}/bounds.csv", SCHEMAS["measure"]["bounds.csv"], rows)
     return {"bounds": [r[1] for r in rows]}
 
 
 def _cmd_paradiff_audit(cfg, out):
-    from .fields import inner
-    from .paradiff import (ParadiffConfig, Symbol, composition_residual,
-                           paralin_remainder, weyl_apply)
-
     pcfg = ParadiffConfig(chi_exponent=cfg["chi"])
     grid = Grid(cfg["grid"])
     seed = cfg["seed"]
@@ -309,7 +292,6 @@ def _cmd_paradiff_audit(cfg, out):
     lhs = au.conj()
     rhs = weyl_apply(a.conj_flip(), u.conj(), pcfg)
     conj_err = float(np.max(np.abs(lhs.coeffs - rhs.coeffs)))
-    from .fields import FourierField
     const = FourierField.single_mode(grid, (0, 0), 1.7)
     tconst = float(np.max(np.abs(weyl_apply(a, const, pcfg).coeffs)))
     one = Symbol.constant(1.0)
@@ -330,10 +312,9 @@ def _cmd_paradiff_audit(cfg, out):
 
 
 def _cmd_symbols(cfg, out):
-    from .goodvar import (build_good_variable, expansion_check,
+    from .goodvar import (SlopeReport, build_good_variable, expansion_check,
                           export_symbol_trace, fit_loglog,
                           linear_good_variable, principal_family, random_state)
-    from .paradiff import ParadiffConfig
 
     pcfg = ParadiffConfig(chi_exponent=cfg["chi"])
     grid = Grid(cfg["grid"])
@@ -349,14 +330,12 @@ def _cmd_symbols(cfg, out):
     for st, fam in zip(states, families):
         gv = build_good_variable(st, pcfg, fam)
         vals.append(sobolev_norm(gv.U - linear_good_variable(st), 3.0))
-    reports_json = [r.to_json() for r in reports]
-    reports_json.append({"name": "U_minus_linear", "eps": eps_list,
-                         "values": vals, "slope": fit_loglog(eps_list, vals)})
-    write_json(f"{out}/slopes.json", reports_json)
+    reports.append(SlopeReport("U_minus_linear", eps_list, vals, fit_loglog(eps_list, vals)))
+    write_json(f"{out}/slopes.json", reports)
     export_symbol_trace(gv.symbols.Sigma1, grid,
                         [(1.0, 0.0), (2.0, 1.5), (4.0, -3.0)],
                         f"{out}/sigma1_trace.csv")
-    return {"slopes": {r["name"]: r["slope"] for r in reports_json}}
+    return {"slopes": {r.name: r.slope for r in reports}}
 
 
 def _cmd_simulate(cfg, out):
@@ -398,7 +377,7 @@ def _cmd_energy_audit(cfg, out):
                             N=cfg["N"], D=cfg["D"])
     audit.save(f"{out}/audit.json")
     rep = depletion_checks(params, cfg["N"], cfg["depletion-radius"])
-    write_json(f"{out}/depletion.json", rep.to_json())
+    write_json(f"{out}/depletion.json", rep)
     return {"max_rel_err": audit.max_rel_err, "factor_C": rep.factor_C}
 
 
@@ -469,6 +448,7 @@ def dispatch(argv) -> int:
             "small_divisor_guard": SMALL_DIVISOR_GUARD,
             "bisection_tol": BISECTION_TOL,
             "velocity_proxy": "V1 = |grad|^{-1/2} grad Im U",
+            **_host_kind(),
         },
         "wall_time_s": time.time() - t0,
     }
@@ -481,6 +461,19 @@ def dispatch(argv) -> int:
     if summary:
         print(json.dumps(finite_json(summary), sort_keys=True))
     return code
+
+
+@functools.cache
+def _host_kind():
+    """What an artifact's last bits depend on besides code, config and seed
+    (README, "Determinism"): numpy's SIMD targets, the BLAS build and core."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    kind = {"simd_targets": {t: bool(__cpu_features__.get(t)) for t in (
+                "X86_V2", "X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")},
+            "blas": {"name": blas.get("name"), "configuration": blas.get("openblas configuration")}}
+    if "OPENBLAS_CORETYPE" in os.environ:
+        kind["openblas_coretype"] = os.environ["OPENBLAS_CORETYPE"]
+    return kind
 
 
 def _trace_summary(err):

@@ -95,16 +95,20 @@ def energy_symbol_arr(N, xi1, xi2, eta1, eta2, c=C_ENERGY, band=SYMBOL_BAND):
     """Vectorized m(xi, eta) with the cutoff phi_{<=band}(xi - eta)."""
     r1 = xi1 - eta1
     r2 = xi2 - eta2
-    wxi = 1.0 + xi1 * xi1 + xi2 * xi2
-    wet = 1.0 + eta1 * eta1 + eta2 * eta2
-    return _symbol(r1 * (xi1 + eta1) + r2 * (xi2 + eta2), wxi ** N, wet ** N,
-                   wxi ** (N / 2.0), wet ** (N / 2.0), phi_le(np.hypot(r1, r2), band), c)
+    return _symbol(r1 * (xi1 + eta1) + r2 * (xi2 + eta2), 1.0 + xi1 * xi1 + xi2 * xi2,
+                   phi_le(np.hypot(r1, r2), band), N, c)
 
 
-def _symbol(dot, big_xi, big_eta, half_xi, half_eta, phi, c):
-    """m from its factors: dot = (xi-eta).(xi+eta), big = (1+|.|^2)^N,
-    half = (1+|.|^2)^{N/2} at xi and eta, phi = phi_{<=B}(|xi-eta|)."""
-    return c * dot * (big_eta - big_xi) / (half_eta * half_xi) * phi
+def _symbol(dot, w_xi, phi, N, c):
+    """m from dot = (xi-eta).(xi+eta) = |xi|^2 - |eta|^2, w_xi = 1+|xi|^2 and
+    phi = phi_{<=B}(|xi-eta|).  With w = 1+|.|^2 the weights enter as g =
+    (w_eta^N - w_xi^N) / (w_eta w_xi)^{N/2} = -sign(dot) 2 sinh(y), y = (N/2)
+    log1p(|dot| / min(w_xi, w_eta)): by sinh while |y| < 1, where the powers
+    would cancel, and by the powers beyond, where sinh amplifies y's rounding."""
+    w_eta = w_xi - dot
+    y = 0.5 * N * np.log1p(np.abs(dot) / np.minimum(w_xi, w_eta))
+    return c * dot * np.where(np.abs(y) < 1.0, -2.0 * np.sign(dot) * np.sinh(y),
+                              (w_eta ** N - w_xi ** N) / (w_eta * w_xi) ** (N / 2.0)) * phi
 
 
 def depletion_factor(xi1, xi2, eta1, eta2):
@@ -386,21 +390,26 @@ def _energy_total(U: FourierField, N: float, c, band, row_tol=1e-14) -> float:
 
     With q = |.|^2 and A = (1+q)^N the summand is c (q(xi) - q(eta))
     (A(eta) - A(xi)) Fhat(rho) Uhat(eta) conj(Uhat(xi)), Fhat = i Uhat
-    phi_{<=band}, so the sum is
+    phi_{<=band}.  Only differences of A enter, so A may be replaced by
+    B = A/K - 1, K = (1+q0)^N its smallest value on the grid (q0 = 0 for
+    N >= 0, the largest q otherwise), and the sum is
 
-        c sum_xi conj(Uhat) [q (F*AU) - qA (F*U) - F*(qAU) + A (F*(qU))],
+        c K sum_xi conj(Uhat) [q (F*BU) - qB (F*U) - F*(qBU) + B (F*(qU))],
 
     F*G = M^2 fft2(ifft2(Fhat) ifft2(Ghat)) the circular convolution, exact
     for U on the dealiased square.  Modes with |Uhat| below row_tol *
     max|Uhat| are dropped from F, as the pair sums drop their rows; phi is
-    skipped where its plateau covers the grid.
-    """
+    skipped where its plateau covers the grid.  B is expm1(y), y = N
+    log1p((q - q0) / (1 + q0)) >= 0, while y < 1 (A cancels in the sum as
+    N -> 0, A - 1 as N -> -inf) and A/K - 1 beyond."""
     m = U.grid.size
     if 3 * U.grid.kmax_dealias >= m:
         raise ConfigError("the FFT energy sum needs the 2/3 rule, 3 kmax < M")
     k1, k2 = U.grid.freqs()
     q = (k1 * k1 + k2 * k2).astype(float)
-    big = (1.0 + q) ** N
+    q0 = 0.0 if N >= 0 else float(q.max())
+    y = N * np.log1p((q - q0) / (1.0 + q0))
+    big = np.where(y < 1.0, np.expm1(y), (1.0 + q) ** N / (1.0 + q0) ** N - 1.0)
     u = np.asarray(U.coeffs)
     f = np.where(_row_mask(u, row_tol), 1j * u, 0.0)
     if math.hypot(m // 2, m // 2) >= R_IN * 2.0 ** band:
@@ -411,7 +420,7 @@ def _energy_total(U: FourierField, N: float, c, band, row_tol=1e-14) -> float:
         return np.fft.fft2(fx * np.fft.ifft2(g))
 
     inner = q * conv(big * u) - q * big * conv(u) - conv(q * big * u) + big * conv(q * u)
-    return float(c * m * m * np.real(np.sum(np.conj(u) * inner)))
+    return float(c * (1.0 + q0) ** N * m * m * np.real(np.sum(np.conj(u) * inner)))
 
 
 def _energy_le0_parts(U: FourierField, N: float, params: DispersionParams, c, band,
@@ -557,12 +566,6 @@ class DepletionReport:
     n_pairs_factor: int
     N: float
 
-    def to_json(self):
-        return {"radius": self.radius, "mprime_min": self.mprime_min,
-                "mprime_max": self.mprime_max, "factor_C": self.factor_C,
-                "n_pairs_mprime": self.n_pairs_mprime,
-                "n_pairs_factor": self.n_pairs_factor, "N": self.N}
-
 
 def depletion_checks(params: DispersionParams, N: float, radius: int,
                      max_offset=8, c=C_ENERGY) -> DepletionReport:
@@ -575,9 +578,9 @@ def depletion_checks(params: DispersionParams, N: float, radius: int,
     over 0 < |xi-eta| < 2^{-4} |xi+eta| and both signs i.
 
     Offsets rho = xi - eta run over |rho_i| <= max(max_offset, radius // 8
-    + 1).  |v|, Lambda(|v|) and (1+|v|^2)^N, ^{N/2} are tabulated once on a
-    square holding every xi, eta and xi + eta, and gathered for blocks of
-    offsets of about BLOCK pairs each.  Every quantity reads norms only, so
+    + 1).  |v|, Lambda(|v|) and 1+|v|^2 are tabulated once on a square
+    holding every xi, eta and xi + eta, and gathered for blocks of offsets
+    of about BLOCK pairs each.  Every quantity reads norms only, so
     it is the same bit for bit on each image of (xi, rho) under the lattice
     symmetries D4: xi runs over the representatives 0 <= xi_2 <= xi_1 against
     every offset, and a pair counts as many pairs as its xi's orbit holds."""
@@ -593,12 +596,10 @@ def depletion_checks(params: DispersionParams, N: float, radius: int,
     lam_sq = lam_abs(params, abs_sq)
     k1, k2 = coords(n)
     w_sq = 1.0 + (k1 * k1 + k2 * k2)                   # 1 + |v|^2, exact
-    big_sq, half_sq = w_sq ** N, w_sq ** (N / 2.0)
 
     pts, size = disk_reps(radius, include_origin=True)
     x_at = flat(pts, n)
     abs_x, lam_x, w_x = abs_sq[x_at], lam_sq[x_at], w_sq[x_at]
-    big_x, half_x = big_sq[x_at], half_sq[x_at]
     offs = [(r1, r2) for r1 in range(-off_max, off_max + 1)
             for r2 in range(-off_max, off_max + 1) if r1 or r2]
     rn = np.array([math.hypot(r1, r2) for r1, r2 in offs])
@@ -626,9 +627,7 @@ def depletion_checks(params: DispersionParams, N: float, radius: int,
         nb = min(hi, n_near) - lo
         if nb > 0:
             d = dot[:nb] ** 2 / w_sq[s_at[:nb]]
-            e = e_at[:nb]
-            mvals = _symbol(dot[:nb], big_x, big_sq[e], half_x, half_sq[e],
-                            phi_rho[lo:lo + nb, None], c)
+            mvals = _symbol(dot[:nb], w_x, phi_rho[lo:lo + nb, None], N, c)
             pos = d > 0.0
             ratio = np.abs(mvals[pos]) / d[pos]
             if ratio.size:

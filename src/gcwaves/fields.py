@@ -110,10 +110,6 @@ class Grid:
             raise ConfigError("dealias_fraction must lie in (0, 1]")
 
     @property
-    def m(self) -> int:
-        return self.size
-
-    @property
     def kmax_dealias(self) -> int:
         k = int(self.dealias_fraction * (self.size // 2))
         if self.dealias_fraction <= 2.0 / 3.0 + 1e-12:
@@ -163,8 +159,7 @@ def _hermitian(coeffs, tol=1e-12):
 
 
 def _neg_index(m):
-    idx = (-np.arange(m)) % m
-    return idx
+    return (-np.arange(m)) % m
 
 
 @dataclass(frozen=True)
@@ -429,8 +424,12 @@ def fit_line(xs, ys):
 
 
 # ---------------------------------------------------------------------------
-# snapshot I/O: JSON header + CSV coefficient table (xi1, xi2, re, im)
+# artifact I/O: the JSON and the CSV format; snapshots (JSON header + CSV)
 # ---------------------------------------------------------------------------
+
+#: the columns of a snapshot's coefficient table
+SNAPSHOT_COLUMNS = ("xi1", "xi2", "re", "im")
+
 
 def finite_json(obj):
     """obj as strict-JSON (RFC 8259) values in one walk, with the bytes
@@ -472,19 +471,34 @@ def write_json(path, obj):
         fh.write("\n")
 
 
+def write_csv(path, columns, rows):
+    """Write a header line of ``columns``, then one line per row: a str as it
+    is, any other value by repr, so floats read back exactly and non-finite
+    ones read nan or inf.  The one format of every CSV artifact; a numpy
+    scalar raises TypeError (numpy 2's repr of np.float64(1) is np.float64(1.0))."""
+    def line(row):
+        for v in row:
+            if isinstance(v, np.generic):
+                raise TypeError(f"CSV value {v!r} is a numpy scalar")
+        return ",".join([v if isinstance(v, str) else repr(v) for v in row]) + "\n"
+
+    with open(path, "w") as fh:
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(map(line, rows))
+
+
 def save_snapshot(f: FourierField, path_prefix: str, time=0.0, name="field"):
     """Write <prefix>.json (header) and <prefix>.csv (coefficient table).
 
     The CSV is plain text (no byte-order concerns), rows sorted
-    lexicographically by (xi1, xi2); only nonzero coefficients are stored.
-    """
+    lexicographically by (xi1, xi2); only nonzero coefficients are stored."""
     header = {
         "format": "gcwaves-field-v1",
         "grid": {"size": f.grid.size, "dealias_fraction": f.grid.dealias_fraction},
         "time": time,
         "name": name,
         "is_real_valued": f.is_real_valued,
-        "columns": ["xi1", "xi2", "re", "im"],
+        "columns": SNAPSHOT_COLUMNS,
         "table": "csv",
     }
     write_json(path_prefix + ".json", header)
@@ -493,10 +507,8 @@ def save_snapshot(f: FourierField, path_prefix: str, time=0.0, name="field"):
     x1, x2 = k1[nz], k2[nz]
     order = np.lexsort((x2, x1))
     c = f.coeffs[nz][order]
-    rows = zip(x1[order].tolist(), x2[order].tolist(), c.real.tolist(), c.imag.tolist())
-    with open(path_prefix + ".csv", "w") as fh:
-        fh.write("xi1,xi2,re,im\n")
-        fh.writelines(f"{a},{b},{re!r},{im!r}\n" for a, b, re, im in rows)
+    write_csv(path_prefix + ".csv", SNAPSHOT_COLUMNS,
+              zip(x1[order].tolist(), x2[order].tolist(), c.real.tolist(), c.imag.tolist()))
 
 
 def load_snapshot(path_prefix: str):

@@ -47,10 +47,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import DispersionParams
+from .dispersion import DispersionParams, lam_grid
 from .errors import ConfigError, PositivityError
 from .fields import (FourierField, Grid, analyze, apply_multiplier, dx, fit_line,
-                     l2_norm, mean, random_field, sobolev_norm, synthesize)
+                     l2_norm, mean, random_field, sobolev_norm, synthesize, write_csv)
 from .paradiff import (EXPERIMENT_CHI, ParadiffConfig, SeparableTerm, Symbol,
                        grid_index, sampled_norm, weyl_apply, zeta_arrays)
 
@@ -407,10 +407,6 @@ class SlopeReport:
     values: list
     slope: float
 
-    def to_json(self):
-        return {"name": self.name, "eps": list(self.eps),
-                "values": list(self.values), "slope": self.slope}
-
 
 def expansion_check(state: SurfaceState, eps_list, cfg: ParadiffConfig | None = None,
                     powers=(-2.0, -1.0, -0.5, 0.5, 1.0, 2.0), zeta_samples=None,
@@ -470,19 +466,24 @@ def expansion_check(state: SurfaceState, eps_list, cfg: ParadiffConfig | None = 
             for name, vals in values.items()]
 
 
+#: the columns of a symbol trace
+TRACE_COLUMNS = ("x1", "x2", "zeta1", "zeta2", "re", "im")
+
+
 def export_symbol_trace(sym: Symbol, grid: Grid, zeta_samples, path):
     """Write symbol values over the (x-grid x zeta-sample) product as CSV
-    with columns x1, x2, zeta1, zeta2, re, im (plot-ready)."""
+    with the columns TRACE_COLUMNS (plot-ready)."""
     X1, X2 = grid.x()
-    xs = [f"{a!r},{b!r}," for a, b in zip(X1.ravel().tolist(), X2.ravel().tolist())]
-    with open(path, "w") as fh:
-        fh.write("x1,x2,zeta1,zeta2,re,im\n")
+    x1, x2 = (list(map(repr, X.ravel().tolist())) for X in (X1, X2))   # not once per zeta
+
+    def rows():
         for (z1, z2) in zeta_samples:
             vals = sym.eval(X1, X2, np.asarray(z1), np.asarray(z2))
             vals = (np.asarray(vals, np.complex128) + np.zeros_like(X1, np.complex128)).ravel()
-            zs = f"{z1!r},{z2!r},"
-            fh.writelines(f"{x}{zs}{re!r},{im!r}\n"
-                          for x, re, im in zip(xs, vals.real.tolist(), vals.imag.tolist()))
+            yield from zip(x1, x2, [z1] * len(x1), [z2] * len(x1),
+                           vals.real.tolist(), vals.imag.tolist())
+
+    write_csv(path, TRACE_COLUMNS, rows())
 
 
 @dataclass
@@ -500,8 +501,6 @@ def ladder(U: FourierField, n_max: int, symbols: WWSymbols, params: DispersionPa
 
     Callers should keep n_max <= 2N/3 for the configured Sobolev index N
     (each rung costs 3/2 derivatives of regularity)."""
-    from .dispersion import lam_grid
-
     ws = [U]
     for _ in range(n_max):
         ws.append(weyl_apply(symbols.Sigma, ws[-1], cfg))

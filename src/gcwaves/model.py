@@ -41,7 +41,7 @@ import numpy as np
 from .dispersion import DispersionParams, lam_grid
 from .errors import ConfigError, NumericAbortError
 from .fields import (FourierField, Grid, TWO_PI, check_power, dealias, finite_json, fit_line,
-                     l2_norm, phi_le, sobolev_norm)
+                     l2_norm, phi_le, sobolev_norm, write_csv)
 
 
 @dataclass(frozen=True)
@@ -363,6 +363,10 @@ def _report(state, hn0, max_drift, max_growth, doubling_time):
 # lifespan sweep
 # ---------------------------------------------------------------------------
 
+#: the columns of sweep.csv, whose last row is "# p_fit,<p>,p_stderr,<stderr>"
+SWEEP_COLUMNS = ("epsilon", "doubling_time", "censored", "n_steps")
+
+
 @dataclass
 class SweepRow:
     epsilon: float
@@ -379,12 +383,9 @@ class SweepResult:
     meta: dict
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("epsilon,doubling_time,censored,n_steps\n")
-            for r in self.rows:
-                fh.write(f"{r.epsilon!r},{r.doubling_time!r},"
-                         f"{int(r.censored)},{r.n_steps}\n")
-            fh.write(f"# p_fit,{self.p_fit!r},p_stderr,{self.p_stderr!r}\n")
+        write_csv(path, SWEEP_COLUMNS, [
+            *((r.epsilon, r.doubling_time, int(r.censored), r.n_steps) for r in self.rows),
+            ("# p_fit", self.p_fit, "p_stderr", self.p_stderr)])
 
 
 def lifespan_sweep(cfg: ModelConfig, eps_list, courant=0.08) -> SweepResult:

@@ -67,7 +67,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericAbortError
-from .fields import R_OUT, FourierField, Grid, TWO_PI, bump, dealias, analyze, synthesize
+from .fields import (R_OUT, FourierField, Grid, TWO_PI, analyze, bump, dealias, fit_line,
+                     l2_norm, lp_project, product_exact, random_field, synthesize)
 from .lattice import BLOCK, coords, flat, plan_cache, row_blocks, shift_perms
 
 _FOUR_PI2 = (2.0 * np.pi) ** 2
@@ -932,8 +933,6 @@ class CompositionReport:
 def composition_residual(a, b, l1, l2, ks, grid, cfg, seed=11) -> CompositionReport:
     """Per-band relative residual of the composition expansion and its
     log2 slope across the probe bands; expected slope <= l1 + l2 - 2."""
-    from .fields import fit_line, lp_project, random_field, l2_norm
-
     if abs(l1) > 10 or abs(l2) > 10:
         raise ConfigError("composition bounds assume |l1|, |l2| <= 10")
     probe = random_field(grid, seed=seed, decay=0.0, mean_zero=True)
@@ -965,8 +964,6 @@ def paralin_remainder(f: FourierField, g: FourierField, cfg: ParadiffConfig) -> 
     The product is evaluated alias-free (zero-padded), so on every retained
     mode H carries exactly the kernel 1 - chi(|v|/|v+2w|) - chi(|w|/|2v+w|)
     against fhat(v) ghat(w)."""
-    from .fields import product_exact
-
     prod = product_exact(f, g)
     tfg = weyl_apply(Symbol.from_function(f), g, cfg)
     tgf = weyl_apply(Symbol.from_function(g), f, cfg)
@@ -975,8 +972,6 @@ def paralin_remainder(f: FourierField, g: FourierField, cfg: ParadiffConfig) -> 
 
 def paracomp_remainder(u: FourierField, h_coeffs, cfg: ParadiffConfig) -> FourierField:
     """E(u) = F(u) - T_{F'(u)} u for F(z) = z + sum_k h_coeffs[k] z^k (k >= 3)."""
-    from .fields import analyze, synthesize, dealias
-
     us = synthesize(u)
     F = us.copy()
     Fp = np.ones_like(us)

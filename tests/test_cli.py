@@ -46,6 +46,49 @@ def test_lemma1_artifacts(tmp_path):
     assert manifest["knobs"]["c_energy"] == pytest.approx(-0.5 * (2 * 3.141592653589793) ** -4)
 
 
+def test_manifest_records_the_host_kind(tmp_path):
+    # artifacts are bitwise identical only on one kind of host: the manifest
+    # names the SIMD targets and the BLAS build the run used
+    out = tmp_path / "m"
+    assert dispatch(["lemma1", "--out", str(out)]) == EXIT_OK
+    knobs = json.loads((out / "manifest.json").read_text())["knobs"]
+    assert set(knobs["simd_targets"]) == {"X86_V2", "X86_V3", "X86_V4", "AVX512_ICL",
+                                          "AVX512_SPR"}
+    assert all(isinstance(v, bool) for v in knobs["simd_targets"].values())
+    assert set(knobs["blas"]) == {"name", "configuration"}
+    assert knobs["blas"]["name"] == np.show_config(mode="dicts")["Build Dependencies"][
+        "blas"]["name"]
+    assert knobs.get("openblas_coretype") == os.environ.get("OPENBLAS_CORETYPE")
+
+
+# tiny flags for every subcommand that writes a CSV
+CSV_RUNS = {
+    "scan3": ["--max-high", "8", "--max-low", "1"],
+    "scan4": ["--max-high", "8", "--max-low", "1"],
+    "collinear": ["--xi", "4,0"],
+    "measure": ["--cutoff", "8", "--j-min", "5", "--j-max", "6"],
+    "symbols": ["--grid", "8", "--eps-list", "1e-1,1e-3"],
+    "simulate": ["--grid", "16", "--dt", "0.01", "--t-end", "0.02", "--snapshot-dt", "0.01"],
+    "sweep": ["--grid", "16", "--dt", "0.05", "--t-end", "2", "--eps-list", "0.4,0.2,0.05"],
+}
+
+
+@pytest.mark.parametrize("sub", CSV_RUNS)
+def test_csv_headers_are_their_schemas(tmp_path, sub):
+    # each CSV starts with the column list `gcwaves schema` documents, and
+    # every line has as many fields (sweep's last row is its fit)
+    assert dispatch([sub, *CSV_RUNS[sub], "--out", str(tmp_path)]) == EXIT_OK
+    schemas = {name.replace(".json/.csv", ".csv"): columns
+               for name, columns in SCHEMAS[sub].items() if name.endswith(".csv")}
+    assert sorted(schemas) == sorted(p.name for p in tmp_path.glob("*.csv"))
+    for name, columns in schemas.items():
+        columns = [c for c in columns if not c.startswith("# footer")]
+        lines = (tmp_path / name).read_text().splitlines()
+        assert lines[0] == ",".join(columns)
+        assert len(lines) > 1
+        assert all(len(line.split(",")) == len(columns) for line in lines)
+
+
 def test_scan3_deterministic_and_reexecutable(tmp_path):
     args = ["scan3", "--max-high", "8", "--max-low", "1"]
     assert dispatch(args + ["--out", str(tmp_path / "a")]) == EXIT_OK

@@ -1,13 +1,17 @@
-"""The energy layer's fast routes against a brute-force row loop.
+"""The energy layer's fast routes against a brute-force row loop, and the
+unfiltered energy sum against an exact one.
 
 ``row_sums`` is the row-by-row evaluation the library used before the FFT
 route and the near-resonant plan: per row rho = xi - eta it shifts Ghat,
 the inside mask and Lambda(eta), forms Phi and the filter there and sums
-over xi.  It is kept here, unoptimized, as the oracle.
+over xi.  It is kept here, unoptimized, as the oracle.  ``mp_energy_total``
+sums the unfiltered energy identity's terms in mpmath at 40 digits.
 """
 
+import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -98,10 +102,12 @@ def _energy_operands(grid, U, N, band):
     return W, mu
 
 
+# the sums are O(N): below N ~ 1e-290 they are subnormal floats, which hold
+# fewer digits than the 1e-12 checks ask for
+@pytest.mark.parametrize("m", [8, 10, 12, 14, 16])
 @SETTINGS
-@given(m=st.sampled_from([8, 10, 12, 14, 16]), seed=st.integers(0, 10_000),
-       N=st.floats(0.0, 6.0), D=st.floats(0.0, 3.5), band=st.integers(0, 4),
-       decay=st.floats(0.05, 0.5))
+@given(seed=st.integers(0, 10_000), N=st.just(0.0) | st.floats(1e-200, 6.0),
+       D=st.floats(0.0, 3.5), band=st.integers(0, 4), decay=st.floats(0.05, 0.5))
 def test_energy_routes_match_row_loop(m, seed, N, D, band, decay):
     grid = Grid(m)
     U = random_field(grid, seed=seed, decay=decay)
@@ -123,6 +129,60 @@ def test_energy_routes_match_row_loop(m, seed, N, D, band, decay):
     assert abs(lh - ref_lh) <= 1e-12 * scale
     ref_hi = oracle_trilinear(mu, ModulationFilter("gt0"), iU, W, W, row_tol=1e-14).real
     assert close(energy._energy_total(U, N, C_ENERGY, band) - (lh + ll), ref_hi)
+
+
+# ---------------------------------------------------------------------------
+# the unfiltered sum against mpmath, down to N -> 0
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def _mp_terms(m, seed, band):
+    """The field random_field(Grid(m), seed, decay 0.5) and, per pair (xi,
+    eta) of its nonzero coefficients with Uhat(rho) != 0 and phi_{<=band}(rho)
+    > 0, (q(xi), q(eta), phi(rho) Re(i Uhat(rho) Uhat(eta) conj Uhat(xi))),
+    the last at 40 digits from the exact float coefficients."""
+    grid = Grid(m)
+    U = random_field(grid, seed=seed, decay=0.5)
+    k1, k2 = grid.freqs()
+    u = np.asarray(U.coeffs)
+    with mpmath.workdps(40):
+        coef = {(int(k1[i, j]), int(k2[i, j])): mpmath.mpc(u[i, j].real, u[i, j].imag)
+                for i, j in zip(*np.nonzero(u))}
+        terms = []
+        for xi, u_xi in coef.items():
+            for eta, u_eta in coef.items():
+                rho = (xi[0] - eta[0], xi[1] - eta[1])
+                phi = float(phi_le(math.hypot(*rho), band))
+                if rho in coef and phi > 0.0:
+                    z = coef[rho] * u_eta * mpmath.conj(u_xi)
+                    terms.append((xi[0] ** 2 + xi[1] ** 2, eta[0] ** 2 + eta[1] ** 2,
+                                  -phi * z.imag))
+    return U, terms
+
+
+def mp_energy_total(m, seed, band, N):
+    """(U, the unfiltered sum sum m(xi,eta) What(eta) conj(What(xi)) i Uhat(rho)
+    as c (q(xi) - q(eta)) ((1+q(eta))^N - (1+q(xi))^N) phi(rho) Re(...) at
+    40 digits)."""
+    U, terms = _mp_terms(m, seed, band)
+    with mpmath.workdps(40):
+        power = functools.cache(lambda q: mpmath.power(1 + q, mpmath.mpf(N)))
+        total = mpmath.fsum((qx - qe) * (power(qe) - power(qx)) * t for qx, qe, t in terms)
+        return U, float(C_ENERGY * total)
+
+
+@pytest.mark.parametrize("N", [5.96e-8, 1e-9, 1e-5, 3.0, 5.0, 50.0, -1e-9, -50.0])
+@pytest.mark.parametrize("m,seed", [(8, 0), (12, 4)], ids=["8", "12"])
+def test_energy_total_matches_mpmath(m, seed, N):
+    # the FFT total and the row loop over energy_symbol_arr's m stay at
+    # rounding level for every N: as N -> 0, where the powers (1+q)^N
+    # cancel, for large N, and for N < 0, where (1+q)^N - 1 -> -1
+    band = 1
+    U, ref = mp_energy_total(m, seed, band, N)
+    assert close(energy._energy_total(U, N, C_ENERGY, band), ref)
+    W, mu = _energy_operands(U.grid, U, N, band)
+    assert close(oracle_trilinear(mu, ModulationFilter(), 1j * U, W, W, row_tol=1e-14).real,
+                 ref)
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,10 @@ import pytest
 
 from gcwaves.errors import ConfigError, SingularMultiplierError
 from gcwaves.fields import (FourierField, Grid, analyze, apply_multiplier,
-                            bump, dealias, dx, fit_line, inner, l2_norm, load_snapshot,
-                            lp_gt, lp_leq, lp_project, mean, phi_le, phi_gt,
-                            phi_shell, pointwise_product, random_field,
-                            save_snapshot, sobolev_norm, synthesize)
+                            bump, check_power, dealias, dx, fit_line, inner, l2_norm,
+                            load_snapshot, lp_gt, lp_leq, lp_project, mean, phi_le,
+                            phi_gt, phi_shell, pointwise_product, random_field,
+                            save_snapshot, sobolev_norm, synthesize, write_csv)
 from gcwaves.lattice import shift_perms
 
 TWO_PI = 2.0 * np.pi
@@ -239,6 +239,38 @@ def test_snapshot_csv_matches_loop_oracle(tmp_path, m, seed):
                            FourierField.from_coeffs(g, c, check_real=False))):
         save_snapshot(f, str(tmp_path / f"s{k}"))
         assert (tmp_path / f"s{k}.csv").read_text() == _snapshot_csv_loop(f)
+
+
+class _Tagged:
+    def __str__(self):
+        return "by-str"
+
+    def __repr__(self):
+        return "by-repr"
+
+
+def test_write_csv_writes_str_as_is_and_the_rest_by_repr(tmp_path):
+    rows = [("a|b", 0.1, -3, _Tagged()), ("", math.nan, -math.inf, True), (0.25, "x", 7, "")]
+    write_csv(tmp_path / "t.csv", ("s", "x", "n", "o"), iter(rows))
+    assert (tmp_path / "t.csv").read_text() == (
+        "s,x,n,o\na|b,0.1,-3,by-repr\n,nan,-inf,True\n0.25,x,7,\n")
+
+
+@pytest.mark.parametrize("value", [np.float64(0.5), np.int64(3), np.bool_(True)],
+                         ids=["float64", "int64", "bool"])
+def test_write_csv_rejects_numpy_scalars(tmp_path, value):
+    # numpy 2's repr(np.float64(0.5)) is "np.float64(0.5)"
+    with pytest.raises(TypeError):
+        write_csv(tmp_path / "t.csv", ("a", "b"), [(1, 2.0), (1, value)])
+
+
+def test_check_power_accepts_exactly_the_normal_range():
+    # (1+1)^N is a finite normal float for -1022 <= N <= 1023
+    for N in (-1022, 0.0, 1023):
+        check_power(N, 1.0, "here")
+    for N in (-1023, 1024):
+        with pytest.raises(ConfigError):
+            check_power(N, 1.0, "here")
 
 
 def test_inner_product_matches_quadrature():

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from census_oracles import (check_census, oracle_scan3, oracle_scan4, scan3_id,
                             scan4_id)
@@ -167,6 +167,7 @@ def _depletion_oracle(params, N, radius, max_offset):
 @settings(max_examples=6, derandomize=True, deadline=None, database=None)
 @given(g=st.floats(0.05, 20.0), N=st.floats(0.5, 6.0), radius=st.integers(1, 6),
        max_offset=st.integers(1, 3))
+@example(g=1.0, N=2.0, radius=3, max_offset=2)   # axis points: orbits of 4
 def test_depletion_checks_match_double_loop(g, N, radius, max_offset):
     params = DispersionParams(g, 1.0)
     rep = depletion_checks(params, N, radius, max_offset=max_offset)

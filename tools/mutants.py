@@ -1,7 +1,7 @@
 """Committed mutants of the lattice layer, the census, the Weyl calculus (its
 chi-plan build and sampled symbol norms), the slope fit, the good variable,
-the model kernel and the energy plan: each one must be killed by the tests
-named for it.
+the model kernel, the energy layer, the artifact writers and the CLI's exit
+codes: each one must be killed by the tests named for it.
 
 A mutant replaces one exact piece of text in one file under ``src/``.  For
 each mutant the script copies ``src/`` to a temporary directory, applies the
@@ -36,6 +36,7 @@ PARADIFF = "gcwaves/paradiff.py"
 GOODVAR = "gcwaves/goodvar.py"
 MODEL = "gcwaves/model.py"
 FIELDS = "gcwaves/fields.py"
+CLI = "gcwaves/cli.py"
 SCAN3 = "tests/test_dispersion.py::test_scan3_matches_brute_force_census"
 SCAN4 = "tests/test_dispersion.py::test_scan4_matches_brute_force_census"
 PROPS = "tests/test_properties.py::"
@@ -60,6 +61,7 @@ KERNEL = ("tests/test_model.py::test_fused_kernel_matches_six_transform_oracle",
           "tests/test_model.py::test_kernel_matches_direct_symbol_sum")
 EPLAN = ("tests/test_energy_oracle.py::test_plan_holds_exactly_the_near_resonant_pairs",
          "tests/test_energy_oracle.py::test_energy_routes_match_row_loop")
+MPMATH = "tests/test_energy_oracle.py::test_energy_total_matches_mpmath"
 MEASURE = (PROPS + "test_measure_distinct_rows_equal_per_level_bisection",
            PROPS + "test_measure_representative_sweep_equals_reference",
            PROPS + "test_measure_bisects_each_distinct_row_once",
@@ -300,6 +302,43 @@ MUTANTS = (
            "near = np.flatnonzero(np.abs(phi) < R_OUT)",
            "near = np.flatnonzero(np.abs(phi) < 0.9 * R_OUT)",
            EPLAN),
+    # the powers (1+q)^N back in place of their accurate differences: the
+    # sums lose their digits as N -> 0
+    Mutant("energy-total-power-back", ENERGY,
+           "big = np.where(y < 1.0, np.expm1(y), (1.0 + q) ** N / (1.0 + q0) ** N - 1.0)",
+           "big = (1.0 + q) ** N",
+           (MPMATH,)),
+    Mutant("symbol-power-back", ENERGY,
+           "np.where(np.abs(y) < 1.0,",
+           "np.where(False,",
+           (MPMATH,)),
+    # the audit's hiMod is the total minus both small-modulation parts
+    Mutant("himod-drops-a-part", ENERGY,
+           "return tot - (lh + ll), lh, ll",
+           "return tot - lh, lh, ll",
+           ("tests/test_energy.py::test_one_pass_parts_match_separate_sums",)),
+    # the artifact writers and the guards under them
+    Mutant("check-power-accepts-subnormals", FIELDS,
+           "if sys.float_info.min <= w < math.inf:",
+           "if 0.0 < w < math.inf:",
+           ("tests/test_fields.py::test_check_power_accepts_exactly_the_normal_range",)),
+    Mutant("finite-json-keeps-nan", FIELDS,
+           "return obj if math.isfinite(obj) else None",
+           "return obj",
+           ("tests/test_cli.py::test_write_json_matches_two_encodes",
+            "tests/test_energy.py::test_energy_audit_save_writes_strict_json")),
+    Mutant("dealias-keeps-everything", FIELDS,
+           "np.where(mask, f.coeffs, 0.0)",
+           "np.where(True, f.coeffs, 0.0)",
+           ("tests/test_fields.py::test_dealias_product_is_exact_convolution",)),
+    Mutant("csv-value-by-str", FIELDS,
+           "else repr(v) for v in row",
+           "else str(v) for v in row",
+           ("tests/test_fields.py::test_write_csv_writes_str_as_is_and_the_rest_by_repr",)),
+    Mutant("resource-error-exits-numeric", CLI,
+           '"resource-error", str(err), EXIT_RESOURCE',
+           '"resource-error", str(err), EXIT_NUMERIC',
+           ("tests/test_cli.py::test_resource_budget_exit_code",)),
 )
 
 
