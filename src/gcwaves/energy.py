@@ -479,6 +479,8 @@ def increment_audit(cfg: ModelConfig, initial: FourierField | None,
     check_power(N, 2 * (m // 2) ** 2, f"on the {m}^2 grid")
     if not math.isfinite(D):
         raise ConfigError(f"D must be finite, got {D!r}")
+    if not len(audit_times):
+        raise ConfigError("no audit time given: the audit would check nothing")
     if not all(math.isfinite(t) for t in audit_times):
         raise ConfigError(f"audit times must be finite, got {list(audit_times)}")
     if parts_cadence is None:

@@ -39,12 +39,16 @@ Symbols come in two flavours:
   * general   - an arbitrary vectorized evaluator fn(X1, X2, Z1, Z2); it
     reads the whole plan grouped by midpoint (one more int32 per entry) and
     costs one evaluation of a(., zeta) per midpoint, in batches of at most
-    2^15 samples; intended for grids up to 64^2.  A symbol declared even in
-    zeta (Symbol.general(..., even=True), as goodvar's pointwise symbols
-    are) costs one evaluation and one x2 product per pair +-s of midpoints;
-    the midpoints of every plan checked (6^2 to 32^2, chi -1 to -3, every
-    eta box) come in such pairs.  Either way the entries are summed in the
-    plan's midpoint order, so the sums do not change with the declaration.
+    2^15 samples; intended for grids up to 64^2.  Midpoint ids number each
+    pair +-s as 2i (-s) and 2i + 1 (s), so a pair's entries are adjacent in
+    the plan's midpoint order.  A symbol declared even in zeta
+    (Symbol.general(..., even=True), as goodvar's pointwise symbols are)
+    costs one evaluation and one x2 product per pair; the midpoints of
+    every plan checked (6^2 to 32^2, chi -1 to -3, every eta box) come in
+    such pairs.  Either way a batch of samples serves one contiguous run of
+    the plan's midpoint order, summed in that order as soon as it is
+    weighed, so the sums do not change with the declaration and the walk
+    holds one batch.
     Each entry needs atilde(rho, zeta) only for rho in the plan's box
     |rho_i| <= R, so the samples are transformed in x by a DFT over that
     box alone: one real matrix product over x2 per part of the batch (real
@@ -339,6 +343,11 @@ class _ChiPlans:
     """The chi-support plans of one grid size and chi exponent, one per eta
     box, with the index tables and the support bound they share.
 
+    The midpoint id of a sum s = xi + eta is mid_id[f] = 2 min(f, L-1-f) +
+    (f > L // 2), f = flat(s) in the centered (2M-1)-box of L points.  Since
+    flat(-s) = L-1-f, the pair +-s holds the consecutive ids 2i (-s first)
+    and 2i + 1, and the mirror of an id is id ^ 1; ``sums`` gives s by id.
+
     chi(|rho| / |xi + eta|) > 0 needs the integer |xi + eta|^2 above c
     |rho|^2, c = (2^-chi_exponent / R_OUT)^2 (the bump's support): per plan
     row, chi is 0 for certain at or below ``lower``, the floor of c |rho|^2
@@ -348,7 +357,11 @@ class _ChiPlans:
         self.m = m
         self.chi_fn = ParadiffConfig(chi_exponent).chi
         self.k1, self.k2 = coords(m)
-        self.sums = coords(2 * m - 1)                    # midpoint id -> s = xi + eta
+        n = (2 * m - 1) ** 2
+        f = np.arange(n, dtype=np.int32)   # flat(s) in the (2M-1)-box; flat(-s) = n - 1 - f
+        self.mid_id = 2 * np.minimum(f, n - 1 - f) + (f > n // 2)
+        f[self.mid_id] = np.arange(n, dtype=np.int32)   # now flat(s) by midpoint id
+        self.sums = (f // (2 * m - 1) - (m - 1), f % (2 * m - 1) - (m - 1))   # coords(2M-1)[f]
         self.origin = int(flat((0, 0), m))
         rsq = self.k1 ** 2 + self.k2 ** 2
         self.rows = np.argsort(rsq, kind="stable")      # centered flat rho, plan order
@@ -392,8 +405,8 @@ class _ChiPlan:
     One entry per pair (xi, eta) with |eta|_inf <= K <= M // 2 - 1, xi off
     the Nyquist rows, rho = xi - eta on the grid, xi + eta != 0 and
     chi(|rho| / |xi + eta|) > 0: int32 flat indices of xi and rho in the
-    centered M-box, the int32 flat index (the midpoint id) of the sum s = xi
-    + eta in the centered (2M-1)-box, and float64 chi.  Entries run row by
+    centered M-box, the int32 midpoint id of the sum s = xi + eta (the pair
+    numbering of _ChiPlans), and float64 chi.  Entries run row by
     row, rows in increasing |rho|, with row k at entries [row_start[k],
     row_start[k+1]) in the lex order of eta (and so of xi).  A K-plan is
     thus the order-preserving subsequence |eta|_inf <= K of the full plan,
@@ -416,7 +429,7 @@ class _ChiPlan:
         self.etas = np.arange(-radius, radius + 1, dtype=np.int32)   # eta_i in the box
         self.m, self.chi_fn, self.origin = plans.m, plans.chi_fn, plans.origin
         self.lower = plans.lower
-        self.k1, self.k2, self.sums = plans.k1, plans.k2, plans.sums
+        self.k1, self.k2, self.sums, self.mid_id = plans.k1, plans.k2, plans.sums, plans.mid_id
         self.rows, self.row_sq = plans.rows, plans.row_sq
         self.row_start = np.zeros(1, np.int64)           # entries of row k: [start[k], start[k+1])
         self.xi = np.zeros(0, np.int32)
@@ -455,7 +468,7 @@ class _ChiPlan:
             x1, x2 = e1 + self.k1[rho], e2 + self.k2[rho]
             s1, s2 = x1 + e1, x2 + e2
             _guard_zeta(0.25 * (s1 * s1 + s2 * s2))
-            mid = flat(np.stack((s1, s2), axis=-1), 2 * self.m - 1)
+            mid = self.mid_id[flat(np.stack((s1, s2), axis=-1), 2 * self.m - 1)]
             np.minimum.at(self.mid_row, mid, ks[b])
             e = slice(at, at + len(b))
             self.xi[e] = flat(np.stack((x1, x2), axis=-1), self.m)
@@ -490,29 +503,32 @@ class _ChiPlan:
         """The whole plan grouped by midpoint: (perm, start, ids, table, rep),
         the entries perm[start[j]:start[j+1]] sharing midpoint ids[j], the
         DFT table of the plan's rho box (_dft_table), and the representative
-        rep[j] of each midpoint: the position in ids of the larger id of the
-        pair {s, -s}, or j when -s is not a midpoint of the plan.  Built
-        once per plan."""
+        rep[j] of each midpoint: the position in ids of the odd id of the
+        pair {s, -s} (ids ^ 1 is the mirror), or j when -s is not a midpoint
+        of the plan.  Ids are in increasing order, so a pair sits at
+        adjacent positions, -s first, and its entries form one run of perm.
+        Built once per plan, by one stable argsort and a bincount."""
         if self._by_mid is None:
             self.extend(np.inf)
+            # the argsort first, the peak of a build, with no other temporary alive
+            perm = np.argsort(self.mid, kind="stable").astype(np.int32)
             counts = np.bincount(self.mid, minlength=len(self.mid_row))
             ids = np.flatnonzero(counts)
             used = self.rows[np.flatnonzero(np.diff(self.row_start))]
             radius = max(np.abs(self.k1[used]).max(initial=0), np.abs(self.k2[used]).max(initial=0))
-            # the id of -s in the centered (2M-1)-box, and its position in ids
-            mirror = len(self.mid_row) - 1 - ids
+            # the id of -s, and its position in ids
+            mirror = ids ^ 1
             at = np.minimum(np.searchsorted(ids, mirror), len(ids) - 1)
             j = np.arange(len(ids))
             rep = np.where(ids[at] == mirror, np.maximum(j, at), j)
-            self._by_mid = (np.argsort(self.mid, kind="stable").astype(np.int32),
-                            np.concatenate(([0], np.cumsum(counts[ids]))), ids,
+            self._by_mid = (perm, np.concatenate(([0], np.cumsum(counts[ids]))), ids,
                             _dft_table(self.m, int(radius)), rep)
         return self._by_mid
 
     def accumulate(self, out, e, w, fc, extra_weight, divisor=1.0):
         """out[xi] += w chi [extra] fhat(eta) / divisor over the entries e, at
-        most BLOCK of them; w (which may be work[0] of _pass_buffers) is
-        overwritten, and work[1] and work[2] are written.
+        most BLOCK of them; work[0] (which may be w), work[1] and work[2] of
+        _pass_buffers are written.
 
         A complex product takes its gathered operand first: numpy elides a
         temporary operand of 256 KiB or more by multiplying into it in
@@ -524,7 +540,7 @@ class _ChiPlan:
         product by the real chi rounds alike in every loop.)"""
         work, buf = _pass_buffers()
         xi, rho = self.xi[e], self.rho[e]
-        np.multiply(w, self.chi[e], out=w)
+        w = np.multiply(w, self.chi[e], out=work[0, :len(xi)])
         if extra_weight is not None:
             x1, x2 = self.k1[xi].astype(float), self.k2[xi].astype(float)
             r1, r2 = self.k1[rho].astype(float), self.k2[rho].astype(float)
@@ -623,70 +639,38 @@ def _apply_midpoints(a, grid, plan, out, fc, extra_weight):
     batches of midpoints, and each entry's atilde(rho, zeta) taken by the
     DFT over the plan's rho box (_box_dft).
 
-    The walk samples and transforms in x2 the distinct representatives of
-    by_midpoint (one per +-s pair for a symbol declared even in zeta, every
-    midpoint otherwise), each serving the entries of the midpoints it
-    represents, each entry contracted over x1 with its own rho.  A
-    midpoint's weights depend neither on its batch (batches are padded, see
-    _box_dft) nor on the walk's order, so they go into a store of one weight
-    per plan entry, in chunks of BLOCK entries, and each chunk is
-    accumulated as one pass once it and every chunk before it are full: the
-    sums are bit for bit the same for a symbol declared even or not.
-    Samples are walked in the order of the first midpoint each serves, so
-    an even symbol holds only its upper half's weights (16 bytes an entry)
-    until the walk ends, and an undeclared one a chunk or two, and a chunk
-    is freed once accumulated: on the full 64^2 plan (numpy 2.4.6, fresh
-    processes) the walk peaked 34 MB (even) and 10 MB (undeclared) above the
-    plan, and one weight array, every entry's 16 bytes resident by the
-    walk's end, 54 and 48 MB.  (A stable argsort and bincount group the
-    samples: np.unique without return_index, return_inverse or
-    return_counts imports numpy.ma, a megabyte more peak RSS.)"""
+    The walk samples by_midpoint's midpoints in id order, each sample at
+    the last midpoint it serves: one per +-s pair, at s (the pair's odd id),
+    for a symbol declared even in zeta, every midpoint otherwise.  A pair's
+    ids are adjacent, so a batch of samples serves one contiguous run of
+    perm: its entries are weighed (each contracted over x1 with its own
+    rho) and accumulated at once, in passes of at most BLOCK entries, and
+    the walk holds one batch.  A midpoint's weights depend on neither its
+    batch (batches are padded, see _box_dft) nor its sample, and every
+    entry is summed in perm order, so the sums are bit for bit the same for
+    a symbol declared even or not."""
     m = grid.size
     perm, start, ids, table, rep = plan.by_midpoint()
     radius = table.shape[1] // 2
     X1, X2 = grid.x()
-    n = len(ids)
-    if not a.even:
-        rep = np.arange(n)
-    # the midpoints served[at[i]:at[i+1]] share the sample at rep[walk[i]],
-    # walk[i] the first of them; samples are walked in that first one's order
-    first = np.full(n, n)
-    np.minimum.at(first, rep, np.arange(n))
-    key = first[rep]
-    served = np.argsort(key, kind="stable")
-    size = np.bincount(key, minlength=n)
-    walk = np.flatnonzero(size)
-    at = np.concatenate(([0], np.cumsum(size[walk])))
-    store = {}   # chunk k: the weights of the entries perm[k * BLOCK:(k + 1) * BLOCK]
-    left = np.diff(np.append(np.arange(0, len(perm), BLOCK), len(perm)))   # entries to weigh, per chunk
-    done = 0     # chunks accumulated
+    last = np.flatnonzero(rep == np.arange(len(ids))) if a.even else np.arange(len(ids))
+    bound = np.concatenate(([0], start[last + 1]))   # sample i: perm[bound[i]:bound[i + 1]]
     step = max(1, _SAMPLES // (m * m))
-    for j in range(0, len(walk), step):
-        j2 = min(j + step, len(walk))
-        z1, z2 = plan.zeta(ids[rep[walk[j:j2]]])
+    for j in range(0, len(last), step):
+        j2 = min(j + step, len(last))
+        z1, z2 = plan.zeta(ids[last[j:j2]])
         vals = np.broadcast_to(a.fn(X1[None], X2[None], z1[:, None, None], z2[:, None, None]),
                                (j2 - j, m, m))
         if j2 - j < step:   # zero samples pad the batch: see _box_dft
             vals = np.concatenate((vals, np.zeros((step - (j2 - j), m, m))))
-        q = served[at[j]:at[j2]]
-        counts = start[q + 1] - start[q]
-        pos = np.repeat(start[q] - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
-        mid = np.repeat(np.repeat(np.arange(j2 - j), size[walk[j:j2]]), counts)
-        rho = plan.rho[perm[pos]]
+        run = perm[bound[j]:bound[j2]]
+        rho = plan.rho[run]
+        mid = np.repeat(np.arange(j2 - j), np.diff(bound[j:j2 + 1]))
         w = _box_dft(vals, table, mid, plan.k1[rho] + radius, plan.k2[rho] + radius)
         # w = 0.0 when a(., zeta) = 0 on the whole batch
-        w = np.broadcast_to(w * (TWO_PI / m) ** 2, pos.shape)
-        chunk = pos // BLOCK
-        for k in np.flatnonzero(np.bincount(chunk)):
-            sel = chunk == k
-            if k not in store:
-                store[k] = np.empty(min(BLOCK, len(perm) - k * BLOCK), np.complex128)
-            store[k][pos[sel] - k * BLOCK] = w[sel]
-        left -= np.bincount(chunk, minlength=len(left))
-        while done < len(left) and not left[done]:   # the complete chunks, in plan order
-            e = perm[done * BLOCK:(done + 1) * BLOCK]
-            plan.accumulate(out, e, store.pop(done), fc, extra_weight, _FOUR_PI2)
-            done += 1
+        w = np.broadcast_to(w * (TWO_PI / m) ** 2, run.shape)
+        for e in range(0, len(run), BLOCK):
+            plan.accumulate(out, run[e:e + BLOCK], w[e:e + BLOCK], fc, extra_weight, _FOUR_PI2)
 
 
 def _dft_table(m, radius):

@@ -311,6 +311,8 @@ def test_named_caller_errors_map_to_config_exit(tmp_path, monkeypatch, error):
      "--N", "-400", "--depletion-radius", "8"],
     ["energy-audit", "--grid", "8", "--t-end", "0.02", "--audit-times", "nan"],
     ["energy-audit", "--grid", "8", "--t-end", "0.02", "--audit-times", "inf"],
+    ["energy-audit", "--grid", "8", "--t-end", "0.02", "--audit-times", ""],
+    ["energy-audit", "--grid", "8", "--t-end", "0.02", "--audit-times", ","],
     ["simulate", "--grid", "8", "--t-end", "0.05", "--snapshot-dt", "0"],
     ["simulate", "--grid", "8", "--t-end", "0.05", "--snapshot-dt", "-1"],
 ], ids=["g-text", "budget-inf", "n-records-negative", "bprime-nan", "bigB-nan",
@@ -320,7 +322,8 @@ def test_named_caller_errors_map_to_config_exit(tmp_path, monkeypatch, error):
         "scan4-sigma-inf", "energy-g-inf", "D-nan", "linear-only-7",
         "N-overflows-depletion-table", "N-overflows-grid-weight",
         "sobolev-index-overflows", "N-underflows-grid-weight", "audit-times-nan",
-        "audit-times-inf", "snapshot-dt-zero", "snapshot-dt-negative"])
+        "audit-times-inf", "audit-times-empty", "audit-times-commas", "snapshot-dt-zero",
+        "snapshot-dt-negative"])
 def test_value_errors_become_config_errors_at_entry(tmp_path, argv):
     out = tmp_path / "bad"
     assert dispatch(argv + ["--out", str(out)]) == EXIT_CONFIG

@@ -281,6 +281,14 @@ def test_increment_audit_cadence_guard():
         increment_audit(cfg, None, audit_times=[0.0])  # not >= 2 steps inside
 
 
+def test_increment_audit_needs_an_audit_time():
+    # no audit time would check nothing and report max_rel_err 0
+    cfg = ModelConfig(P, G, 0.01, 2e-3, 0.06, seed=0)
+    for times in ([], ()):
+        with pytest.raises(ConfigError, match="no audit time"):
+            increment_audit(cfg, None, audit_times=times)
+
+
 def test_increment_audit_earliest_audit_time():
     # an audit time exactly 2 steps in: its stencil reaches back to t = 0
     cfg = ModelConfig(P, G, 0.01, 2e-3, 0.01, seed=0)

@@ -489,12 +489,13 @@ def _family(m, chi):
     return build_symbols(state, ParadiffConfig(chi_exponent=chi))
 
 
-# every box radius at 8^2, 12^2 and 16^2; at 32^2 two boxes whose short
-# batch would take another BLAS kernel unpadded, and two more
+# every box radius at 8^2, 12^2 and 16^2; at 20^2 a box whose batches
+# would round otherwise unpadded (BLAS takes another kernel for a short
+# one); at 32^2 four more boxes
 PAIRING = [pytest.param(m, chi, radii, id=f"{m}-chi{chi}-r{'-'.join(map(str, radii))}")
            for m, chi, radii in
            [(m, chi, tuple(range(m // 2))) for m in (8, 12, 16) for chi in (-1, -2, -3)]
-           + [(32, -1, (3,)), (32, -2, (0, 9)), (32, -3, (5,))]]
+           + [(32, -1, (3,)), (32, -2, (0, 9)), (32, -3, (5,)), (20, -1, (1,))]]
 
 
 @pytest.mark.parametrize("m, chi, radii", PAIRING)

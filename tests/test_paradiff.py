@@ -907,8 +907,8 @@ def _even_general(g, seed):
 @pytest.mark.parametrize("m, chis", [(6, (-1, -2, -3)), (8, (-1, -2, -3)), (12, (-1, -2, -3)),
                                      (16, (-1, -2, -3)), (20, (-1, -3)), (32, (-2,))])
 def test_every_plan_midpoint_is_paired_with_its_mirror(m, chis):
-    # rep[j] is the position of the larger id of {s, -s}: every box plan
-    # checked holds -s with each midpoint s
+    # rep[j] is the position of the larger id of {s, -s}, the odd one: every
+    # box plan checked holds -s with each midpoint s
     for chi in chis:
         plans = paradiff._plans(m, chi)
         for k in range(m // 2):
@@ -918,7 +918,8 @@ def test_every_plan_midpoint_is_paired_with_its_mirror(m, chis):
             at = {(a, b): j for j, (a, b) in enumerate(zip(s1, s2))}
             mirror = np.array([at[(-a, -b)] for a, b in zip(s1, s2)])
             assert np.array_equal(rep, np.maximum(np.arange(len(ids)), mirror))
-            assert np.all(ids[rep] > len(plan.mid_row) // 2)
+            assert np.all(ids[rep] % 2 == 1)
+            assert np.array_equal(ids[rep] // 2, ids // 2)   # a pair's ids are adjacent
 
 
 def _unpair(plan, mp, seed):
@@ -946,10 +947,10 @@ def test_midpoints_without_a_mirror_are_walked_at_themselves(monkeypatch):
 @pytest.mark.parametrize("block, batch", [(BLOCK, None), (64, 8)], ids=["default", "short"])
 @pytest.mark.parametrize("kind", ["undeclared", "even", "unpaired"])
 def test_general_entries_are_accumulated_once_in_midpoint_order(kind, block, batch):
-    # whatever order the walk samples the midpoints in, the passes hold every
-    # plan entry exactly once, in the plan's midpoint order (perm), in full
-    # passes of BLOCK entries but the last; "short" walks many batches of 8
-    # samples and many passes of 64 entries
+    # whatever the walk samples, the passes hold every plan entry exactly
+    # once, in the plan's midpoint order (perm), in passes of at most BLOCK
+    # entries; "short" walks many batches of 8 samples and many passes of 64
+    # entries
     g = Grid(12)
     even, plain = _even_general(g, 65)
     f = random_field(g, seed=66, mean_zero=False)
@@ -973,8 +974,45 @@ def test_general_entries_are_accumulated_once_in_midpoint_order(kind, block, bat
         perm = plan.by_midpoint()[0]
     paradiff._plans.cache_clear()
     assert len(perm) > 10 * 64                     # many passes at 64 entries
-    assert all(len(e) == block for e in seen[:-1]) and 0 < len(seen[-1]) <= block
+    assert all(0 < len(e) <= block for e in seen)
     assert np.array_equal(np.concatenate(seen), perm)
+
+
+def test_the_walk_holds_one_batch():
+    # an even symbol walked in batches of 5 samples (10 midpoints): once a
+    # batch's passes are done, the entries accumulated so far are perm up to
+    # that batch's last midpoint, so no weight outlives its batch
+    g = Grid(12)
+    even = _even_general(g, 68)[0]
+    f = random_field(g, seed=69, mean_zero=False)
+    events = []   # None for a batch's transform, else a pass's entries
+    box_dft, accumulate = paradiff._box_dft, paradiff._ChiPlan.accumulate
+
+    def transform(*args):
+        events.append(None)
+        return box_dft(*args)
+
+    def record(plan, out, e, *args):
+        events.append(np.array(e))
+        accumulate(plan, out, e, *args)
+
+    batch = 5
+    paradiff._plans.cache_clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(paradiff, "_SAMPLES", batch * 12 * 12)
+        mp.setattr(paradiff, "_box_dft", transform)
+        mp.setattr(paradiff._ChiPlan, "accumulate", record)
+        plan = paradiff._plans(12, -2).covering(_centered(f))
+        weyl_apply(even, f, CFG)
+        perm, start, ids, table, rep = plan.by_midpoint()
+    paradiff._plans.cache_clear()
+    last = np.flatnonzero(rep == np.arange(len(ids)))   # the pairs' odd members
+    ends = [start[last[min(k + batch, len(last)) - 1] + 1] for k in range(0, len(last), batch)]
+    batches = [i for i, ev in enumerate(events) if ev is None] + [len(events)]
+    assert len(batches) - 1 == len(ends) > 20
+    for end, stop in zip(ends, batches[1:]):
+        done = [perm[:0]] + [ev for ev in events[:stop] if ev is not None]
+        assert np.array_equal(np.concatenate(done), perm[:end])
 
 
 @pytest.mark.parametrize("kind", ["general", "even", "separable", "kernel"])

@@ -37,7 +37,7 @@ def _concatenating_extend(plan, rho_sq):
         b, e1, e2 = b[keep], k[i1[keep]], k[i2[keep]]
         x1, x2 = e1 + r1.ravel()[b], e2 + r2.ravel()[b]
         s1, s2 = x1 + e1, x2 + e2
-        mid = flat(np.stack((s1, s2), axis=-1), 2 * m - 1)
+        mid = plan.mid_id[flat(np.stack((s1, s2), axis=-1), 2 * m - 1)]
         ids, first = np.unique(mid, return_index=True)
         plan.mid_row[ids] = np.minimum(plan.mid_row[ids], ks[b[first]])
         counts.append(np.bincount(b, minlength=len(ks)))
