@@ -8,8 +8,8 @@ all design knobs in effect (manifest.json), and the artifacts listed by
 ``gcwaves schema``.  Identical (config, seed) pairs reproduce byte-identical
 artifacts.
 
-Exit codes: 0 ok, 2 invalid config/usage (a singular multiplier or too
-coarse a snapshot cadence included), 3 resource budget exceeded,
+Exit codes: 0 ok, 2 invalid config/usage (a singular multiplier on a field
+with nonzero mean included), 3 resource budget exceeded,
 4 numeric abort, 5 internal error (an unexpected exception: a bug; the
 manifest's abort_reason holds a one-line traceback summary).
 """
@@ -32,13 +32,12 @@ from . import __version__
 from .dispersion import (BISECTION_TOL, G_PRESETS, DispersionParams, ScanWindow,
                          WeightParams, collinear_gap, exceptional_measure_bounds,
                          lemma1_profile, scan_four_wave, scan_three_wave)
-from .errors import (CadenceError, ConfigError, NumericAbortError,
-                     PositivityError, ResourceBudgetError,
-                     SingularMultiplierError, SmallDivisorError)
+from .errors import (ConfigError, NumericAbortError, PositivityError,
+                     ResourceBudgetError, SingularMultiplierError, SmallDivisorError)
 from .fields import (SNAPSHOT_COLUMNS, FourierField, Grid, finite_json, inner, l2_norm,
                      random_field, save_snapshot, sobolev_norm, write_csv, write_json)
 from .goodvar import TRACE_COLUMNS
-from .model import SWEEP_COLUMNS, ModelConfig, lifespan_sweep, run
+from .model import SWEEP_COLUMNS, VELOCITY_BAND, ModelConfig, lifespan_sweep, run
 from .energy import (C_ENERGY, SMALL_DIVISOR_GUARD, depletion_checks,
                      increment_audit)
 from .paradiff import (ParadiffConfig, Symbol, composition_residual, paralin_remainder,
@@ -141,7 +140,7 @@ def _parser():
         **{"eps-list": (str, "1e-1,1e-2,1e-3,1e-4")})
     add("simulate", grid=(int, 64), g=(float, 1.0), epsilon=(float, 0.01),
         dt=(float, 4e-3), seed=(int, 0), integrator=(str, "rk4"),
-        **{"t-end": (float, 10.0), "velocity-band": (int, 10),
+        **{"t-end": (float, 10.0), "velocity-band": (int, VELOCITY_BAND),
            "snapshot-dt": (float, 0.1), "sobolev-index": (float, 5.0),
            "linear-only": (int, 0)})
     add("sweep", grid=(int, 32), g=(float, 1.0), seed=(int, 2), dt=(float, 1e-2),
@@ -420,7 +419,7 @@ def dispatch(argv) -> int:
             raise ConfigError(f"cannot create output directory {out!r}: {err}") from err
         write_json(f"{out}/run_config.json", dict(cfg))
         summary = _COMMANDS[args.subcommand](cfg, out)
-    except (ConfigError, SingularMultiplierError, CadenceError) as err:
+    except (ConfigError, SingularMultiplierError) as err:
         status, abort_reason, code = "config-error", str(err), EXIT_CONFIG
     except ResourceBudgetError as err:
         status, abort_reason, code = "resource-error", str(err), EXIT_RESOURCE

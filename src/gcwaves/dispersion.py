@@ -488,7 +488,7 @@ def _reeval_phase3(params, xi, rho, signs):
 # ---------------------------------------------------------------------------
 
 def scan_four_wave(params: DispersionParams, window: ScanWindow, n_records=100,
-                   bprime=1.0, weight="paired", budget=_DEFAULT_BUDGET) -> ScanResult:
+                   bprime=1.0, budget=_DEFAULT_BUDGET) -> ScanResult:
     """Census of the paired 4-wave modulations against <v>^{-1/2}(<xi>+<eta>)^{-2}.
 
     Enumerates v with 0 < |v| <= max_high_freq and nonzero xi, eta with
@@ -499,15 +499,10 @@ def scan_four_wave(params: DispersionParams, window: ScanWindow, n_records=100,
         G2 = Lambda(v+eta) - Lambda(v) - i2 Lambda(eta)
 
     are evaluated; the record keeps max(|G1|, |G2|) normalized by the weight
-    (the stated lower bound controls the larger of the two).  The regime flag
-    (|xi|+|eta|)^16 <= bprime * |v| is reported per record, never used as a
-    filter.
-
-    weight="paired" uses <v>^{-1/2}(<xi>+<eta>)^{-2}; weight="moduli" is the
-    variant |v|^{-1/2}(|xi|+|eta|)^{-2} built from plain moduli.
+    <v>^{-1/2}(<xi>+<eta>)^{-2} (the stated lower bound controls the larger
+    of the two).  The regime flag (|xi|+|eta|)^16 <= bprime * |v| is
+    reported per record, never used as a filter.
     """
-    if weight not in ("paired", "moduli"):
-        raise ConfigError(f"unknown four-wave weight {weight!r}")
     if math.isnan(bprime):
         raise ConfigError("bprime must not be NaN")
     _check_n_records(n_records)
@@ -523,7 +518,7 @@ def scan_four_wave(params: DispersionParams, window: ScanWindow, n_records=100,
     # of pair (b', a') with the signs swapped, which has the same
     # max(|G1|, |G2|) and weight
     vs, size, av, shells = _window_reps(r_hi)
-    w_v = np.sqrt(1.0 + av ** 2) ** -0.5 if weight == "paired" else av ** -0.5
+    w_v = np.sqrt(1.0 + av ** 2) ** -0.5
     img_low = d4_images(lows, r_lo)
     a_img, b_img = img_low[:, :, None], img_low[:, None, :]
     pair_at = np.zeros((len(lows), len(lows)), np.int64)
@@ -546,10 +541,7 @@ def scan_four_wave(params: DispersionParams, window: ScanWindow, n_records=100,
     top = _TopN(n_records)
     for p, (a, b) in enumerate(pairs):
         xi, eta = lows[a].tolist(), lows[b].tolist()
-        if weight == "paired":
-            w = w_v * (_jb(xi) + _jb(eta)) ** -2.0
-        else:
-            w = w_v * (math.hypot(*xi) + math.hypot(*eta)) ** -2.0
+        w = w_v * (_jb(xi) + _jb(eta)) ** -2.0
         # the smallest max(|G1|, |G2|) over the sign pairs; with xi == eta the
         # trivial pairs i1 == i2 are excluded by hypothesis
         val = mod_hi[a] if a == b else np.maximum(mod_lo[a], mod_lo[b])
@@ -662,7 +654,7 @@ BISECTION_TOL = 1e-10
 _BISECTIONS = 48
 
 
-def _bisect_level(a, b, c, level, lo, hi, tol):
+def _bisect_level(a, b, c, level, lo, hi):
     """Unique x in [lo, hi] with F(x) = level, given a sign change.
 
     Valid because F is strictly increasing wherever |F| <= 1/10, so every
@@ -676,7 +668,7 @@ def _bisect_level(a, b, c, level, lo, hi, tol):
         return hi
     if flo * fhi > 0.0:
         return None
-    while hi - lo > tol:
+    while hi - lo > BISECTION_TOL:
         mid = 0.5 * (lo + hi)
         fm = float(profile_F(a, b, c, mid)) - level
         if fm == 0.0:
@@ -688,7 +680,7 @@ def _bisect_level(a, b, c, level, lo, hi, tol):
     return 0.5 * (lo + hi)
 
 
-def lemma1_profile(a, b, c, B, delta, tol=BISECTION_TOL) -> Lemma1Result:
+def lemma1_profile(a, b, c, B, delta) -> Lemma1Result:
     """Root of F and the sublevel interval X = {x in (0,B) : |F(x)| < delta}.
 
     X is a single interval (possibly empty) of length <= 20 delta sqrt(a+B).
@@ -711,7 +703,7 @@ def lemma1_profile(a, b, c, B, delta, tol=BISECTION_TOL) -> Lemma1Result:
         hi = max(B, 1.0)
         while float(profile_F(a, b, c, hi)) < 0.0:
             hi *= 2.0
-        root = _bisect_level(a, b, c, 0.0, 0.0, hi, tol)
+        root = _bisect_level(a, b, c, 0.0, 0.0, hi)
 
     # sublevel interval clipped to (0, B)
     if f0 >= delta:
@@ -721,10 +713,10 @@ def lemma1_profile(a, b, c, B, delta, tol=BISECTION_TOL) -> Lemma1Result:
         return Lemma1Result(root, None, 0.0, empty_forced, f0, fB)
     lo = 0.0
     if f0 <= -delta:
-        lo = _bisect_level(a, b, c, -delta, 0.0, B, tol)
+        lo = _bisect_level(a, b, c, -delta, 0.0, B)
     hi = B
     if fB >= delta:
-        hi = _bisect_level(a, b, c, delta, lo, B, tol)
+        hi = _bisect_level(a, b, c, delta, lo, B)
     if hi is None or lo is None or hi <= lo:
         return Lemma1Result(root, None, 0.0, empty_forced, f0, fB)
     return Lemma1Result(root, (lo, hi), hi - lo, empty_forced, f0, fB)

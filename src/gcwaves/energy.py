@@ -52,18 +52,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion import DispersionParams, lam_abs
-from .errors import CadenceError, ConfigError, SmallDivisorError
+from .errors import ConfigError, SmallDivisorError
 from .fields import (R_IN, R_OUT, FourierField, bump, check_power, dealias, l2_norm,
                      phi_le, sobolev_norm, write_json)
 from .lattice import coords, disk_reps, flat, norms, plan_cache, row_blocks
-from .model import ModelConfig, SolverState, Stepper, initial_data
+from .model import VELOCITY_BAND, ModelConfig, SolverState, Stepper, initial_data
 
 #: the derived normalization constant of the energy symbol
 C_ENERGY = -0.5 * (2.0 * np.pi) ** -4
 
-#: the default phi_{<=B} cutoff riding on the symbol: the model's default
-#: velocity band (V = P_{<=10} Im U)
-SYMBOL_BAND = 10
+#: the energy sums drop the modes of U below ROW_TOL * max|Uhat|
+ROW_TOL = 1e-14
+
+#: the audit's parts are sampled every PARTS_EVERY steps (a cadence of 5 dt)
+PARTS_EVERY = 5
 
 
 # ---------------------------------------------------------------------------
@@ -84,22 +86,21 @@ def energy_ladder(w_fields) -> float:
 # symbols on Z^2 x Z^2
 # ---------------------------------------------------------------------------
 
-def energy_symbol(N, xi, eta, c=C_ENERGY, band=SYMBOL_BAND) -> float:
-    """m(xi, eta) evaluated at a single lattice pair."""
+def energy_symbol(N, xi, eta) -> float:
+    """m(xi, eta) evaluated at a single lattice pair, at the default band."""
     return float(energy_symbol_arr(N, np.asarray([xi[0]], float), np.asarray([xi[1]], float),
-                                   np.asarray([eta[0]], float), np.asarray([eta[1]], float),
-                                   c, band)[0])
+                                   np.asarray([eta[0]], float), np.asarray([eta[1]], float))[0])
 
 
-def energy_symbol_arr(N, xi1, xi2, eta1, eta2, c=C_ENERGY, band=SYMBOL_BAND):
+def energy_symbol_arr(N, xi1, xi2, eta1, eta2, band=VELOCITY_BAND):
     """Vectorized m(xi, eta) with the cutoff phi_{<=band}(xi - eta)."""
     r1 = xi1 - eta1
     r2 = xi2 - eta2
     return _symbol(r1 * (xi1 + eta1) + r2 * (xi2 + eta2), 1.0 + xi1 * xi1 + xi2 * xi2,
-                   phi_le(np.hypot(r1, r2), band), N, c)
+                   phi_le(np.hypot(r1, r2), band), N)
 
 
-def _symbol(dot, w_xi, phi, N, c):
+def _symbol(dot, w_xi, phi, N):
     """m from dot = (xi-eta).(xi+eta) = |xi|^2 - |eta|^2, w_xi = 1+|xi|^2 and
     phi = phi_{<=B}(|xi-eta|).  With w = 1+|.|^2 the weights enter as g =
     (w_eta^N - w_xi^N) / (w_eta w_xi)^{N/2} = -sign(dot) 2 sinh(y), y = (N/2)
@@ -107,8 +108,8 @@ def _symbol(dot, w_xi, phi, N, c):
     would cancel, and by the powers beyond, where sinh amplifies y's rounding."""
     w_eta = w_xi - dot
     y = 0.5 * N * np.log1p(np.abs(dot) / np.minimum(w_xi, w_eta))
-    return c * dot * np.where(np.abs(y) < 1.0, -2.0 * np.sign(dot) * np.sinh(y),
-                              (w_eta ** N - w_xi ** N) / (w_eta * w_xi) ** (N / 2.0)) * phi
+    return C_ENERGY * dot * np.where(np.abs(y) < 1.0, -2.0 * np.sign(dot) * np.sinh(y),
+                                     (w_eta ** N - w_xi ** N) / (w_eta * w_xi) ** (N / 2.0)) * phi
 
 
 def depletion_factor(xi1, xi2, eta1, eta2):
@@ -331,7 +332,7 @@ def trilinear(mu, filt: ModulationFilter, F: FourierField, G: FourierField,
 
 def trivial_resonance_sum(mu, filt: ModulationFilter, U: FourierField,
                           W: FourierField, params: DispersionParams,
-                          weighted=False, row_tol=1e-14) -> complex:
+                          weighted=False) -> complex:
     """The trivial-resonance four-wave diagonal
 
         S = sum_{xi,eta} i mu(xi,eta) filt(Phi) [1/(i Phi)]
@@ -345,14 +346,14 @@ def trivial_resonance_sum(mu, filt: ModulationFilter, U: FourierField,
     because eta = 0 (or xi = 0) gives Phi = 0 exactly in every row and the
     small-divisor guard raises SmallDivisorError.  The pair-sum kernel runs
     with row coefficients i |Uhat|^2, an all-ones G and |What|^2 as conj(H);
-    rows with |Uhat| below row_tol * max|Uhat| are dropped.
+    rows with |Uhat| below ROW_TOL * max|Uhat| are dropped.
     """
     if U.grid != W.grid:
         raise ConfigError("trivial_resonance_sum operands must share a grid")
     uc = np.fft.fftshift(U.coeffs)
     return _pair_sums(mu, filt, 1j * np.abs(uc) ** 2, np.ones(uc.shape),
                       [np.abs(np.fft.fftshift(W.coeffs)) ** 2], params,
-                      _row_mask(uc, row_tol), weighted)[0]
+                      _row_mask(uc, ROW_TOL), weighted)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +386,7 @@ def _w_field(U: FourierField, N: float) -> FourierField:
     return FourierField(U.grid, w * U.coeffs, False)
 
 
-def _energy_total(U: FourierField, N: float, c, band, row_tol=1e-14) -> float:
+def _energy_total(U: FourierField, N: float, band) -> float:
     """Re sum m(xi,eta) What(eta) conj(What(xi)) i Uhat(xi-eta) by FFT.
 
     With q = |.|^2 and A = (1+q)^N the summand is c (q(xi) - q(eta))
@@ -397,21 +398,19 @@ def _energy_total(U: FourierField, N: float, c, band, row_tol=1e-14) -> float:
         c K sum_xi conj(Uhat) [q (F*BU) - qB (F*U) - F*(qBU) + B (F*(qU))],
 
     F*G = M^2 fft2(ifft2(Fhat) ifft2(Ghat)) the circular convolution, exact
-    for U on the dealiased square.  Modes with |Uhat| below row_tol *
+    for U on the dealiased square.  Modes with |Uhat| below ROW_TOL *
     max|Uhat| are dropped from F, as the pair sums drop their rows; phi is
     skipped where its plateau covers the grid.  B is expm1(y), y = N
     log1p((q - q0) / (1 + q0)) >= 0, while y < 1 (A cancels in the sum as
     N -> 0, A - 1 as N -> -inf) and A/K - 1 beyond."""
     m = U.grid.size
-    if 3 * U.grid.kmax_dealias >= m:
-        raise ConfigError("the FFT energy sum needs the 2/3 rule, 3 kmax < M")
     k1, k2 = U.grid.freqs()
     q = (k1 * k1 + k2 * k2).astype(float)
     q0 = 0.0 if N >= 0 else float(q.max())
     y = N * np.log1p((q - q0) / (1.0 + q0))
     big = np.where(y < 1.0, np.expm1(y), (1.0 + q) ** N / (1.0 + q0) ** N - 1.0)
     u = np.asarray(U.coeffs)
-    f = np.where(_row_mask(u, row_tol), 1j * u, 0.0)
+    f = np.where(_row_mask(u, ROW_TOL), 1j * u, 0.0)
     if math.hypot(m // 2, m // 2) >= R_IN * 2.0 ** band:
         f = f * phi_le(np.hypot(k1, k2), band)
     fx = np.fft.ifft2(f)
@@ -420,11 +419,11 @@ def _energy_total(U: FourierField, N: float, c, band, row_tol=1e-14) -> float:
         return np.fft.fft2(fx * np.fft.ifft2(g))
 
     inner = q * conv(big * u) - q * big * conv(u) - conv(q * big * u) + big * conv(q * u)
-    return float(c * (1.0 + q0) ** N * m * m * np.real(np.sum(np.conj(u) * inner)))
+    return float(C_ENERGY * (1.0 + q0) ** N * m * m * np.real(np.sum(np.conj(u) * inner)))
 
 
-def _energy_le0_parts(U: FourierField, N: float, params: DispersionParams, c, band,
-                      out_weights, row_tol=1e-14):
+def _energy_le0_parts(U: FourierField, N: float, params: DispersionParams, band,
+                      out_weights):
     """Re sum m(xi,eta) le0(Phi_{++}) What(eta) conj(w What)(xi) i Uhat(xi-eta)
     for each output weight w, over the near-resonant plan of the dealiased
     square (U must lie on it)."""
@@ -436,36 +435,34 @@ def _energy_le0_parts(U: FourierField, N: float, params: DispersionParams, c, ba
 
     W = _w_field(U, N).coeffs
     fc = cen(1j * U.coeffs)
-    mu = lambda x1, x2, e1, e2: energy_symbol_arr(N, x1, x2, e1, e2, c, band)
+    mu = lambda x1, x2, e1, e2: energy_symbol_arr(N, x1, x2, e1, e2, band)
     sums = _pair_sums(mu, ModulationFilter("le0", (1, 1)), fc, cen(W),
                       [np.conj(cen(w * W)) for w in out_weights], params,
-                      _row_mask(fc, row_tol))
+                      _row_mask(fc, ROW_TOL))
     return [float(np.real(v)) for v in sums]
 
 
 def energy_derivative_trilinear(U: FourierField, N: float,
-                                params: DispersionParams, c=C_ENERGY,
-                                row_tol=1e-14) -> float:
+                                params: DispersionParams) -> float:
     """Re sum m(xi,eta) What(eta) conj(What(xi)) i Uhat(xi-eta) at the
     default velocity band, by FFT.  U must lie on the dealiased square, as
     the model's states do (ConfigError otherwise).  ``params`` is not read:
     the unfiltered sum involves no Phi."""
     if np.any(np.asarray(U.coeffs)[~U.grid.dealias_mask()]):
         raise ConfigError("energy_derivative_trilinear needs U on the dealiased square")
-    return _energy_total(U, N, c, SYMBOL_BAND, row_tol)
+    return _energy_total(U, N, VELOCITY_BAND)
 
 
 def increment_audit(cfg: ModelConfig, initial: FourierField | None,
-                    audit_times, N=None, D=6.0, parts_cadence=None,
-                    c=C_ENERGY) -> EnergyAudit:
+                    audit_times, N=None, D=6.0) -> EnergyAudit:
     """Dual-route check of the energy identity along a model trajectory.
 
     At each audit time the trajectory is sampled on a 5-point stencil of
     spacing dt and dE_N/dt is formed by 4th-order central differences; the
     trilinear route evaluates the m-symbol sum at the center state by FFT.
     The accumulated increment is also decomposed into {|Phi| > 1} and
-    {|Phi| <= 1} x {|xi| > 2^D, |xi| <= 2^D} parts at the parts cadence
-    (which must stay within 10 dt; coarser raises CadenceError).  The two
+    {|Phi| <= 1} x {|xi| > 2^D, |xi| <= 2^D} parts every PARTS_EVERY = 5
+    steps, from t = 0, and integrated by the trapezoid rule.  The two
     {|Phi| <= 1} parts are one gather-and-sum each over the cached
     near-resonant plan, the frequency split weighting the output slot, and
     hiMod = total - (loMod_hiFreq + loMod_loFreq).  Every route reads the
@@ -483,11 +480,6 @@ def increment_audit(cfg: ModelConfig, initial: FourierField | None,
         raise ConfigError("no audit time given: the audit would check nothing")
     if not all(math.isfinite(t) for t in audit_times):
         raise ConfigError(f"audit times must be finite, got {list(audit_times)}")
-    if parts_cadence is None:
-        parts_cadence = 5.0 * cfg.dt
-    if parts_cadence > 10.0 * cfg.dt + 1e-15:
-        raise CadenceError(
-            f"parts cadence {parts_cadence} exceeds 10 dt = {10 * cfg.dt}")
     if initial is None:
         initial = initial_data(cfg)
     u0 = dealias(initial)
@@ -497,7 +489,6 @@ def increment_audit(cfg: ModelConfig, initial: FourierField | None,
     audit_steps = sorted({int(round(t / cfg.dt)) for t in audit_times})
     if any(s < 2 or s > n_steps - 2 for s in audit_steps):
         raise ConfigError("audit times must sit >= 2 steps inside the run")
-    parts_every = max(1, int(round(parts_cadence / cfg.dt)))
 
     k1, k2 = cfg.grid.freqs()
     low_freq = phi_le(np.hypot(k1, k2), D)
@@ -506,12 +497,12 @@ def increment_audit(cfg: ModelConfig, initial: FourierField | None,
     # the identity couples dE/dt to the nonlinearity actually integrated:
     # with the nonlinear term off every symbol sum is identically zero
     def total(U):
-        return 0.0 if cfg.linear_only else _energy_total(U, N, c, band)
+        return 0.0 if cfg.linear_only else _energy_total(U, N, band)
 
     def parts(U, tot):
         if cfg.linear_only:
             return 0.0, 0.0, 0.0
-        lh, ll = _energy_le0_parts(U, N, cfg.params, c, band, [1.0 - low_freq, low_freq])
+        lh, ll = _energy_le0_parts(U, N, cfg.params, band, [1.0 - low_freq, low_freq])
         return tot - (lh + ll), lh, ll
 
     stencil_nbhd = {}
@@ -530,7 +521,7 @@ def increment_audit(cfg: ModelConfig, initial: FourierField | None,
                 energies.setdefault(s, {})[n - s] = energy_EN(state.U, N)
                 if n == s:
                     center_total[s] = total(state.U)
-        if n % parts_every == 0:
+        if n % PARTS_EVERY == 0:
             h, lh, ll = parts(state.U, center_total[n] if n in center_total else total(state.U))
             parts_rows.append({"t": state.t, "hiMod": h, "loMod_hiFreq": lh,
                                "loMod_loFreq": ll})
@@ -551,7 +542,7 @@ def increment_audit(cfg: ModelConfig, initial: FourierField | None,
         w = 0.5 * (b["t"] - a["t"])
         for key in totals:
             totals[key] += w * (a[key] + b[key])
-    return EnergyAudit(N, D, c, rows, parts_rows, totals, max_rel)
+    return EnergyAudit(N, D, C_ENERGY, rows, parts_rows, totals, max_rel)
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +561,7 @@ class DepletionReport:
 
 
 def depletion_checks(params: DispersionParams, N: float, radius: int,
-                     max_offset=8, c=C_ENERGY) -> DepletionReport:
+                     max_offset=8) -> DepletionReport:
     """(a) bounds of |m'| = |m / d| over |xi| <= radius, 0 < |xi-eta| <=
     max_offset, |xi| != |eta|; (b) the smallest admissible constant C in
 
@@ -614,7 +605,7 @@ def depletion_checks(params: DispersionParams, N: float, radius: int,
     br2 = np.array([b ** 2 for b in br.tolist()])
     br3 = np.array([b ** 3 for b in br.tolist()])
     lam_rho = lam_abs(params, rn)
-    phi_rho = phi_le(np.hypot(offs[:, 0], offs[:, 1]), SYMBOL_BAND)
+    phi_rho = phi_le(np.hypot(offs[:, 0], offs[:, 1]), VELOCITY_BAND)
 
     mp_min, mp_max = math.inf, 0.0
     n_mp = 0
@@ -629,7 +620,7 @@ def depletion_checks(params: DispersionParams, N: float, radius: int,
         nb = min(hi, n_near) - lo
         if nb > 0:
             d = dot[:nb] ** 2 / w_sq[s_at[:nb]]
-            mvals = _symbol(dot[:nb], w_x, phi_rho[lo:lo + nb, None], N, c)
+            mvals = _symbol(dot[:nb], w_x, phi_rho[lo:lo + nb, None], N)
             pos = d > 0.0
             ratio = np.abs(mvals[pos]) / d[pos]
             if ratio.size:

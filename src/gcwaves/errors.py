@@ -40,7 +40,3 @@ class PositivityError(GcwavesError):
 
 class SmallDivisorError(GcwavesError):
     """A division-weighted sum met a modulation below the guard threshold."""
-
-
-class CadenceError(GcwavesError):
-    """Trajectory snapshots too coarse for the requested audit."""

@@ -94,27 +94,20 @@ def phi_shell(r, k):
 class Grid:
     """Square frequency grid Z^2 cap [-M/2, M/2)^2 with M^2 spatial samples.
 
-    ``dealias_fraction`` fixes the retained square |k_i| <= kmax after
-    pointwise products.  For the default 2/3 rule kmax is clamped so that
-    3*kmax < M, which makes retained quadratic products alias-free (and the
-    discrete conservation identities exact).
+    Pointwise products keep the square |k_i| <= kmax of the 2/3 rule: kmax
+    is the largest k with 3k < M, which makes retained quadratic products
+    alias-free (and the discrete conservation identities exact).
     """
 
     size: int
-    dealias_fraction: float = 2.0 / 3.0
 
     def __post_init__(self):
         if self.size < 4 or self.size % 2:
             raise ConfigError(f"grid size must be even and >= 4, got {self.size}")
-        if not 0.0 < self.dealias_fraction <= 1.0:
-            raise ConfigError("dealias_fraction must lie in (0, 1]")
 
     @property
     def kmax_dealias(self) -> int:
-        k = int(self.dealias_fraction * (self.size // 2))
-        if self.dealias_fraction <= 2.0 / 3.0 + 1e-12:
-            k = min(k, (self.size - 1) // 3)
-        return max(1, min(k, self.size // 2 - 1))
+        return (self.size - 1) // 3
 
     def freqs(self):
         """Integer frequency arrays (k1, k2) in fft layout; cached per grid
@@ -150,12 +143,11 @@ def _int_freqs(m):
     return k1, k2
 
 
-def _hermitian(coeffs, tol=1e-12):
+def _hermitian(coeffs):
+    """True when conj(coeffs(-xi)) matches coeffs(xi) to 1e-12 of max|coeffs|."""
     flipped = np.conj(coeffs[_neg_index(coeffs.shape[0])][:, _neg_index(coeffs.shape[0])])
     scale = np.max(np.abs(coeffs))
-    if scale == 0.0:
-        return True
-    return np.max(np.abs(coeffs - flipped)) <= tol * scale
+    return bool(np.max(np.abs(coeffs - flipped)) <= 1e-12 * scale)
 
 
 def _neg_index(m):
@@ -429,14 +421,18 @@ def fit_line(xs, ys):
 
 #: the columns of a snapshot's coefficient table
 SNAPSHOT_COLUMNS = ("xi1", "xi2", "re", "im")
+#: the format tag of a snapshot's header
+SNAPSHOT_FORMAT = "gcwaves-field-v1"
+#: the one dealiasing rule (Grid.kmax_dealias), as a snapshot's header records it
+DEALIAS_FRACTION = 2.0 / 3.0
 
 
 def finite_json(obj):
     """obj as strict-JSON (RFC 8259) values in one walk, with the bytes
     json.dumps would write for it: non-finite floats become null, tuples
     lists, and dict keys the strings JSON makes of them; numpy scalars
-    become Python numbers, and any other object is written through its
-    to_json() or, failing that, its public __dict__ entries."""
+    (numbers and bools) become Python ones, and any other object is written
+    through its to_json() or, failing that, its public __dict__ entries."""
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else None
     if isinstance(obj, (str, int)) or obj is None:
@@ -445,7 +441,7 @@ def finite_json(obj):
         return {_json_key(k): finite_json(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [finite_json(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return finite_json(obj.item())
     if hasattr(obj, "to_json"):
         return finite_json(obj.to_json())
@@ -493,8 +489,8 @@ def save_snapshot(f: FourierField, path_prefix: str, time=0.0, name="field"):
     The CSV is plain text (no byte-order concerns), rows sorted
     lexicographically by (xi1, xi2); only nonzero coefficients are stored."""
     header = {
-        "format": "gcwaves-field-v1",
-        "grid": {"size": f.grid.size, "dealias_fraction": f.grid.dealias_fraction},
+        "format": SNAPSHOT_FORMAT,
+        "grid": {"size": f.grid.size, "dealias_fraction": DEALIAS_FRACTION},
         "time": time,
         "name": name,
         "is_real_valued": f.is_real_valued,
@@ -512,14 +508,35 @@ def save_snapshot(f: FourierField, path_prefix: str, time=0.0, name="field"):
 
 
 def load_snapshot(path_prefix: str):
-    """Inverse of save_snapshot; returns (field, header dict)."""
+    """Inverse of save_snapshot; returns (field, header dict).
+
+    Raises ConfigError for a header of another format or dealiasing rule,
+    and for a row outside the retained frequencies |xi_i| <= M/2 - 1, with
+    a value that is not finite, or repeating an earlier row's frequency."""
     with open(path_prefix + ".json") as fh:
         header = json.load(fh)
-    grid = Grid(header["grid"]["size"], header["grid"]["dealias_fraction"])
+    if header.get("format") != SNAPSHOT_FORMAT:
+        raise ConfigError(f"{path_prefix}.json: format {header.get('format')!r} "
+                          f"is not {SNAPSHOT_FORMAT!r}")
+    if header["grid"].get("dealias_fraction") != DEALIAS_FRACTION:
+        raise ConfigError(f"{path_prefix}.json: dealias_fraction "
+                          f"{header['grid'].get('dealias_fraction')!r} is not the 2/3 rule")
+    grid = Grid(header["grid"]["size"])
+    h = grid.size // 2
     c = np.zeros((grid.size, grid.size), np.complex128)
+    seen = set()
     with open(path_prefix + ".csv") as fh:
         next(fh)
         for line in fh:
             a, b, re, im = line.strip().split(",")
-            c[int(a) % grid.size, int(b) % grid.size] = float(re) + 1j * float(im)
-    return FourierField(grid, c, header.get("is_real_valued", False)), header
+            xi, re, im = (int(a), int(b)), float(re), float(im)
+            if not (abs(xi[0]) < h and abs(xi[1]) < h):
+                raise ConfigError(f"{path_prefix}.csv: row {xi} lies outside the retained "
+                                  f"frequencies |xi_i| <= {h - 1}")
+            if not (math.isfinite(re) and math.isfinite(im)):
+                raise ConfigError(f"{path_prefix}.csv: row {xi} holds a value that is not finite")
+            if xi in seen:
+                raise ConfigError(f"{path_prefix}.csv: frequency {xi} appears twice")
+            seen.add(xi)
+            c[xi] = complex(re, im)     # a negative index is the fft layout's
+    return FourierField(grid, c, bool(header.get("is_real_valued", False))), header

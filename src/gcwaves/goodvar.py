@@ -80,13 +80,14 @@ class SurfaceState:
         return SurfaceState(self.h * factor, self.omega * factor, self.params)
 
 
-def random_state(grid: Grid, params: DispersionParams, amplitude=1.0, seed=0,
-                 decay=0.35) -> SurfaceState:
-    """Smooth random state with ||h||_{H^1} + || |grad|^{1/2} omega || ~ amplitude."""
+def random_state(grid: Grid, params: DispersionParams, amplitude=1.0,
+                 seed=0) -> SurfaceState:
+    """Smooth random state with ||h||_{H^1} + || |grad|^{1/2} omega || ~ amplitude,
+    both fields of Gaussian spectral decay exp(-0.35 |xi|^2)."""
     if not 0.0 < amplitude < math.inf:
         raise ConfigError(f"amplitude must be finite and > 0, got {amplitude!r}")
-    h = random_field(grid, seed=seed, decay=decay, real=True)
-    w = random_field(grid, seed=seed + 1, decay=decay, real=True)
+    h = random_field(grid, seed=seed, decay=0.35, real=True)
+    w = random_field(grid, seed=seed + 1, decay=0.35, real=True)
     nh = sobolev_norm(h, 1.0)
     nw = l2_norm(apply_multiplier(w, lambda k1, k2: np.sqrt(np.hypot(k1, k2))))
     s = amplitude / (nh + nw)

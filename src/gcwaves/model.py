@@ -43,6 +43,10 @@ from .errors import ConfigError, NumericAbortError
 from .fields import (FourierField, Grid, TWO_PI, check_power, dealias, finite_json, fit_line,
                      l2_norm, phi_le, sobolev_norm, write_csv)
 
+#: the default velocity band B_V (V = P_{<=10} Im U), also the cutoff
+#: phi_{<=B} the energy symbol carries by default
+VELOCITY_BAND = 10
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -51,7 +55,7 @@ class ModelConfig:
     epsilon: float
     dt: float
     t_end: float
-    velocity_band: int = 10          # V = P_{<= velocity_band} Im U
+    velocity_band: int = VELOCITY_BAND   # V = P_{<= velocity_band} Im U
     integrator: str = "rk4"          # "rk4" | "midpoint"
     snapshot_dt: float = 0.1         # > 0; every round(snapshot_dt / dt)-th step,
                                      # so any 0 < snapshot_dt < dt records every step

@@ -149,10 +149,9 @@ class Symbol:
                               0.0, dgz=(_zero_fn, _zero_fn), name=name)
 
     @classmethod
-    def from_function(cls, field: FourierField, order=0.0, name=""):
-        """zeta-independent symbol a(x) given by a field."""
-        return cls(order, terms=[SeparableTerm(field, _one_fn, (_zero_fn, _zero_fn))],
-                   name=name)
+    def from_function(cls, field: FourierField):
+        """zeta-independent symbol a(x) given by a field, of order 0."""
+        return cls(0.0, terms=[SeparableTerm(field, _one_fn, (_zero_fn, _zero_fn))])
 
     @classmethod
     def separable(cls, terms, order, name=""):

@@ -12,7 +12,7 @@ import pytest
 from gcwaves import cli
 from gcwaves.cli import (EXIT_CONFIG, EXIT_INTERNAL, EXIT_NUMERIC, EXIT_OK,
                          EXIT_RESOURCE, SCHEMAS, dispatch)
-from gcwaves.errors import CadenceError, SingularMultiplierError
+from gcwaves.errors import SingularMultiplierError
 from gcwaves.fields import load_snapshot, write_json
 
 
@@ -264,8 +264,8 @@ def test_bad_input_rejected_at_entry(tmp_path, argv):
     assert manifest["abort_reason"]
 
 
-@pytest.mark.parametrize("error", [SingularMultiplierError, CadenceError],
-                         ids=["singular-multiplier", "cadence"])
+@pytest.mark.parametrize("error", [SingularMultiplierError],
+                         ids=["singular-multiplier"])
 def test_named_caller_errors_map_to_config_exit(tmp_path, monkeypatch, error):
     def raise_it(cfg, out):
         raise error("from the caller's input")
@@ -396,10 +396,11 @@ class _Plain:
 
 
 def _write_json_by_two_encodes(path, obj):
-    """The artifact writer as it was: encode with a default hook, decode,
-    null the non-finite floats, encode again."""
+    """The artifact writer as it was, numpy bools taken as the other numpy
+    scalars are: encode with a default hook, decode, null the non-finite
+    floats, encode again."""
     def default(o):
-        if isinstance(o, (np.floating, np.integer)):
+        if isinstance(o, (np.floating, np.integer, np.bool_)):
             return o.item()
         if hasattr(o, "to_json"):
             return o.to_json()
@@ -424,7 +425,8 @@ def _write_json_by_two_encodes(path, obj):
 
 @pytest.mark.parametrize("obj", [
     {"a": np.float64(0.1), "b": np.int64(-3), "c": np.float32(1.5), "d": np.float64("nan"),
-     "e": -0.0, "f": math.inf, "g": -math.inf, "h": None, "i": True, "j": "text"},
+     "e": -0.0, "f": math.inf, "g": -math.inf, "h": None, "i": True, "j": "text",
+     "k": np.bool_(True), "l": np.bool_(False)},
     {"t": (1, (2.5, float("nan"))), "l": [np.int32(7), (), []], "n": {"x": (np.float32(-0.0),)}},
     {10: "ten", 9: "nine", 1.5: "float", True: "bool", None: "none", "k": {2: [3], 11: [4]}},
     {"obj": _ToJson(), "plain": _Plain(), "list": [_Plain(), _ToJson()]},
@@ -438,7 +440,7 @@ def test_write_json_matches_two_encodes(tmp_path, obj):
 
 
 def test_write_json_rejects_what_json_rejects(tmp_path):
-    for obj in ({"a": np.bool_(True)}, {np.int64(1): 2}, {"a": {1, 2}}):
+    for obj in ({np.int64(1): 2}, {"a": {1, 2}}):
         with pytest.raises(TypeError):
             write_json(tmp_path / "bad.json", obj)
         with pytest.raises(TypeError):

@@ -492,16 +492,6 @@ def test_scan4_admissibility_flag_literal():
     assert len(res2.records) == len(res.records)
 
 
-def test_scan4_moduli_weight_variant():
-    p = DispersionParams(1.0, 1.0)
-    a = scan_four_wave(p, ScanWindow(8, 1), n_records=50, weight="paired")
-    b = scan_four_wave(p, ScanWindow(8, 1), n_records=50, weight="moduli")
-    assert a.min_gap != b.min_gap  # genuinely different normalizations
-    assert b.min_gap > 0.0
-    with pytest.raises(ConfigError):
-        scan_four_wave(p, ScanWindow(8, 1), weight="nope")
-
-
 # ---------------------------------------------------------------------------
 # brute-force census oracles (census_oracles.py)
 # ---------------------------------------------------------------------------

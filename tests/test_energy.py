@@ -13,7 +13,7 @@ from gcwaves.energy import (BulkSymbol, C_ENERGY, EnergyAudit,
                             energy_derivative_trilinear, energy_symbol,
                             energy_symbol_arr, increment_audit, mu_one,
                             trilinear, trivial_resonance_sum)
-from gcwaves.errors import CadenceError, ConfigError, SmallDivisorError
+from gcwaves.errors import ConfigError, SmallDivisorError
 from gcwaves.fields import (FourierField, Grid, bump, l2_norm, phi_le,
                             random_field, sobolev_norm)
 from gcwaves.model import ModelConfig, initial_data
@@ -268,15 +268,10 @@ def test_energy_derivative_needs_dealiased_field():
     U = FourierField(G, np.ones((G.size, G.size), complex))
     with pytest.raises(ConfigError):
         energy_derivative_trilinear(U, 4.0, P)
-    wide = Grid(32, dealias_fraction=1.0)
-    with pytest.raises(ConfigError):
-        energy_derivative_trilinear(random_field(wide, seed=1), 4.0, P)
 
 
 def test_increment_audit_cadence_guard():
     cfg = ModelConfig(P, G, 0.01, 2e-3, 0.06, seed=0)
-    with pytest.raises(CadenceError):
-        increment_audit(cfg, None, audit_times=[0.02], parts_cadence=0.05)
     with pytest.raises(ConfigError):
         increment_audit(cfg, None, audit_times=[0.0])  # not >= 2 steps inside
 

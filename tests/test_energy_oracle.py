@@ -98,7 +98,7 @@ def close(got, ref, rel=1e-12):
 def _energy_operands(grid, U, N, band):
     k1, k2 = grid.freqs()
     W = FourierField(grid, (1.0 + (k1 * k1 + k2 * k2).astype(float)) ** (N / 2) * U.coeffs)
-    mu = lambda x1, x2, e1, e2: energy_symbol_arr(N, x1, x2, e1, e2, C_ENERGY, band)
+    mu = lambda x1, x2, e1, e2: energy_symbol_arr(N, x1, x2, e1, e2, band)
     return W, mu
 
 
@@ -114,12 +114,12 @@ def test_energy_routes_match_row_loop(m, seed, N, D, band, decay):
     W, mu = _energy_operands(grid, U, N, band)
     iU = 1j * U
     total = oracle_trilinear(mu, ModulationFilter(), iU, W, W, row_tol=1e-14).real
-    assert close(energy._energy_total(U, N, C_ENERGY, band), total)
+    assert close(energy._energy_total(U, N, band), total)
 
     k1, k2 = grid.freqs()
     low = phi_le(np.hypot(k1, k2), D)
     lo = ModulationFilter("le0")
-    lh, ll = energy._energy_le0_parts(U, N, P, C_ENERGY, band, [1.0 - low, low])
+    lh, ll = energy._energy_le0_parts(U, N, P, band, [1.0 - low, low])
     H_hi, H_lo = (FourierField(grid, w * W.coeffs) for w in (1.0 - low, low))
     ref_ll = oracle_trilinear(mu, lo, iU, W, H_lo, row_tol=1e-14).real
     assert close(ll, ref_ll)
@@ -128,7 +128,7 @@ def test_energy_routes_match_row_loop(m, seed, N, D, band, decay):
     scale = oracle_trilinear(mu, lo, iU, W, H_hi, row_tol=1e-14, absolute=True)
     assert abs(lh - ref_lh) <= 1e-12 * scale
     ref_hi = oracle_trilinear(mu, ModulationFilter("gt0"), iU, W, W, row_tol=1e-14).real
-    assert close(energy._energy_total(U, N, C_ENERGY, band) - (lh + ll), ref_hi)
+    assert close(energy._energy_total(U, N, band) - (lh + ll), ref_hi)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +179,7 @@ def test_energy_total_matches_mpmath(m, seed, N):
     # cancel, for large N, and for N < 0, where (1+q)^N - 1 -> -1
     band = 1
     U, ref = mp_energy_total(m, seed, band, N)
-    assert close(energy._energy_total(U, N, C_ENERGY, band), ref)
+    assert close(energy._energy_total(U, N, band), ref)
     W, mu = _energy_operands(U.grid, U, N, band)
     assert close(oracle_trilinear(mu, ModulationFilter(), 1j * U, W, W, row_tol=1e-14).real,
                  ref)

@@ -6,10 +6,11 @@ import pytest
 
 from gcwaves.errors import ConfigError, SingularMultiplierError
 from gcwaves.fields import (FourierField, Grid, analyze, apply_multiplier,
-                            bump, check_power, dealias, dx, fit_line, inner, l2_norm,
-                            load_snapshot, lp_gt, lp_leq, lp_project, mean, phi_le,
-                            phi_gt, phi_shell, pointwise_product, random_field,
-                            save_snapshot, sobolev_norm, synthesize, write_csv)
+                            bump, check_power, dealias, dx, finite_json, fit_line,
+                            inner, l2_norm, load_snapshot, lp_gt, lp_leq, lp_project,
+                            mean, phi_le, phi_gt, phi_shell, pointwise_product,
+                            random_field, save_snapshot, sobolev_norm, synthesize,
+                            write_csv)
 from gcwaves.lattice import shift_perms
 
 TWO_PI = 2.0 * np.pi
@@ -18,9 +19,14 @@ TWO_PI = 2.0 * np.pi
 def test_grid_validation():
     with pytest.raises(ConfigError):
         Grid(3)
-    with pytest.raises(ConfigError):
-        Grid(10, dealias_fraction=0.0)
     assert Grid(64).kmax_dealias == 21  # 3 * 21 < 64: alias-free products
+
+
+def test_kmax_dealias_is_the_largest_alias_free_k():
+    # the 2/3 rule: kmax is the largest k with 3k < M, also where 3 divides M
+    for m in range(4, 257, 2):
+        k = Grid(m).kmax_dealias
+        assert 3 * k < m <= 3 * (k + 1), m
 
 
 def test_bump_support_and_plateau():
@@ -205,6 +211,46 @@ def test_snapshot_roundtrip(tmp_path):
     assert np.max(np.abs(back.coeffs - f.coeffs)) <= 1e-15 * np.max(np.abs(f.coeffs))
 
 
+@pytest.mark.parametrize("xi", [(1, 2), (0, 0)], ids=["complex", "real"])
+def test_single_mode_snapshot_round_trip(tmp_path, xi):
+    # from_coeffs stores a Python bool, and finite_json takes numpy bools too
+    f = FourierField.single_mode(Grid(16), xi)
+    assert type(f.is_real_valued) is bool and f.is_real_valued == (xi == (0, 0))
+    assert finite_json([np.bool_(True), np.bool_(False)]) == [True, False]
+    save_snapshot(f, str(tmp_path / "a"))
+    back, header = load_snapshot(str(tmp_path / "a"))
+    assert header["is_real_valued"] is f.is_real_valued is back.is_real_valued
+    assert np.array_equal(back.coeffs, f.coeffs)
+    save_snapshot(back, str(tmp_path / "b"))
+    for ext in ("json", "csv"):
+        assert (tmp_path / f"a.{ext}").read_bytes() == (tmp_path / f"b.{ext}").read_bytes()
+
+
+@pytest.mark.parametrize("header, rows", [
+    ({}, ["9,0,1.0,0.0"]),
+    ({}, ["-9,0,1.0,0.0"]),
+    ({}, ["8,1,1.0,0.0"]),
+    ({}, ["1,-8,1.0,0.0"]),
+    ({}, ["3,4,nan,0.0"]),
+    ({}, ["3,4,1.0,inf"]),
+    ({}, ["3,4,1.0,0.0", "3,4,2.0,0.0"]),
+    ({"format": "gcwaves-field-v0"}, []),
+    ({"grid": {"size": 16, "dealias_fraction": 0.5}}, []),
+], ids=["beyond-the-box", "beyond-the-box-negative", "nyquist-row", "nyquist-column",
+        "nan-value", "inf-value", "repeated-frequency", "format", "dealias-fraction"])
+def test_load_snapshot_rejects_bad_input(tmp_path, header, rows):
+    # none of these is written by save_snapshot, and loading one would drop,
+    # move or overwrite a mode without a word
+    prefix = str(tmp_path / "snap")
+    save_snapshot(FourierField.zero(Grid(16)), prefix)
+    saved = json.loads((tmp_path / "snap.json").read_text())
+    (tmp_path / "snap.json").write_text(json.dumps({**saved, **header}))
+    with open(prefix + ".csv", "a") as fh:
+        fh.writelines(r + "\n" for r in rows)
+    with pytest.raises(ConfigError):
+        load_snapshot(prefix)
+
+
 def _no_constant(token):
     raise ValueError(f"{token} is not valid JSON (RFC 8259)")
 
@@ -284,7 +330,7 @@ def test_inner_product_matches_quadrature():
 def test_freqs_cached_and_read_only():
     g = Grid(16)
     k1, k2 = g.freqs()
-    again = Grid(16, dealias_fraction=0.5).freqs()
+    again = Grid(16).freqs()
     assert again[0] is k1 and again[1] is k2
     k = np.fft.fftfreq(16, 1.0 / 16).astype(np.int64)
     e1, e2 = np.meshgrid(k, k, indexing="ij")
@@ -297,7 +343,7 @@ def test_freqs_cached_and_read_only():
 
 def test_grid_points_cached_and_read_only():
     X1, X2 = Grid(16).x()
-    again = Grid(16, dealias_fraction=0.5).x()
+    again = Grid(16).x()
     assert again[0] is X1 and again[1] is X2
     x = TWO_PI * np.arange(16) / 16
     e1, e2 = np.meshgrid(x, x, indexing="ij")

@@ -326,6 +326,11 @@ MUTANTS = (
            "return obj",
            ("tests/test_cli.py::test_write_json_matches_two_encodes",
             "tests/test_energy.py::test_energy_audit_save_writes_strict_json")),
+    # the 2/3 rule's kmax: the largest k with 3k < M, also where 3 divides M
+    Mutant("kmax-allows-aliasing", FIELDS,
+           "return (self.size - 1) // 3",
+           "return self.size // 3",
+           ("tests/test_fields.py::test_kmax_dealias_is_the_largest_alias_free_k",)),
     Mutant("dealias-keeps-everything", FIELDS,
            "np.where(mask, f.coeffs, 0.0)",
            "np.where(True, f.coeffs, 0.0)",
