@@ -511,8 +511,10 @@ def load_snapshot(path_prefix: str):
     """Inverse of save_snapshot; returns (field, header dict).
 
     Raises ConfigError for a header of another format or dealiasing rule,
-    and for a row outside the retained frequencies |xi_i| <= M/2 - 1, with
-    a value that is not finite, or repeating an earlier row's frequency."""
+    for a line that does not parse as a row xi1,xi2,re,im (naming the
+    line), and for a row outside the retained frequencies |xi_i| <= M/2 - 1,
+    with a value that is not finite, or repeating an earlier row's
+    frequency."""
     with open(path_prefix + ".json") as fh:
         header = json.load(fh)
     if header.get("format") != SNAPSHOT_FORMAT:
@@ -527,9 +529,13 @@ def load_snapshot(path_prefix: str):
     seen = set()
     with open(path_prefix + ".csv") as fh:
         next(fh)
-        for line in fh:
-            a, b, re, im = line.strip().split(",")
-            xi, re, im = (int(a), int(b)), float(re), float(im)
+        for n, line in enumerate(fh, start=2):
+            try:
+                a, b, re, im = line.strip().split(",")
+                xi, re, im = (int(a), int(b)), float(re), float(im)
+            except ValueError:
+                raise ConfigError(f"{path_prefix}.csv: line {n} is not a row xi1,xi2,re,im: "
+                                  f"{line.strip()!r}") from None
             if not (abs(xi[0]) < h and abs(xi[1]) < h):
                 raise ConfigError(f"{path_prefix}.csv: row {xi} lies outside the retained "
                                   f"frequencies |xi_i| <= {h - 1}")

@@ -43,21 +43,17 @@ Symbols come in two flavours:
     pair +-s as 2i (-s) and 2i + 1 (s), so a pair's entries are adjacent in
     the plan's midpoint order.  A symbol declared even in zeta
     (Symbol.general(..., even=True), as goodvar's pointwise symbols are)
-    costs one evaluation and one x2 product per pair; the midpoints of
+    costs one evaluation and one transform per pair; the midpoints of
     every plan checked (6^2 to 32^2, chi -1 to -3, every eta box) come in
     such pairs.  Either way a batch of samples serves one contiguous run of
     the plan's midpoint order, summed in that order as soon as it is
     weighed, so the sums do not change with the declaration and the walk
     holds one batch.
-    Each entry needs atilde(rho, zeta) only for rho in the plan's box
-    |rho_i| <= R, so the samples are transformed in x by a DFT over that
-    box alone: one real matrix product over x2 per part of the batch (real
-    samples stay real; a part that vanishes on the batch is skipped)
-    against the table E[x, r] = e^{-ixr}, r in [-R, R], that the plan
-    keeps, then per entry one dot product over x1 at its (midpoint, rho1,
-    rho2).  At 12^2 the K = 3 plan has R = 3 (R = 4 at K = 5): its 264
-    midpoints (132 pairs) take 12 x 7 values each from the x2 product, and
-    its 816 entries one 12-term dot product each.
+    Each part of a batch (real samples whole, else the real and imaginary
+    parts; a part that vanishes on the batch is skipped) is transformed in
+    x by one rfft2, and each entry reads atilde(rho, zeta) from it with one
+    Hermitian gather (_rfft_read).  pocketfft transforms each sample on its
+    own, so a midpoint's values do not depend on the batch that holds it.
 
 Symbol frequencies xi - eta outside the grid rectangle are treated as zero
 rows (a discretization truncation; chi suppresses that region anyway).
@@ -329,7 +325,9 @@ def _conj_flip_fn(g, negate=False):
 # the chi-support plan
 # ---------------------------------------------------------------------------
 
-_SAMPLES = 1 << 15  # symbol samples (midpoints x M^2) per general-path batch
+# symbol samples (midpoints x M^2) per general-path batch: a bound on the
+# memory of the samples and their rfft2, not on the values a walk sums
+_SAMPLES = 1 << 15
 
 
 def _guard_zeta(z_abs_sq):
@@ -499,29 +497,25 @@ class _ChiPlan:
         return 0.5 * self.sums[0][ids], 0.5 * self.sums[1][ids]
 
     def by_midpoint(self):
-        """The whole plan grouped by midpoint: (perm, start, ids, table, rep),
-        the entries perm[start[j]:start[j+1]] sharing midpoint ids[j], the
-        DFT table of the plan's rho box (_dft_table), and the representative
-        rep[j] of each midpoint: the position in ids of the odd id of the
-        pair {s, -s} (ids ^ 1 is the mirror), or j when -s is not a midpoint
-        of the plan.  Ids are in increasing order, so a pair sits at
-        adjacent positions, -s first, and its entries form one run of perm.
-        Built once per plan, by one stable argsort and a bincount."""
+        """The whole plan grouped by midpoint: (perm, start, ids, rep), the
+        entries perm[start[j]:start[j+1]] sharing midpoint ids[j], and the
+        representative rep[j] of each midpoint: the position in ids of the
+        odd id of the pair {s, -s} (ids ^ 1 is the mirror), or j when -s is
+        not a midpoint of the plan.  Ids are in increasing order, so a pair
+        sits at adjacent positions, -s first, and its entries form one run
+        of perm.  Built once per plan, by one stable argsort and a bincount."""
         if self._by_mid is None:
             self.extend(np.inf)
             # the argsort first, the peak of a build, with no other temporary alive
             perm = np.argsort(self.mid, kind="stable").astype(np.int32)
             counts = np.bincount(self.mid, minlength=len(self.mid_row))
             ids = np.flatnonzero(counts)
-            used = self.rows[np.flatnonzero(np.diff(self.row_start))]
-            radius = max(np.abs(self.k1[used]).max(initial=0), np.abs(self.k2[used]).max(initial=0))
             # the id of -s, and its position in ids
             mirror = ids ^ 1
             at = np.minimum(np.searchsorted(ids, mirror), len(ids) - 1)
             j = np.arange(len(ids))
             rep = np.where(ids[at] == mirror, np.maximum(j, at), j)
-            self._by_mid = (perm, np.concatenate(([0], np.cumsum(counts[ids]))), ids,
-                            _dft_table(self.m, int(radius)), rep)
+            self._by_mid = (perm, np.concatenate(([0], np.cumsum(counts[ids]))), ids, rep)
         return self._by_mid
 
     def accumulate(self, out, e, w, fc, extra_weight, divisor=1.0):
@@ -635,22 +629,21 @@ def _apply_rows(a, grid, cfg, plan, out, fc, extra_weight):
 
 def _apply_midpoints(a, grid, plan, out, fc, extra_weight):
     """General symbols: a(x, zeta) sampled by the symbol's own evaluator on
-    batches of midpoints, and each entry's atilde(rho, zeta) taken by the
-    DFT over the plan's rho box (_box_dft).
+    batches of midpoints, and each entry's atilde(rho, zeta) read from the
+    batch's rfft2 (_rfft_read).
 
     The walk samples by_midpoint's midpoints in id order, each sample at
     the last midpoint it serves: one per +-s pair, at s (the pair's odd id),
     for a symbol declared even in zeta, every midpoint otherwise.  A pair's
     ids are adjacent, so a batch of samples serves one contiguous run of
-    perm: its entries are weighed (each contracted over x1 with its own
-    rho) and accumulated at once, in passes of at most BLOCK entries, and
-    the walk holds one batch.  A midpoint's weights depend on neither its
-    batch (batches are padded, see _box_dft) nor its sample, and every
-    entry is summed in perm order, so the sums are bit for bit the same for
-    a symbol declared even or not."""
+    perm: its entries are weighed (each read at its own rho) and
+    accumulated at once, in passes of at most BLOCK entries, and the walk
+    holds one batch.  A midpoint's weights depend on neither its batch
+    (each sample is transformed on its own) nor its sample, and every entry
+    is summed in perm order, so the sums are bit for bit the same for a
+    symbol declared even or not."""
     m = grid.size
-    perm, start, ids, table, rep = plan.by_midpoint()
-    radius = table.shape[1] // 2
+    perm, start, ids, rep = plan.by_midpoint()
     X1, X2 = grid.x()
     last = np.flatnonzero(rep == np.arange(len(ids))) if a.even else np.arange(len(ids))
     bound = np.concatenate(([0], start[last + 1]))   # sample i: perm[bound[i]:bound[i + 1]]
@@ -660,50 +653,36 @@ def _apply_midpoints(a, grid, plan, out, fc, extra_weight):
         z1, z2 = plan.zeta(ids[last[j:j2]])
         vals = np.broadcast_to(a.fn(X1[None], X2[None], z1[:, None, None], z2[:, None, None]),
                                (j2 - j, m, m))
-        if j2 - j < step:   # zero samples pad the batch: see _box_dft
-            vals = np.concatenate((vals, np.zeros((step - (j2 - j), m, m))))
         run = perm[bound[j]:bound[j2]]
         rho = plan.rho[run]
         mid = np.repeat(np.arange(j2 - j), np.diff(bound[j:j2 + 1]))
-        w = _box_dft(vals, table, mid, plan.k1[rho] + radius, plan.k2[rho] + radius)
+        w = _rfft_read(vals, mid, plan.k1[rho], plan.k2[rho])
         # w = 0.0 when a(., zeta) = 0 on the whole batch
         w = np.broadcast_to(w * (TWO_PI / m) ** 2, run.shape)
         for e in range(0, len(run), BLOCK):
             plan.accumulate(out, run[e:e + BLOCK], w[e:e + BLOCK], fc, extra_weight, _FOUR_PI2)
 
 
-def _dft_table(m, radius):
-    """E[x, r] = e^{-ixr} at the M grid points x = 2 pi n / M, for r in
-    [-radius, radius] (column r + radius); the phase n r is reduced mod M in
-    integers first."""
-    nr = np.arange(m)[:, None] * np.arange(-radius, radius + 1) % m
-    return np.exp(-1j * (TWO_PI / m) * nr)
-
-
-def _box_dft(vals, table, mid, c1, c2):
-    """sum_x vals[mid, x] e^{-i rho . x} per entry, rho = (c1, c2) - R read as
-    columns of table (_dft_table of radius R), for samples vals[b, x1, x2].
+def _rfft_read(vals, mid, r1, r2):
+    """sum_x vals[mid, x] e^{-i rho . x} per entry, rho = (r1, r2) with
+    |rho_i| <= M/2, for samples vals[b, x1, x2] on the M x M grid.
 
     Each part of vals (the real and imaginary parts of complex samples, real
     samples whole; a part that is zero on the whole batch is skipped) takes
-    one real matrix product over x2 against the table's interleaved real and
-    imaginary columns, viewed back as complex; then each entry contracts its
-    (mid, :, c2) row over x1 with E[:, c1].  Returns 0.0 when every part is
-    zero.
-
-    The product's rows round alike in every call of one shape, but BLAS
-    (OpenBLAS) takes another kernel for small products, which rounds the
-    last columns otherwise; so _apply_midpoints passes every batch of a walk
-    with the same number of samples, a short one padded with zeros, and a
-    midpoint's values do not depend on the batch it falls in."""
-    nb, m = vals.shape[0], vals.shape[-1]
-    e1 = table.T[c1]
+    one rfft2, F[b, k1, k2] for 0 <= k2 <= M/2, and each entry reads the
+    Hermitian point of its rho: F[mid, rho1 mod M, rho2] for rho2 >= 0,
+    conj F[mid, -rho1 mod M, -rho2] otherwise.  Returns 0.0 when every part
+    is zero."""
+    m = vals.shape[-1]
+    flip = r2 < 0
+    at = (mid, np.where(flip, -r1, r1) % m, np.abs(r2))
     parts = ((vals.real, 1.0), (vals.imag, 1j)) if np.iscomplexobj(vals) else ((vals, 1.0),)
     w = 0.0
     for part, unit in parts:
         if part.any():
-            t = (part.reshape(-1, m) @ table.view(np.float64)).view(np.complex128)
-            w = w + unit * np.einsum("ij,ij->i", t.reshape(nb, m, -1)[mid, :, c2], e1)
+            v = np.fft.rfft2(part)[at]
+            np.conjugate(v, out=v, where=flip)
+            w = w + unit * v
     return w
 
 

@@ -226,29 +226,34 @@ def test_single_mode_snapshot_round_trip(tmp_path, xi):
         assert (tmp_path / f"a.{ext}").read_bytes() == (tmp_path / f"b.{ext}").read_bytes()
 
 
-@pytest.mark.parametrize("header, rows", [
-    ({}, ["9,0,1.0,0.0"]),
-    ({}, ["-9,0,1.0,0.0"]),
-    ({}, ["8,1,1.0,0.0"]),
-    ({}, ["1,-8,1.0,0.0"]),
-    ({}, ["3,4,nan,0.0"]),
-    ({}, ["3,4,1.0,inf"]),
-    ({}, ["3,4,1.0,0.0", "3,4,2.0,0.0"]),
-    ({"format": "gcwaves-field-v0"}, []),
-    ({"grid": {"size": 16, "dealias_fraction": 0.5}}, []),
+@pytest.mark.parametrize("header, rows, where", [
+    ({}, ["9,0,1.0,0.0"], "snap.csv"),
+    ({}, ["-9,0,1.0,0.0"], "snap.csv"),
+    ({}, ["8,1,1.0,0.0"], "snap.csv"),
+    ({}, ["1,-8,1.0,0.0"], "snap.csv"),
+    ({}, ["3,4,nan,0.0"], "snap.csv"),
+    ({}, ["3,4,1.0,inf"], "snap.csv"),
+    ({}, ["3,4,1.0,0.0", "3,4,2.0,0.0"], "snap.csv"),
+    ({}, ["1,x,1.0,0.0"], "snap.csv: line 2"),
+    ({}, ["3,4,1.0,0.0", "1,2,1.0"], "snap.csv: line 3"),
+    ({"format": "gcwaves-field-v0"}, [], "snap.json"),
+    ({"grid": {"size": 16, "dealias_fraction": 0.5}}, [], "snap.json"),
 ], ids=["beyond-the-box", "beyond-the-box-negative", "nyquist-row", "nyquist-column",
-        "nan-value", "inf-value", "repeated-frequency", "format", "dealias-fraction"])
-def test_load_snapshot_rejects_bad_input(tmp_path, header, rows):
+        "nan-value", "inf-value", "repeated-frequency", "unparsed-frequency", "three-fields",
+        "format", "dealias-fraction"])
+def test_load_snapshot_rejects_bad_input(tmp_path, header, rows, where):
     # none of these is written by save_snapshot, and loading one would drop,
-    # move or overwrite a mode without a word
+    # move or overwrite a mode without a word, or fail without naming the
+    # file and line it came from
     prefix = str(tmp_path / "snap")
     save_snapshot(FourierField.zero(Grid(16)), prefix)
     saved = json.loads((tmp_path / "snap.json").read_text())
     (tmp_path / "snap.json").write_text(json.dumps({**saved, **header}))
     with open(prefix + ".csv", "a") as fh:
         fh.writelines(r + "\n" for r in rows)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as err:
         load_snapshot(prefix)
+    assert where in str(err.value)
 
 
 def _no_constant(token):

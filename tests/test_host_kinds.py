@@ -1,10 +1,11 @@
 """The reproducibility contract across host kinds (README "Determinism"):
 a tiny ``symbols`` and ``paradiff-audit`` run in a child process whose numpy
-dispatches below AVX-512 or AVX2, or whose OpenBLAS takes its Sandybridge
-kernels, writes every number of its artifacts within HOST_RTOL (relative)
-of the same run in this process, and keeps the rounding-noise metrics
-(``*_err`` in report.json) under their gate.  A case runs wherever the host
-can run it, and is skipped only where it cannot."""
+dispatches below AVX-512 or AVX2 writes every number of its artifacts within
+HOST_RTOL (relative) of the same run in this process, and keeps the
+rounding-noise metrics (``*_err`` in report.json) under their gate; one
+whose OpenBLAS takes its Sandybridge kernels writes them byte for byte, as
+no calculus op calls BLAS.  A case runs wherever the host can run it, and
+is skipped only where it cannot."""
 
 import csv
 import json
@@ -91,7 +92,7 @@ def here(tmp_path_factory):
     out = tmp_path_factory.mktemp("here")
     for sub, argv in RUNS.items():
         assert dispatch(argv + ["--out", str(out / sub)]) == 0
-    return _numbers(out)
+    return out
 
 
 @pytest.mark.parametrize("case", list(CASES))
@@ -113,7 +114,10 @@ def test_artifacts_agree_across_host_kinds(case, here, tmp_path):
     else:
         assert not any(knobs["simd_targets"][t] for t in CASES[case][
             "NPY_DISABLE_CPU_FEATURES"].split())
-    want, want_rest = here
+    if case == "sandybridge":
+        for name in ARTIFACTS:
+            assert (tmp_path / name).read_bytes() == (here / name).read_bytes(), name
+    want, want_rest = _numbers(here)
     got, got_rest = _numbers(tmp_path)
     assert got_rest == want_rest and got.keys() == want.keys()
     for path, a in want.items():

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gcwaves import paradiff
 from gcwaves.errors import ConfigError, NumericAbortError
@@ -603,12 +603,15 @@ def _centered(f):
 @pytest.mark.parametrize("m", [8, 12, 32])
 @pytest.mark.parametrize("part", ["real", "imag", "complex"])
 @settings(max_examples=12, derandomize=True, deadline=None, database=None)
-@given(data=st.data(), seed=st.integers(0, 2 ** 16))
-def test_box_dft_matches_direct_sum(m, part, data, seed):
+@given(shrink=st.integers(0, 16), seed=st.integers(0, 2 ** 16))
+@example(shrink=1, seed=5)    # rho1 = +-(M/2 - 1) with rho2 < 0: the box's lower corners
+@example(shrink=0, seed=6)    # |rho_i| = M/2, the Nyquist rows, read from either side
+def test_box_dft_matches_direct_sum(m, part, shrink, seed):
     # sum_x a(x, zeta) e^{-i rho . x} per entry (midpoint, rho1, rho2), with
-    # the full 2-d phase of each grid point, against the rho-box DFT of
-    # real (float64), purely imaginary and complex samples
-    radius = data.draw(st.integers(0, m // 2), label="radius")
+    # the full 2-d phase of each grid point, against the general path's read
+    # (_rfft_read) of real (float64), purely imaginary and complex samples,
+    # at every rho of the box |rho_i| <= R, R = M/2 - shrink mod M/2 + 1
+    radius = (m // 2 - shrink) % (m // 2 + 1)
     rng = np.random.default_rng(seed)
     nb = int(rng.integers(1, 7))
     shape = (nb, m, m)
@@ -616,31 +619,44 @@ def test_box_dft_matches_direct_sum(m, part, data, seed):
             "imag": lambda: 1j * rng.standard_normal(shape),
             "complex": lambda: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)}[part]()
     n = int(rng.integers(1, 60))
-    mid = rng.integers(0, nb, n)
-    c1, c2 = rng.integers(0, 2 * radius + 1, (2, n))
-    c1[0], c2[0] = 0, 2 * radius            # the box's corners are read
-    got = paradiff._box_dft(vals, paradiff._dft_table(m, radius), mid, c1, c2)
+    mid = rng.integers(0, nb, n + 4)
+    r1, r2 = rng.integers(-radius, radius + 1, (2, n + 4))
+    r1[:4], r2[:4] = (-radius, radius, -radius, radius), (-radius, -radius, radius, radius)
+    got = paradiff._rfft_read(vals, mid, r1, r2)
     i1, i2 = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
-    phase = lambda r1, r2: ((r1 - radius) * i1 + (r2 - radius) * i2) % m
-    want = np.array([np.sum(vals[b] * np.exp(-2j * np.pi * phase(r1, r2) / m))
-                     for b, r1, r2 in zip(mid, c1, c2)])
+    want = np.array([np.sum(vals[b] * np.exp(-2j * np.pi * ((a * i1 + c * i2) % m) / m))
+                     for b, a, c in zip(mid, r1, r2)])
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-    assert paradiff._box_dft(np.zeros(shape), paradiff._dft_table(m, radius), mid, c1, c2) == 0.0
+    assert paradiff._rfft_read(np.zeros(shape), mid, r1, r2) == 0.0
 
 
 @pytest.mark.parametrize("m", [12, 32])
-def test_dft_table_spans_the_plan_rho_box(m):
-    # the general path's table covers |rho_i| <= R for the largest rho_i
-    # of the plan, and no more
+def test_every_plan_rho_reads_its_hermitian_partner(m):
+    # every rho a box plan holds, down to its most negative rho2 and with
+    # rho1 of either sign (wrapped mod M when negative), is read against the
+    # direct sum; for real samples a rho with rho2 != 0 reads bit for bit
+    # the conjugate of what its partner -rho reads
     plans = paradiff._plans(m, -2)
-    for k in (0, 3, m // 2 - 1):
+    rng = np.random.default_rng(m)
+    vals = rng.standard_normal((2, m, m)) + 1j * rng.standard_normal((2, m, m))
+    x = TWO_PI * np.arange(m) / m
+    for k in (3, m // 2 - 1):
         plan = plans.box(k)
-        table = plan.by_midpoint()[3]
-        r = max(np.abs(plan.k1[plan.rho]).max(initial=0), np.abs(plan.k2[plan.rho]).max(initial=0))
-        assert table.shape == (m, 2 * r + 1)
-        x = TWO_PI * np.arange(m) / m
-        assert np.allclose(table, np.exp(-1j * np.outer(x, np.arange(-r, r + 1))), rtol=0, atol=1e-12)
+        plan.extend(np.inf)
+        rho = np.flatnonzero(np.bincount(plan.rho, minlength=m * m))
+        r1, r2 = plan.k1[rho], plan.k2[rho]
+        low = r2 == r2.min()
+        assert r2.min() < 0 and np.any(low & (r1 < 0)) and np.any(low & (r1 > 0))
+        mid = np.arange(len(rho)) % 2
+        got = paradiff._rfft_read(vals, mid, r1, r2)
+        want = np.array([np.sum(vals[b] * np.exp(-1j * (a * x[:, None] + c * x[None, :])))
+                         for b, a, c in zip(mid, r1, r2)])
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        off = r2 != 0
+        real = paradiff._rfft_read(vals.real, mid[off], r1[off], r2[off])
+        partner = paradiff._rfft_read(vals.real, mid[off], -r1[off], -r2[off])
+        assert np.array_equal(real, np.conj(partner))
 
 
 def test_plan_cache_state_is_invisible():
@@ -913,7 +929,7 @@ def test_every_plan_midpoint_is_paired_with_its_mirror(m, chis):
         plans = paradiff._plans(m, chi)
         for k in range(m // 2):
             plan = plans.box(k)
-            perm, start, ids, table, rep = plan.by_midpoint()
+            perm, start, ids, rep = plan.by_midpoint()
             s1, s2 = plan.sums[0][ids], plan.sums[1][ids]
             at = {(a, b): j for j, (a, b) in enumerate(zip(s1, s2))}
             mirror = np.array([at[(-a, -b)] for a, b in zip(s1, s2)])
@@ -925,13 +941,13 @@ def test_every_plan_midpoint_is_paired_with_its_mirror(m, chis):
 def _unpair(plan, mp, seed):
     """Unpair a third of the plan's +-s pairs in its by_midpoint record: each
     midpoint of those pairs is left to represent itself."""
-    perm, start, ids, table, rep = plan.by_midpoint()
+    perm, start, ids, rep = plan.by_midpoint()
     rep = rep.copy()
     lower = np.flatnonzero(rep > np.arange(len(ids)))
     gone = np.random.default_rng(seed).choice(lower, len(lower) // 3, replace=False)
     rep[rep[gone]] = rep[gone]            # upper midpoints left on their own
     rep[gone] = gone                      # and their lower mirrors
-    mp.setattr(plan, "_by_mid", (perm, start, ids, table, rep))
+    mp.setattr(plan, "_by_mid", (perm, start, ids, rep))
 
 
 def test_midpoints_without_a_mirror_are_walked_at_themselves(monkeypatch):
@@ -986,11 +1002,11 @@ def test_the_walk_holds_one_batch():
     even = _even_general(g, 68)[0]
     f = random_field(g, seed=69, mean_zero=False)
     events = []   # None for a batch's transform, else a pass's entries
-    box_dft, accumulate = paradiff._box_dft, paradiff._ChiPlan.accumulate
+    read, accumulate = paradiff._rfft_read, paradiff._ChiPlan.accumulate
 
     def transform(*args):
         events.append(None)
-        return box_dft(*args)
+        return read(*args)
 
     def record(plan, out, e, *args):
         events.append(np.array(e))
@@ -1000,11 +1016,11 @@ def test_the_walk_holds_one_batch():
     paradiff._plans.cache_clear()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(paradiff, "_SAMPLES", batch * 12 * 12)
-        mp.setattr(paradiff, "_box_dft", transform)
+        mp.setattr(paradiff, "_rfft_read", transform)
         mp.setattr(paradiff._ChiPlan, "accumulate", record)
         plan = paradiff._plans(12, -2).covering(_centered(f))
         weyl_apply(even, f, CFG)
-        perm, start, ids, table, rep = plan.by_midpoint()
+        perm, start, ids, rep = plan.by_midpoint()
     paradiff._plans.cache_clear()
     last = np.flatnonzero(rep == np.arange(len(ids)))   # the pairs' odd members
     ends = [start[last[min(k + batch, len(last)) - 1] + 1] for k in range(0, len(last), batch)]

@@ -51,7 +51,8 @@ CUTS = "tests/test_dispersion.py::"
 BRUTE = "tests/test_paradiff.py::test_weyl_apply_matches_brute_force_double_sum"
 ROWS = ("tests/test_paradiff.py::test_separable_apply_matches_active_row_walk",
         "tests/test_paradiff.py::test_separable_apply_matches_active_row_walk_pinned")
-DFT = "tests/test_paradiff.py::test_box_dft_matches_direct_sum"
+READ = ("tests/test_paradiff.py::test_box_dft_matches_direct_sum",
+        "tests/test_paradiff.py::test_every_plan_rho_reads_its_hermitian_partner")
 BOXES = "tests/test_paradiff.py::test_box_plan_is_the_full_plan_restricted_to_its_box"
 PASSES = "tests/test_paradiff.py::test_apply_is_independent_of_the_pass_length"
 ONE_ENTRY = "tests/test_paradiff.py::test_one_entry_passes_round_like_long_ones"
@@ -140,14 +141,15 @@ MUTANTS = (
            "np.count_nonzero(ok)",
            MEASURE),
     # the Weyl calculus: both application paths and the symbol algebra
-    Mutant("dft-box-one-short", PARADIFF,
-           "_dft_table(self.m, int(radius))",
-           "_dft_table(self.m, int(radius) - 1)",
-           (BRUTE, "tests/test_paradiff.py::test_dft_table_spans_the_plan_rho_box")),
-    Mutant("dft-twiddle-sign", PARADIFF,
-           "return np.exp(-1j * (TWO_PI / m) * nr)",
-           "return np.exp(1j * (TWO_PI / m) * nr)",
-           (BRUTE, DFT)),
+    # the general path's read of its rfft2: rho2 < 0 at the Hermitian point
+    Mutant("hermitian-read-no-conj", PARADIFF,
+           "            np.conjugate(v, out=v, where=flip)\n",
+           "",
+           (BRUTE, *READ)),
+    Mutant("hermitian-read-no-flip", PARADIFF,
+           "np.where(flip, -r1, r1) % m",
+           "r1 % m",
+           (BRUTE, *READ)),
     Mutant("every-term-zeta-free", PARADIFF,
            "gz = [None if term.gz is _one_fn else",
            "gz = [None if True else",
@@ -219,10 +221,6 @@ MUTANTS = (
            "mid = np.repeat(np.arange(j2 - j), np.diff(bound[j:j2 + 1]))",
            "mid = np.repeat(np.arange(1, j2 - j + 1), np.diff(bound[j:j2 + 1]))",
            (BRUTE, PAIRING)),
-    Mutant("short-batch-not-padded", PARADIFF,
-           "if j2 - j < step:",
-           "if False:",
-           (PAIRING,)),
     # values checked on entry: they would zero the operator or go unchecked
     Mutant("chi-exponent-nan-accepted", PARADIFF,
            "if not -math.inf < self.chi_exponent <= -1:",
