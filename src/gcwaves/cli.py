@@ -1,22 +1,23 @@
 """Experiment driver: every module surfaces as a subcommand.
 
-Usage:  gcwaves <subcommand> [--config FILE] [flags...] --out DIR
+Usage:  gcwaves <subcommand> [--config FILE] [--flag value | --flag=value ...] --out DIR
 
-Flags override values from the declarative JSON config file; every run
-writes its resolved configuration (run_config.json), a manifest recording
-all design knobs in effect (manifest.json), and the artifacts listed by
-``gcwaves schema``.  Identical (config, seed) pairs reproduce byte-identical
-artifacts.
+One flag table, FLAGS, declares each subcommand's flags as (type, default).
+The defaults, the declarative JSON config file, then argv are read through
+it, each value converted once by its flag's type; -h prints the table.  Every
+run, a usage error included, writes a manifest of the knobs in effect
+(manifest.json); a run that starts also writes its resolved configuration
+(run_config.json) and the artifacts listed by ``gcwaves schema``.  Identical
+(config, seed) pairs reproduce byte-identical artifacts.
 
-Exit codes: 0 ok, 2 invalid config/usage (a singular multiplier on a field
-with nonzero mean included), 3 resource budget exceeded,
-4 numeric abort, 5 internal error (an unexpected exception: a bug; the
-manifest's abort_reason holds a one-line traceback summary).
+Exit codes: 0 ok, 2 invalid config/usage (a singular multiplier on a field with
+nonzero mean included), 3 resource budget exceeded, 4 numeric abort, 5 internal
+error (an unexpected exception: a bug; the manifest's abort_reason holds a
+one-line traceback summary).
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import math
@@ -67,16 +68,12 @@ SCHEMAS = {
                         "max_modulation", "weight", "normalized_gap", "flags"],
         "summary.json": ["min_normalized_gap", "shell_stats", "n_evaluated", "meta"],
     },
-    "collinear": {
-        "gaps.csv": ["etax", "etay", "gap", "gap_times_xi6"],
-    },
+    "collinear": {"gaps.csv": ["etax", "etay", "gap", "gap_times_xi6"]},
     "lemma1": {
         "result.json": ["root", "interval", "length", "empty_forced",
                         "f_at_0", "f_at_B"],
     },
-    "measure": {
-        "bounds.csv": ["j", "bound", "n_intervals", "ratio_to_previous"],
-    },
+    "measure": {"bounds.csv": ["j", "bound", "n_intervals", "ratio_to_previous"]},
     "paradiff-audit": {
         "report.json": ["self_adjoint_err", "conjugation_err", "t_const_err",
                         "t_one_err", "composition(slopes)", "paralin", "chi_exponent"],
@@ -91,9 +88,7 @@ SCHEMAS = {
                               "max_hn_growth", "doubling_time", "censored", "n_steps"],
         "final_field.json/.csv": [*SNAPSHOT_COLUMNS],
     },
-    "sweep": {
-        "sweep.csv": [*SWEEP_COLUMNS, "# footer: p_fit, p_stderr"],
-    },
+    "sweep": {"sweep.csv": [*SWEEP_COLUMNS, "# footer: p_fit, p_stderr"]},
     "energy-audit": {
         "audit.json": ["rows(t,E_N,dE_dt_fd,dE_dt_trilinear,rel_err)",
                        "parts(t,hiMod,loMod_hiFreq,loMod_loFreq)", "totals",
@@ -103,115 +98,129 @@ SCHEMAS = {
 }
 
 
-@functools.cache
-def _parser():
-    """The argparse tree, built once per process; _resolve copies the
-    defaults it carries, so no state passes from one dispatch to the next."""
-    top = argparse.ArgumentParser(prog="gcwaves", description=__doc__)
-    sub = top.add_subparsers(dest="subcommand")
-
-    def add(name, **flags):
-        p = sub.add_parser(name)
-        p.add_argument("--config", type=str, default=None)
-        p.add_argument("--out", type=str, default=None)
-        for flag, (typ, default) in flags.items():
-            p.add_argument(f"--{flag}", type=typ, default=None,
-                           help=f"default {default!r}")
-        p.set_defaults(_defaults={k: v[1] for k, v in flags.items()},
-                       _types={k: v[0] for k, v in flags.items()})
-        return p
-
-    # --g accepts a float or one of the generic presets "sqrt2", "e", "pi/2"
-    add("scan3", g=(str, "sqrt2"), sigma=(float, 1.0), kappa=(float, 0.5),
-        **{"max-high": (int, 64), "max-low": (int, 4),
-           "n-records": (int, 100), "budget": (float, 2e9)})
-    add("scan4", g=(str, "sqrt2"), sigma=(float, 1.0),
-        **{"max-high": (int, 128), "max-low": (int, 2), "bprime": (float, 1.0),
-           "n-records": (int, 100), "budget": (float, 2e9)})
-    add("collinear", g=(str, "sqrt2"), sigma=(float, 1.0),
-        xi=(str, "6,0"))
-    add("lemma1", a=(float, 1.0), b=(float, 1.0), c=(float, 2.0),
-        bigB=(float, 10.0), delta=(float, 0.05))
-    add("measure", bigB=(float, 5.0), kappa=(float, 1.0), cutoff=(int, 32),
-        **{"j-min": (int, 5), "j-max": (int, 9), "budget": (float, 2e9)})
-    add("paradiff-audit", grid=(int, 16), chi=(int, -2), seed=(int, 0))
-    add("symbols", grid=(int, 32), g=(float, 1.0), sigma=(float, 1.0),
-        amplitude=(float, 1.0), seed=(int, 0), chi=(int, -2),
-        **{"eps-list": (str, "1e-1,1e-2,1e-3,1e-4")})
-    add("simulate", grid=(int, 64), g=(float, 1.0), epsilon=(float, 0.01),
-        dt=(float, 4e-3), seed=(int, 0), integrator=(str, "rk4"),
-        **{"t-end": (float, 10.0), "velocity-band": (int, VELOCITY_BAND),
-           "snapshot-dt": (float, 0.1), "sobolev-index": (float, 5.0),
-           "linear-only": (int, 0)})
-    add("sweep", grid=(int, 32), g=(float, 1.0), seed=(int, 2), dt=(float, 1e-2),
-        **{"eps-list": (str, "0.4,0.2,0.1,0.05"), "t-end": (float, 2000.0),
-           "courant": (float, 0.08), "sobolev-index": (float, 5.0)})
-    add("energy-audit", grid=(int, 32), g=(float, 1.0), epsilon=(float, 0.01),
-        dt=(float, 2e-3), seed=(int, 0), N=(float, 5.0), D=(float, 3.0),
-        **{"t-end": (float, 0.1), "audit-times": (str, "0.02,0.05,0.08"),
-           "depletion-radius": (int, 64)})
-    sub.add_parser("schema")
-    return top
+def integer(value):
+    """An int from argv text, or from a JSON number with no fractional part."""
+    if not isinstance(value, str) and int(value) != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
 
 
-def _resolve(args):
-    """Merge file config <- defaults, then apply explicit CLI flags.  File
-    values get the type their flag declares."""
-    cfg = dict(args._defaults)
-    if args.config:
+def finite(value):
+    """A float that is neither NaN nor infinite."""
+    if not math.isfinite(float(value)):
+        raise ValueError(f"{value!r} is not finite")
+    return float(value)
+
+
+def bit(value):
+    """0 or 1."""
+    if integer(value) not in (0, 1):
+        raise ValueError(f"{value!r} is not 0 or 1")
+    return integer(value)
+
+
+# {subcommand: {flag: (type, default)}}; each subcommand also takes --config FILE and
+# --out DIR.  A census's or collinear's --g is a float or a preset "sqrt2", "e", "pi/2".
+FLAGS = {
+    "scan3": {"g": (str, "sqrt2"), "sigma": (float, 1.0), "kappa": (float, 0.5),
+              "max-high": (integer, 64), "max-low": (integer, 4), "n-records": (integer, 100),
+              "budget": (finite, 2e9)},
+    "scan4": {"g": (str, "sqrt2"), "sigma": (float, 1.0), "max-high": (integer, 128),
+              "max-low": (integer, 2), "bprime": (float, 1.0), "n-records": (integer, 100),
+              "budget": (finite, 2e9)},
+    "collinear": {"g": (str, "sqrt2"), "sigma": (float, 1.0), "xi": (str, "6,0")},
+    "lemma1": {"a": (float, 1.0), "b": (float, 1.0), "c": (float, 2.0), "bigB": (float, 10.0),
+               "delta": (float, 0.05)},
+    "measure": {"bigB": (float, 5.0), "kappa": (float, 1.0), "cutoff": (integer, 32),
+                "j-min": (integer, 5), "j-max": (integer, 9), "budget": (finite, 2e9)},
+    "paradiff-audit": {"grid": (integer, 16), "chi": (integer, -2), "seed": (integer, 0)},
+    "symbols": {"grid": (integer, 32), "g": (float, 1.0), "sigma": (float, 1.0),
+                "amplitude": (float, 1.0), "seed": (integer, 0), "chi": (integer, -2),
+                "eps-list": (str, "1e-1,1e-2,1e-3,1e-4")},
+    "simulate": {"grid": (integer, 64), "g": (float, 1.0), "epsilon": (float, 0.01),
+                 "dt": (float, 4e-3), "seed": (integer, 0), "integrator": (str, "rk4"),
+                 "t-end": (float, 10.0), "velocity-band": (integer, VELOCITY_BAND),
+                 "snapshot-dt": (float, 0.1), "sobolev-index": (float, 5.0),
+                 "linear-only": (bit, 0)},
+    "sweep": {"grid": (integer, 32), "g": (float, 1.0), "seed": (integer, 2), "dt": (float, 1e-2),
+              "eps-list": (str, "0.4,0.2,0.1,0.05"), "t-end": (float, 2000.0),
+              "courant": (float, 0.08), "sobolev-index": (float, 5.0)},
+    "energy-audit": {"grid": (integer, 32), "g": (float, 1.0), "epsilon": (float, 0.01),
+                     "dt": (float, 2e-3), "seed": (integer, 0), "N": (float, 5.0),
+                     "D": (float, 3.0), "t-end": (float, 0.1),
+                     "audit-times": (str, "0.02,0.05,0.08"), "depletion-radius": (integer, 64)},
+}
+FLAG_USAGE = "[--config FILE] [--out DIR] [--FLAG VALUE | --FLAG=VALUE ...]"
+USAGE = f"usage: gcwaves {{{','.join([*FLAGS, 'schema'])}}} [-h] {FLAG_USAGE}"
+
+
+def _pairs(tokens):
+    """(name, value) per flag of argv, given as `--name value` or `--name=value`.  A
+    token that starts with `--` is never a value: a flag followed by one has value
+    None.  -h and --help are ("help", None); a stray token is (None, token)."""
+    pairs, i = [], 0
+    while i < len(tokens):
+        tok, i = tokens[i], i + 1
+        name, eq, value = tok[2:].partition("=")
+        if tok in ("-h", "--help"):
+            name, value = "help", None
+        elif not tok.startswith("--"):
+            name, value = None, tok
+        elif not eq and i < len(tokens) and not tokens[i].startswith("--"):
+            value, i = tokens[i], i + 1
+        elif not eq:
+            value = None
+        pairs.append((name, value))
+    return pairs
+
+
+def _resolve(sub, pairs):
+    """The run's config: the table's defaults, then the --config file, then argv,
+    each value converted once by its flag's type."""
+    table = FLAGS[sub]
+    for name, value in pairs:
+        if name is None:
+            raise ConfigError(f"unexpected argument {value!r}")
+        if name not in table and name not in ("config", "out"):
+            raise ConfigError(f"unknown flag --{name}")
+        if value is None:
+            raise ConfigError(f"flag --{name} needs a value")
+    layers = [dict(pairs)]
+    path = layers[0].pop("config", None)
+    if path:
         try:
-            with open(args.config) as fh:
+            with open(path) as fh:
                 file_cfg = json.load(fh)
         except (OSError, ValueError) as err:
-            raise ConfigError(f"cannot read config {args.config!r}: {err}") from err
+            raise ConfigError(f"cannot read config {path!r}: {err}") from err
         if not isinstance(file_cfg, dict):
-            raise ConfigError(f"config {args.config!r} is not a JSON object")
-        for k, v in file_cfg.items():
-            key = k.replace("_", "-")
-            if key not in cfg and key not in ("out",):
-                raise ConfigError(f"unknown config key {k!r}")
-            if key == "out":
-                continue
-            try:
-                cfg[key] = args._types[key](v)
-            except (TypeError, ValueError) as err:
-                raise ConfigError(f"config key {k!r}: {err}") from err
-            if args._types[key] is int and cfg[key] != v:
-                raise ConfigError(f"config key {k!r}: {v!r} is not an integer")
-    for k, v in vars(args).items():
-        key = k.replace("_", "-")
-        if key in cfg and v is not None:
-            cfg[key] = v
+            raise ConfigError(f"config {path!r} is not a JSON object")
+        layers.insert(0, {k.replace("_", "-"): v for k, v in file_cfg.items()})
+    cfg = {flag: default for flag, (_, default) in table.items()}
+    for layer in layers:
+        layer.pop("out", None)
+        for key, value in layer.items():
+            if key not in table:
+                raise ConfigError(f"unknown config key {key!r}")
+            cfg[key] = _convert(table[key][0], value, f"--{key}")
     return cfg
+
+
+def _convert(typ, value, what):
+    """typ(value), or a ConfigError naming what: every flag value and list item."""
+    try:
+        return typ(value)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ConfigError(f"{what}: {err}") from err
 
 
 def _parse_g(value):
     """Gravity parameter: a float, or one of the generic presets."""
-    if isinstance(value, str) and value in G_PRESETS:
-        return G_PRESETS[value]
-    return _number(float, value, "g")
+    return G_PRESETS[value] if value in G_PRESETS else _convert(float, value, "g")
 
 
-def _number(typ, text, what):
-    try:
-        return typ(text)
-    except ValueError as err:
-        raise ConfigError(f"{what}: {err}") from err
-
-
-def _floats(text):
-    return [_number(float, t, "list") for t in str(text).split(",") if t.strip()]
-
-
-def _ints(text):
-    return [_number(int, t, "list") for t in str(text).split(",") if t.strip()]
-
-
-def _budget(cfg):
-    """The scan budget as an int; NaN and infinity are rejected."""
-    if not math.isfinite(cfg["budget"]):
-        raise ConfigError(f"budget must be finite, got {cfg['budget']!r}")
-    return int(cfg["budget"])
+def _list(typ, text):
+    return [_convert(typ, t, "list") for t in str(text).split(",") if t.strip()]
 
 
 # ---------------------------------------------------------------------------
@@ -235,21 +244,20 @@ def _cmd_scan3(cfg, out):
     params = DispersionParams(_parse_g(cfg["g"]), cfg["sigma"])
     res = scan_three_wave(params, WeightParams(cfg["kappa"]),
                           ScanWindow(cfg["max-high"], cfg["max-low"]),
-                          n_records=cfg["n-records"], budget=_budget(cfg))
+                          n_records=cfg["n-records"], budget=cfg["budget"])
     return _write_census(res, out, "scan3")
 
 
 def _cmd_scan4(cfg, out):
     params = DispersionParams(_parse_g(cfg["g"]), cfg["sigma"])
     res = scan_four_wave(params, ScanWindow(cfg["max-high"], cfg["max-low"]),
-                         n_records=cfg["n-records"], bprime=cfg["bprime"],
-                         budget=_budget(cfg))
+                         n_records=cfg["n-records"], bprime=cfg["bprime"], budget=cfg["budget"])
     return _write_census(res, out, "scan4")
 
 
 def _cmd_collinear(cfg, out):
     params = DispersionParams(_parse_g(cfg["g"]), cfg["sigma"])
-    xi = tuple(_ints(cfg["xi"]))
+    xi = tuple(_list(int, cfg["xi"]))
     if len(xi) != 2:
         raise ConfigError(f"xi needs exactly two integers, got {cfg['xi']!r}")
     rows = collinear_gap(params, xi)
@@ -267,11 +275,10 @@ def _cmd_lemma1(cfg, out):
 def _cmd_measure(cfg, out):
     if cfg["j-min"] > cfg["j-max"]:
         raise ConfigError(f"need j-min <= j-max, got {cfg['j-min']} > {cfg['j-max']}")
-    rows = []
-    prev = None
+    rows, prev = [], None
     for mb in exceptional_measure_bounds(cfg["bigB"], range(cfg["j-min"], cfg["j-max"] + 1),
                                          WeightParams(cfg["kappa"]), cfg["cutoff"],
-                                         budget=_budget(cfg)):
+                                         budget=cfg["budget"]):
         ratio = mb.total / prev if prev not in (None, 0.0) else float("nan")
         rows.append((mb.j, mb.total, mb.n_intervals, ratio))
         prev = mb.total
@@ -319,7 +326,7 @@ def _cmd_symbols(cfg, out):
     grid = Grid(cfg["grid"])
     params = DispersionParams(cfg["g"], cfg["sigma"])
     base = random_state(grid, params, amplitude=cfg["amplitude"], seed=cfg["seed"])
-    eps_list = _floats(cfg["eps-list"])
+    eps_list = _list(float, cfg["eps-list"])
     states = [base.scaled(eps) for eps in eps_list]
     # one principal family per eps, read by the expansion check and by U
     families = [principal_family(st) for st in states]
@@ -338,8 +345,6 @@ def _cmd_symbols(cfg, out):
 
 
 def _cmd_simulate(cfg, out):
-    if cfg["linear-only"] not in (0, 1):
-        raise ConfigError(f"linear-only must be 0 or 1, got {cfg['linear-only']!r}")
     params = DispersionParams(cfg["g"], 1.0)
     mc = ModelConfig(params, Grid(cfg["grid"]), cfg["epsilon"], cfg["dt"],
                      cfg["t-end"], velocity_band=cfg["velocity-band"],
@@ -363,7 +368,7 @@ def _cmd_sweep(cfg, out):
     params = DispersionParams(cfg["g"], 1.0)
     mc = ModelConfig(params, Grid(cfg["grid"]), 0.1, cfg["dt"], cfg["t-end"],
                      sobolev_index=cfg["sobolev-index"], seed=cfg["seed"])
-    res = lifespan_sweep(mc, _floats(cfg["eps-list"]), courant=cfg["courant"])
+    res = lifespan_sweep(mc, _list(float, cfg["eps-list"]), courant=cfg["courant"])
     res.to_csv(f"{out}/sweep.csv")
     return {"p_fit": res.p_fit, "p_stderr": res.p_stderr}
 
@@ -372,7 +377,7 @@ def _cmd_energy_audit(cfg, out):
     params = DispersionParams(cfg["g"], 1.0)
     mc = ModelConfig(params, Grid(cfg["grid"]), cfg["epsilon"], cfg["dt"],
                      cfg["t-end"], seed=cfg["seed"])
-    audit = increment_audit(mc, None, _floats(cfg["audit-times"]),
+    audit = increment_audit(mc, None, _list(float, cfg["audit-times"]),
                             N=cfg["N"], D=cfg["D"])
     audit.save(f"{out}/audit.json")
     rep = depletion_checks(params, cfg["N"], cfg["depletion-radius"])
@@ -380,45 +385,38 @@ def _cmd_energy_audit(cfg, out):
     return {"max_rel_err": audit.max_rel_err, "factor_C": rep.factor_C}
 
 
-_COMMANDS = {
-    "scan3": _cmd_scan3, "scan4": _cmd_scan4, "collinear": _cmd_collinear,
-    "lemma1": _cmd_lemma1, "measure": _cmd_measure,
-    "paradiff-audit": _cmd_paradiff_audit, "symbols": _cmd_symbols,
-    "simulate": _cmd_simulate, "sweep": _cmd_sweep,
-    "energy-audit": _cmd_energy_audit,
-}
+# the body of each subcommand of the flag table
+_COMMANDS = {sub: globals()["_cmd_" + sub.replace("-", "_")] for sub in FLAGS}
 
 
 def dispatch(argv) -> int:
-    parser = _parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_CONFIG if exc.code else EXIT_OK
-    if not args.subcommand:
-        parser.print_usage()
+    sub, pairs = (argv[0] if argv else None), _pairs(argv[1:])
+    if sub in ("-h", "--help") or sub == "schema" and ("help", None) in pairs:
+        print(f"{USAGE}\n{__doc__}")
+        return EXIT_OK
+    if sub == "schema" and not pairs:
+        print(json.dumps(SCHEMAS, indent=2, sort_keys=True))
+        return EXIT_OK
+    if sub not in FLAGS:
+        print(USAGE, file=sys.stderr)
         return EXIT_CONFIG
-    if args.subcommand == "schema":
-        json.dump(SCHEMAS, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+    if ("help", None) in pairs:
+        print(f"usage: gcwaves {sub} {FLAG_USAGE}")
+        for flag, (typ, default) in FLAGS[sub].items():
+            print(f"  --{flag:<17} {typ.__name__:<8} default {default!r}")
         return EXIT_OK
 
-    t0 = time.time()
-    status = "ok"
-    abort_reason = None
-    summary = {}
-    last_good = None
-    cfg = None
-    code = EXIT_OK
-    out = args.out or f"gcwaves_out/{args.subcommand}"
+    t0, status, code, summary = time.time(), "ok", EXIT_OK, {}
+    cfg = abort_reason = last_good = None
+    out = dict(p for p in pairs if p[1] is not None).get("out") or f"gcwaves_out/{sub}"
     try:
-        cfg = _resolve(args)
+        cfg = _resolve(sub, pairs)
         try:
             os.makedirs(out, exist_ok=True)
         except OSError as err:
             raise ConfigError(f"cannot create output directory {out!r}: {err}") from err
         write_json(f"{out}/run_config.json", dict(cfg))
-        summary = _COMMANDS[args.subcommand](cfg, out)
+        summary = _COMMANDS[sub](cfg, out)
     except (ConfigError, SingularMultiplierError) as err:
         status, abort_reason, code = "config-error", str(err), EXIT_CONFIG
     except ResourceBudgetError as err:
@@ -432,7 +430,7 @@ def dispatch(argv) -> int:
         traceback.print_exc()
         status, abort_reason, code = "internal-error", _trace_summary(err), EXIT_INTERNAL
     manifest = {
-        "subcommand": args.subcommand,
+        "subcommand": sub,
         "config": cfg if status != "config-error" else None,
         "status": status,
         "abort_reason": abort_reason,

@@ -468,8 +468,7 @@ def scan_three_wave(params: DispersionParams, wp: WeightParams, window: ScanWind
             frequencies=(v1, v2, v3), signs=_RANK_PATTERNS3[rank],
             phase_value=ph, weight=w, normalized_gap=gap, flags=flags))
     records.sort(key=lambda r: (r.normalized_gap, r.frequencies))
-    min_gap = min((r.normalized_gap for r in records), default=math.inf)
-    return ScanResult(records, min_gap, stats, int(count.sum()),
+    return ScanResult(records, _census_min(records, stats), stats, int(count.sum()),
                       {"g": params.g, "sigma": params.sigma, "kappa": wp.kappa})
 
 
@@ -579,9 +578,15 @@ def scan_four_wave(params: DispersionParams, window: ScanWindow, n_records=100,
             frequencies=(v, xi, eta), signs=_RANK_PATTERNS4[key % 4],
             phase_value=val, weight=w, normalized_gap=gap, flags=flags))
     records.sort(key=lambda r: (r.normalized_gap, r.frequencies))
-    min_gap = min((r.normalized_gap for r in records), default=math.inf)
-    return ScanResult(records, min_gap, stats, int(count.sum()),
+    return ScanResult(records, _census_min(records, stats), stats, int(count.sum()),
                       {"g": params.g, "sigma": params.sigma, "bprime": bprime})
+
+
+def _census_min(records, stats):
+    """The least normalized gap of a census: its records' (re-evaluated in extended
+    precision where flagged), or with no record kept the least shell minimum."""
+    return min((r.normalized_gap for r in records),
+               default=min((s.min_gap for s in stats), default=math.inf))
 
 
 def _shell_stats(shells, count, best_gap, best_p32):

@@ -41,7 +41,7 @@ import numpy as np
 from .dispersion import DispersionParams, lam_grid
 from .errors import ConfigError, NumericAbortError
 from .fields import (FourierField, Grid, TWO_PI, check_power, dealias, finite_json, fit_line,
-                     l2_norm, phi_le, sobolev_norm, write_csv)
+                     l2_norm, phi_le, random_field, sobolev_norm, write_csv)
 
 #: the default velocity band B_V (V = P_{<=10} Im U), also the cutoff
 #: phi_{<=B} the energy symbol carries by default
@@ -101,13 +101,7 @@ def initial_data(cfg: ModelConfig) -> FourierField:
     of |U_0(x)| equals epsilon, so epsilon is the physical data size that
     controls the nonlinear time scale.
     """
-    rng = np.random.default_rng(cfg.seed)
-    g = cfg.grid
-    k1, k2 = g.freqs()
-    env = np.exp(-0.25 * (k1 * k1 + k2 * k2).astype(float))
-    c = (rng.standard_normal((g.size, g.size))
-         + 1j * rng.standard_normal((g.size, g.size))) * env
-    f = dealias(FourierField(g, c))
+    f = random_field(cfg.grid, cfg.seed, decay=0.25, mean_zero=False)
     return f * (TWO_PI * cfg.epsilon / l2_norm(f))
 
 

@@ -3,11 +3,14 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from gcwaves import cli
 from gcwaves.cli import (EXIT_CONFIG, EXIT_INTERNAL, EXIT_NUMERIC, EXIT_OK,
@@ -315,6 +318,12 @@ def test_named_caller_errors_map_to_config_exit(tmp_path, monkeypatch, error):
     ["energy-audit", "--grid", "8", "--t-end", "0.02", "--audit-times", ","],
     ["simulate", "--grid", "8", "--t-end", "0.05", "--snapshot-dt", "0"],
     ["simulate", "--grid", "8", "--t-end", "0.05", "--snapshot-dt", "-1"],
+    ["scan3", "--max-high", "abc"],
+    ["scan3", "--bogus", "1"],
+    ["scan3", "--max-h", "8", "--max-low", "1"],
+    ["symbols", "--grid", "8", "--eps-list", "-1e-2,1e-1"],
+    ["simulate", "--grid"],
+    ["scan3", "8"],
 ], ids=["g-text", "budget-inf", "n-records-negative", "bprime-nan", "bigB-nan",
         "eps-list-text", "eps-list-empty", "eps-zero", "dt-nan", "snapshot-dt-nan",
         "sobolev-index-nan", "t-end-negative", "courant-nan", "N-nan",
@@ -323,13 +332,36 @@ def test_named_caller_errors_map_to_config_exit(tmp_path, monkeypatch, error):
         "N-overflows-depletion-table", "N-overflows-grid-weight",
         "sobolev-index-overflows", "N-underflows-grid-weight", "audit-times-nan",
         "audit-times-inf", "audit-times-empty", "audit-times-commas", "snapshot-dt-zero",
-        "snapshot-dt-negative"])
+        "snapshot-dt-negative", "int-text", "unknown-flag", "flag-prefix",
+        "eps-list-negative", "flag-without-value", "stray-token"])
 def test_value_errors_become_config_errors_at_entry(tmp_path, argv):
     out = tmp_path / "bad"
     assert dispatch(argv + ["--out", str(out)]) == EXIT_CONFIG
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "config-error"
     assert manifest["abort_reason"]
+
+
+def test_flags_take_the_equals_form(tmp_path):
+    out = tmp_path / "run"
+    assert dispatch(["symbols", "--grid=8", "--eps-list=1e-1,1e-3", f"--out={out}"]) == EXIT_OK
+    rc = json.loads((out / "run_config.json").read_text())
+    assert (rc["grid"], rc["eps-list"]) == (8, "1e-1,1e-3")
+
+
+def test_help_prints_the_flag_table(tmp_path, monkeypatch, capsys):
+    # -h lists each flag with its type and default, exits 0 and writes nothing
+    monkeypatch.chdir(tmp_path)
+    for sub, table in cli.FLAGS.items():
+        assert dispatch([sub, "--seed", "1", "-h"]) == EXIT_OK
+        text = capsys.readouterr().out
+        for flag, (typ, default) in table.items():
+            assert re.search(rf"^  --{re.escape(flag)} +{typ.__name__} +default "
+                             rf"{re.escape(repr(default))}$", text, re.M), (sub, flag)
+        assert len(text.splitlines()) == len(table) + 1
+    assert dispatch(["--help"]) == EXIT_OK
+    assert cli.USAGE in capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("content", ["{not json", "[1, 2]", '{"max-high": "many"}',
@@ -445,3 +477,89 @@ def test_write_json_rejects_what_json_rejects(tmp_path):
             write_json(tmp_path / "bad.json", obj)
         with pytest.raises(TypeError):
             _write_json_by_two_encodes(tmp_path / "bad.json", obj)
+
+
+# ---------------------------------------------------------------------------
+# the parse, fuzzed: every argv that names a subcommand ends in a manifest
+# ---------------------------------------------------------------------------
+
+# argv text each table type reads, with the value it reads as
+_READS = {
+    cli.integer: st.integers(-10**6, 10**6).map(lambda n: (str(n), n)),
+    float: st.floats().map(lambda x: (repr(x), x)),
+    cli.finite: st.floats(allow_nan=False, allow_infinity=False).map(lambda x: (repr(x), x)),
+    cli.bit: st.sampled_from([("0", 0), ("1", 1)]),
+    str: st.text("-=.,e019abx", max_size=8).filter(lambda t: not t.startswith("--"))
+           .map(lambda t: (t, t)),
+}
+# argv text each table type refuses
+_REFUSES = {cli.integer: ["abc", "1.5", "", "1e3", "-"], float: ["abc", "", "1,2", "-x"],
+            cli.finite: ["nan", "inf", "-inf", "abc", ""], cli.bit: ["2", "-1", "0.5", ""],
+            str: []}
+
+
+def _rarely(items):
+    """A list with no item three times in four, else with one."""
+    return st.sampled_from([0, 0, 0, 1]).flatmap(
+        lambda n: st.lists(items, min_size=n, max_size=n))
+
+
+def _argv_items(sub):
+    """Lists of items (argv tokens, (flag, value read) or None where the tokens are a
+    usage error) for one subcommand, at most one of them an error."""
+    table = cli.FLAGS[sub]
+
+    def given_as(flag, text, value, equals):
+        return ((f"--{flag}={text}",) if equals else (f"--{flag}", text)), value
+
+    good = st.sampled_from(sorted(table)).flatmap(lambda f: st.builds(
+        lambda read, eq: given_as(f, read[0], (f, read[1]), eq), _READS[table[f][0]],
+        st.booleans()))
+    refused = st.builds(lambda fv, eq: given_as(*fv, None, eq), st.sampled_from(
+        [(f, t) for f, (typ, _) in table.items() for t in _REFUSES[typ]]), st.booleans())
+    unknown = st.one_of(st.text("abghmx-", min_size=1, max_size=5),
+                        st.sampled_from(sorted(table)).map(lambda f: f[:-1])).filter(
+        lambda n: n not in {*table, "config", "out", "help"}).map(
+        lambda n: ((f"--{n}", "1"), None))
+    stray = st.sampled_from(["8", "-1", "x", "", "-"]).map(lambda t: ((t,), None))
+    return st.tuples(st.lists(good, max_size=4),
+                     _rarely(st.one_of(refused, unknown, stray))).flatmap(
+        lambda lists: st.permutations(lists[0] + lists[1]))
+
+
+_CASES = st.sampled_from(sorted(cli.FLAGS)).flatmap(lambda sub: st.tuples(
+    st.just(sub), _argv_items(sub), _rarely(st.sampled_from(sorted(cli.FLAGS[sub])))))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_CASES)
+@example(case=("simulate", [(("--grid", "abc"), None)], []))
+@example(case=("scan3", [(("--bogus", "1"), None)], []))
+@example(case=("symbols", [(("--eps-list", "-1e-2,1e-1"), ("eps-list", "-1e-2,1e-1"))], []))
+@example(case=("scan3", [(("--max-h", "8"), None), (("--max-low", "1"), ("max-low", 1))], []))
+@example(case=("scan4", [(("--max-low=2",), ("max-low", 2)), (("--bprime", "-1"), ("bprime", -1.0)),
+                         (("--g", "e"), ("g", "e"))], []))
+@example(case=("simulate", [(("--seed", "3"), ("seed", 3))], ["grid"]))
+def test_every_argv_ends_in_a_manifest(tmp_path, monkeypatch, case):
+    # case: the subcommand, argv items, and flags given last with no value.  A
+    # stub stands in for each body, so only the parse runs.  An argv with no
+    # usage error exits 0 and hands the body every flag read by its type; any
+    # usage error exits 2; either way a manifest is written to --out
+    sub, items, dangling = case
+    received = []
+    monkeypatch.setattr(cli, "_COMMANDS", {s: lambda cfg, out: received.append(cfg) or {}
+                                           for s in cli.FLAGS})
+    out = pathlib.Path(tempfile.mkdtemp(dir=tmp_path))
+    argv = [sub, *(t for tokens, _ in items for t in tokens), "--out", str(out),
+            *(f"--{flag}" for flag in dangling)]
+    code = dispatch(argv)
+    status = json.loads((out / "manifest.json").read_text())["status"]
+    if dangling or any(read is None for _, read in items):
+        assert (code, status, received) == (EXIT_CONFIG, "config-error", [])
+        return
+    assert (code, status) == (EXIT_OK, "ok")
+    expected = {flag: default for flag, (_, default) in cli.FLAGS[sub].items()}
+    expected.update(read for _, read in items)
+    assert [(k, type(v), repr(v)) for k, v in received[0].items()] == [
+        (k, type(v), repr(v)) for k, v in expected.items()]

@@ -247,6 +247,21 @@ def test_scan3_positive_min_on_generic_g():
     assert all(s.min_gap > 0.0 for s in res.shell_stats)
 
 
+@pytest.mark.parametrize("census", ["scan3", "scan4"])
+def test_census_without_records_reports_the_shell_minimum(census):
+    # the minimum is over every evaluated tuple, whether or not a record is kept
+    params = DispersionParams(math.sqrt(2.0), 1.0)
+    run = {"scan3": lambda n: scan_three_wave(params, WeightParams(0.5), ScanWindow(8, 1),
+                                              n_records=n),
+           "scan4": lambda n: scan_four_wave(params, ScanWindow(8, 1), n_records=n)}[census]
+    bare, kept = run(0), run(1)
+    assert bare.records == [] and bare.n_evaluated == kept.n_evaluated
+    assert bare.min_gap == min(s.min_gap for s in bare.shell_stats)
+    assert 0.0 < bare.min_gap < math.inf
+    assert kept.min_gap == kept.records[0].normalized_gap
+    assert bare.min_gap == pytest.approx(kept.min_gap, rel=1e-12)
+
+
 def test_scan3_budget_guard():
     with pytest.raises(ResourceBudgetError):
         scan_three_wave(P11, WeightParams(0.5), ScanWindow(64, 4), budget=100)

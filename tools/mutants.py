@@ -1,7 +1,7 @@
 """Committed mutants of the lattice layer, the census, the Weyl calculus (its
 chi-plan build and sampled symbol norms), the slope fit, the good variable,
-the model kernel, the energy layer, the artifact writers and the CLI's exit
-codes: each one must be killed by the tests named for it.
+the model kernel, the energy layer, the artifact writers, and the CLI's flag
+parse and exit codes: each one must be killed by the tests named for it.
 
 A mutant replaces one exact piece of text in one file under ``src/``.  For
 each mutant the script copies ``src/`` to a temporary directory, applies the
@@ -337,6 +337,16 @@ MUTANTS = (
            "else repr(v) for v in row",
            "else str(v) for v in row",
            ("tests/test_fields.py::test_write_csv_writes_str_as_is_and_the_rest_by_repr",)),
+    # the flag table: each value, from argv or a config file, read once by its type
+    Mutant("flag-text-unconverted", CLI,
+           'cfg[key] = _convert(table[key][0], value, f"--{key}")',
+           'cfg[key] = value if key in layers[-1] else _convert(table[key][0], value, f"--{key}")',
+           ("tests/test_cli.py::test_config_file_merged_and_overridden",
+            "tests/test_cli.py::test_every_argv_ends_in_a_manifest")),
+    Mutant("config-int-accepts-fraction", CLI,
+           "if not isinstance(value, str) and int(value) != value:",
+           "if False:",
+           ("tests/test_cli.py::test_bad_config_file_is_a_config_error",)),
     Mutant("resource-error-exits-numeric", CLI,
            '"resource-error", str(err), EXIT_RESOURCE',
            '"resource-error", str(err), EXIT_NUMERIC',
