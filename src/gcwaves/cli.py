@@ -219,8 +219,10 @@ def _parse_g(value):
     return G_PRESETS[value] if value in G_PRESETS else _convert(float, value, "g")
 
 
-def _list(typ, text):
-    return [_convert(typ, t, "list") for t in str(text).split(",") if t.strip()]
+def _list(typ, cfg, flag):
+    """The comma-separated items of a list flag, each read by typ: an empty
+    item (a doubled, leading or trailing comma) is refused like any other."""
+    return [_convert(typ, t, f"--{flag}") for t in str(cfg[flag]).split(",")]
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +259,7 @@ def _cmd_scan4(cfg, out):
 
 def _cmd_collinear(cfg, out):
     params = DispersionParams(_parse_g(cfg["g"]), cfg["sigma"])
-    xi = tuple(_list(int, cfg["xi"]))
+    xi = tuple(_list(int, cfg, "xi"))
     if len(xi) != 2:
         raise ConfigError(f"xi needs exactly two integers, got {cfg['xi']!r}")
     rows = collinear_gap(params, xi)
@@ -326,7 +328,7 @@ def _cmd_symbols(cfg, out):
     grid = Grid(cfg["grid"])
     params = DispersionParams(cfg["g"], cfg["sigma"])
     base = random_state(grid, params, amplitude=cfg["amplitude"], seed=cfg["seed"])
-    eps_list = _list(float, cfg["eps-list"])
+    eps_list = _list(float, cfg, "eps-list")
     states = [base.scaled(eps) for eps in eps_list]
     # one principal family per eps, read by the expansion check and by U
     families = [principal_family(st) for st in states]
@@ -368,7 +370,7 @@ def _cmd_sweep(cfg, out):
     params = DispersionParams(cfg["g"], 1.0)
     mc = ModelConfig(params, Grid(cfg["grid"]), 0.1, cfg["dt"], cfg["t-end"],
                      sobolev_index=cfg["sobolev-index"], seed=cfg["seed"])
-    res = lifespan_sweep(mc, _list(float, cfg["eps-list"]), courant=cfg["courant"])
+    res = lifespan_sweep(mc, _list(float, cfg, "eps-list"), courant=cfg["courant"])
     res.to_csv(f"{out}/sweep.csv")
     return {"p_fit": res.p_fit, "p_stderr": res.p_stderr}
 
@@ -377,7 +379,7 @@ def _cmd_energy_audit(cfg, out):
     params = DispersionParams(cfg["g"], 1.0)
     mc = ModelConfig(params, Grid(cfg["grid"]), cfg["epsilon"], cfg["dt"],
                      cfg["t-end"], seed=cfg["seed"])
-    audit = increment_audit(mc, None, _list(float, cfg["audit-times"]),
+    audit = increment_audit(mc, None, _list(float, cfg, "audit-times"),
                             N=cfg["N"], D=cfg["D"])
     audit.save(f"{out}/audit.json")
     rep = depletion_checks(params, cfg["N"], cfg["depletion-radius"])

@@ -12,48 +12,60 @@ whole row is 0 (so T_a output is always mean-free and T_a kills constants),
 and symbols only ever get evaluated at |zeta| > 1/2.
 
 Both kinds of symbol read a chi-support plan of the input's eta box: the
-pairs (xi, eta) of the sum with chi > 0 and |eta|_inf <= K, 20 bytes each
-(int32 xi, rho and midpoint ids, float64 chi), ordered by row rho in
-increasing |rho|.  An application takes the smallest K holding the support
-of fhat, so its walk holds only entries that can contribute.  For a symbol
-with finite values every entry it leaves out would add an exact zero
-(fhat(eta) = 0 times a finite weight, onto an output that never holds
--0.0), so the sums are those of the full plan, K = M//2 - 1.  The plans of one (grid size, chi exponent) are built on
-demand and kept together as one entry of the lattice plan cache
-(``gcwaves.lattice``).  At chi_exponent = -2 the full plan holds 0.16M
-entries (3.1 MB) at 32^2 and 2.7M (54 MB) at 64^2.  At 32^2 a dealiased
-input (K = 10) reads 63,736 entries (41%), a band-2 probe (K = 6) 13,400
-and a constant (K = 0) none; at 12^2 the 2,464 entries and 416 midpoints
-of the full plan are 816 and 264 at K = 3.
+pairs (xi, eta) of the sum with chi > 0 and |eta|_inf <= K.  The support is
+unchanged by (xi, eta) -> (-xi, -eta), which keeps chi, so the plan stores
+one row rho of each +-rho pair, 20 bytes an entry (int32 xi, rho and
+midpoint ids, float64 chi), rows in increasing |rho|, and every walk visits
+a stored entry twice: as itself and as its mirror, weighed at -rho and
+midpoint id ^ 1 with flat index 2 origin - f for eta, all computed on the
+walk's views.  The rho = 0 row (its own mirror) and the rows on a Nyquist
+line (mirror off the grid; only chi_exponent = -1 plans hold entries
+there) are walked once.  The stored entries sum into one output and their
+mirrors into another (kept as its mirror image), each in a fixed order,
+and the two are added at the end.  An application
+takes the smallest K holding the support of fhat, so its walk holds only
+entries that can contribute.  For a symbol with finite values every entry
+it leaves out would add an exact zero (fhat(eta) = 0 times a finite weight,
+onto an output that never holds -0.0), so the sums are those of the full
+plan, K = M//2 - 1.  The plans of one (grid size, chi exponent) are built
+on demand and kept together as one entry of the lattice plan cache
+(``gcwaves.lattice``).  At chi_exponent = -2 the full plan stores 78,940 of
+its 0.16M pairs (1.6 MB) at 32^2 and 1.34M of 2.7M (27 MB) at 64^2.  At
+32^2 a dealiased input (K = 10) reads 32,088 stored entries for its 63,736
+pairs (41%), a band-2 probe (K = 6) 6,784 for 13,400 and a constant (K =
+0) none; at 12^2 the 1,292 entries (2,464 pairs) and 416 midpoints of the
+full plan are 432 (816) and 264 at K = 3.
 
 Symbols come in two flavours:
   * separable - a finite sum of terms  spatial(x) * g(zeta); rows are exact.
-    The plan is extended only out to the largest |rho| with a nonzero
-    spatial coefficient, each g is evaluated once per midpoint, and an
-    application costs one gather and one scatter per entry of every row up
-    to the last occupied one, in passes of lattice.BLOCK entries through
-    buffers every plan shares.  Fourier multipliers and function symbols are
-    the 1-term cases.  A zeta-free term (g = 1, as Symbol.from_function
+    The plan is extended only out to the last stored row whose rho or -rho
+    has a nonzero spatial coefficient, each g is evaluated once per
+    midpoint, and an application costs one gather and one scatter per
+    entry, stored or mirrored, of every row up to that one, in passes of
+    lattice.BLOCK entries through buffers every plan shares.  Fourier
+    multipliers and function symbols are the 1-term cases.  A zeta-free term (g = 1, as Symbol.from_function
     builds it, marked through conj_flip) adds its row coefficient with no
     midpoint gather and no multiply.
   * general   - an arbitrary vectorized evaluator fn(X1, X2, Z1, Z2); it
-    reads the whole plan grouped by midpoint (one more int32 per entry) and
-    costs one evaluation of a(., zeta) per midpoint, in batches of at most
-    2^15 samples; intended for grids up to 64^2.  Midpoint ids number each
-    pair +-s as 2i (-s) and 2i + 1 (s), so a pair's entries are adjacent in
-    the plan's midpoint order.  A symbol declared even in zeta
+    reads the whole plan grouped by midpoint (one more int32 per stored
+    entry) and costs one evaluation of a(., zeta) per midpoint, in batches
+    of at most 2^15 samples; intended for grids up to 64^2.  Midpoint ids
+    number each pair +-s as 2i (-s) and 2i + 1 (s), so a pair's stored
+    entries are adjacent in the plan's midpoint order, and their mirrors
+    belong to the same pair.  A symbol declared even in zeta
     (Symbol.general(..., even=True), as goodvar's pointwise symbols are)
-    costs one evaluation and one transform per pair; the midpoints of
+    costs one evaluation and one transform per pair, at s; the midpoints of
     every plan checked (6^2 to 32^2, chi -1 to -3, every eta box) come in
     such pairs.  Either way a batch of samples serves one contiguous run of
-    the plan's midpoint order, summed in that order as soon as it is
-    weighed, so the sums do not change with the declaration and the walk
-    holds one batch.
+    the plan's midpoint order and that run's mirrors, summed in that order
+    as soon as it is weighed, so the sums do not change with the
+    declaration or the batch and the walk holds one batch.
     Each part of a batch (real samples whole, else the real and imaginary
     parts; a part that vanishes on the batch is skipped) is transformed in
     x by one rfft2, and each entry reads atilde(rho, zeta) from it with one
-    Hermitian gather (_rfft_read).  pocketfft transforms each sample on its
-    own, so a midpoint's values do not depend on the batch that holds it.
+    Hermitian gather (_rfft_read), its mirror atilde(-rho, -zeta).  pocketfft
+    transforms each sample on its own, so a midpoint's values do not depend
+    on the batch that holds it.
 
 Symbol frequencies xi - eta outside the grid rectangle are treated as zero
 rows (a discretization truncation; chi suppresses that region anyway).
@@ -345,6 +357,13 @@ class _ChiPlans:
     flat(-s) = L-1-f, the pair +-s holds the consecutive ids 2i (-s first)
     and 2i + 1, and the mirror of an id is id ^ 1; ``sums`` gives s by id.
 
+    The plan rows (``rows``, centered flat rho) are one row of each +-rho
+    pair: rho = 0, then the member with the smaller flat index of each pair
+    with both on the grid, in increasing |rho|, and last the rows on a
+    Nyquist line, whose -rho is off the grid.  Rows 1 .. twins - 1 have a
+    mirror row, walked through the mirrors of their entries.  ``flip``
+    maps the flat index of v to that of -v (Nyquist-line v to themselves).
+
     chi(|rho| / |xi + eta|) > 0 needs the integer |xi + eta|^2 above c
     |rho|^2, c = (2^-chi_exponent / R_OUT)^2 (the bump's support): per plan
     row, chi is 0 for certain at or below ``lower``, the floor of c |rho|^2
@@ -361,7 +380,17 @@ class _ChiPlans:
         self.sums = (f // (2 * m - 1) - (m - 1), f % (2 * m - 1) - (m - 1))   # coords(2M-1)[f]
         self.origin = int(flat((0, 0), m))
         rsq = self.k1 ** 2 + self.k2 ** 2
-        self.rows = np.argsort(rsq, kind="stable")      # centered flat rho, plan order
+        # one row of each +-rho pair, in increasing |rho|: rho = 0, the member
+        # with the smaller flat index (flat(-rho) = 2 origin - flat(rho)), and
+        # last the rows on a Nyquist line, whose mirror is off the grid
+        order = np.argsort(rsq, kind="stable")
+        nyquist = (self.k1 == -(m // 2)) | (self.k2 == -(m // 2))
+        paired = order[(order < self.origin) & ~nyquist[order]]
+        self.rows = np.concatenate(([self.origin], paired, order[nyquist[order]]))
+        self.twins = 1 + len(paired)     # rows 1 .. twins - 1 are walked mirrored too
+        # flat(-v) by flat(v) off the Nyquist lines; those map to themselves
+        f = np.arange(m * m)
+        self.flip = np.where(nyquist, f, 2 * self.origin - f)
         self.row_sq = rsq[self.rows]
         c = (2.0 ** -chi_exponent / R_OUT) ** 2 * (1.0 - 1e-9)
         # |xi + eta|^2 <= 2 (m - 2)^2 < 2 m^2: a bound at or above it keeps no pair
@@ -399,47 +428,63 @@ class _ChiPlan:
     """The chi support on an M x M grid for inputs supported in the eta box
     |eta|_inf <= K, shared by both application paths.
 
-    One entry per pair (xi, eta) with |eta|_inf <= K <= M // 2 - 1, xi off
-    the Nyquist rows, rho = xi - eta on the grid, xi + eta != 0 and
-    chi(|rho| / |xi + eta|) > 0: int32 flat indices of xi and rho in the
+    The support is the set of pairs (xi, eta) with |eta|_inf <= K <= M // 2
+    - 1, xi off the Nyquist rows, rho = xi - eta on the grid, xi + eta != 0
+    and chi(|rho| / |xi + eta|) > 0.  It is unchanged by (xi, eta) -> (-xi,
+    -eta), which keeps chi and maps rho to -rho and the midpoint id to id ^
+    1, so the plan stores the rows of _ChiPlans (one row of each +-rho
+    pair) and represents the other row of a pair by the mirrors of its
+    entries.  An entry is 20 bytes: int32 flat indices of xi and rho in the
     centered M-box, the int32 midpoint id of the sum s = xi + eta (the pair
-    numbering of _ChiPlans), and float64 chi.  Entries run row by
-    row, rows in increasing |rho|, with row k at entries [row_start[k],
-    row_start[k+1]) in the lex order of eta (and so of xi).  A K-plan is
-    thus the order-preserving subsequence |eta|_inf <= K of the full plan,
-    K = M // 2 - 1, and an input whose coefficients vanish off the box gets
-    the full plan's sums from it: each skipped entry adds an exact zero.
-    ``extend`` builds rows only as far as a call needs, and chi is evaluated
-    nowhere else.  It walks the new rows twice, a block of rows at a time:
-    a count pass counts the pairs above the integer lower bound of
+    numbering of _ChiPlans), and float64 chi.  Entries run row by row, in
+    the row order of _ChiPlans, with row k at entries [row_start[k],
+    row_start[k+1]) in the lex order of eta (and so of xi).  Rows 1 ..
+    twins - 1 are mirrored: every walk visits their entries twice, as
+    themselves and as (-xi, -eta), with no table of the mirrors.  A mirror
+    is weighed at -rho and midpoint id ^ 1 (through flipped weight tables
+    on the separable path, from the batch's transform on the general path),
+    its flat eta is 2 origin - flat(eta) on the pass's views, and it is
+    summed at xi into a mirror image of the output, flipped once at the
+    end.  The rho = 0 row (its own mirror) and the Nyquist-line rows
+    (mirrors off the grid) are walked once.  A K-plan is the
+    order-preserving subsequence |eta|_inf <= K of the full plan, K = M // 2
+    - 1, and so are its mirrors; an input whose coefficients vanish off the
+    box gets the full plan's sums from it: each skipped entry adds an exact
+    zero.
+
+    ``extend`` builds stored rows only as far as a call needs, and chi is
+    evaluated nowhere else.  It walks the new rows twice, a block of rows at
+    a time: a count pass counts the pairs above the integer lower bound of
     _ChiPlans, then a fill pass evaluates chi on them and writes the kept
     entries one after another into arrays allocated once at that count (a
     thin band of pairs with chi = 0 is the only slack), so a build peaks
     near the finished plan plus one block.  The separable path walks the
-    rows as one contiguous prefix of the entry arrays, in passes of BLOCK
-    entries; ``by_midpoint`` groups the whole plan by midpoint with one
-    int32 permutation for the general path.
+    stored rows as one contiguous prefix of the entry arrays, then the
+    mirrored rows of that prefix, in passes of BLOCK entries;
+    ``by_midpoint`` groups the stored entries by midpoint with one int32
+    permutation for the general path.
     """
 
     def __init__(self, plans, radius):
         self.radius = radius
         self.etas = np.arange(-radius, radius + 1, dtype=np.int32)   # eta_i in the box
-        self.m, self.chi_fn, self.origin = plans.m, plans.chi_fn, plans.origin
+        self.m, self.chi_fn, self.origin, self.flip = plans.m, plans.chi_fn, plans.origin, plans.flip
         self.lower = plans.lower
         self.k1, self.k2, self.sums, self.mid_id = plans.k1, plans.k2, plans.sums, plans.mid_id
-        self.rows, self.row_sq = plans.rows, plans.row_sq
+        self.rows, self.twins = plans.rows, plans.twins
         self.row_start = np.zeros(1, np.int64)           # entries of row k: [start[k], start[k+1])
         self.xi = np.zeros(0, np.int32)
         self.rho = np.zeros(0, np.int32)
         self.mid = np.zeros(0, np.int32)
         self.chi = np.zeros(0)
-        # first plan row that reaches each midpoint (m * m: none yet)
-        self.mid_row = np.full(len(self.sums[0]), self.m * self.m, np.int32)
+        # first plan row that reaches each midpoint pair i, the ids 2i (-s)
+        # and 2i + 1 (s), as stored or mirrored entries (m * m: none yet)
+        self.pair_row = np.full((len(self.sums[0]) + 1) // 2, self.m * self.m, np.int32)
         self._by_mid = None
 
-    def extend(self, rho_sq):
-        """Build every row with |rho|^2 <= rho_sq; return that row count."""
-        n = int(np.searchsorted(self.row_sq, rho_sq, side="right"))
+    def extend(self, n=None):
+        """Build the first n stored rows, every row by default; return n."""
+        n = len(self.rows) if n is None else n
         built = len(self.row_start) - 1
         if n <= built:
             return n
@@ -466,7 +511,7 @@ class _ChiPlan:
             s1, s2 = x1 + e1, x2 + e2
             _guard_zeta(0.25 * (s1 * s1 + s2 * s2))
             mid = self.mid_id[flat(np.stack((s1, s2), axis=-1), 2 * self.m - 1)]
-            np.minimum.at(self.mid_row, mid, ks[b])
+            np.minimum.at(self.pair_row, mid >> 1, ks[b])
             e = slice(at, at + len(b))
             self.xi[e] = flat(np.stack((x1, x2), axis=-1), self.m)
             self.rho[e] = rho
@@ -492,36 +537,37 @@ class _ChiPlan:
         return ((np.abs(k[:, None] + r1) < half) & (np.abs(k[None, :] + r2) < half)
                 & (s1 * s1 + s2 * s2 > self.lower[ks][:, None, None]))
 
+    def mirrored(self, n):
+        """The entries [lo, hi) of the mirrored rows among the first n rows."""
+        return int(self.row_start[min(1, n)]), int(self.row_start[min(self.twins, n)])
+
     def zeta(self, ids):
         """The midpoints zeta = s / 2 of midpoint ids."""
         return 0.5 * self.sums[0][ids], 0.5 * self.sums[1][ids]
 
     def by_midpoint(self):
-        """The whole plan grouped by midpoint: (perm, start, ids, rep), the
-        entries perm[start[j]:start[j+1]] sharing midpoint ids[j], and the
-        representative rep[j] of each midpoint: the position in ids of the
-        odd id of the pair {s, -s} (ids ^ 1 is the mirror), or j when -s is
-        not a midpoint of the plan.  Ids are in increasing order, so a pair
-        sits at adjacent positions, -s first, and its entries form one run
-        of perm.  Built once per plan, by one stable argsort and a bincount."""
+        """The stored entries grouped by midpoint pair: (perm, start, pairs),
+        the entries perm[start[j]:start[j+1]] having the ids 2 pairs[j] (-s)
+        and 2 pairs[j] + 1 (s), in increasing id and then plan order.  An
+        entry's mirror has the other id of its pair, so a run of perm holds
+        every entry, stored or mirrored, at the midpoints of its pairs.
+        Pairs are in increasing order.  Built once per plan, by one stable
+        argsort and a bincount."""
         if self._by_mid is None:
-            self.extend(np.inf)
+            self.extend()
             # the argsort first, the peak of a build, with no other temporary alive
             perm = np.argsort(self.mid, kind="stable").astype(np.int32)
-            counts = np.bincount(self.mid, minlength=len(self.mid_row))
-            ids = np.flatnonzero(counts)
-            # the id of -s, and its position in ids
-            mirror = ids ^ 1
-            at = np.minimum(np.searchsorted(ids, mirror), len(ids) - 1)
-            j = np.arange(len(ids))
-            rep = np.where(ids[at] == mirror, np.maximum(j, at), j)
-            self._by_mid = (perm, np.concatenate(([0], np.cumsum(counts[ids]))), ids, rep)
+            counts = np.bincount(self.mid >> 1, minlength=len(self.pair_row))
+            pairs = np.flatnonzero(counts)
+            self._by_mid = (perm, np.concatenate(([0], np.cumsum(counts[pairs]))), pairs)
         return self._by_mid
 
-    def accumulate(self, out, e, w, fc, extra_weight, divisor=1.0):
+    def accumulate(self, out, e, w, fc, extra_weight, divisor=1.0, mirror=False):
         """out[xi] += w chi [extra] fhat(eta) / divisor over the entries e, at
-        most BLOCK of them; work[0] (which may be w), work[1] and work[2] of
-        _pass_buffers are written.
+        most BLOCK of them; with ``mirror`` the same over their mirrors (-xi,
+        -eta), out being the mirror image of its output (the sum for -xi at
+        xi).  work[0] (which may be w), work[1] and work[2] of _pass_buffers
+        are written.
 
         A complex product takes its gathered operand first: numpy elides a
         temporary operand of 256 KiB or more by multiplying into it in
@@ -535,13 +581,15 @@ class _ChiPlan:
         xi, rho = self.xi[e], self.rho[e]
         w = np.multiply(w, self.chi[e], out=work[0, :len(xi)])
         if extra_weight is not None:
-            x1, x2 = self.k1[xi].astype(float), self.k2[xi].astype(float)
-            r1, r2 = self.k1[rho].astype(float), self.k2[rho].astype(float)
+            sign = -1 if mirror else 1   # negated as integers: no -0.0
+            x1, x2 = (sign * self.k1[xi]).astype(float), (sign * self.k2[xi]).astype(float)
+            r1, r2 = (sign * self.k1[rho]).astype(float), (sign * self.k2[rho]).astype(float)
             w = np.multiply(extra_weight(x1, x2, r1, r2, x1 - 0.5 * r1, x2 - 0.5 * r2), w)
-        eta = np.subtract(xi, rho, out=buf[:len(w)])
+        # flat(eta), or flat(-eta) = 2 origin - flat(eta)
+        eta = np.subtract(*((rho, xi) if mirror else (xi, rho)), out=buf[:len(w)])
         eta += self.origin
-        # np.take: the int32 plan indices are not converted as [] would
-        v = np.multiply(np.take(fc, eta, out=work[2, :len(w)], mode="clip"), w,
+        # take: the int32 plan indices are not converted as [] would
+        v = np.multiply(fc.take(eta, out=work[2, :len(w)], mode="clip"), w,
                         out=work[1, :len(w)])
         if divisor != 1.0:
             v /= divisor
@@ -569,18 +617,24 @@ def weyl_apply(a: Symbol, f: FourierField, cfg: ParadiffConfig,
     centered, fft = shift_perms(m)
     fc = np.take(f.coeffs, centered)
     plan = _plans(m, cfg.chi_exponent).covering(fc)
-    out = np.zeros(m * m, np.complex128)
+    # out[0] sums the stored entries, out[1] their mirrors (as the mirror
+    # image of its output), each in walk order
+    out = np.zeros((2, m * m), np.complex128)
     if a.is_separable:
         _apply_rows(a, f.grid, cfg, plan, out, fc, extra_weight)
     else:
         _apply_midpoints(a, f.grid, plan, out, fc, extra_weight)
+    out = out[0] + np.take(out[1], plan.flip)
     out[plan.origin] = 0.0  # xi = 0 convention
     return FourierField(f.grid, np.take(out, fft).reshape(m, m))
 
 
 def _apply_rows(a, grid, cfg, plan, out, fc, extra_weight):
-    """Separable symbols: the entries of every row up to the last one some
-    term occupies, with weight sum_t (shat_t(rho) / 4 pi^2) g_t(zeta)."""
+    """Separable symbols: the entries of every stored row up to the last one
+    some term occupies at rho or -rho, with weight sum_t (shat_t(rho) / 4
+    pi^2) g_t(zeta), into out[0]; then the mirrors of the mirrored rows
+    among them, weighed at -rho and -zeta through mirrored tables of the
+    coefficients and g_t, into out[1]."""
     m = grid.size
     coefs = np.zeros((len(a.terms), m * m), np.complex128)
     for c, term in zip(coefs, a.terms):
@@ -593,74 +647,96 @@ def _apply_rows(a, grid, cfg, plan, out, fc, extra_weight):
         tol = cfg.row_tol * np.max(np.abs(sc)) if cfg.row_tol else 0.0
         kept = np.abs(sc) > tol
         c[kept] = sc[kept] / _FOUR_PI2
-    active = np.flatnonzero(np.any(coefs != 0.0, axis=0)[plan.rows])
+    occupied = np.any(coefs != 0.0, axis=0)
+    # a stored row is walked when rho or -rho is occupied
+    active = np.flatnonzero((occupied | occupied[plan.flip])[plan.rows])
     if not len(active):
         return
-    n = plan.extend(plan.row_sq[active[-1]])
-    # a zeta-free term (factor _one_fn) reads no midpoint values
-    gz = [None if term.gz is _one_fn else np.zeros(len(plan.mid_row), np.complex128)
+    n = plan.extend(active[-1] + 1)
+    # a zeta-free term (factor _one_fn) reads no midpoint values; the g
+    # tables hold one slot past the last id, so that their ids pair up
+    gz = [None if term.gz is _one_fn else np.zeros(len(plan.sums[0]) + 1, np.complex128)
           for term in a.terms]
     if any(g is not None for g in gz):
-        live = np.flatnonzero(plan.mid_row < n)
+        pairs = np.flatnonzero(plan.pair_row < n)
+        live = np.stack((2 * pairs, 2 * pairs + 1), axis=-1).ravel()
         z1, z2 = plan.zeta(live)
         for g, term in zip(gz, a.terms):
             if g is not None:
                 g[live] = term.gz(z1, z2)
+    # the mirror (-xi, -eta) of an entry is weighed at -rho and at the
+    # other id of its midpoint pair
+    tables = ((coefs, gz), (coefs[:, plan.flip],
+                            [None if g is None else g.reshape(-1, 2)[:, ::-1].ravel() for g in gz]))
     # slices, not gathers: the inactive rows inside the prefix add exact zeros
     end = int(plan.row_start[active[-1] + 1])
     work = _pass_buffers()[0]
-    for lo in range(0, end, BLOCK):
-        e = slice(lo, min(lo + BLOCK, end))
-        rho, mid = plan.rho[e], plan.mid[e]
-        # no complex product writes over an operand (see accumulate)
-        w, t, u, p = work[:, :len(rho)]
-        if gz[0] is None:
-            np.take(coefs[0], rho, out=w, mode="clip")
-        else:
-            np.multiply(np.take(gz[0], mid, out=t, mode="clip"),
-                        np.take(coefs[0], rho, out=u, mode="clip"), out=w)
-        for c, g in zip(coefs[1:], gz[1:]):
-            term = np.take(c, rho, out=t, mode="clip")
-            if g is not None:
-                term = np.multiply(term, np.take(g, mid, out=u, mode="clip"), out=p)
-            w += term
-        plan.accumulate(out, e, w, fc, extra_weight)
+    for twin, (lo, hi) in enumerate(((0, end), plan.mirrored(active[-1] + 1))):
+        cs, gs = tables[twin]
+        for p in range(lo, hi, BLOCK):
+            e = slice(p, min(p + BLOCK, hi))
+            rho, mid = plan.rho[e], plan.mid[e]
+            # no complex product writes over an operand (see accumulate)
+            w, t, u, q = work[:, :len(rho)]
+            if gs[0] is None:
+                cs[0].take(rho, out=w, mode="clip")
+            else:
+                np.multiply(gs[0].take(mid, out=t, mode="clip"),
+                            cs[0].take(rho, out=u, mode="clip"), out=w)
+            for c, g in zip(cs[1:], gs[1:]):
+                term = c.take(rho, out=t, mode="clip")
+                if g is not None:
+                    term = np.multiply(term, g.take(mid, out=u, mode="clip"), out=q)
+                w += term
+            plan.accumulate(out[twin], e, w, fc, extra_weight, mirror=twin)
 
 
 def _apply_midpoints(a, grid, plan, out, fc, extra_weight):
     """General symbols: a(x, zeta) sampled by the symbol's own evaluator on
-    batches of midpoints, and each entry's atilde(rho, zeta) read from the
-    batch's rfft2 (_rfft_read).
+    batches of midpoint pairs, and each entry's atilde(rho, zeta) read from
+    the batch's rfft2 (_rfft_read).
 
-    The walk samples by_midpoint's midpoints in id order, each sample at
-    the last midpoint it serves: one per +-s pair, at s (the pair's odd id),
-    for a symbol declared even in zeta, every midpoint otherwise.  A pair's
-    ids are adjacent, so a batch of samples serves one contiguous run of
-    perm: its entries are weighed (each read at its own rho) and
-    accumulated at once, in passes of at most BLOCK entries, and the walk
-    holds one batch.  A midpoint's weights depend on neither its batch
-    (each sample is transformed on its own) nor its sample, and every entry
-    is summed in perm order, so the sums are bit for bit the same for a
-    symbol declared even or not."""
+    The walk takes by_midpoint's pairs in order, a batch of them at a time,
+    and samples each pair at -s and s, or at s alone for a symbol declared
+    even in zeta.  A batch serves one contiguous run of perm: each stored
+    entry is read at its rho and its own midpoint, and its mirror, if it is
+    on a mirrored row, at -rho and the other midpoint of the pair (an even
+    symbol's one sample serves both).  The run is accumulated into out[0]
+    and its mirrors into out[1] at once, in passes of at most BLOCK
+    entries, so the walk holds one batch.  A midpoint's weights depend on
+    neither its batch (each sample is transformed on its own) nor its
+    sample, and each of out[0] and out[1] sums its entries in perm order, so
+    the sums are bit for bit the same for any batch and for a symbol
+    declared even or not."""
     m = grid.size
-    perm, start, ids, rep = plan.by_midpoint()
+    perm, start, pairs = plan.by_midpoint()
     X1, X2 = grid.x()
-    last = np.flatnonzero(rep == np.arange(len(ids))) if a.even else np.arange(len(ids))
-    bound = np.concatenate(([0], start[last + 1]))   # sample i: perm[bound[i]:bound[i + 1]]
-    step = max(1, _SAMPLES // (m * m))
-    for j in range(0, len(last), step):
-        j2 = min(j + step, len(last))
-        z1, z2 = plan.zeta(ids[last[j:j2]])
+    side = (1,) if a.even else (0, 1)    # a pair's samples: its ids 2i + side
+    swap = 0 if a.even else 1           # a mirror's sample: its entry's ^ swap
+    lo, hi = plan.mirrored(len(plan.rows))
+    step = max(1, _SAMPLES // (len(side) * m * m))
+    for j in range(0, len(pairs), step):
+        j2 = min(j + step, len(pairs))
+        ids = (2 * pairs[j:j2, None] + np.array(side)).ravel()
+        z1, z2 = plan.zeta(ids)
         vals = np.broadcast_to(a.fn(X1[None], X2[None], z1[:, None, None], z2[:, None, None]),
-                               (j2 - j, m, m))
-        run = perm[bound[j]:bound[j2]]
+                               (len(ids), m, m))
+        run = perm[start[j]:start[j2]]
+        # each entry's sample: its pair's first, then its own side when both are taken
+        at = np.repeat(np.arange(0, len(ids), len(side)), np.diff(start[j:j2 + 1]))
+        if not a.even:
+            at += plan.mid[run] & 1
+        twin = (run >= lo) & (run < hi)
         rho = plan.rho[run]
-        mid = np.repeat(np.arange(j2 - j), np.diff(bound[j:j2 + 1]))
-        w = _rfft_read(vals, mid, plan.k1[rho], plan.k2[rho])
+        r1, r2 = plan.k1[rho], plan.k2[rho]
+        w = _rfft_read(vals, np.concatenate((at, at[twin] ^ swap)),
+                       np.concatenate((r1, -r1[twin])), np.concatenate((r2, -r2[twin])))
         # w = 0.0 when a(., zeta) = 0 on the whole batch
-        w = np.broadcast_to(w * (TWO_PI / m) ** 2, run.shape)
-        for e in range(0, len(run), BLOCK):
-            plan.accumulate(out, run[e:e + BLOCK], w[e:e + BLOCK], fc, extra_weight, _FOUR_PI2)
+        w = np.broadcast_to(w * (TWO_PI / m) ** 2, (len(run) + np.count_nonzero(twin),))
+        for t, (ents, ws) in enumerate(((run, w[:len(run)]), (run[twin], w[len(run):]))):
+            for e in range(0, len(ents), BLOCK):
+                plan.accumulate(out[t], ents[e:e + BLOCK], ws[e:e + BLOCK], fc, extra_weight,
+                                _FOUR_PI2, mirror=t)
 
 
 def _rfft_read(vals, mid, r1, r2):

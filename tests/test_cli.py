@@ -324,6 +324,9 @@ def test_named_caller_errors_map_to_config_exit(tmp_path, monkeypatch, error):
     ["symbols", "--grid", "8", "--eps-list", "-1e-2,1e-1"],
     ["simulate", "--grid"],
     ["scan3", "8"],
+    ["collinear", "--xi", "4,,0"],
+    ["collinear", "--xi", "4,0,"],
+    ["symbols", "--grid", "8", "--eps-list", "1e-1,,1e-3"],
 ], ids=["g-text", "budget-inf", "n-records-negative", "bprime-nan", "bigB-nan",
         "eps-list-text", "eps-list-empty", "eps-zero", "dt-nan", "snapshot-dt-nan",
         "sobolev-index-nan", "t-end-negative", "courant-nan", "N-nan",
@@ -333,7 +336,8 @@ def test_named_caller_errors_map_to_config_exit(tmp_path, monkeypatch, error):
         "sobolev-index-overflows", "N-underflows-grid-weight", "audit-times-nan",
         "audit-times-inf", "audit-times-empty", "audit-times-commas", "snapshot-dt-zero",
         "snapshot-dt-negative", "int-text", "unknown-flag", "flag-prefix",
-        "eps-list-negative", "flag-without-value", "stray-token"])
+        "eps-list-negative", "flag-without-value", "stray-token", "xi-doubled-comma",
+        "xi-trailing-comma", "eps-list-doubled-comma"])
 def test_value_errors_become_config_errors_at_entry(tmp_path, argv):
     out = tmp_path / "bad"
     assert dispatch(argv + ["--out", str(out)]) == EXIT_CONFIG

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 
@@ -10,7 +11,7 @@ from gcwaves.errors import ConfigError, NumericAbortError
 from gcwaves.fields import (FourierField, Grid, inner, l2_norm,
                             lp_project, mean, product_exact, random_field,
                             synthesize)
-from gcwaves.lattice import BLOCK
+from gcwaves.lattice import BLOCK, flat
 from gcwaves.paradiff import (ParadiffConfig, SeparableTerm, Symbol,
                               compose_residual_field, composition_residual,
                               error_kernel_apply, paracomp_remainder,
@@ -554,6 +555,11 @@ def _oracle_case(case, g):
         SeparableTerm(None, lambda z1, z2: np.hypot(z1, z2))], 1.0)
     if case == "general":
         return gen, CFG, gen, None, None
+    if case == "chi-1":          # rows on a Nyquist line, walked once: their mirrors are off the grid
+        h = g.size // 2          # x-frequencies (-h, +-1) and (0, -h) put weight on those rows
+        nyq = Symbol.general(lambda X1, X2, Z1, Z2: gen.fn(X1, X2, Z1, Z2) + (
+            np.cos(h * X1) * np.sin(X2) + 0.5j * np.cos(h * X2)) * Z2 / np.hypot(Z1, Z2), 1.0)
+        return nyq, ParadiffConfig(chi_exponent=-1), nyq, None, None
     if case == "general-real":   # the imaginary part is skipped, not transformed
         real = Symbol.general(lambda X1, X2, Z1, Z2: fs * np.sqrt(1.0 + Z1 ** 2 + Z2 ** 2)
                               + np.cos(X1 - 2 * X2) * Z1 / np.hypot(Z1, Z2), 1.0)
@@ -581,11 +587,20 @@ def _oracle_case(case, g):
 
 @pytest.mark.parametrize("m", [8, 12])
 @pytest.mark.parametrize("case", ["general", "general-real", "general-imag", "separable",
-                                  "row_tol", "conj-flip", "kernel-left", "kernel-right"])
+                                  "row_tol", "conj-flip", "kernel-left", "kernel-right", "chi-1"])
 def test_weyl_apply_matches_brute_force_double_sum(case, m):
     g = Grid(m)
     sym, cfg, ref_sym, a, side = _oracle_case(case, g)
     f = random_field(g, seed=52, mean_zero=False)
+    if case == "chi-1":          # every eta of the full box, so the full plan
+        rng = np.random.default_rng(52)
+        f = FourierField.from_coeffs(g, rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)),
+                                     check_real=False)
+        plan = paradiff._plans(m, -1).covering(_centered(f))
+        assert plan.radius == m // 2 - 1
+        plan.extend()
+        r1, r2 = plan.k1[plan.rho], plan.k2[plan.rho]
+        assert np.count_nonzero((r1 == -(m // 2)) | (r2 == -(m // 2))) == {8: 28, 12: 136}[m]
     if a is None:
         got = weyl_apply(sym, f, cfg).coeffs
         ref = _brute_force(ref_sym, f, cfg)
@@ -633,18 +648,21 @@ def test_box_dft_matches_direct_sum(m, part, shrink, seed):
 
 @pytest.mark.parametrize("m", [12, 32])
 def test_every_plan_rho_reads_its_hermitian_partner(m):
-    # every rho a box plan holds, down to its most negative rho2 and with
-    # rho1 of either sign (wrapped mod M when negative), is read against the
-    # direct sum; for real samples a rho with rho2 != 0 reads bit for bit
-    # the conjugate of what its partner -rho reads
+    # every rho a box plan reads, as a stored row or the mirror of one,
+    # down to its most negative rho2 and with rho1 of either sign (wrapped
+    # mod M when negative), is read against the direct sum; for real
+    # samples a rho with rho2 != 0 reads bit for bit the conjugate of what
+    # its partner -rho reads
     plans = paradiff._plans(m, -2)
     rng = np.random.default_rng(m)
     vals = rng.standard_normal((2, m, m)) + 1j * rng.standard_normal((2, m, m))
     x = TWO_PI * np.arange(m) / m
     for k in (3, m // 2 - 1):
         plan = plans.box(k)
-        plan.extend(np.inf)
-        rho = np.flatnonzero(np.bincount(plan.rho, minlength=m * m))
+        plan.extend()
+        twin = plan.rho[slice(*plan.mirrored(len(plan.rows)))]
+        rho = np.flatnonzero(np.bincount(np.concatenate((plan.rho, 2 * plan.origin - twin)),
+                                         minlength=m * m))
         r1, r2 = plan.k1[rho], plan.k2[rho]
         low = r2 == r2.min()
         assert r2.min() < 0 and np.any(low & (r1 < 0)) and np.any(low & (r1 > 0))
@@ -688,9 +706,10 @@ def test_plan_cache_state_is_invisible():
 
 
 def test_plan_holds_only_the_rows_a_symbol_needs():
-    # a single-mode function symbol on 128^2 extends the plan of its input's
-    # box to |rho| <= 1 (rho = 0 and the four unit rows), not to the full
-    # ~46M-entry support, and builds no other box
+    # a single-mode function symbol on 128^2 at (1, 0) extends the plan of
+    # its input's box to rho = 0 and the stored unit row (-1, 0), whose
+    # mirror it occupies, not to the full ~23M-entry support, and builds no
+    # other box
     paradiff._plans.cache_clear()
     g = Grid(128)
     e1 = Symbol.from_function(FourierField.single_mode(g, (1, 0), 1.0))
@@ -699,8 +718,8 @@ def test_plan_holds_only_the_rows_a_symbol_needs():
     plans = paradiff._plans(128, -2)
     plan = plans.covering(_centered(f))
     assert list(plans._boxes.values()) == [plan]
-    assert len(plan.row_start) - 1 == 5
-    assert len(plan.xi) <= 5 * 128 ** 2
+    assert len(plan.row_start) - 1 == 2
+    assert len(plan.xi) <= 2 * 128 ** 2
 
 
 def test_plan_cache_keeps_only_recent_plans_and_eviction_is_invisible():
@@ -739,17 +758,43 @@ def test_plan_cache_keeps_only_recent_plans_and_eviction_is_invisible():
     assert info().misses == misses + 1
 
 
+def _pair_set(plans, k):
+    """Every pair (xi, eta) of the chi support with |eta|_inf <= k,
+    enumerated over xi off the Nyquist rows and eta: flat xi, flat rho,
+    midpoint id and chi, sorted by (rho, xi)."""
+    m = plans.m
+    v = np.arange(-(m // 2 - 1), m // 2)
+    e = np.arange(-k, k + 1)
+    cols = []
+    for x1 in v:
+        x2, e1, e2 = (a.ravel() for a in np.meshgrid(v, e, e, indexing="ij"))
+        r1, r2, s1, s2 = x1 - e1, x2 - e2, x1 + e1, x2 + e2
+        ok = ((r1 >= -(m // 2)) & (r1 < m // 2) & (r2 >= -(m // 2)) & (r2 < m // 2)
+              & ((s1 != 0) | (s2 != 0)))
+        x2, r1, r2, s1, s2 = x2[ok], r1[ok], r2[ok], s1[ok], s2[ok]
+        chi = plans.chi_fn(np.hypot(r1, r2) / np.hypot(s1, s2))
+        keep = chi > 0.0
+        cols.append((flat(np.stack((np.full(keep.sum(), x1), x2[keep]), axis=-1), m),
+                     flat(np.stack((r1[keep], r2[keep]), axis=-1), m),
+                     plans.mid_id[flat(np.stack((s1[keep], s2[keep]), axis=-1), 2 * m - 1)],
+                     chi[keep]))
+    xi, rho, mid, chi = (np.concatenate(c) for c in zip(*cols))
+    order = np.lexsort((xi, rho))
+    return xi[order], rho[order], mid[order], chi[order]
+
+
 @pytest.mark.parametrize("m", [12, 32])
 def test_box_plan_is_the_full_plan_restricted_to_its_box(m):
     # an input supported in |eta|_inf <= K gets the plan of the entries of
-    # the full plan with |eta|_inf <= K, in the full plan's order
+    # the full plan with |eta|_inf <= K, in the full plan's order; its
+    # stored entries and their mirrors are every pair of the box, each once
     paradiff._plans.cache_clear()
     g = Grid(m)
     plans = paradiff._plans(m, -2)
     full = plans.box(m // 2 - 1)
-    full.extend(np.inf)
+    full.extend()
     eta1, eta2 = full.k1[full.xi] - full.k1[full.rho], full.k2[full.xi] - full.k2[full.rho]
-    row = np.repeat(np.arange(m * m), np.diff(full.row_start))
+    row = np.repeat(np.arange(len(full.rows)), np.diff(full.row_start))
     rng = np.random.default_rng(m)
     for k in (0, 3, m // 2 - 1):
         c = np.zeros((m, m), complex)
@@ -757,19 +802,30 @@ def test_box_plan_is_the_full_plan_restricted_to_its_box(m):
         c[k % m, 0] = complex(*rng.standard_normal(2))
         plan = plans.covering(_centered(FourierField(g, c)))
         assert plan.radius == k
-        plan.extend(np.inf)
+        plan.extend()
         sel = np.flatnonzero((np.abs(eta1) <= k) & (np.abs(eta2) <= k))
         for name in ("xi", "rho", "mid", "chi"):
             assert np.array_equal(getattr(plan, name), getattr(full, name)[sel])
-        assert np.array_equal(np.diff(plan.row_start), np.bincount(row[sel], minlength=m * m))
+        assert np.array_equal(np.diff(plan.row_start),
+                              np.bincount(row[sel], minlength=len(full.rows)))
+        twin = slice(*plan.mirrored(len(plan.rows)))
+        o2 = 2 * plan.origin
+        got = (np.concatenate((plan.xi, o2 - plan.xi[twin])),
+               np.concatenate((plan.rho, o2 - plan.rho[twin])),
+               np.concatenate((plan.mid, plan.mid[twin] ^ 1)),
+               np.concatenate((plan.chi, plan.chi[twin])))
+        order = np.lexsort(got[:2])
+        for a, b in zip(got, _pair_set(plans, k)):
+            assert np.array_equal(a[order], b)
     assert plans.covering(np.zeros(m * m)).radius == 0
 
 
 @pytest.mark.parametrize("kind", ["separable", "kernel"])
 def test_apply_is_independent_of_the_pass_length(kind):
     # the walk in passes of 1 << 13 entries and of 1 << 15, on a 32^2 plan
-    # of 0.16M entries: bit-identical, because every complex product takes
-    # its gathered operand first, as numpy's temporary elision does
+    # of 0.16M pairs (79k stored entries and 78k mirrors): bit-identical,
+    # because every complex product takes its gathered operand first, as
+    # numpy's temporary elision does
     g = Grid(32)
     rng = np.random.default_rng(58)
     f = FourierField.from_coeffs(
@@ -790,7 +846,9 @@ def test_apply_is_independent_of_the_pass_length(kind):
         mp.setattr(paradiff, "BLOCK", 1 << 15)
         paradiff._plans.cache_clear()
         long = apply()
-        assert len(paradiff._plans(32, -2).box(15).xi) > 4 << 15   # five long passes
+        plan = paradiff._plans(32, -2).box(15)
+        lo, hi = plan.mirrored(len(plan.row_start) - 1)   # the rows built
+        assert len(plan.xi) + hi - lo > 4 << 15     # five long passes, stored and mirrored
     paradiff._plans.cache_clear()
     assert np.array_equal(short, long)
 
@@ -808,9 +866,12 @@ def _row_entries_by_position(plan, rows):
 
 
 def _apply_active_rows(a, grid, cfg, plan, out, fc, extra_weight):
-    """Oracle for paradiff._apply_rows: only the entries of the rows some
-    term occupies, gathered row by row from the full plan whatever the
-    support of fc."""
+    """Oracle for paradiff._apply_rows: only the entries of the stored rows
+    some term occupies at rho or -rho, gathered row by row from the full
+    plan whatever the support of fc, into out[0]; then the same rows'
+    mirrors, as entries of a plan copy whose flat indices and midpoint ids
+    are formed from the negated coordinates, into out[1] as the mirror image
+    of their sums."""
     m = grid.size
     plan = paradiff._plans(m, cfg.chi_exponent).box(m // 2 - 1)
     coefs = np.zeros((len(a.terms), m * m), np.complex128)
@@ -822,21 +883,42 @@ def _apply_active_rows(a, grid, cfg, plan, out, fc, extra_weight):
         tol = cfg.row_tol * np.max(np.abs(sc)) if cfg.row_tol else 0.0
         kept = np.abs(sc) > tol
         c[kept] = sc[kept] / paradiff._FOUR_PI2
-    active = np.flatnonzero(np.any(coefs != 0.0, axis=0)[plan.rows])
+    # the rows with a mirror: rho != 0 and -rho on the grid
+    r1, r2 = plan.k1[plan.rows], plan.k2[plan.rows]
+    paired = (r1 > -(m // 2)) & (r2 > -(m // 2)) & ((r1 != 0) | (r2 != 0))
+    assert np.array_equal(np.flatnonzero(paired), np.arange(1, plan.twins))
+    occupied = np.any(coefs != 0.0, axis=0)
+    minus = flat(np.stack((-r1, -r2), axis=-1), m)
+    on = occupied[plan.rows] | paired & occupied[np.where(paired, minus, 0)]
+    active = np.flatnonzero(on)
     if not len(active):
         return
-    n = plan.extend(plan.row_sq[active[-1]])
-    live = np.flatnonzero(plan.mid_row < n)
+    n = plan.extend(active[-1] + 1)
+    pairs = np.flatnonzero(plan.pair_row < n)
+    live = np.concatenate((2 * pairs, 2 * pairs + 1))
     z1, z2 = plan.zeta(live)
-    gz = np.zeros((len(a.terms), len(plan.mid_row)), np.complex128)
+    gz = np.zeros((len(a.terms), len(plan.sums[0])), np.complex128)
     for g, term in zip(gz, a.terms):
         g[live] = term.gz(z1, z2)
-    for e in _row_entries_by_position(plan, active):
-        rho, mid = plan.rho[e], plan.mid[e]
-        w = coefs[0, rho] * gz[0, mid]
-        for c, g in zip(coefs[1:], gz[1:]):
-            w += c[rho] * g[mid]
-        plan.accumulate(out, e, w, fc, extra_weight)
+    twin = copy.copy(plan)
+    twin.xi = flat(np.stack((-plan.k1[plan.xi], -plan.k2[plan.xi]), axis=-1), m).astype(np.int32)
+    twin.rho = flat(np.stack((-plan.k1[plan.rho], -plan.k2[plan.rho]), axis=-1), m).astype(np.int32)
+    s = np.stack((-plan.sums[0][plan.mid], -plan.sums[1][plan.mid]), axis=-1)
+    twin.mid = plan.mid_id[flat(s, 2 * m - 1)]
+    mirrors = np.zeros(m * m, np.complex128)     # the mirrors' sums at -xi
+    for sums, p, rows in ((out[0], plan, active), (mirrors, twin, active[paired[active]])):
+        if not len(rows):
+            continue
+        for e in _row_entries_by_position(p, rows):
+            rho, mid = p.rho[e], p.mid[e]
+            w = gz[0, mid] * coefs[0, rho]
+            for c, g in zip(coefs[1:], gz[1:]):
+                w += c[rho] * g[mid]
+            p.accumulate(sums, e, w, fc, extra_weight)
+    # out[1] holds the mirrors' sums as the image of the output: -xi at xi
+    k1, k2 = plan.k1, plan.k2
+    on_grid = (k1 > -(m // 2)) & (k2 > -(m // 2))
+    out[1][on_grid] = mirrors[flat(np.stack((-k1[on_grid], -k2[on_grid]), axis=-1), m)]
 
 
 def _sparse_field(g, rng, n_modes, kmax):
@@ -847,7 +929,8 @@ def _sparse_field(g, rng, n_modes, kmax):
     return FourierField.from_coeffs(g, c, check_real=False)
 
 
-@pytest.mark.parametrize("kind", ["dense", "row_tol", "high_row", "multi", "kernel", "boxed"])
+@pytest.mark.parametrize("kind", ["dense", "row_tol", "high_row", "mirror_row", "multi", "kernel",
+                                  "boxed"])
 @settings(max_examples=15, derandomize=True, deadline=None, database=None)
 @given(seed=st.integers(0, 2 ** 16))
 def test_separable_apply_matches_active_row_walk(kind, seed):
@@ -856,9 +939,11 @@ def test_separable_apply_matches_active_row_walk(kind, seed):
 
 
 @pytest.mark.parametrize("m, kind, seed", [(64, "high_row", 3), (32, "row_tol", 11),
-                                           (32, "boxed", 3), (32, "boxed", 7), (32, "boxed", 8)])
+                                           (32, "boxed", 3), (32, "boxed", 7), (32, "boxed", 8),
+                                           (32, "mirror_row", 3)])
 def test_separable_apply_matches_active_row_walk_pinned(m, kind, seed):
-    # fixed cases that stay whatever the draws: boxes 1, 5 and 15, and 64^2
+    # fixed cases that stay whatever the draws: boxes 1, 5 and 15, 64^2, and
+    # a symbol that occupies only the mirror of its stored row
     _check_separable_walk(m, kind, seed)
 
 
@@ -881,6 +966,11 @@ def _check_separable_walk(m, kind, seed):
         k = rng.integers(m // 8, m // 4 + 1, 2) * rng.choice([-1, 1], 2)
         fld = FourierField.single_mode(g, k, 1.0) + FourierField.single_mode(g, -k, 0.5)
         sym = Symbol.separable([SeparableTerm(fld, lambda z1, z2: np.hypot(z1, z2) ** 0.5)], 0.5)
+    elif kind == "mirror_row":   # one occupied row rho, k1 > 0: the plan stores -rho
+        k = rng.integers(1, m // 4 + 1, 2) * (1, rng.choice([-1, 1]))
+        fld = FourierField.single_mode(g, k, 1.0)
+        sym = Symbol.separable([SeparableTerm(fld, lambda z1, z2: (z1 + 2j * z2) / np.hypot(z1, z2))],
+                               0.0)
     else:
         sym = Symbol.separable([
             SeparableTerm(random_field(g, seed=seed, decay=0.05),
@@ -905,7 +995,7 @@ def _check_separable_walk(m, kind, seed):
         mp.setattr(paradiff, "_apply_rows", _apply_active_rows)
         want = apply()
     assert np.max(np.abs(want)) > 0.0
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -923,112 +1013,141 @@ def _even_general(g, seed):
 @pytest.mark.parametrize("m, chis", [(6, (-1, -2, -3)), (8, (-1, -2, -3)), (12, (-1, -2, -3)),
                                      (16, (-1, -2, -3)), (20, (-1, -3)), (32, (-2,))])
 def test_every_plan_midpoint_is_paired_with_its_mirror(m, chis):
-    # rep[j] is the position of the larger id of {s, -s}, the odd one: every
-    # box plan checked holds -s with each midpoint s
+    # a pair's ids 2i and 2i + 1 are -s and s, so a mirrored entry's id is
+    # its stored entry's id ^ 1; every box plan checked holds -s with each
+    # midpoint s, as a stored entry or a mirror; by_midpoint's groups are
+    # the pairs, ids in increasing order
     for chi in chis:
         plans = paradiff._plans(m, chi)
         for k in range(m // 2):
             plan = plans.box(k)
-            perm, start, ids, rep = plan.by_midpoint()
+            perm, start, pairs = plan.by_midpoint()
+            lo, hi = plan.mirrored(len(plan.rows))
+            ids = np.unique(np.concatenate((plan.mid, plan.mid[lo:hi] ^ 1)))
             s1, s2 = plan.sums[0][ids], plan.sums[1][ids]
             at = {(a, b): j for j, (a, b) in enumerate(zip(s1, s2))}
-            mirror = np.array([at[(-a, -b)] for a, b in zip(s1, s2)])
-            assert np.array_equal(rep, np.maximum(np.arange(len(ids)), mirror))
-            assert np.all(ids[rep] % 2 == 1)
-            assert np.array_equal(ids[rep] // 2, ids // 2)   # a pair's ids are adjacent
+            mirror = np.array([at[(-a, -b)] for a, b in zip(s1, s2)], np.intp)
+            assert np.array_equal(ids[mirror], ids ^ 1)
+            assert np.array_equal(pairs, np.unique(ids >> 1))
+            mids = plan.mid[perm]
+            assert np.all(np.diff(mids) >= 0)
+            assert np.array_equal(mids[start[:-1]] >> 1, pairs)
+            assert start[-1] == len(plan.mid)
 
 
-def _unpair(plan, mp, seed):
-    """Unpair a third of the plan's +-s pairs in its by_midpoint record: each
-    midpoint of those pairs is left to represent itself."""
-    perm, start, ids, rep = plan.by_midpoint()
-    rep = rep.copy()
-    lower = np.flatnonzero(rep > np.arange(len(ids)))
-    gone = np.random.default_rng(seed).choice(lower, len(lower) // 3, replace=False)
-    rep[rep[gone]] = rep[gone]            # upper midpoints left on their own
-    rep[gone] = gone                      # and their lower mirrors
-    mp.setattr(plan, "_by_mid", (perm, start, ids, rep))
+def _record_passes(seen):
+    """A stand-in for _ChiPlan.accumulate that appends (entries, mirror) of
+    each pass to seen and accumulates it."""
+    accumulate = paradiff._ChiPlan.accumulate
+
+    def record(plan, out, e, *args, mirror=False):
+        seen.append((np.array(e), bool(mirror)))
+        accumulate(plan, out, e, *args, mirror=mirror)
+    return record
 
 
-def test_midpoints_without_a_mirror_are_walked_at_themselves(monkeypatch):
-    # an even symbol on a partly unpaired plan still gets the undeclared
-    # one's sums
+def _twin_entries(plan, entries):
+    """The entries of ``entries`` on the plan's mirrored rows, in order."""
+    lo, hi = plan.mirrored(len(plan.rows))
+    return entries[(entries >= lo) & (entries < hi)]
+
+
+def test_rows_without_a_mirror_are_walked_once():
+    # at chi -1 the 12^2 plan holds 136 entries on Nyquist-line rows, whose
+    # mirrors are off the grid: they come last in the row order and are
+    # walked once, stored; every other entry but rho = 0's also mirrored;
+    # an even symbol still gets the undeclared one's sums
     g = Grid(12)
+    cfg = ParadiffConfig(chi_exponent=-1)
     even, plain = _even_general(g, 60)
-    f = random_field(g, seed=61, mean_zero=False)
-    _unpair(paradiff._plans(12, -2).covering(_centered(f)), monkeypatch, 62)
-    assert np.array_equal(weyl_apply(even, f, CFG).coeffs, weyl_apply(plain, f, CFG).coeffs)
+    rng = np.random.default_rng(61)
+    f = FourierField.from_coeffs(g, rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12)),
+                                 check_real=False)
+    paradiff._plans.cache_clear()
+    plan = paradiff._plans(12, -1).covering(_centered(f))
+    assert plan.radius == 5
+    plan.extend()
+    r1, r2 = plan.k1[plan.rho], plan.k2[plan.rho]
+    nyquist = np.flatnonzero((r1 == -6) | (r2 == -6))
+    assert len(nyquist) == 136 and nyquist[0] == plan.row_start[plan.twins]
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(paradiff._ChiPlan, "accumulate", _record_passes(seen))
+        got = weyl_apply(even, f, cfg).coeffs
+    paradiff._plans.cache_clear()
+    stored = np.concatenate([e for e, mirror in seen if not mirror])
+    mirrored = np.concatenate([e for e, mirror in seen if mirror])
+    assert np.array_equal(np.sort(stored), np.arange(len(plan.xi)))
+    assert np.array_equal(np.sort(mirrored), np.arange(plan.row_start[1], nyquist[0]))
+    assert got.tobytes() == weyl_apply(plain, f, cfg).coeffs.tobytes()
 
 
 @pytest.mark.parametrize("block, batch", [(BLOCK, None), (64, 8)], ids=["default", "short"])
 @pytest.mark.parametrize("kind", ["undeclared", "even", "unpaired"])
 def test_general_entries_are_accumulated_once_in_midpoint_order(kind, block, batch):
-    # whatever the walk samples, the passes hold every plan entry exactly
-    # once, in the plan's midpoint order (perm), in passes of at most BLOCK
-    # entries; "short" walks many batches of 8 samples and many passes of 64
-    # entries
+    # whatever the walk samples, the passes hold every stored entry exactly
+    # once, in the plan's midpoint order (perm), and the mirror of every
+    # entry on a mirrored row once, in that order too, in passes of at most
+    # BLOCK entries; "unpaired" is a chi -1 plan, whose Nyquist-line rows
+    # have no mirror; "short" walks many batches of 4 or 8 samples and many
+    # passes of 64 entries
     g = Grid(12)
     even, plain = _even_general(g, 65)
     f = random_field(g, seed=66, mean_zero=False)
+    cfg = ParadiffConfig(chi_exponent=-1) if kind == "unpaired" else CFG
     seen = []
-    accumulate = paradiff._ChiPlan.accumulate
-
-    def record(plan, out, e, *args):
-        seen.append(np.array(e))
-        accumulate(plan, out, e, *args)
-
     paradiff._plans.cache_clear()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(paradiff, "BLOCK", block)
         if batch:
             mp.setattr(paradiff, "_SAMPLES", batch * 12 * 12)
-        plan = paradiff._plans(12, -2).covering(_centered(f))
-        if kind == "unpaired":
-            _unpair(plan, mp, 67)
-        mp.setattr(paradiff._ChiPlan, "accumulate", record)
-        weyl_apply(plain if kind == "undeclared" else even, f, CFG)
+        plan = paradiff._plans(12, cfg.chi_exponent).covering(_centered(f))
+        mp.setattr(paradiff._ChiPlan, "accumulate", _record_passes(seen))
+        weyl_apply(plain if kind == "undeclared" else even, f, cfg)
         perm = plan.by_midpoint()[0]
     paradiff._plans.cache_clear()
-    assert len(perm) > 10 * 64                     # many passes at 64 entries
-    assert all(0 < len(e) <= block for e in seen)
-    assert np.array_equal(np.concatenate(seen), perm)
+    walk = len(perm) + len(_twin_entries(plan, perm))
+    assert walk > 10 * 64                          # many passes at 64 entries
+    assert all(0 < len(e) <= block for e, _ in seen)
+    assert np.array_equal(np.concatenate([e for e, mirror in seen if not mirror]), perm)
+    assert np.array_equal(np.concatenate([e for e, mirror in seen if mirror]),
+                          _twin_entries(plan, perm))
 
 
 def test_the_walk_holds_one_batch():
-    # an even symbol walked in batches of 5 samples (10 midpoints): once a
-    # batch's passes are done, the entries accumulated so far are perm up to
-    # that batch's last midpoint, so no weight outlives its batch
+    # an even symbol walked in batches of 5 samples (5 midpoint pairs): once
+    # a batch's passes are done, the entries accumulated so far are perm up
+    # to that batch's last pair and their mirrors, so no weight outlives
+    # its batch
     g = Grid(12)
     even = _even_general(g, 68)[0]
     f = random_field(g, seed=69, mean_zero=False)
-    events = []   # None for a batch's transform, else a pass's entries
-    read, accumulate = paradiff._rfft_read, paradiff._ChiPlan.accumulate
+    events = []   # None for a batch's transform, else a pass's (entries, mirror)
+    read = paradiff._rfft_read
 
     def transform(*args):
         events.append(None)
         return read(*args)
-
-    def record(plan, out, e, *args):
-        events.append(np.array(e))
-        accumulate(plan, out, e, *args)
 
     batch = 5
     paradiff._plans.cache_clear()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(paradiff, "_SAMPLES", batch * 12 * 12)
         mp.setattr(paradiff, "_rfft_read", transform)
-        mp.setattr(paradiff._ChiPlan, "accumulate", record)
+        mp.setattr(paradiff._ChiPlan, "accumulate", _record_passes(events))
         plan = paradiff._plans(12, -2).covering(_centered(f))
         weyl_apply(even, f, CFG)
-        perm, start, ids, rep = plan.by_midpoint()
+        perm, start, pairs = plan.by_midpoint()
     paradiff._plans.cache_clear()
-    last = np.flatnonzero(rep == np.arange(len(ids)))   # the pairs' odd members
-    ends = [start[last[min(k + batch, len(last)) - 1] + 1] for k in range(0, len(last), batch)]
+    ends = [start[min(k + batch, len(pairs))] for k in range(0, len(pairs), batch)]
     batches = [i for i, ev in enumerate(events) if ev is None] + [len(events)]
     assert len(batches) - 1 == len(ends) > 20
     for end, stop in zip(ends, batches[1:]):
-        done = [perm[:0]] + [ev for ev in events[:stop] if ev is not None]
-        assert np.array_equal(np.concatenate(done), perm[:end])
+        done = [ev for ev in events[:stop] if ev is not None]
+        stored = np.concatenate([perm[:0]] + [e for e, mirror in done if not mirror])
+        mirrored = np.concatenate([perm[:0]] + [e for e, mirror in done if mirror])
+        assert np.array_equal(stored, perm[:end])
+        assert np.array_equal(mirrored, _twin_entries(plan, perm[:end]))
 
 
 @pytest.mark.parametrize("kind", ["general", "even", "separable", "kernel"])

@@ -159,8 +159,12 @@ MUTANTS = (
            "end = int(plan.row_start[active[-1]])",
            (BRUTE, *ROWS)),
     Mutant("slice-drops-last-entry", PARADIFF,
-           "e = slice(lo, min(lo + BLOCK, end))",
-           "e = slice(lo, min(lo + BLOCK, end) - 1)",
+           "e = slice(p, min(p + BLOCK, hi))",
+           "e = slice(p, min(p + BLOCK, hi) - 1)",
+           (BRUTE, *ROWS)),
+    Mutant("mirror-row-not-active", PARADIFF,
+           "active = np.flatnonzero((occupied | occupied[plan.flip])[plan.rows])",
+           "active = np.flatnonzero(occupied[plan.rows])",
            (BRUTE, *ROWS)),
     Mutant("eta-box-one-short", PARADIFF,
            "self.etas = np.arange(-radius, radius + 1, dtype=np.int32)",
@@ -190,36 +194,51 @@ MUTANTS = (
            (BOXES,)),
     # the f-hat product as it was written before the walk had fixed passes
     Mutant("product-order-swapped-back", PARADIFF,
-           'v = np.multiply(np.take(fc, eta, out=work[2, :len(w)], mode="clip"), w,\n'
+           'v = np.multiply(fc.take(eta, out=work[2, :len(w)], mode="clip"), w,\n'
            "                        out=work[1, :len(w)])",
-           "v = w * np.take(fc, eta)",
+           "v = w * fc.take(eta)",
            (PASSES,)),
     # the f-hat product as it was written in place, one-entry passes and all
     Mutant("one-entry-product-in-place", PARADIFF,
-           'v = np.multiply(np.take(fc, eta, out=work[2, :len(w)], mode="clip"), w,\n'
+           'v = np.multiply(fc.take(eta, out=work[2, :len(w)], mode="clip"), w,\n'
            "                        out=work[1, :len(w)])",
-           'v = np.take(fc, eta, out=work[2, :len(w)], mode="clip")\n'
+           'v = fc.take(eta, out=work[2, :len(w)], mode="clip")\n'
            "        np.multiply(v, w, out=v)",
            (ONE_ENTRY,)),
-    # the general path's +-s pairing of an even symbol's midpoints: a pair's
-    # ids are 2i and 2i + 1, each midpoint's mirror is its id ^ 1
+    # the +-s pairing of midpoints: a pair's ids are 2i and 2i + 1, so the
+    # mirror (-xi, -eta) of an entry has its id ^ 1
     Mutant("pair-ids-not-adjacent", PARADIFF,
            "self.mid_id = 2 * np.minimum(f, n - 1 - f) + (f > n // 2)",
            "self.mid_id = f.copy()",
            (MIRROR, PAIRING)),
-    Mutant("pairing-wrong-mirror", PARADIFF,
-           "mirror = ids ^ 1",
-           "mirror = ids ^ 3",
-           (MIRROR, PAIRING)),
-    Mutant("pairing-rep-at-lower-id", PARADIFF,
-           "rep = np.where(ids[at] == mirror, np.maximum(j, at), j)",
-           "rep = np.where(ids[at] == mirror, np.minimum(j, at), j)",
-           (MIRROR, PAIRING)),
+    # the mirrored walk: one stored row of each +-rho pair, its mirror
+    # weighed at -rho and at its midpoint id ^ 1, with flat eta 2 origin -
+    # f; the rho = 0 row and the Nyquist-line rows walked once
+    Mutant("mirror-mid-not-flipped", PARADIFF,
+           "g.reshape(-1, 2)[:, ::-1].ravel()",
+           "g.reshape(-1, 2).ravel()",
+           (BRUTE, *ROWS)),
+    Mutant("mirror-sample-not-flipped", PARADIFF,
+           "swap = 0 if a.even else 1",
+           "swap = 0",
+           (BRUTE,)),
+    Mutant("mirror-coef-not-flipped", PARADIFF,
+           "tables = ((coefs, gz), (coefs[:, plan.flip],",
+           "tables = ((coefs, gz), (coefs,",
+           (BRUTE, *ROWS)),
+    Mutant("mirror-eta-not-negated", PARADIFF,
+           "(rho, xi) if mirror else (xi, rho)",
+           "(xi, rho) if mirror else (xi, rho)",
+           (BRUTE,)),
+    Mutant("unpaired-row-mirrored", PARADIFF,
+           "self.twins = 1 + len(paired)",
+           "self.twins = len(self.rows)",
+           (BRUTE,)),
     # the general path's one walk: a batch of samples serves one contiguous
     # run of perm, each entry weighed at its own sample and accumulated at once
     Mutant("sample-slot-off-by-one", PARADIFF,
-           "mid = np.repeat(np.arange(j2 - j), np.diff(bound[j:j2 + 1]))",
-           "mid = np.repeat(np.arange(1, j2 - j + 1), np.diff(bound[j:j2 + 1]))",
+           "at = np.repeat(np.arange(0, len(ids), len(side)), np.diff(start[j:j2 + 1]))",
+           "at = np.repeat(np.arange(1, len(ids) + 1, len(side)), np.diff(start[j:j2 + 1]))",
            (BRUTE, PAIRING)),
     # values checked on entry: they would zero the operator or go unchecked
     Mutant("chi-exponent-nan-accepted", PARADIFF,
@@ -343,6 +362,10 @@ MUTANTS = (
            'cfg[key] = value if key in layers[-1] else _convert(table[key][0], value, f"--{key}")',
            ("tests/test_cli.py::test_config_file_merged_and_overridden",
             "tests/test_cli.py::test_every_argv_ends_in_a_manifest")),
+    Mutant("list-skips-empty-items", CLI,
+           'for t in str(cfg[flag]).split(",")]',
+           'for t in str(cfg[flag]).split(",") if t.strip()]',
+           ("tests/test_cli.py::test_value_errors_become_config_errors_at_entry",)),
     Mutant("config-int-accepts-fraction", CLI,
            "if not isinstance(value, str) and int(value) != value:",
            "if False:",
